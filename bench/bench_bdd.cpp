@@ -18,7 +18,7 @@ namespace {
 
 /// Builds the n-queens constraint function and counts solutions.
 double queens(unsigned N) {
-  SerialBddManager M(N * N);
+  BddManager M(N * N);
   auto V = [&](unsigned R, unsigned C) { return M.var(R * N + C); };
   Bdd All = M.one();
   for (unsigned R = 0; R < N; ++R) {
@@ -66,7 +66,7 @@ void BM_CounterReachability(benchmark::State &State) {
   unsigned W = static_cast<unsigned>(State.range(0));
   size_t Steps = 0;
   for (auto _ : State) {
-    SerialBddManager M(2 * W);
+    BddManager M(2 * W);
     auto X = [&](unsigned I) { return M.var(2 * I); };
     auto Y = [&](unsigned I) { return M.var(2 * I + 1); };
     // y = x + 1 (ripple carry).
@@ -111,7 +111,7 @@ BENCHMARK(BM_CounterReachability)
 
 void BM_RemapShift(benchmark::State &State) {
   unsigned N = static_cast<unsigned>(State.range(0));
-  SerialBddManager M(2 * N);
+  BddManager M(2 * N);
   // A dense function over the even variables.
   Bdd F = M.zero();
   for (unsigned I = 0; I + 1 < N; ++I)

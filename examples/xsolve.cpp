@@ -83,7 +83,7 @@ int usage() {
       "  xsolve optimize '<xpath>' [dtd]\n"
       "  xsolve batch [file|-] [--jobs N] [--cache-file F] [--stable]\n"
       "               [--optimize] [--share-fixpoints]\n"
-      "               [--fixpoint-strategy S] [--bdd-backend B]\n"
+      "               [--fixpoint-strategy S]\n"
       "               [--trace-file F] [--metrics-file F]\n"
       "  xsolve replay <slowlog.json|-> [--out F] [batch flags]\n"
       "where [dtd] is a file path or one of: wikipedia, smil, xhtml.\n"
@@ -95,7 +95,7 @@ int usage() {
       "\"e2\":\"//b\",\"dtd\":\"xhtml\"}\n"
       "(ops: sat empty contains overlap cover equiv typecheck optimize;\n"
       " {\"op\":\"config\",\"jobs\":N,\"optimize\":B,"
-      "\"share_fixpoints\":B,\"fixpoint_strategy\":S,\"bdd_backend\":B}\n"
+      "\"share_fixpoints\":B,\"fixpoint_strategy\":S}\n"
       " reconfigures mid-stream)\n"
       "replay turns a slow-query log entry (xsolved /slowlog output, one\n"
       "JSON object or a dump array) into a batch run that re-executes the\n"
@@ -119,15 +119,6 @@ int usage() {
       "                  chaining, saturation, or auto (pick per lean,\n"
       "                  remembered in the cache file); verdicts and\n"
       "                  models are strategy-independent\n"
-      "  --bdd-backend B\n"
-      "                  symbolic-set backend for the solver: serial\n"
-      "                  (default) or parallel (work-stealing BDD\n"
-      "                  operations inside one query). Canonical hash\n"
-      "                  consing makes all output byte-identical across\n"
-      "                  backends; only wall time changes\n"
-      "  --bdd-threads N\n"
-      "                  worker threads inside one BDD operation\n"
-      "                  (parallel backend only; 0 = all cores)\n"
       "  --trace-file F  record spans for every pipeline stage and write\n"
       "                  them as Chrome trace-event JSON to F (open in\n"
       "                  Perfetto / chrome://tracing); response output is\n"
@@ -258,9 +249,11 @@ bool slowlogToBatch(const std::string &Text, std::string &BatchText,
     if (Cfg && Cfg->type() == JsonValue::Type::Object) {
       JsonRef Line = JsonValue::object();
       Line->set("op", JsonValue::string("config"));
+      // Only keys the batch config line accepts are copied; anything
+      // else a record carries (e.g. the retired "bdd_backend" of older
+      // slowlogs) is dropped so the record still replays.
       for (const char *Key :
-           {"optimize", "share_fixpoints", "fixpoint_strategy",
-            "bdd_backend"}) {
+           {"optimize", "share_fixpoints", "fixpoint_strategy"}) {
         if (JsonRef V = Cfg->get(Key); V && !V->isNull())
           Line->set(Key, V);
       }
@@ -354,25 +347,6 @@ int main(int argc, char **argv) {
           return usage();
         }
         Session.setFixpointStrategy(S);
-      } else if (Arg == "--bdd-backend" && I + 1 < argc) {
-        BddBackendKind K;
-        if (!parseBddBackend(argv[++I], K)) {
-          std::fprintf(stderr,
-                       "error: --bdd-backend needs serial or parallel "
-                       "(got %s)\n",
-                       argv[I]);
-          return usage();
-        }
-        Session.setBddBackend(K);
-      } else if (Arg == "--bdd-threads" && I + 1 < argc) {
-        char *End = nullptr;
-        long N = std::strtol(argv[++I], &End, 10);
-        if (N < 0 || End == argv[I] || *End != '\0') {
-          std::fprintf(stderr,
-                       "error: --bdd-threads needs a non-negative integer\n");
-          return usage();
-        }
-        Session.setBddThreads(static_cast<unsigned>(N));
       } else if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {
         std::fprintf(stderr, "error: unknown %s flag %s\n", Cmd.c_str(),
                      Arg.c_str());

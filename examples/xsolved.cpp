@@ -63,7 +63,7 @@ int usage() {
       "  xsolved [--tcp PORT] [--unix PATH] [--jobs N] [--queue-limit N]\n"
       "          [--cache-file F] [--stable] [--optimize]\n"
       "          [--share-fixpoints] [--fixpoint-strategy S]\n"
-      "          [--bdd-backend B] [--bdd-threads N] [--port-file F]\n"
+      "          [--port-file F]\n"
       "  xsolved client (--tcp HOST:PORT | --unix PATH) [file|-]\n"
       "server flags:\n"
       "  --tcp PORT      listen on 127.0.0.1:PORT (0 = ephemeral port)\n"
@@ -74,12 +74,6 @@ int usage() {
       "  --stable        default connections to the deterministic\n"
       "                  response encoding (clients can override with\n"
       "                  {\"op\":\"config\",\"stable\":...})\n"
-      "  --bdd-backend B default symbolic-set backend: serial or parallel\n"
-      "                  (per-namespace override: {\"op\":\"config\",\n"
-      "                  \"bdd_backend\":...}); output is byte-identical\n"
-      "                  across backends\n"
-      "  --bdd-threads N worker threads inside one BDD operation\n"
-      "                  (parallel backend only; 0 = all cores)\n"
       "  --port-file F   write the bound TCP port to F (for scripts\n"
       "                  using --tcp 0)\n"
       "  --log-file F    append the structured JSON-lines event log to F\n"
@@ -250,25 +244,6 @@ int main(int argc, char **argv) {
         return usage();
       }
       Opts.Session.Solver.Strategy = S;
-    } else if (Arg == "--bdd-backend" && I + 1 < argc) {
-      BddBackendKind K;
-      if (!parseBddBackend(argv[++I], K)) {
-        std::fprintf(stderr,
-                     "error: --bdd-backend needs serial or parallel "
-                     "(got %s)\n",
-                     argv[I]);
-        return usage();
-      }
-      Opts.Session.Solver.Backend = K;
-    } else if (Arg == "--bdd-threads" && I + 1 < argc) {
-      char *End = nullptr;
-      long N = std::strtol(argv[++I], &End, 10);
-      if (N < 0 || End == argv[I] || *End != '\0') {
-        std::fprintf(stderr,
-                     "error: --bdd-threads needs a non-negative integer\n");
-        return usage();
-      }
-      Opts.Session.Solver.BddThreads = static_cast<unsigned>(N);
     } else if (Arg == "--port-file" && I + 1 < argc) {
       PortFile = argv[++I];
     } else if (Arg == "--log-file" && I + 1 < argc) {

@@ -1,8 +1,6 @@
-//===- Bdd.cpp - BDD package: interface + serial backend -------------------===//
+//===- Bdd.cpp - Binary decision diagram package --------------------------===//
 
 #include "bdd/Bdd.h"
-
-#include "bdd/Parallel.h"
 
 #include <algorithm>
 #include <cmath>
@@ -10,40 +8,6 @@
 #include <unordered_set>
 
 using namespace xsa;
-
-//===----------------------------------------------------------------------===//
-// Backend naming and factory
-//===----------------------------------------------------------------------===//
-
-const char *xsa::bddBackendName(BddBackendKind K) {
-  switch (K) {
-  case BddBackendKind::Serial:
-    return "serial";
-  case BddBackendKind::Parallel:
-    return "parallel";
-  }
-  return "serial";
-}
-
-bool xsa::parseBddBackend(const std::string &Name, BddBackendKind &K) {
-  if (Name == "serial") {
-    K = BddBackendKind::Serial;
-    return true;
-  }
-  if (Name == "parallel") {
-    K = BddBackendKind::Parallel;
-    return true;
-  }
-  return false;
-}
-
-std::unique_ptr<BddManager> xsa::makeBddManager(BddBackendKind K,
-                                                unsigned InitialVars,
-                                                unsigned Threads) {
-  if (K == BddBackendKind::Parallel)
-    return std::make_unique<ParallelBddManager>(InitialVars, Threads);
-  return std::make_unique<SerialBddManager>(InitialVars);
-}
 
 //===----------------------------------------------------------------------===//
 // Bdd handle
@@ -96,25 +60,25 @@ bool Bdd::isZero() const { return Mgr && Node == 0; }
 Bdd Bdd::operator&(const Bdd &O) const {
   assert(Mgr && Mgr == O.Mgr && "operands from different managers");
   Mgr->maybeGc();
-  return Bdd(Mgr, Mgr->applyTop(BddManager::Op::And, Node, O.Node), false);
+  return Bdd(Mgr, Mgr->applyRec(BddManager::Op::And, Node, O.Node), false);
 }
 
 Bdd Bdd::operator|(const Bdd &O) const {
   assert(Mgr && Mgr == O.Mgr && "operands from different managers");
   Mgr->maybeGc();
-  return Bdd(Mgr, Mgr->applyTop(BddManager::Op::Or, Node, O.Node), false);
+  return Bdd(Mgr, Mgr->applyRec(BddManager::Op::Or, Node, O.Node), false);
 }
 
 Bdd Bdd::operator^(const Bdd &O) const {
   assert(Mgr && Mgr == O.Mgr && "operands from different managers");
   Mgr->maybeGc();
-  return Bdd(Mgr, Mgr->applyTop(BddManager::Op::Xor, Node, O.Node), false);
+  return Bdd(Mgr, Mgr->applyRec(BddManager::Op::Xor, Node, O.Node), false);
 }
 
 Bdd Bdd::operator!() const {
   assert(Mgr && "invalid handle");
   Mgr->maybeGc();
-  return Bdd(Mgr, Mgr->notTop(Node), false);
+  return Bdd(Mgr, Mgr->notRec(Node), false);
 }
 
 Bdd Bdd::implies(const Bdd &O) const { return (!*this) | O; }
@@ -141,14 +105,12 @@ size_t Bdd::nodeCount() const {
 }
 
 //===----------------------------------------------------------------------===//
-// BddManager: generic algorithms over the backend seam
+// BddManager: public operations and structural algorithms
 //===----------------------------------------------------------------------===//
-
-BddManager::~BddManager() = default;
 
 void BddManager::ensureVars(unsigned NewNumVars) {
   while (NumVars < NewNumVars) {
-    VarNodes.push_back(mkRaw(NumVars, ZeroNode, OneNode));
+    VarNodes.push_back(mk(NumVars, ZeroNode, OneNode));
     ++NumVars;
   }
 }
@@ -163,31 +125,31 @@ Bdd BddManager::zero() { return wrap(ZeroNode); }
 Bdd BddManager::var(unsigned Var) { return wrap(var2Node(Var)); }
 Bdd BddManager::nvar(unsigned Var) {
   unsigned V = var2Node(Var);
-  return wrap(notTop(V));
+  return wrap(notRec(V));
 }
 
 Bdd BddManager::ite(const Bdd &F, const Bdd &G, const Bdd &H) {
   assert(F.manager() == this && G.manager() == this && H.manager() == this);
   maybeGc();
-  return wrap(iteTop(F.node(), G.node(), H.node()));
+  return wrap(iteRec(F.node(), G.node(), H.node()));
 }
 
 Bdd BddManager::exists(const Bdd &F, const Bdd &Cube) {
   assert(F.manager() == this && Cube.manager() == this);
   maybeGc();
-  return wrap(existsTop(F.node(), Cube.node(), /*Universal=*/false));
+  return wrap(existsRec(F.node(), Cube.node(), /*Universal=*/false));
 }
 
 Bdd BddManager::forall(const Bdd &F, const Bdd &Cube) {
   assert(F.manager() == this && Cube.manager() == this);
   maybeGc();
-  return wrap(existsTop(F.node(), Cube.node(), /*Universal=*/true));
+  return wrap(existsRec(F.node(), Cube.node(), /*Universal=*/true));
 }
 
 Bdd BddManager::andExists(const Bdd &F, const Bdd &G, const Bdd &Cube) {
   assert(F.manager() == this && G.manager() == this && Cube.manager() == this);
   maybeGc();
-  return wrap(andExistsTop(F.node(), G.node(), Cube.node()));
+  return wrap(andExistsRec(F.node(), G.node(), Cube.node()));
 }
 
 Bdd BddManager::cube(const std::vector<unsigned> &Vars) {
@@ -197,7 +159,7 @@ Bdd BddManager::cube(const std::vector<unsigned> &Vars) {
   uint32_t R = OneNode;
   for (auto It = Sorted.rbegin(); It != Sorted.rend(); ++It) {
     ensureVars(*It + 1);
-    R = mkRaw(*It, ZeroNode, R);
+    R = mk(*It, ZeroNode, R);
   }
   return wrap(R);
 }
@@ -205,7 +167,7 @@ Bdd BddManager::cube(const std::vector<unsigned> &Vars) {
 Bdd BddManager::cofactor(const Bdd &F, unsigned Var, bool Val) {
   assert(F.manager() == this);
   maybeGc();
-  return wrap(cofactorTop(F.node(), Var, Val));
+  return wrap(cofactorRec(F.node(), Var, Val));
 }
 
 Bdd BddManager::restrict(
@@ -214,7 +176,7 @@ Bdd BddManager::restrict(
   maybeGc();
   uint32_t R = F.node();
   for (const auto &[Var, Val] : Assignment)
-    R = cofactorTop(R, Var, Val);
+    R = cofactorRec(R, Var, Val);
   return wrap(R);
 }
 
@@ -232,7 +194,7 @@ Bdd BddManager::remapVars(const Bdd &F, const std::vector<unsigned> &VarMap) {
     assert(Nd.Var < VarMap.size() && "remap without a mapping for a var");
     unsigned NewVar = VarMap[Nd.Var];
     ensureVars(NewVar + 1);
-    uint32_t R = mkRaw(NewVar, Self(Self, Nd.Low), Self(Self, Nd.High));
+    uint32_t R = mk(NewVar, Self(Self, Nd.Low), Self(Self, Nd.High));
     Memo.emplace(N, R);
     return R;
   };
@@ -347,13 +309,13 @@ std::string BddManager::toDot(const Bdd &F,
 }
 
 //===----------------------------------------------------------------------===//
-// SerialBddManager: node store and unique table
+// BddManager: node store and unique table
 //===----------------------------------------------------------------------===//
 
 static constexpr uint32_t InvalidNode = ~0u;
 static constexpr size_t CacheSize = 1u << 18; // direct-mapped entries
 
-SerialBddManager::SerialBddManager(unsigned InitialVars) {
+BddManager::BddManager(unsigned InitialVars) {
   Nodes.reserve(1 << 14);
   // Terminal nodes 0 (false) and 1 (true); permanently referenced.
   Nodes.push_back({TerminalVar, 0, 0, InvalidNode, 1, false});
@@ -366,8 +328,6 @@ SerialBddManager::SerialBddManager(unsigned InitialVars) {
   ensureVars(InitialVars);
 }
 
-SerialBddManager::~SerialBddManager() = default;
-
 static inline size_t hash3(uint32_t A, uint32_t B, uint32_t C) {
   uint64_t H = (uint64_t(A) * 0x9e3779b97f4a7c15ull) ^
                (uint64_t(B) * 0xc2b2ae3d27d4eb4full) ^
@@ -376,7 +336,7 @@ static inline size_t hash3(uint32_t A, uint32_t B, uint32_t C) {
   return static_cast<size_t>(H);
 }
 
-uint32_t SerialBddManager::allocNode() {
+uint32_t BddManager::allocNode() {
   if (FreeList != InvalidNode) {
     uint32_t N = FreeList;
     FreeList = Nodes[N].Next;
@@ -386,7 +346,7 @@ uint32_t SerialBddManager::allocNode() {
   return static_cast<uint32_t>(Nodes.size() - 1);
 }
 
-void SerialBddManager::growUniqueTable() {
+void BddManager::growUniqueTable() {
   size_t NewSize = UniqueTable.size() * 2;
   UniqueTable.assign(NewSize, InvalidNode);
   for (uint32_t N = 2; N < Nodes.size(); ++N) {
@@ -399,7 +359,7 @@ void SerialBddManager::growUniqueTable() {
   }
 }
 
-uint32_t SerialBddManager::mk(uint32_t Var, uint32_t Low, uint32_t High) {
+uint32_t BddManager::mk(uint32_t Var, uint32_t Low, uint32_t High) {
   if (Low == High)
     return Low;
   assert(Nodes[Low].Var == TerminalVar || Nodes[Low].Var > Var);
@@ -429,7 +389,7 @@ uint32_t SerialBddManager::mk(uint32_t Var, uint32_t Low, uint32_t High) {
 // Garbage collection
 //===----------------------------------------------------------------------===//
 
-void SerialBddManager::markRecursive(uint32_t N) {
+void BddManager::markRecursive(uint32_t N) {
   while (N > 1 && !Nodes[N].Mark) {
     Nodes[N].Mark = true;
     markRecursive(Nodes[N].Low);
@@ -437,7 +397,7 @@ void SerialBddManager::markRecursive(uint32_t N) {
   }
 }
 
-void SerialBddManager::gc() {
+void BddManager::gc() {
   ++GcRuns;
   // Mark phase: externally referenced nodes and the variable nodes are roots.
   for (uint32_t N = 2; N < Nodes.size(); ++N)
@@ -469,8 +429,8 @@ void SerialBddManager::gc() {
   clearCaches();
 }
 
-void SerialBddManager::maybeGc() {
-  if (!GcEnabled || NodeCount <= GcThreshold)
+void BddManager::maybeGc() {
+  if (NodeCount <= GcThreshold)
     return;
   gc();
   // If most nodes survived, grow the threshold so we do not thrash.
@@ -482,14 +442,13 @@ void SerialBddManager::maybeGc() {
 // Operation cache
 //===----------------------------------------------------------------------===//
 
-SerialBddManager::CacheEntry &
-SerialBddManager::cacheSlot(uint8_t OpTag, uint32_t A, uint32_t B,
-                            uint32_t C) {
+BddManager::CacheEntry &BddManager::cacheSlot(uint8_t OpTag, uint32_t A,
+                                               uint32_t B, uint32_t C) {
   uint64_t H = hash3(A, B, C) * 0x2545f4914f6cdd1dull + OpTag;
   return OpCache[H & (CacheSize - 1)];
 }
 
-void SerialBddManager::clearCaches() {
+void BddManager::clearCaches() {
   std::fill(OpCache.begin(), OpCache.end(), CacheEntry{});
 }
 
@@ -507,7 +466,7 @@ constexpr uint8_t TagCofactor1 = 206;
 // Core recursive algorithms
 //===----------------------------------------------------------------------===//
 
-uint32_t SerialBddManager::notRec(uint32_t F) {
+uint32_t BddManager::notRec(uint32_t F) {
   if (F <= 1)
     return F ^ 1;
   {
@@ -524,7 +483,7 @@ uint32_t SerialBddManager::notRec(uint32_t F) {
   return R;
 }
 
-uint32_t SerialBddManager::applyRec(Op O, uint32_t A, uint32_t B) {
+uint32_t BddManager::applyRec(Op O, uint32_t A, uint32_t B) {
   // Terminal cases.
   switch (O) {
   case Op::And:
@@ -584,7 +543,7 @@ uint32_t SerialBddManager::applyRec(Op O, uint32_t A, uint32_t B) {
   return R;
 }
 
-uint32_t SerialBddManager::iteRec(uint32_t F, uint32_t G, uint32_t H) {
+uint32_t BddManager::iteRec(uint32_t F, uint32_t G, uint32_t H) {
   if (F == 1)
     return G;
   if (F == 0)
@@ -617,8 +576,7 @@ uint32_t SerialBddManager::iteRec(uint32_t F, uint32_t G, uint32_t H) {
   return R;
 }
 
-uint32_t SerialBddManager::existsRec(uint32_t F, uint32_t Cube,
-                                     bool Universal) {
+uint32_t BddManager::existsRec(uint32_t F, uint32_t Cube, bool Universal) {
   if (F <= 1)
     return F;
   // Skip quantified variables above F's top variable.
@@ -658,8 +616,7 @@ uint32_t SerialBddManager::existsRec(uint32_t F, uint32_t Cube,
   return R;
 }
 
-uint32_t SerialBddManager::andExistsRec(uint32_t F, uint32_t G,
-                                        uint32_t Cube) {
+uint32_t BddManager::andExistsRec(uint32_t F, uint32_t G, uint32_t Cube) {
   if (F == 0 || G == 0)
     return 0;
   if (F == 1)
@@ -701,7 +658,7 @@ uint32_t SerialBddManager::andExistsRec(uint32_t F, uint32_t G,
   return R;
 }
 
-uint32_t SerialBddManager::cofactorRec(uint32_t F, uint32_t Var, bool Val) {
+uint32_t BddManager::cofactorRec(uint32_t F, uint32_t Var, bool Val) {
   if (F <= 1 || Nodes[F].Var > Var)
     return F;
   const Node NF = Nodes[F];

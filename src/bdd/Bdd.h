@@ -25,24 +25,12 @@
 /// the index order (the solver chooses indices with the breadth-first
 /// heuristic of §7.4).
 ///
-/// The package is split along a narrow symbolic-backend seam in the style
-/// of LTSmin's vset-lib: BddManager is the abstract interface the solver
-/// pipeline (TransitionSystem / FixpointLoop / ModelExtractor) programs
-/// against — mk/apply/ite/exists/andExists/restrict/satCount plus the raw
-/// structural accessor snapshots are built from — and concrete backends
-/// plug in behind it. Two ship today:
-///
-///   * SerialBddManager (this header): the original single-threaded
-///     manager with mark-and-sweep GC;
-///   * ParallelBddManager (bdd/Parallel.h): a work-stealing backend with a
-///     lock-free unique table, so one giant query saturates every core.
-///
-/// Canonical hash-consing makes the two backends produce structurally
-/// identical results: every public operation returns the reduced ordered
-/// BDD of its boolean function, which is unique per variable order. Node
-/// *ids* differ between backends (and between runs of the parallel one);
-/// node *structure* cannot. Everything downstream — verdicts, models,
-/// snapshots, `--stable` output — consumes structure, never ids.
+/// Canonical hash-consing means every public operation returns the reduced
+/// ordered BDD of its boolean function, which is unique per variable
+/// order. Node *ids* depend on the order operations ran in (two managers
+/// built the same function may number it differently); node *structure*
+/// cannot. Everything that leaves a manager — verdicts, models, snapshots,
+/// `--stable` output — reads structure through rawNode(), never ids.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +39,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -59,30 +46,6 @@
 namespace xsa {
 
 class BddManager;
-struct BddSnapshot;
-
-/// Which concrete BddManager implementation a solver run uses. The choice
-/// never affects results (see file comment) — only how many cores one
-/// operation may use — so it is excluded from every cache/snapshot key.
-enum class BddBackendKind : uint8_t {
-  Serial,   ///< single-threaded manager with mark-and-sweep GC
-  Parallel, ///< work-stealing apply/andExists over a lock-free unique table
-};
-
-/// Stable lowercase names ("serial" / "parallel") for flags, config ops,
-/// span attributes and metric labels.
-const char *bddBackendName(BddBackendKind K);
-
-/// Parses a backend name; returns false (leaving \p K untouched) on
-/// anything else.
-bool parseBddBackend(const std::string &Name, BddBackendKind &K);
-
-/// Constructs a manager of the requested backend. \p Threads is the
-/// parallel backend's worker count (0 = hardware concurrency) and is
-/// ignored by the serial backend.
-std::unique_ptr<BddManager> makeBddManager(BddBackendKind K,
-                                           unsigned InitialVars = 0,
-                                           unsigned Threads = 0);
 
 /// A reference-counted handle to a BDD node. Copying a handle bumps the
 /// external reference count used as GC roots; destroying it drops the count.
@@ -135,30 +98,20 @@ private:
   uint32_t Node = 0;
 };
 
-/// The abstract symbolic backend. Owns a node store, unique table and
-/// operation caches; all Bdd handles belong to exactly one manager and
-/// mixing managers is a programming error (asserted).
-///
-/// The public surface is exactly what the solver pipeline consumes. The
-/// generic algorithms that only need node *structure* (satOne, satCount,
-/// support, cube, restrict, remapVars, toDot, snapshot export) are
-/// implemented here once over rawNode()/mkRaw(); the recursive core
-/// (apply/ite/exists/andExists/cofactor) is per-backend because that is
-/// where caching and parallelism live.
-///
-/// Threading contract: the public API is called from one thread at a time
-/// (the solver owns one manager per run). A backend may use additional
-/// worker threads *inside* an operation.
+/// The BDD manager. Owns a node store, a growable unique table, a
+/// direct-mapped operation cache and deferred mark-and-sweep GC driven by
+/// the external reference counts of Bdd handles. All Bdd handles belong to
+/// exactly one manager and mixing managers is a programming error
+/// (asserted). The solver owns one manager per run and calls it from one
+/// thread at a time.
 class BddManager {
 public:
-  BddManager() = default;
-  virtual ~BddManager();
+  /// \param InitialVars number of variables to pre-create (more can be
+  ///        added with ensureVars / var).
+  explicit BddManager(unsigned InitialVars = 0);
 
   BddManager(const BddManager &) = delete;
   BddManager &operator=(const BddManager &) = delete;
-
-  /// Which backend this is (label for spans, metrics and tests).
-  virtual BddBackendKind kind() const = 0;
 
   /// Constant true / false.
   Bdd one();
@@ -216,126 +169,47 @@ public:
   std::vector<unsigned> support(const Bdd &F);
 
   /// Live node statistics (excluding dead-but-unswept nodes).
-  virtual size_t numNodes() const = 0;
-  virtual size_t peakNodes() const = 0;
-  virtual size_t gcRuns() const = 0;
+  size_t numNodes() const { return NodeCount; }
+  size_t peakNodes() const { return PeakNodeCount; }
+  size_t gcRuns() const { return GcRuns; }
 
   /// Probe statistics for the hash-consing unique table (mk chain walks)
   /// and the operation cache. The solver samples these into
   /// observability gauges at span boundaries (obs/Metrics.h).
-  virtual size_t uniqueLookups() const = 0;
-  virtual size_t uniqueHits() const = 0;
-  virtual size_t opCacheLookups() const = 0;
-  virtual size_t opCacheHits() const = 0;
+  size_t uniqueLookups() const { return UniqueLookups; }
+  size_t uniqueHits() const { return UniqueHits; }
+  size_t opCacheLookups() const { return OpCacheLookups; }
+  size_t opCacheHits() const { return OpCacheHits; }
 
-  /// Forces a collection (backends without GC treat this as a no-op).
-  virtual void gc() = 0;
+  /// Forces a mark-and-sweep collection. Called automatically when the
+  /// node store grows past an adaptive threshold.
+  void gc();
 
   /// Graphviz dump for debugging.
   std::string toDot(const Bdd &F, const std::vector<std::string> *VarNames = nullptr);
 
-  /// Structural view of one node, the currency of the generic algorithms
-  /// and of snapshot export. Terminals report Var == TerminalVar.
+  /// Structural view of one node, the currency of the structural
+  /// algorithms and of snapshot export. Terminals report Var ==
+  /// TerminalVar.
   struct RawNode {
     uint32_t Var;
     uint32_t Low;
     uint32_t High;
   };
-  virtual RawNode rawNode(uint32_t N) const = 0;
+  RawNode rawNode(uint32_t N) const {
+    const Node &Nd = Nodes[N];
+    return {Nd.Var, Nd.Low, Nd.High};
+  }
 
   static constexpr uint32_t ZeroNode = 0;
   static constexpr uint32_t OneNode = 1;
   static constexpr uint32_t TerminalVar = ~0u;
 
-protected:
+private:
   friend class Bdd;
 
   enum class Op : uint8_t { And, Or, Xor };
 
-  // The per-backend recursive core. *Top entry points are one virtual
-  // dispatch per public operation; recursion stays inside the backend.
-  virtual uint32_t mkRaw(uint32_t Var, uint32_t Low, uint32_t High) = 0;
-  virtual uint32_t applyTop(Op O, uint32_t A, uint32_t B) = 0;
-  virtual uint32_t notTop(uint32_t F) = 0;
-  virtual uint32_t iteTop(uint32_t F, uint32_t G, uint32_t H) = 0;
-  virtual uint32_t existsTop(uint32_t F, uint32_t Cube, bool Universal) = 0;
-  virtual uint32_t andExistsTop(uint32_t F, uint32_t G, uint32_t Cube) = 0;
-  virtual uint32_t cofactorTop(uint32_t F, uint32_t Var, bool Val) = 0;
-
-  // External-reference bookkeeping for Bdd handles (GC roots). Backends
-  // without GC may make these no-ops.
-  virtual void ref(uint32_t N) = 0;
-  virtual void deref(uint32_t N) = 0;
-  virtual void maybeGc() = 0;
-
-  Bdd wrap(uint32_t N) { return Bdd(this, N, /*AlreadyReferenced=*/false); }
-
-  uint32_t var2Node(unsigned Var);
-
-  double satCountRec(uint32_t F,
-                     std::unordered_map<uint32_t, double> &Memo) const;
-
-  unsigned NumVars = 0;
-  std::vector<uint32_t> VarNodes; // cached single-variable nodes
-};
-
-/// The original single-threaded backend: growable unique table,
-/// direct-mapped operation cache, deferred mark-and-sweep GC driven by the
-/// external reference counts. One per solver run; no internal threads.
-class SerialBddManager final : public BddManager {
-public:
-  /// \param InitialVars number of variables to pre-create (more can be
-  ///        added with ensureVars / var).
-  explicit SerialBddManager(unsigned InitialVars = 0);
-  ~SerialBddManager() override;
-
-  BddBackendKind kind() const override { return BddBackendKind::Serial; }
-
-  size_t numNodes() const override { return NodeCount; }
-  size_t peakNodes() const override { return PeakNodeCount; }
-  size_t gcRuns() const override { return GcRuns; }
-  size_t uniqueLookups() const override { return UniqueLookups; }
-  size_t uniqueHits() const override { return UniqueHits; }
-  size_t opCacheLookups() const override { return OpCacheLookups; }
-  size_t opCacheHits() const override { return OpCacheHits; }
-
-  /// Forces a mark-and-sweep collection. Called automatically when the
-  /// node store grows past an adaptive threshold.
-  void gc() override;
-
-  RawNode rawNode(uint32_t N) const override {
-    const Node &Nd = Nodes[N];
-    return {Nd.Var, Nd.Low, Nd.High};
-  }
-
-protected:
-  uint32_t mkRaw(uint32_t Var, uint32_t Low, uint32_t High) override {
-    return mk(Var, Low, High);
-  }
-  uint32_t applyTop(Op O, uint32_t A, uint32_t B) override {
-    return applyRec(O, A, B);
-  }
-  uint32_t notTop(uint32_t F) override { return notRec(F); }
-  uint32_t iteTop(uint32_t F, uint32_t G, uint32_t H) override {
-    return iteRec(F, G, H);
-  }
-  uint32_t existsTop(uint32_t F, uint32_t Cube, bool Universal) override {
-    return existsRec(F, Cube, Universal);
-  }
-  uint32_t andExistsTop(uint32_t F, uint32_t G, uint32_t Cube) override {
-    return andExistsRec(F, G, Cube);
-  }
-  uint32_t cofactorTop(uint32_t F, uint32_t Var, bool Val) override {
-    return cofactorRec(F, Var, Val);
-  }
-  void ref(uint32_t N) override { ++Nodes[N].Refs; }
-  void deref(uint32_t N) override {
-    assert(Nodes[N].Refs > 0 && "over-deref of BDD node");
-    --Nodes[N].Refs;
-  }
-  void maybeGc() override;
-
-private:
   struct Node {
     uint32_t Var;  ///< variable index; ~0u marks terminal nodes
     uint32_t Low;  ///< else-branch node id
@@ -344,6 +218,21 @@ private:
     uint32_t Refs; ///< external references (GC roots)
     bool Mark;     ///< GC mark bit
   };
+
+  // External-reference bookkeeping for Bdd handles (GC roots).
+  void ref(uint32_t N) { ++Nodes[N].Refs; }
+  void deref(uint32_t N) {
+    assert(Nodes[N].Refs > 0 && "over-deref of BDD node");
+    --Nodes[N].Refs;
+  }
+  void maybeGc();
+
+  Bdd wrap(uint32_t N) { return Bdd(this, N, /*AlreadyReferenced=*/false); }
+
+  uint32_t var2Node(unsigned Var);
+
+  double satCountRec(uint32_t F,
+                     std::unordered_map<uint32_t, double> &Memo) const;
 
   // Node management.
   uint32_t mk(uint32_t Var, uint32_t Low, uint32_t High);
@@ -371,6 +260,9 @@ private:
   CacheEntry &cacheSlot(uint8_t OpTag, uint32_t A, uint32_t B, uint32_t C);
   void clearCaches();
 
+  unsigned NumVars = 0;
+  std::vector<uint32_t> VarNodes; // cached single-variable nodes
+
   std::vector<Node> Nodes;
   std::vector<uint32_t> UniqueTable; // bucket heads
   uint32_t FreeList = ~0u;
@@ -382,7 +274,6 @@ private:
   size_t UniqueHits = 0;
   size_t OpCacheLookups = 0;
   size_t OpCacheHits = 0;
-  bool GcEnabled = true;
 
   std::vector<CacheEntry> OpCache;
 };

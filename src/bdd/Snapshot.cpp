@@ -16,10 +16,9 @@ BddSnapshot xsa::exportSnapshot(BddManager &M, const Bdd &F) {
     return S;
   }
   // Iterative post-order: a node is emitted only after both children, so
-  // the table comes out topologically ordered. The walk goes through the
-  // backend-neutral rawNode() accessor, and the emitted order depends
+  // the table comes out topologically ordered. The emitted order depends
   // only on node *structure* (low child first), never on manager node
-  // ids — which is what keeps snapshots byte-identical across backends.
+  // ids — which is what keeps snapshots byte-identical across managers.
   std::unordered_map<uint32_t, uint32_t> Ref; // manager node -> table ref
   Ref.emplace(0, 0);
   Ref.emplace(1, 1);

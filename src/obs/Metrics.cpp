@@ -100,6 +100,11 @@ double HistogramSnapshot::quantile(double Q) const {
     if (Rank <= static_cast<double>(Seen + Counts[I])) {
       if (I >= Bounds.size())
         return Hi; // +Inf bucket: best we can say is the last bound
+      // A lone observation is known exactly: it is the sum. (Clamped to
+      // its bucket, since a snapshot racing an observe() may read one
+      // counter before the other.)
+      if (Count == 1)
+        return std::clamp(Sum, Lo, Hi);
       double Within = (Rank - static_cast<double>(Seen)) /
                       static_cast<double>(Counts[I]);
       return Lo + (Hi - Lo) * Within;

@@ -100,8 +100,10 @@ struct HistogramSnapshot {
   /// This snapshot minus an earlier \p Base of the same histogram.
   HistogramSnapshot since(const HistogramSnapshot &Base) const;
   /// The \p Q quantile (0..1) estimated by linear interpolation within
-  /// the owning bucket; 0 when empty. Observations past the last finite
-  /// bound report that bound (the histogram cannot resolve further).
+  /// the owning bucket; 0 when empty. A single observation in a finite
+  /// bucket is reported exactly (it equals Sum). Observations past the
+  /// last finite bound report that bound (the histogram cannot resolve
+  /// further).
   double quantile(double Q) const;
 };
 

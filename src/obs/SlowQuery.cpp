@@ -97,7 +97,6 @@ JsonRef SlowQueryLog::toJson(const SlowQueryRecord &R) {
     Cfg->set("optimize", JsonValue::boolean(R.Optimize));
     Cfg->set("share_fixpoints", JsonValue::boolean(R.Share));
     Cfg->set("fixpoint_strategy", JsonValue::string(R.Strategy));
-    Cfg->set("bdd_backend", JsonValue::string(R.Backend));
     O->set("config", Cfg);
   }
   return O;

@@ -63,8 +63,7 @@ struct SlowQueryRecord {
   /// what `xsolve replay` turns into the batch's config preamble.
   bool Optimize = false;
   bool Share = false;
-  std::string Strategy;  ///< fixpointStrategyName of the effective strategy
-  std::string Backend;   ///< bddBackendName of the effective backend
+  std::string Strategy; ///< fixpointStrategyName of the effective strategy
 };
 
 class SlowQueryLog {

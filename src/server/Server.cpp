@@ -230,7 +230,6 @@ struct XsolvedServer::Job {
   bool Optimize = false;
   bool Share = false;
   FixpointStrategy Strategy = FixpointStrategy::Bfs;
-  BddBackendKind Backend = BddBackendKind::Serial;
   /// The admitted request line dumped back to JSON, carried so a slowlog
   /// capture can reproduce the request verbatim (`xsolve replay`).
   std::string RequestJson;
@@ -864,7 +863,7 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
 
   static constexpr const char *KnownKeys[] = {
       "op", "id", "ns", "stable", "optimize", "share_fixpoints",
-      "fixpoint_strategy", "bdd_backend"};
+      "fixpoint_strategy"};
   for (const auto &[K, V] : Obj.members()) {
     if (K == "jobs") {
       Reject("invalid_config_value",
@@ -931,28 +930,9 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
     }
     HaveStrat = true;
   }
-  JsonRef Backend = Obj.get("bdd_backend");
-  BddBackendKind BackendVal = BddBackendKind::Serial;
-  bool HaveBackend = false;
-  if (!Backend->isNull()) {
-    if (Backend->type() != JsonValue::Type::String ||
-        !parseBddBackend(Backend->asString(), BackendVal)) {
-      std::string Given = Backend->type() == JsonValue::Type::String
-                              ? Backend->asString()
-                              : Backend->dump();
-      Reject("invalid_config_value",
-             "invalid bdd_backend '" + Given +
-                 "' (expected serial or parallel)",
-             "bdd_backend", Given);
-      return;
-    }
-    HaveBackend = true;
-  }
-
   NamespaceState &Ns = *Conn.Ns;
   bool EffOptimize, EffShare;
   FixpointStrategy EffStrategy;
-  BddBackendKind EffBackend;
   {
     std::lock_guard<std::mutex> L(Ns.Mu);
     if (!Optimize->isNull()) {
@@ -967,16 +947,10 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
       Ns.HaveStrategy = true;
       Ns.Strategy = StratVal;
     }
-    if (HaveBackend) {
-      Ns.HaveBackend = true;
-      Ns.Backend = BackendVal;
-    }
     EffOptimize = Ns.HaveOptimize ? Ns.Optimize : Opts.Session.Optimize;
     EffShare = Ns.HaveShare ? Ns.Share : Opts.Session.ShareFixpoints;
     EffStrategy =
         Ns.HaveStrategy ? Ns.Strategy : Opts.Session.Solver.Strategy;
-    EffBackend =
-        Ns.HaveBackend ? Ns.Backend : Opts.Session.Solver.Backend;
   }
 
   JsonRef O = JsonValue::object();
@@ -990,7 +964,6 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
   O->set("share_fixpoints", JsonValue::boolean(EffShare));
   O->set("fixpoint_strategy",
          JsonValue::string(fixpointStrategyName(EffStrategy)));
-  O->set("bdd_backend", JsonValue::string(bddBackendName(EffBackend)));
   deliver(Conn, Seq, O->dump());
 }
 
@@ -1100,28 +1073,16 @@ JsonRef XsolvedServer::statusJson() {
   // whichever side registers first the series agree.
   MetricRegistry &R = MetricRegistry::global();
   JsonRef Bdd = JsonValue::object();
-  // One sub-object per backend, mirroring the labeled gauge series the
-  // solver maintains (xsa_bdd_live_nodes{backend="..."}).
-  for (BddBackendKind K :
-       {BddBackendKind::Serial, BddBackendKind::Parallel}) {
-    const char *Name = bddBackendName(K);
-    JsonRef B = JsonValue::object();
-    B->set("live_nodes",
-           JsonValue::number(
-               R.gauge(labeledMetricName("xsa_bdd_live_nodes", "backend",
-                                         Name),
-                       "Live BDD nodes of the last solver run",
-                       /*Volatile=*/true)
-                   .value()));
-    B->set("peak_nodes",
-           JsonValue::number(
-               R.gauge(labeledMetricName("xsa_bdd_peak_nodes", "backend",
-                                         Name),
-                       "Peak BDD nodes of the last solver run",
-                       /*Volatile=*/true)
-                   .value()));
-    Bdd->set(Name, B);
-  }
+  Bdd->set("live_nodes",
+           JsonValue::number(R.gauge("xsa_bdd_live_nodes",
+                                     "Live BDD nodes of the last solver run",
+                                     /*Volatile=*/true)
+                                 .value()));
+  Bdd->set("peak_nodes",
+           JsonValue::number(R.gauge("xsa_bdd_peak_nodes",
+                                     "Peak BDD nodes of the last solver run",
+                                     /*Volatile=*/true)
+                                 .value()));
   S->set("bdd", Bdd);
   S->set("namespaces", namespacesJson());
   SlowQueryLog &Slow = SlowQueryLog::global();
@@ -1229,8 +1190,6 @@ void XsolvedServer::admit(Connection &Conn, uint64_t Seq, const JsonValue &Obj,
         Conn.Ns->HaveShare ? Conn.Ns->Share : Opts.Session.ShareFixpoints;
     J.Strategy = Conn.Ns->HaveStrategy ? Conn.Ns->Strategy
                                        : Opts.Session.Solver.Strategy;
-    J.Backend = Conn.Ns->HaveBackend ? Conn.Ns->Backend
-                                     : Opts.Session.Solver.Backend;
   }
 
   // Find this connection's shared_ptr (deliver from the dispatcher needs
@@ -1350,7 +1309,6 @@ void XsolvedServer::dispatchLoop() {
       SR.Optimize = J.Optimize;
       SR.Share = J.Share;
       SR.Strategy = fixpointStrategyName(J.Strategy);
-      SR.Backend = bddBackendName(J.Backend);
       J.Ns->SlowQueries.fetch_add(1, std::memory_order_relaxed);
       SlowQueryLog::global().record(std::move(SR));
       // J.Stable is the admission-time snapshot: the dispatcher must
@@ -1380,11 +1338,10 @@ void XsolvedServer::dispatchBatch(std::vector<Job> &Batch) {
     AnalysisContext &Ctx = Sess->workerContext(Worker);
     // Apply the namespace-config snapshot taken at admission. The
     // setters early-out when the value is unchanged, so a homogeneous
-    // stream costs four compares per request.
+    // stream costs three compares per request.
     Ctx.setOptimizePrePass(Batch[I].Optimize);
     Ctx.setShareFixpoints(Batch[I].Share);
     Ctx.setFixpointStrategy(Batch[I].Strategy);
-    Ctx.setBddBackend(Batch[I].Backend);
     Resps[I] = runRequest(Ctx, Batch[I].Req);
   });
   InFlight.fetch_sub(Batch.size(), std::memory_order_relaxed);
@@ -1433,7 +1390,6 @@ void XsolvedServer::dispatchBatch(std::vector<Job> &Batch) {
       SR.Optimize = J.Optimize;
       SR.Share = J.Share;
       SR.Strategy = fixpointStrategyName(J.Strategy);
-      SR.Backend = bddBackendName(J.Backend);
       J.Ns->SlowQueries.fetch_add(1, std::memory_order_relaxed);
       Slow.record(std::move(SR));
       // Link the latency histogram back to this capture.

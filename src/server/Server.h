@@ -137,8 +137,6 @@ struct NamespaceState {
   bool HaveShare = false, Share = false;
   bool HaveStrategy = false;
   FixpointStrategy Strategy = FixpointStrategy::Bfs;
-  bool HaveBackend = false;
-  BddBackendKind Backend = BddBackendKind::Serial;
 
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> Errors{0};

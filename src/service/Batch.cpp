@@ -695,9 +695,9 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
     } else if (Obj->str("op") == "config") {
       // Control line: answer in order, apply to everything after it.
       // Accepts 'jobs' (worker count), 'optimize' (pre-pass switch),
-      // 'share_fixpoints' (cross-request fixpoint sharing),
-      // 'fixpoint_strategy' (bfs/chaining/saturation/auto) and/or
-      // 'bdd_backend' (serial/parallel); at least one must be present.
+      // 'share_fixpoints' (cross-request fixpoint sharing) and/or
+      // 'fixpoint_strategy' (bfs/chaining/saturation/auto); at least one
+      // must be present.
       Flush();
       AnalysisResponse Resp;
       Resp.Id = Obj->str("id");
@@ -707,8 +707,7 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
       static constexpr const char *KnownKeys[] = {"op", "id", "jobs",
                                                   "optimize",
                                                   "share_fixpoints",
-                                                  "fixpoint_strategy",
-                                                  "bdd_backend"};
+                                                  "fixpoint_strategy"};
       std::string UnknownKey;
       for (const auto &[K, V] : Obj->members())
         if (std::find_if(std::begin(KnownKeys), std::end(KnownKeys),
@@ -764,35 +763,6 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
         }
         HaveStrat = true;
       }
-      JsonRef Backend = Obj->get("bdd_backend");
-      // Same treatment for the backend: a typo ("paralel") must not
-      // silently leave the previous backend in force.
-      BddBackendKind BackendVal = BddBackendKind::Serial;
-      bool HaveBackend = false;
-      if (!Backend->isNull()) {
-        if (Backend->type() != JsonValue::Type::String ||
-            !parseBddBackend(Backend->asString(), BackendVal)) {
-          std::string Given = Backend->type() == JsonValue::Type::String
-                                  ? Backend->asString()
-                                  : Backend->dump();
-          JsonRef O = JsonValue::object();
-          if (!Resp.Id.empty())
-            O->set("id", JsonValue::string(Resp.Id));
-          O->set("ok", JsonValue::boolean(false));
-          JsonRef E = errorObjectJson(
-              "invalid_config_value",
-              "invalid bdd_backend '" + Given +
-                  "' (expected serial or parallel)",
-              LineNo);
-          E->set("key", JsonValue::string("bdd_backend"));
-          E->set("value", JsonValue::string(Given));
-          O->set("error", E);
-          ++Errors;
-          Out << O->dump() << "\n";
-          continue;
-        }
-        HaveBackend = true;
-      }
       bool BadJobs = !Jobs->isNull() &&
                      (Jobs->type() != JsonValue::Type::Number ||
                       Jobs->asNumber() < 0 ||
@@ -804,13 +774,12 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
           !Share->isNull() && Share->type() != JsonValue::Type::Bool;
       if (BadJobs || BadOptimize || BadShare ||
           (Jobs->isNull() && Optimize->isNull() && Share->isNull() &&
-           !HaveStrat && !HaveBackend)) {
+           !HaveStrat)) {
         Resp.Ok = false;
         Resp.ErrorLine = LineNo;
         Resp.Error = "config needs 'jobs' (a non-negative integer), "
                      "'optimize' and/or 'share_fixpoints' (booleans), "
-                     "'fixpoint_strategy' (a strategy name), and/or "
-                     "'bdd_backend' (serial or parallel)";
+                     "and/or 'fixpoint_strategy' (a strategy name)";
         Emit(Resp);
       } else {
         if (!Jobs->isNull())
@@ -821,8 +790,6 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
           Session.setShareFixpoints(Share->asBool());
         if (HaveStrat)
           Session.setFixpointStrategy(StratVal);
-        if (HaveBackend)
-          Session.setBddBackend(BackendVal);
         JsonRef O = JsonValue::object();
         if (!Resp.Id.empty())
           O->set("id", JsonValue::string(Resp.Id));
@@ -834,8 +801,6 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
         O->set("fixpoint_strategy",
                JsonValue::string(
                    fixpointStrategyName(Session.fixpointStrategy())));
-        O->set("bdd_backend",
-               JsonValue::string(bddBackendName(Session.bddBackend())));
         ++Answered;
         Out << O->dump() << "\n";
       }

@@ -117,24 +117,6 @@ void AnalysisContext::setFixpointStrategy(FixpointStrategy S) {
   RawSolver = std::make_unique<BddSolver>(FF, Opts);
 }
 
-void AnalysisContext::setBddBackend(BddBackendKind K) {
-  if (Opts.Backend == K)
-    return;
-  Opts.Backend = K;
-  // Same rebuild dance as setFixpointStrategy: the Analyzer and raw
-  // solver copy Opts at construction.
-  An = std::make_unique<Analyzer>(FF, Opts);
-  RawSolver = std::make_unique<BddSolver>(FF, Opts);
-}
-
-void AnalysisContext::setBddThreads(unsigned N) {
-  if (Opts.BddThreads == N)
-    return;
-  Opts.BddThreads = N;
-  An = std::make_unique<Analyzer>(FF, Opts);
-  RawSolver = std::make_unique<BddSolver>(FF, Opts);
-}
-
 ExprRef AnalysisContext::query(const std::string &XPath, std::string &Error) {
   auto It = QueryMemo.find(XPath);
   if (It != QueryMemo.end()) {

@@ -7,13 +7,10 @@
 /// \file
 /// One worker's half of the parallel analysis engine. A context is a
 /// single-threaded facade — a FormulaFactory's hash-consing arena and the
-/// serial BddManager's node table are free of locks by design — so the
+/// BddManager's node table are free of locks by design — so the
 /// session parallelizes *across* solver instances: every worker thread
 /// owns a full AnalysisContext with its own FormulaFactory, XPath parser
-/// memo, DTD compilation memo, Analyzer and raw BddSolver. (The parallel
-/// BDD backend additionally parallelizes *inside* one solver run — see
-/// bdd/Parallel.h — but its worker threads never escape a single BDD
-/// operation, so the contract here is unchanged.)
+/// memo, DTD compilation memo, Analyzer and raw BddSolver.
 /// Nothing inside a context is shared, so a context may only ever be used
 /// by one thread at a time.
 ///
@@ -189,18 +186,6 @@ public:
   /// thread-safe against a running batch.
   FixpointStrategy fixpointStrategy() const { return Opts.Strategy; }
   void setFixpointStrategy(FixpointStrategy S);
-
-  /// Which BddManager a solver run instantiates (SolverOptions::Backend;
-  /// see bdd/Bdd.h). Backend-invariant results mean this is pure
-  /// mechanism — never part of a cache key — but the raw solver copies
-  /// its options at construction, so flipping it rebuilds like
-  /// setFixpointStrategy.
-  BddBackendKind bddBackend() const { return Opts.Backend; }
-  void setBddBackend(BddBackendKind K);
-
-  /// Worker threads inside one BDD operation (parallel backend only).
-  unsigned bddThreads() const { return Opts.BddThreads; }
-  void setBddThreads(unsigned N);
 
 private:
   /// Bridges the solver's pointer-keyed ResultCache interface to the

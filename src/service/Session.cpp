@@ -66,20 +66,6 @@ void AnalysisSession::setFixpointStrategy(FixpointStrategy S) {
     W->setFixpointStrategy(S);
 }
 
-void AnalysisSession::setBddBackend(BddBackendKind K) {
-  Opts.Solver.Backend = K;
-  Main.setBddBackend(K);
-  for (auto &W : Workers)
-    W->setBddBackend(K);
-}
-
-void AnalysisSession::setBddThreads(unsigned N) {
-  Opts.Solver.BddThreads = N;
-  Main.setBddThreads(N);
-  for (auto &W : Workers)
-    W->setBddThreads(N);
-}
-
 AnalysisResult AnalysisSession::emptiness(const ExprRef &E, Formula Chi) {
   return analyzer().emptiness(E, Chi);
 }

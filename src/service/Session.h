@@ -16,9 +16,7 @@
 ///  * each worker owns an AnalysisContext (see Context.h) — its own
 ///    FormulaFactory, parser memo, DTD memo, Analyzer and BddSolver —
 ///    because a context is single-threaded by design: the session
-///    parallelizes across solver instances. (Orthogonally, the parallel
-///    BDD backend — bdd/Parallel.h — parallelizes inside one solver
-///    run; its workers stay confined to a single BDD operation.)
+///    parallelizes across solver instances.
 ///
 /// Repeated or α-equivalent queries — the common case in query-optimizer
 /// and schema-audit workloads — are answered from the shared cache
@@ -193,17 +191,6 @@ public:
   /// StrategyChoiceStore. Not thread-safe against a running batch.
   FixpointStrategy fixpointStrategy() const { return Opts.Solver.Strategy; }
   void setFixpointStrategy(FixpointStrategy S);
-
-  /// The BDD backend (SolverOptions::Backend), applied to every context.
-  /// Results are backend-invariant (bdd/Bdd.h), so this only moves wall
-  /// time. Not thread-safe against a running batch.
-  BddBackendKind bddBackend() const { return Opts.Solver.Backend; }
-  void setBddBackend(BddBackendKind K);
-
-  /// Worker threads inside one BDD operation (SolverOptions::BddThreads,
-  /// parallel backend only; 0 = hardware concurrency).
-  unsigned bddThreads() const { return Opts.Solver.BddThreads; }
-  void setBddThreads(unsigned N);
 
   /// The dispatcher's pool, sized to jobs() threads, with one warm
   /// AnalysisContext per worker. Lazily constructed on first use so

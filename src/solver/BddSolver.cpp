@@ -171,53 +171,30 @@ void sampleBddMetrics(const BddManager &M, Span &S) {
   // Volatile: at --jobs > 1 which duplicate request wins the result-cache
   // race — and therefore how many solver runs these tallies cover — varies
   // with scheduling, so they are excluded from --stable metrics output.
-  // One labeled series per backend (like the per-strategy tallies): the
-  // serial and parallel managers count probes differently enough that
-  // mixing them in one series would hide regressions in either.
-  struct BackendSeries {
-    Gauge *Live;
-    Gauge *Peak;
-    Counter *ULook;
-    Counter *UHit;
-    Counter *OLook;
-    Counter *OHit;
-  };
-  static const std::array<BackendSeries, 2> ByBackend = [] {
-    std::array<BackendSeries, 2> A{};
-    MetricRegistry &R = MetricRegistry::global();
-    for (size_t I = 0; I < A.size(); ++I) {
-      const char *Name = bddBackendName(static_cast<BddBackendKind>(I));
-      A[I] = {&R.gauge(labeledMetricName("xsa_bdd_live_nodes", "backend",
-                                         Name),
-                       "Live BDD nodes of the last solver run",
-                       /*Volatile=*/true),
-              &R.gauge(labeledMetricName("xsa_bdd_peak_nodes", "backend",
-                                         Name),
-                       "Peak BDD nodes of the last solver run",
-                       /*Volatile=*/true),
-              &R.counter(labeledMetricName("xsa_bdd_unique_lookups_total",
-                                           "backend", Name),
-                         "Unique-table (hash-cons) probes",
-                         /*Volatile=*/true),
-              &R.counter(labeledMetricName("xsa_bdd_unique_hits_total",
-                                           "backend", Name),
-                         "Unique-table probe hits", /*Volatile=*/true),
-              &R.counter(labeledMetricName("xsa_bdd_opcache_lookups_total",
-                                           "backend", Name),
-                         "BDD operation-cache probes", /*Volatile=*/true),
-              &R.counter(labeledMetricName("xsa_bdd_opcache_hits_total",
-                                           "backend", Name),
-                         "BDD operation-cache hits", /*Volatile=*/true)};
-    }
-    return A;
-  }();
-  const BackendSeries &BS = ByBackend[static_cast<size_t>(M.kind())];
-  BS.Live->set(static_cast<double>(M.numNodes()));
-  BS.Peak->set(static_cast<double>(M.peakNodes()));
-  BS.ULook->add(M.uniqueLookups());
-  BS.UHit->add(M.uniqueHits());
-  BS.OLook->add(M.opCacheLookups());
-  BS.OHit->add(M.opCacheHits());
+  static Gauge &Live = MetricRegistry::global().gauge(
+      "xsa_bdd_live_nodes", "Live BDD nodes of the last solver run",
+      /*Volatile=*/true);
+  static Gauge &Peak = MetricRegistry::global().gauge(
+      "xsa_bdd_peak_nodes", "Peak BDD nodes of the last solver run",
+      /*Volatile=*/true);
+  static Counter &ULook = MetricRegistry::global().counter(
+      "xsa_bdd_unique_lookups_total", "Unique-table (hash-cons) probes",
+      /*Volatile=*/true);
+  static Counter &UHit = MetricRegistry::global().counter(
+      "xsa_bdd_unique_hits_total", "Unique-table probe hits",
+      /*Volatile=*/true);
+  static Counter &OLook = MetricRegistry::global().counter(
+      "xsa_bdd_opcache_lookups_total", "BDD operation-cache probes",
+      /*Volatile=*/true);
+  static Counter &OHit = MetricRegistry::global().counter(
+      "xsa_bdd_opcache_hits_total", "BDD operation-cache hits",
+      /*Volatile=*/true);
+  Live.set(static_cast<double>(M.numNodes()));
+  Peak.set(static_cast<double>(M.peakNodes()));
+  ULook.add(M.uniqueLookups());
+  UHit.add(M.uniqueHits());
+  OLook.add(M.opCacheLookups());
+  OHit.add(M.opCacheHits());
   if (S.active()) {
     S.arg("bdd_peak_nodes", static_cast<double>(M.peakNodes()));
     S.arg("bdd_unique_hit_rate",
@@ -258,15 +235,9 @@ SolverResult BddSolver::solve(Formula Psi) {
   LeanSpan.arg("bits", static_cast<double>(Plan.numBits()));
   LeanSpan.end();
 
-  // Stage 2: the transition system over this run's manager. The backend
-  // choice never shows in the result (canonical hash-consing makes every
-  // backend structurally identical — see bdd/Bdd.h), only in wall time.
+  // Stage 2: the transition system over this run's manager.
   Span ChiSpan("solver.chi");
-  std::unique_ptr<BddManager> MOwner =
-      makeBddManager(Opts.Backend, /*InitialVars=*/0, Opts.BddThreads);
-  BddManager &M = *MOwner;
-  if (SolveSpan.active())
-    SolveSpan.arg("backend", bddBackendName(M.kind()));
+  BddManager M;
   TransitionSystem TS(FF, Plan, Opts, M);
   ChiSpan.end();
 

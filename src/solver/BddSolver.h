@@ -223,16 +223,6 @@ struct SolverOptions {
   /// strategy Auto resolves to, which is already what the fingerprints
   /// key on.
   StrategyMemo *StrategyChoices = nullptr;
-  /// Which BddManager backend a run instantiates (bdd/Bdd.h). Canonical
-  /// hash-consing makes every backend produce structurally identical
-  /// BDDs, so the verdict, model, snapshots and stats-visible counts are
-  /// backend-invariant — which is why Backend (and BddThreads) is
-  /// excluded from BOTH option fingerprints: cached results and stored
-  /// fixpoint sequences transfer freely across backends.
-  BddBackendKind Backend = BddBackendKind::Serial;
-  /// Worker threads inside one BDD operation (parallel backend only;
-  /// 0 = hardware concurrency). Like Backend, never part of a key.
-  unsigned BddThreads = 0;
 };
 
 /// Fingerprint of the semantically relevant option bits, used to key

@@ -20,7 +20,7 @@ using namespace xsa;
 namespace {
 
 TEST(Bdd, Constants) {
-  SerialBddManager M;
+  BddManager M;
   EXPECT_TRUE(M.one().isOne());
   EXPECT_TRUE(M.zero().isZero());
   EXPECT_NE(M.one(), M.zero());
@@ -29,7 +29,7 @@ TEST(Bdd, Constants) {
 }
 
 TEST(Bdd, VarBasics) {
-  SerialBddManager M(4);
+  BddManager M(4);
   Bdd X = M.var(0), Y = M.var(1);
   EXPECT_EQ(X & X, X);
   EXPECT_EQ(X | X, X);
@@ -45,7 +45,7 @@ TEST(Bdd, VarBasics) {
 }
 
 TEST(Bdd, IteAgreesWithDefinition) {
-  SerialBddManager M(3);
+  BddManager M(3);
   Bdd F = M.var(0), G = M.var(1), H = M.var(2);
   EXPECT_EQ(M.ite(F, G, H), (F & G) | ((!F) & H));
   EXPECT_EQ(M.ite(M.one(), G, H), G);
@@ -55,13 +55,13 @@ TEST(Bdd, IteAgreesWithDefinition) {
 }
 
 TEST(Bdd, NegationIsInvolutive) {
-  SerialBddManager M(3);
+  BddManager M(3);
   Bdd F = (M.var(0) & M.var(1)) | ((!M.var(2)) & M.var(0));
   EXPECT_EQ(!(!F), F);
 }
 
 TEST(Bdd, ExistsAndForall) {
-  SerialBddManager M(3);
+  BddManager M(3);
   Bdd X = M.var(0), Y = M.var(1), Z = M.var(2);
   Bdd F = (X & Y) | (Z & !Y);
   Bdd CY = M.cube({1});
@@ -78,7 +78,7 @@ TEST(Bdd, ExistsAndForall) {
 }
 
 TEST(Bdd, AndExistsMatchesComposition) {
-  SerialBddManager M(4);
+  BddManager M(4);
   Bdd X = M.var(0), Y = M.var(1), Z = M.var(2), W = M.var(3);
   Bdd F = X.iff(Y) & Z.implies(W);
   Bdd G = (Y | W) & ((!Z) | X);
@@ -87,7 +87,7 @@ TEST(Bdd, AndExistsMatchesComposition) {
 }
 
 TEST(Bdd, CofactorAndRestrict) {
-  SerialBddManager M(3);
+  BddManager M(3);
   Bdd X = M.var(0), Y = M.var(1), Z = M.var(2);
   Bdd F = (X & Y) | Z;
   EXPECT_EQ(M.cofactor(F, 0, true), Y | Z);
@@ -97,7 +97,7 @@ TEST(Bdd, CofactorAndRestrict) {
 }
 
 TEST(Bdd, SatOneFindsAModel) {
-  SerialBddManager M(4);
+  BddManager M(4);
   Bdd F = (M.var(0) ^ M.var(1)) & M.var(3);
   std::vector<bool> Values;
   ASSERT_TRUE(M.satOne(F, Values));
@@ -108,7 +108,7 @@ TEST(Bdd, SatOneFindsAModel) {
 }
 
 TEST(Bdd, SatCount) {
-  SerialBddManager M(3);
+  BddManager M(3);
   Bdd X = M.var(0), Y = M.var(1);
   EXPECT_DOUBLE_EQ(M.satCount(M.one(), 3), 8.0);
   EXPECT_DOUBLE_EQ(M.satCount(M.zero(), 3), 0.0);
@@ -119,20 +119,20 @@ TEST(Bdd, SatCount) {
 }
 
 TEST(Bdd, Support) {
-  SerialBddManager M(5);
+  BddManager M(5);
   Bdd F = (M.var(1) & M.var(3)) | M.var(4);
   EXPECT_EQ(M.support(F), (std::vector<unsigned>{1, 3, 4}));
   EXPECT_TRUE(M.support(M.one()).empty());
 }
 
 TEST(Bdd, CubeIsSortedConjunction) {
-  SerialBddManager M(5);
+  BddManager M(5);
   EXPECT_EQ(M.cube({3, 1, 4, 1}), M.var(1) & M.var(3) & M.var(4));
   EXPECT_EQ(M.cube({}), M.one());
 }
 
 TEST(Bdd, GcKeepsLiveNodes) {
-  SerialBddManager M(8);
+  BddManager M(8);
   Bdd Keep = M.var(0) & M.var(1);
   {
     // Create garbage.
@@ -149,7 +149,7 @@ TEST(Bdd, GcKeepsLiveNodes) {
 }
 
 TEST(Bdd, RemapVarsShiftsMonotonically) {
-  SerialBddManager M(8);
+  BddManager M(8);
   // F over even variables; shift each var to its odd neighbor.
   Bdd F = (M.var(0) & M.var(2)) | (!M.var(4) & M.var(6));
   std::vector<unsigned> Map(8);
@@ -168,7 +168,7 @@ TEST(Bdd, RemapVarsShiftsMonotonically) {
 }
 
 TEST(Bdd, QuantifierDuality) {
-  SerialBddManager M(4);
+  BddManager M(4);
   Bdd F = (M.var(0) & M.var(1)) ^ (M.var(2) | M.var(3));
   Bdd C = M.cube({1, 3});
   // ∀x.F = ¬∃x.¬F.
@@ -182,7 +182,7 @@ TEST(Bdd, QuantifierDuality) {
 }
 
 TEST(Bdd, AndExistsOnDisjointSupports) {
-  SerialBddManager M(6);
+  BddManager M(6);
   Bdd F = M.var(0) & M.var(1);
   Bdd G = M.var(4) | M.var(5);
   // Quantifying variables absent from both is a plain conjunction.
@@ -192,7 +192,7 @@ TEST(Bdd, AndExistsOnDisjointSupports) {
 }
 
 TEST(Bdd, NodeCount) {
-  SerialBddManager M(3);
+  BddManager M(3);
   EXPECT_EQ(M.one().nodeCount(), 1u);
   EXPECT_EQ(M.var(0).nodeCount(), 2u);
   EXPECT_GE((M.var(0) ^ M.var(1) ^ M.var(2)).nodeCount(), 4u);
@@ -214,7 +214,7 @@ class BddRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BddRandomTest, AgreesWithTruthTable) {
   std::mt19937 Rng(GetParam());
-  SerialBddManager M(4);
+  BddManager M(4);
   uint16_t VarTable[4];
   for (unsigned V = 0; V < 4; ++V) {
     uint16_t T = 0;
@@ -287,7 +287,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomTest, ::testing::Range(1, 9));
 //===----------------------------------------------------------------------===//
 
 TEST(Snapshot, RoundTripsWithinAndAcrossManagers) {
-  SerialBddManager M(6);
+  BddManager M(6);
   Bdd F = (M.var(0) & M.var(2)) | (!M.var(1) & M.var(4)) |
           (M.var(3) ^ M.var(5));
   BddSnapshot S = exportSnapshot(M, F);
@@ -295,7 +295,7 @@ TEST(Snapshot, RoundTripsWithinAndAcrossManagers) {
   EXPECT_EQ(importSnapshot(M, S), F);
 
   // A fresh manager rebuilds the same function over the same variables.
-  SerialBddManager M2;
+  BddManager M2;
   Bdd G = importSnapshot(M2, S);
   for (unsigned Asg = 0; Asg < 64; ++Asg) {
     std::vector<std::pair<unsigned, bool>> Assignment;
@@ -308,7 +308,7 @@ TEST(Snapshot, RoundTripsWithinAndAcrossManagers) {
 }
 
 TEST(Snapshot, ConstantsAndVarRemap) {
-  SerialBddManager M(4);
+  BddManager M(4);
   EXPECT_TRUE(importSnapshot(M, exportSnapshot(M, M.zero())).isZero());
   EXPECT_TRUE(importSnapshot(M, exportSnapshot(M, M.one())).isOne());
 
@@ -323,7 +323,7 @@ TEST(Snapshot, ConstantsAndVarRemap) {
 }
 
 TEST(Snapshot, TextEncodingRoundTripsAndRejectsGarbage) {
-  SerialBddManager M(5);
+  BddManager M(5);
   Bdd F = (M.var(0) | M.var(1)) & (!M.var(3) | M.var(4));
   BddSnapshot S = exportSnapshot(M, F);
   BddSnapshot Back;

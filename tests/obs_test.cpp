@@ -31,6 +31,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace xsa;
@@ -107,6 +108,22 @@ TEST(Histogram, SnapshotDeltaIsolatesABracketedRegion) {
   // interpolates to 1 + 9·0.99.
   EXPECT_NEAR(Delta.quantile(0.99), 9.91, 1e-9);
   EXPECT_GT(Delta.quantile(0.5), 1.0);
+}
+
+TEST(Histogram, SingleObservationQuantilesAreExact) {
+  Histogram H({1000, 2500, 5000});
+  H.observe(1704);
+  // Interpolation alone would put every quantile of the lone sample at
+  // the top of its (1000,2500] bucket.
+  HistogramSnapshot S = H.snapshot();
+  EXPECT_DOUBLE_EQ(S.quantile(0.5), 1704.0);
+  EXPECT_DOUBLE_EQ(S.quantile(0.99), 1704.0);
+  // A delta bracketing one observation reports it exactly too.
+  H.observe(1200.5);
+  HistogramSnapshot D = H.snapshot().since(S);
+  ASSERT_EQ(D.Count, 1u);
+  EXPECT_DOUBLE_EQ(D.quantile(0.5), D.Sum);
+  EXPECT_NEAR(D.quantile(0.99), 1200.5, 1e-9);
 }
 
 TEST(Histogram, ConcurrentObservationsAreAllCounted) {
@@ -485,21 +502,28 @@ TEST(BatchProtocol, StableMetricsOpOmitsVolatileSections) {
 }
 
 TEST(BatchProtocol, UnknownConfigKeyIsRejectedStructurally) {
-  AnalysisSession Session;
-  std::string Out = runLines(
-      Session, "{\"id\":\"c\",\"op\":\"config\",\"share_fixpoint\":true}\n");
-  std::string Err;
-  JsonRef R = parseJson(Out, Err);
-  ASSERT_NE(R, nullptr) << Err;
-  EXPECT_EQ(R->str("id"), "c");
-  EXPECT_FALSE(R->get("ok")->asBool());
-  JsonRef E = R->get("error");
-  ASSERT_EQ(E->type(), JsonValue::Type::Object);
-  EXPECT_EQ(E->str("code"), "unknown_config_key");
-  EXPECT_EQ(E->str("key"), "share_fixpoint");
-  EXPECT_EQ(E->get("line")->asNumber(), 1);
-  // The near-miss did NOT silently enable sharing.
-  EXPECT_FALSE(Session.shareFixpointsEnabled());
+  // A near-miss of a real switch, and a key the protocol no longer has.
+  const std::pair<const char *, const char *> Inputs[] = {
+      {"share_fixpoint", "true"}, {"bdd_backend", "\"parallel\""}};
+  for (const auto &[Key, Value] : Inputs) {
+    SCOPED_TRACE(Key);
+    AnalysisSession Session;
+    std::string Out =
+        runLines(Session, std::string("{\"id\":\"c\",\"op\":\"config\",\"") +
+                              Key + "\":" + Value + "}\n");
+    std::string Err;
+    JsonRef R = parseJson(Out, Err);
+    ASSERT_NE(R, nullptr) << Err;
+    EXPECT_EQ(R->str("id"), "c");
+    EXPECT_FALSE(R->get("ok")->asBool());
+    JsonRef E = R->get("error");
+    ASSERT_EQ(E->type(), JsonValue::Type::Object);
+    EXPECT_EQ(E->str("code"), "unknown_config_key");
+    EXPECT_EQ(E->str("key"), Key);
+    EXPECT_EQ(E->get("line")->asNumber(), 1);
+    // The near-miss did NOT silently enable sharing.
+    EXPECT_FALSE(Session.shareFixpointsEnabled());
+  }
 }
 
 TEST(BatchProtocol, KnownConfigKeysStillApply) {
@@ -698,7 +722,6 @@ TEST(SlowQueryLog, ToJsonCarriesReproductionPayload) {
   R.Optimize = true;
   R.Share = true;
   R.Strategy = "auto";
-  R.Backend = "parallel";
   JsonRef J = SlowQueryLog::toJson(R);
   // The request embeds as an object (re-parsed, not a quoted string) —
   // what `xsolve replay` re-executes.
@@ -712,7 +735,7 @@ TEST(SlowQueryLog, ToJsonCarriesReproductionPayload) {
   EXPECT_TRUE(Cfg->get("optimize")->asBool());
   EXPECT_TRUE(Cfg->get("share_fixpoints")->asBool());
   EXPECT_EQ(Cfg->str("fixpoint_strategy"), "auto");
-  EXPECT_EQ(Cfg->str("bdd_backend"), "parallel");
+  EXPECT_FALSE(Cfg->has("bdd_backend"));
 }
 
 //===----------------------------------------------------------------------===//

@@ -430,6 +430,33 @@ TEST(Server, NamespacesIsolateConfigNotResults) {
   EXPECT_EQ(Namespaces->get("default")->get("requests")->asNumber(), 1);
 }
 
+TEST(Server, UnknownConfigKeyIsRejectedStructurally) {
+  ServerFixture F(stableServerOptions(1));
+  LineClient C = F.connect();
+  // bdd_backend is not a config key (older servers accepted it); like
+  // any unknown key it is rejected rather than silently ignored.
+  ASSERT_TRUE(C.sendLine("{\"id\":\"c\",\"op\":\"config\","
+                         "\"bdd_backend\":\"parallel\"}"));
+  std::string Resp;
+  ASSERT_TRUE(C.recvLine(Resp));
+  std::string Error;
+  JsonRef R = parseJson(Resp, Error);
+  ASSERT_NE(R, nullptr) << Error;
+  EXPECT_EQ(R->str("id"), "c");
+  EXPECT_FALSE(R->get("ok")->asBool());
+  JsonRef E = R->get("error");
+  ASSERT_EQ(E->type(), JsonValue::Type::Object);
+  EXPECT_EQ(E->str("code"), "unknown_config_key");
+  EXPECT_EQ(E->str("key"), "bdd_backend");
+  // The connection stays usable, and a valid config echo has no
+  // backend field.
+  ASSERT_TRUE(C.sendLine("{\"id\":\"ok\",\"op\":\"config\","
+                         "\"optimize\":false}"));
+  ASSERT_TRUE(C.recvLine(Resp));
+  EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos) << Resp;
+  EXPECT_EQ(Resp.find("bdd_backend"), std::string::npos) << Resp;
+}
+
 //===----------------------------------------------------------------------===//
 // Observability: request ids, slowlog, status, HTTP endpoints
 //===----------------------------------------------------------------------===//
@@ -603,8 +630,12 @@ TEST(Server, DeadlineMissIsCapturedInSlowlog) {
 TEST(Server, StatusOpReportsLiveState) {
   ServerFixture F(stableServerOptions(2));
   LineClient C = F.connect();
-  ASSERT_TRUE(C.sendLine("{\"id\":\"st\",\"op\":\"status\"}"));
+  // One solved request first, so the BDD gauges hold a finished run.
+  ASSERT_TRUE(C.sendLine("{\"id\":\"q\",\"op\":\"contains\","
+                         "\"e1\":\"/st1/x\",\"e2\":\"//x\"}"));
   std::string Resp;
+  ASSERT_TRUE(C.recvLine(Resp));
+  ASSERT_TRUE(C.sendLine("{\"id\":\"st\",\"op\":\"status\"}"));
   ASSERT_TRUE(C.recvLine(Resp));
   std::string Error;
   JsonRef R = parseJson(Resp, Error);
@@ -621,6 +652,11 @@ TEST(Server, StatusOpReportsLiveState) {
   for (const char *Key : {"queue_depth", "queue_limit", "in_flight", "bdd",
                           "namespaces", "slowlog", "log"})
     EXPECT_TRUE(S->has(Key)) << Key;
+  // A finished run has at least the two terminal nodes at its peak.
+  JsonRef Bdd = S->get("bdd");
+  ASSERT_EQ(Bdd->type(), JsonValue::Type::Object);
+  EXPECT_EQ(Bdd->get("live_nodes")->type(), JsonValue::Type::Number);
+  EXPECT_GE(Bdd->get("peak_nodes")->asNumber(), 2);
   JsonRef Default = S->get("namespaces")->get("default");
   ASSERT_EQ(Default->type(), JsonValue::Type::Object);
   EXPECT_TRUE(Default->has("in_flight"));
