@@ -73,7 +73,7 @@ void runWith(const std::string &Name, benchmark::State &State,
              Formula (*Make)(FormulaFactory &), SolverOptions Opts,
              bool ExpectSat) {
   xsa_bench::LatencyProbe Probe(xsa_bench::solveLatencyHistogram());
-  size_t Lean = 0, Iters = 0, SubSteps = 0, Peak = 0;
+  size_t Lean = 0, Iters = 0, Peak = 0;
   double WallMs = 0;
   for (auto _ : State) {
     auto T0 = std::chrono::steady_clock::now();
@@ -88,17 +88,14 @@ void runWith(const std::string &Name, benchmark::State &State,
       State.SkipWithError("unexpected verdict under ablation");
     Lean = R.Stats.LeanSize;
     Iters = R.Stats.Iterations;
-    SubSteps = R.Stats.SubSteps;
     Peak = R.Stats.PeakBddNodes;
   }
   State.counters["lean"] = static_cast<double>(Lean);
   State.counters["iters"] = static_cast<double>(Iters);
-  State.counters["substeps"] = static_cast<double>(SubSteps);
   State.counters["peak_nodes"] = static_cast<double>(Peak);
   std::vector<std::pair<std::string, double>> Extra = {
       {"lean", static_cast<double>(Lean)},
       {"iters", static_cast<double>(Iters)},
-      {"substeps", static_cast<double>(SubSteps)},
       {"peak_nodes", static_cast<double>(Peak)}};
   for (auto &Q : Probe.quantiles())
     Extra.push_back(std::move(Q));
@@ -162,40 +159,6 @@ void BM_Smil_FullFixpoint(benchmark::State &State) {
   runWith("smil/full-fixpoint", State, smilFormula, O, /*ExpectSat=*/true);
 }
 BENCHMARK(BM_Smil_FullFixpoint)->Unit(benchmark::kMillisecond);
-
-// --- Fixpoint scheduling strategy -------------------------------------------
-// row1/order-breadth-first above doubles as the Bfs baseline (same
-// options); these rows measure how round chaining trades sub-steps for
-// rounds on the UNSAT stress problem and the SAT early-exit one.
-
-void BM_Row1_StrategyChaining(benchmark::State &State) {
-  SolverOptions O = baseOpts();
-  O.Strategy = FixpointStrategy::Chaining;
-  runWith("row1/strategy-chaining", State, row1Formula, O, false);
-}
-BENCHMARK(BM_Row1_StrategyChaining)->Unit(benchmark::kMillisecond);
-
-void BM_Row1_StrategySaturation(benchmark::State &State) {
-  SolverOptions O = baseOpts();
-  O.Strategy = FixpointStrategy::Saturation;
-  runWith("row1/strategy-saturation", State, row1Formula, O, false);
-}
-BENCHMARK(BM_Row1_StrategySaturation)->Unit(benchmark::kMillisecond);
-
-void BM_Smil_StrategyChaining(benchmark::State &State) {
-  SolverOptions O = baseOpts();
-  O.Strategy = FixpointStrategy::Chaining;
-  runWith("smil/strategy-chaining", State, smilFormula, O, /*ExpectSat=*/true);
-}
-BENCHMARK(BM_Smil_StrategyChaining)->Unit(benchmark::kMillisecond);
-
-void BM_Smil_StrategySaturation(benchmark::State &State) {
-  SolverOptions O = baseOpts();
-  O.Strategy = FixpointStrategy::Saturation;
-  runWith("smil/strategy-saturation", State, smilFormula, O,
-          /*ExpectSat=*/true);
-}
-BENCHMARK(BM_Smil_StrategySaturation)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -16,11 +16,7 @@
 //   * the computed iteration count (solver iterations minus replayed
 //     ones) drops strictly with sharing on;
 //   * a store-warm batch of *unseen* same-shaped queries seeds every
-//     solver run;
-//   * the strategy matrix (bfs / chaining / saturation, serial and at
-//     jobs=4, all cold) produces byte-identical stable output, chaining
-//     strictly beats bfs on computed rounds, and chaining or saturation
-//     reaches a >= 2x round reduction on the near-duplicate batch.
+//     solver run.
 //
 // A last, ungated row times one XHTML-scale single query
 // (xhtml-single-query) and records its BDD work: bdd_mk_calls and
@@ -28,8 +24,7 @@
 //
 // Results go to BENCH_fixpoint.json; every row carries name, wall_ms,
 // cache_hit_rate, solver_iterations, iterations_computed,
-// iterations_replayed, solver_substeps, seeded_runs, seed_hit_rate,
-// p50_ms and p99_ms (the tail fields come from the engine's
+// iterations_replayed, seeded_runs, seed_hit_rate, p50_ms and p99_ms (the tail fields come from the engine's
 // request-latency histogram, bracketed per run).
 //
 //===----------------------------------------------------------------------===//
@@ -104,7 +99,6 @@ extras(const SessionStats &S, const RunOutcome &Run) {
                            S.FixpointIterationsReplayed)},
       {"iterations_replayed",
        static_cast<double>(S.FixpointIterationsReplayed)},
-      {"solver_substeps", static_cast<double>(S.SolverSubSteps)},
       {"seeded_runs", static_cast<double>(S.FixpointSeededRuns)},
       {"seed_hit_rate", seedHitRate(S)}};
   E.insert(E.end(), Run.Quantiles.begin(), Run.Quantiles.end());
@@ -177,7 +171,6 @@ int main() {
                                      Before.FixpointIterationsReplayed;
   Delta.FixpointSeededRuns =
       Warm.Stats.FixpointSeededRuns - Before.FixpointSeededRuns;
-  Delta.SolverSubSteps = Warm.Stats.SolverSubSteps - Before.SolverSubSteps;
   Delta.Fixpoints.Hits = Warm.Stats.Fixpoints.Hits - Before.Fixpoints.Hits;
   Delta.Fixpoints.Misses =
       Warm.Stats.Fixpoints.Misses - Before.Fixpoints.Misses;
@@ -194,66 +187,6 @@ int main() {
   RunOutcome UnseenBase = runBatchOn(OffUnseen, Unseen);
   if (Warm.StableOut != UnseenBase.StableOut)
     Fail("warm-store output differs from an unshared session's");
-
-  // Strategy matrix: the cold near-duplicate batch under every fixpoint
-  // scheduling strategy, serial and at jobs=4. The least fixpoint is
-  // strategy-independent, so each run's stable output must match the
-  // baseline byte-for-byte; the scheduling only changes how many
-  // relational-image rounds it takes to get there.
-  struct StratCase {
-    FixpointStrategy S;
-    const char *Name;
-    bool Parallel;
-  };
-  const StratCase Cases[] = {
-      {FixpointStrategy::Bfs, "bfs", true},
-      {FixpointStrategy::Chaining, "chaining", true},
-      {FixpointStrategy::Saturation, "saturation", true},
-      {FixpointStrategy::Auto, "auto", false},
-  };
-  size_t RoundsBy[3] = {0, 0, 0};
-  double WallBy[3] = {0, 0, 0};
-  for (const StratCase &C : Cases) {
-    for (size_t Jobs = 1; Jobs <= (C.Parallel ? 4u : 1u); Jobs += 3) {
-      SessionOptions SO;
-      SO.Solver.Strategy = C.S;
-      SO.Jobs = Jobs;
-      AnalysisSession S(SO);
-      RunOutcome R = runBatchOn(S, Batch);
-      Json.record(std::string("near-dup-batch/strategy=") + C.Name +
-                      "-jobs=" + std::to_string(Jobs),
-                  R.WallMs, xsa_bench::sessionHitRate(S), extras(R.Stats, R));
-      if (R.StableOut != Base.StableOut)
-        Fail("strategy changed the stable batch output");
-      if (Jobs == 1 && C.S != FixpointStrategy::Auto) {
-        RoundsBy[static_cast<size_t>(C.S)] =
-            R.Stats.SolverIterations - R.Stats.FixpointIterationsReplayed;
-        WallBy[static_cast<size_t>(C.S)] = R.WallMs;
-      }
-    }
-  }
-  size_t BfsRounds = RoundsBy[static_cast<size_t>(FixpointStrategy::Bfs)];
-  size_t ChainRounds =
-      RoundsBy[static_cast<size_t>(FixpointStrategy::Chaining)];
-  size_t SatRounds =
-      RoundsBy[static_cast<size_t>(FixpointStrategy::Saturation)];
-  std::fprintf(stderr,
-               "bench_fixpoint: computed rounds bfs=%zu chaining=%zu "
-               "saturation=%zu\n",
-               BfsRounds, ChainRounds, SatRounds);
-  // The round reduction is the mechanism; wall time is whether it pays.
-  // Reported side by side (each row's wall_ms is also in the JSON) so
-  // the chaining-vs-bfs story is measured in time, not rounds alone.
-  std::fprintf(stderr,
-               "bench_fixpoint: serial wall ms bfs=%.2f chaining=%.2f "
-               "saturation=%.2f\n",
-               WallBy[static_cast<size_t>(FixpointStrategy::Bfs)],
-               WallBy[static_cast<size_t>(FixpointStrategy::Chaining)],
-               WallBy[static_cast<size_t>(FixpointStrategy::Saturation)]);
-  if (ChainRounds >= BfsRounds)
-    Fail("chaining did not reduce computed rounds vs bfs");
-  if (ChainRounds * 2 > BfsRounds && SatRounds * 2 > BfsRounds)
-    Fail("neither chaining nor saturation reached a 2x round reduction");
 
   // One XHTML-scale single query. Next to wall time the row records
   // machine-independent counters, so rows from different hosts compare:

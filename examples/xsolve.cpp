@@ -83,7 +83,6 @@ int usage() {
       "  xsolve optimize '<xpath>' [dtd]\n"
       "  xsolve batch [file|-] [--jobs N] [--cache-file F] [--stable]\n"
       "               [--optimize] [--share-fixpoints]\n"
-      "               [--fixpoint-strategy S]\n"
       "               [--trace-file F] [--metrics-file F]\n"
       "  xsolve replay <slowlog.json|-> [--out F] [batch flags]\n"
       "where [dtd] is a file path or one of: wikipedia, smil, xhtml.\n"
@@ -95,7 +94,7 @@ int usage() {
       "\"e2\":\"//b\",\"dtd\":\"xhtml\"}\n"
       "(ops: sat empty contains overlap cover equiv typecheck optimize;\n"
       " {\"op\":\"config\",\"jobs\":N,\"optimize\":B,"
-      "\"share_fixpoints\":B,\"fixpoint_strategy\":S}\n"
+      "\"share_fixpoints\":B}\n"
       " reconfigures mid-stream)\n"
       "replay turns a slow-query log entry (xsolved /slowlog output, one\n"
       "JSON object or a dump array) into a batch run that re-executes the\n"
@@ -114,11 +113,6 @@ int usage() {
       "                  share solver fixpoint sets across requests:\n"
       "                  runs with the same lean replay stored iterates\n"
       "                  instead of recomputing them (output unchanged)\n"
-      "  --fixpoint-strategy S\n"
-      "                  schedule the fixpoint iteration: bfs (default),\n"
-      "                  chaining, saturation, or auto (pick per lean,\n"
-      "                  remembered in the cache file); verdicts and\n"
-      "                  models are strategy-independent\n"
       "  --trace-file F  record spans for every pipeline stage and write\n"
       "                  them as Chrome trace-event JSON to F (open in\n"
       "                  Perfetto / chrome://tracing); response output is\n"
@@ -250,10 +244,10 @@ bool slowlogToBatch(const std::string &Text, std::string &BatchText,
       JsonRef Line = JsonValue::object();
       Line->set("op", JsonValue::string("config"));
       // Only keys the batch config line accepts are copied; anything
-      // else a record carries (e.g. the retired "bdd_backend" of older
-      // slowlogs) is dropped so the record still replays.
-      for (const char *Key :
-           {"optimize", "share_fixpoints", "fixpoint_strategy"}) {
+      // else a record carries (e.g. the retired "bdd_backend" and
+      // "fixpoint_strategy" of older slowlogs) is dropped so the record
+      // still replays.
+      for (const char *Key : {"optimize", "share_fixpoints"}) {
         if (JsonRef V = Cfg->get(Key); V && !V->isNull())
           Line->set(Key, V);
       }
@@ -337,16 +331,6 @@ int main(int argc, char **argv) {
         Session.setOptimize(true);
       } else if (Arg == "--share-fixpoints") {
         Session.setShareFixpoints(true);
-      } else if (Arg == "--fixpoint-strategy" && I + 1 < argc) {
-        FixpointStrategy S;
-        if (!parseFixpointStrategy(argv[++I], S)) {
-          std::fprintf(stderr,
-                       "error: --fixpoint-strategy needs one of bfs, "
-                       "chaining, saturation, auto (got %s)\n",
-                       argv[I]);
-          return usage();
-        }
-        Session.setFixpointStrategy(S);
       } else if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {
         std::fprintf(stderr, "error: unknown %s flag %s\n", Cmd.c_str(),
                      Arg.c_str());

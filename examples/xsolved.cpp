@@ -4,15 +4,15 @@
 //
 //   xsolved [--tcp PORT] [--unix PATH] [--jobs N] [--queue-limit N]
 //           [--cache-file F] [--stable] [--optimize] [--share-fixpoints]
-//           [--fixpoint-strategy S] [--port-file F]
+//           [--port-file F]
 //   xsolved client (--tcp HOST:PORT | --unix PATH) [file|-]
 //
 // The server wraps ONE shared AnalysisSession: every client's requests
-// read through (and warm) the same sharded result cache, fixpoint store
-// and strategy-choice store. Protocol: one JSON request per line, one
-// JSON response per line, same request schema as `xsolve batch`, plus
-// per-request "priority" and "deadline_ms" fields and the ops config
-// (with "ns"/"stable"), metrics, stats, ping and drain. An HTTP
+// read through (and warm) the same sharded result cache and fixpoint
+// store. Protocol: one JSON request per line, one JSON response per
+// line, same request schema as `xsolve batch`, plus per-request
+// "priority" and "deadline_ms" fields and the ops config (with
+// "ns"/"stable"), metrics, stats, ping and drain. An HTTP
 // `GET /metrics` on either socket answers the Prometheus text format.
 //
 // SIGTERM/SIGINT drain gracefully: stop accepting, finish everything
@@ -62,8 +62,7 @@ int usage() {
       "usage:\n"
       "  xsolved [--tcp PORT] [--unix PATH] [--jobs N] [--queue-limit N]\n"
       "          [--cache-file F] [--stable] [--optimize]\n"
-      "          [--share-fixpoints] [--fixpoint-strategy S]\n"
-      "          [--port-file F]\n"
+      "          [--share-fixpoints] [--port-file F]\n"
       "  xsolved client (--tcp HOST:PORT | --unix PATH) [file|-]\n"
       "server flags:\n"
       "  --tcp PORT      listen on 127.0.0.1:PORT (0 = ephemeral port)\n"
@@ -234,16 +233,6 @@ int main(int argc, char **argv) {
       Opts.Session.Optimize = true;
     } else if (Arg == "--share-fixpoints") {
       Opts.Session.ShareFixpoints = true;
-    } else if (Arg == "--fixpoint-strategy" && I + 1 < argc) {
-      FixpointStrategy S;
-      if (!parseFixpointStrategy(argv[++I], S)) {
-        std::fprintf(stderr,
-                     "error: --fixpoint-strategy needs one of bfs, chaining, "
-                     "saturation, auto (got %s)\n",
-                     argv[I]);
-        return usage();
-      }
-      Opts.Session.Solver.Strategy = S;
     } else if (Arg == "--port-file" && I + 1 < argc) {
       PortFile = argv[++I];
     } else if (Arg == "--log-file" && I + 1 < argc) {

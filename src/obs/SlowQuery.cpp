@@ -89,15 +89,13 @@ JsonRef SlowQueryLog::toJson(const SlowQueryRecord &R) {
   // under. `xsolve replay` consumes exactly these two fields.
   if (!R.RequestJson.empty()) {
     std::string Err;
-    if (JsonRef Req = parseJson(R.RequestJson, Err))
+    if (JsonRef Req = parseJson(R.RequestJson, Err)) {
       O->set("request", Req);
-  }
-  if (!R.Strategy.empty()) {
-    JsonRef Cfg = JsonValue::object();
-    Cfg->set("optimize", JsonValue::boolean(R.Optimize));
-    Cfg->set("share_fixpoints", JsonValue::boolean(R.Share));
-    Cfg->set("fixpoint_strategy", JsonValue::string(R.Strategy));
-    O->set("config", Cfg);
+      JsonRef Cfg = JsonValue::object();
+      Cfg->set("optimize", JsonValue::boolean(R.Optimize));
+      Cfg->set("share_fixpoints", JsonValue::boolean(R.Share));
+      O->set("config", Cfg);
+    }
   }
   return O;
 }

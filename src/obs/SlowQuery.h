@@ -63,7 +63,6 @@ struct SlowQueryRecord {
   /// what `xsolve replay` turns into the batch's config preamble.
   bool Optimize = false;
   bool Share = false;
-  std::string Strategy; ///< fixpointStrategyName of the effective strategy
 };
 
 class SlowQueryLog {

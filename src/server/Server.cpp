@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <queue>
 
 #include <arpa/inet.h>
@@ -229,7 +230,6 @@ struct XsolvedServer::Job {
   bool Stable = false;
   bool Optimize = false;
   bool Share = false;
-  FixpointStrategy Strategy = FixpointStrategy::Bfs;
   /// The admitted request line dumped back to JSON, carried so a slowlog
   /// capture can reproduce the request verbatim (`xsolve replay`).
   std::string RequestJson;
@@ -862,8 +862,7 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
   };
 
   static constexpr const char *KnownKeys[] = {
-      "op", "id", "ns", "stable", "optimize", "share_fixpoints",
-      "fixpoint_strategy"};
+      "op", "id", "ns", "stable", "optimize", "share_fixpoints"};
   for (const auto &[K, V] : Obj.members()) {
     if (K == "jobs") {
       Reject("invalid_config_value",
@@ -913,26 +912,8 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
            "share_fixpoints", Share->dump());
     return;
   }
-  JsonRef Strat = Obj.get("fixpoint_strategy");
-  FixpointStrategy StratVal = FixpointStrategy::Bfs;
-  bool HaveStrat = false;
-  if (!Strat->isNull()) {
-    if (Strat->type() != JsonValue::Type::String ||
-        !parseFixpointStrategy(Strat->asString(), StratVal)) {
-      std::string Given = Strat->type() == JsonValue::Type::String
-                              ? Strat->asString()
-                              : Strat->dump();
-      Reject("invalid_config_value",
-             "invalid fixpoint_strategy '" + Given +
-                 "' (expected bfs, chaining, saturation or auto)",
-             "fixpoint_strategy", Given);
-      return;
-    }
-    HaveStrat = true;
-  }
   NamespaceState &Ns = *Conn.Ns;
   bool EffOptimize, EffShare;
-  FixpointStrategy EffStrategy;
   {
     std::lock_guard<std::mutex> L(Ns.Mu);
     if (!Optimize->isNull()) {
@@ -943,14 +924,8 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
       Ns.HaveShare = true;
       Ns.Share = Share->asBool();
     }
-    if (HaveStrat) {
-      Ns.HaveStrategy = true;
-      Ns.Strategy = StratVal;
-    }
     EffOptimize = Ns.HaveOptimize ? Ns.Optimize : Opts.Session.Optimize;
     EffShare = Ns.HaveShare ? Ns.Share : Opts.Session.ShareFixpoints;
-    EffStrategy =
-        Ns.HaveStrategy ? Ns.Strategy : Opts.Session.Solver.Strategy;
   }
 
   JsonRef O = JsonValue::object();
@@ -962,8 +937,6 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
   O->set("jobs", JsonValue::number(static_cast<double>(Sess->jobs())));
   O->set("optimize", JsonValue::boolean(EffOptimize));
   O->set("share_fixpoints", JsonValue::boolean(EffShare));
-  O->set("fixpoint_strategy",
-         JsonValue::string(fixpointStrategyName(EffStrategy)));
   deliver(Conn, Seq, O->dump());
 }
 
@@ -1018,10 +991,7 @@ void XsolvedServer::handleSlowlog(Connection &Conn, uint64_t Seq,
   if (!Id.empty())
     O->set("id", JsonValue::string(Id));
   O->set("ok", JsonValue::boolean(true));
-  size_t Max = 0;
-  JsonRef N = Obj.get("n");
-  if (N->type() == JsonValue::Type::Number && N->asNumber() > 0)
-    Max = static_cast<size_t>(N->asNumber());
+  size_t Max = clampedInteger<size_t>(Obj.get("n")->asNumber());
   O->set("slowlog", slowlogJson(Max));
   deliver(Conn, Seq, O->dump());
 }
@@ -1033,10 +1003,7 @@ void XsolvedServer::handleLog(Connection &Conn, uint64_t Seq,
   if (!Id.empty())
     O->set("id", JsonValue::string(Id));
   O->set("ok", JsonValue::boolean(true));
-  size_t Max = 0;
-  JsonRef N = Obj.get("n");
-  if (N->type() == JsonValue::Type::Number && N->asNumber() > 0)
-    Max = static_cast<size_t>(N->asNumber());
+  size_t Max = clampedInteger<size_t>(Obj.get("n")->asNumber());
   O->set("log", logJson(Max));
   deliver(Conn, Seq, O->dump());
 }
@@ -1173,23 +1140,24 @@ void XsolvedServer::admit(Connection &Conn, uint64_t Seq, const JsonValue &Obj,
               : "c" + std::to_string(Conn.Id) + "-" + std::to_string(Seq);
   J.Req.TraceId = J.Rid;
   J.RequestJson = Obj.dump();
-  JsonRef Priority = Obj.get("priority");
-  if (Priority->type() == JsonValue::Type::Number)
-    J.Priority = static_cast<int>(Priority->asNumber());
+  J.Priority = clampedInteger<int>(Obj.get("priority")->asNumber());
   J.EnqueueNs = nowSteadyNs();
   JsonRef Deadline = Obj.get("deadline_ms");
   if (Deadline->type() == JsonValue::Type::Number &&
-      Deadline->asNumber() >= 0)
-    J.DeadlineNs =
-        J.EnqueueNs + static_cast<uint64_t>(Deadline->asNumber() * 1e6);
+      Deadline->asNumber() >= 0) {
+    // A deadline the steady clock cannot reach from EnqueueNs is no
+    // deadline (DeadlineNs stays 0) rather than a wrapped, already
+    // expired one.
+    uint64_t Ns = clampedInteger<uint64_t>(Deadline->asNumber() * 1e6);
+    if (Ns < std::numeric_limits<uint64_t>::max() - J.EnqueueNs)
+      J.DeadlineNs = J.EnqueueNs + Ns;
+  }
   {
     std::lock_guard<std::mutex> L(Conn.Ns->Mu);
     J.Optimize =
         Conn.Ns->HaveOptimize ? Conn.Ns->Optimize : Opts.Session.Optimize;
     J.Share =
         Conn.Ns->HaveShare ? Conn.Ns->Share : Opts.Session.ShareFixpoints;
-    J.Strategy = Conn.Ns->HaveStrategy ? Conn.Ns->Strategy
-                                       : Opts.Session.Solver.Strategy;
   }
 
   // Find this connection's shared_ptr (deliver from the dispatcher needs
@@ -1308,7 +1276,6 @@ void XsolvedServer::dispatchLoop() {
       SR.RequestJson = J.RequestJson;
       SR.Optimize = J.Optimize;
       SR.Share = J.Share;
-      SR.Strategy = fixpointStrategyName(J.Strategy);
       J.Ns->SlowQueries.fetch_add(1, std::memory_order_relaxed);
       SlowQueryLog::global().record(std::move(SR));
       // J.Stable is the admission-time snapshot: the dispatcher must
@@ -1336,12 +1303,9 @@ void XsolvedServer::dispatchBatch(std::vector<Job> &Batch) {
   std::vector<AnalysisResponse> Resps(Batch.size());
   Sess->pool().parallelFor(Batch.size(), [&](size_t I, size_t Worker) {
     AnalysisContext &Ctx = Sess->workerContext(Worker);
-    // Apply the namespace-config snapshot taken at admission. The
-    // setters early-out when the value is unchanged, so a homogeneous
-    // stream costs three compares per request.
+    // Apply the namespace-config snapshot taken at admission.
     Ctx.setOptimizePrePass(Batch[I].Optimize);
     Ctx.setShareFixpoints(Batch[I].Share);
-    Ctx.setFixpointStrategy(Batch[I].Strategy);
     Resps[I] = runRequest(Ctx, Batch[I].Req);
   });
   InFlight.fetch_sub(Batch.size(), std::memory_order_relaxed);
@@ -1389,7 +1353,6 @@ void XsolvedServer::dispatchBatch(std::vector<Job> &Batch) {
       SR.RequestJson = J.RequestJson;
       SR.Optimize = J.Optimize;
       SR.Share = J.Share;
-      SR.Strategy = fixpointStrategyName(J.Strategy);
       J.Ns->SlowQueries.fetch_add(1, std::memory_order_relaxed);
       Slow.record(std::move(SR));
       // Link the latency histogram back to this capture.

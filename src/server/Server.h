@@ -7,9 +7,9 @@
 /// \file
 /// `xsolved`: a daemon wrapping ONE shared AnalysisSession behind
 /// JSON-lines over TCP and/or a unix-domain socket, so concurrent
-/// clients share the sharded result cache, the SharedFixpointStore and
-/// the StrategyChoiceStore — the second client's containment check is a
-/// cache hit even when the first client asked it.
+/// clients share the sharded result cache and the SharedFixpointStore —
+/// the second client's containment check is a cache hit even when the
+/// first client asked it.
 ///
 /// Concurrency model. The session's BDD machinery is single-threaded by
 /// design (see service/Session.h), so the server never runs a request on
@@ -37,7 +37,7 @@
 ///
 /// Tenancy. A connection starts in the "default" namespace and may
 /// switch with {"op":"config","ns":"team-a"}. A namespace carries its
-/// own config overrides (optimize, share_fixpoints, fixpoint_strategy)
+/// own config overrides (optimize, share_fixpoints)
 /// and its own request statistics; the caches underneath stay shared —
 /// namespaces isolate *configuration and accounting*, not results,
 /// which is the point of a shared-session server (reads through a
@@ -135,8 +135,6 @@ struct NamespaceState {
   std::mutex Mu;
   bool HaveOptimize = false, Optimize = false;
   bool HaveShare = false, Share = false;
-  bool HaveStrategy = false;
-  FixpointStrategy Strategy = FixpointStrategy::Bfs;
 
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> Errors{0};

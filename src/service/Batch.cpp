@@ -483,21 +483,17 @@ JsonRef xsa::responseToJson(const AnalysisResponse &Resp,
     O->set("cache", JsonValue::string(Resp.FromCache ? "hit" : "miss"));
   O->set("lean", JsonValue::number(static_cast<double>(Resp.Stats.LeanSize)));
   if (IncludeVolatile) {
-    // Round counts moved to the volatile side when strategies arrived:
-    // an Auto session answers the same request with however many rounds
-    // the remembered (possibly persisted) strategy takes, and replay
-    // counts depend on what the shared fixpoint store held when this
-    // request ran — scheduling-dependent at jobs > 1. The verdict,
-    // lean and model above are strategy-invariant and stay stable.
+    // Round counts stay on the volatile side. iterations_replayed
+    // depends on what the shared fixpoint store held when this request
+    // ran, which is scheduling-dependent at jobs > 1. iterations is a
+    // function of the request alone, but --stable output has left it
+    // out since a config switch could change it, and moving it back
+    // would change the --stable bytes that consumers compare against.
     O->set("iterations",
            JsonValue::number(static_cast<double>(Resp.Stats.Iterations)));
     O->set("iterations_replayed",
            JsonValue::number(
                static_cast<double>(Resp.Stats.IterationsReplayed)));
-    O->set("substeps",
-           JsonValue::number(static_cast<double>(Resp.Stats.SubSteps)));
-    O->set("strategy",
-           JsonValue::string(fixpointStrategyName(Resp.Stats.StrategyUsed)));
     O->set("time_ms", JsonValue::number(Resp.Stats.TimeMs));
   }
   if (!Resp.ModelXml.empty())
@@ -562,19 +558,7 @@ JsonRef xsa::statsToJson(const SessionStats &S) {
          JsonValue::number(static_cast<double>(S.FixpointSeededRuns)));
   F->set("iterations_replayed", JsonValue::number(static_cast<double>(
                                     S.FixpointIterationsReplayed)));
-  F->set("substeps",
-         JsonValue::number(static_cast<double>(S.SolverSubSteps)));
   O->set("fixpoints", F);
-  // Actual solver runs by the concrete strategy executed (Auto always
-  // resolves before a run, so only the three concrete slots appear).
-  JsonRef Strat = JsonValue::object();
-  for (FixpointStrategy FS :
-       {FixpointStrategy::Bfs, FixpointStrategy::Chaining,
-        FixpointStrategy::Saturation})
-    Strat->set(fixpointStrategyName(FS),
-               JsonValue::number(static_cast<double>(
-                   S.StrategyRuns[static_cast<size_t>(FS)])));
-  O->set("strategy_runs", Strat);
   return O;
 }
 
@@ -694,10 +678,9 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
       SegItems.push_back(std::move(It));
     } else if (Obj->str("op") == "config") {
       // Control line: answer in order, apply to everything after it.
-      // Accepts 'jobs' (worker count), 'optimize' (pre-pass switch),
-      // 'share_fixpoints' (cross-request fixpoint sharing) and/or
-      // 'fixpoint_strategy' (bfs/chaining/saturation/auto); at least one
-      // must be present.
+      // Accepts 'jobs' (worker count), 'optimize' (pre-pass switch)
+      // and/or 'share_fixpoints' (cross-request fixpoint sharing); at
+      // least one must be present.
       Flush();
       AnalysisResponse Resp;
       Resp.Id = Obj->str("id");
@@ -706,8 +689,7 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
       // not read as an applied one.
       static constexpr const char *KnownKeys[] = {"op", "id", "jobs",
                                                   "optimize",
-                                                  "share_fixpoints",
-                                                  "fixpoint_strategy"};
+                                                  "share_fixpoints"};
       std::string UnknownKey;
       for (const auto &[K, V] : Obj->members())
         if (std::find_if(std::begin(KnownKeys), std::end(KnownKeys),
@@ -733,63 +715,32 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
       JsonRef Jobs = Obj->get("jobs");
       JsonRef Optimize = Obj->get("optimize");
       JsonRef Share = Obj->get("share_fixpoints");
-      JsonRef Strat = Obj->get("fixpoint_strategy");
-      // An invalid strategy value gets the same structured rejection as
-      // an unknown key: a typo ("chainning") must not silently leave
-      // the previous strategy in force.
-      FixpointStrategy StratVal = FixpointStrategy::Bfs;
-      bool HaveStrat = false;
-      if (!Strat->isNull()) {
-        if (Strat->type() != JsonValue::Type::String ||
-            !parseFixpointStrategy(Strat->asString(), StratVal)) {
-          std::string Given = Strat->type() == JsonValue::Type::String
-                                  ? Strat->asString()
-                                  : Strat->dump();
-          JsonRef O = JsonValue::object();
-          if (!Resp.Id.empty())
-            O->set("id", JsonValue::string(Resp.Id));
-          O->set("ok", JsonValue::boolean(false));
-          JsonRef E = errorObjectJson(
-              "invalid_config_value",
-              "invalid fixpoint_strategy '" + Given +
-                  "' (expected bfs, chaining, saturation or auto)",
-              LineNo);
-          E->set("key", JsonValue::string("fixpoint_strategy"));
-          E->set("value", JsonValue::string(Given));
-          O->set("error", E);
-          ++Errors;
-          Out << O->dump() << "\n";
-          continue;
-        }
-        HaveStrat = true;
-      }
-      bool BadJobs = !Jobs->isNull() &&
-                     (Jobs->type() != JsonValue::Type::Number ||
-                      Jobs->asNumber() < 0 ||
-                      Jobs->asNumber() != static_cast<double>(static_cast<size_t>(
-                                              Jobs->asNumber())));
+      // Range before the cast: converting a double past size_t's range
+      // is undefined.
+      double JobsVal = Jobs->asNumber();
+      bool BadJobs =
+          !Jobs->isNull() &&
+          (Jobs->type() != JsonValue::Type::Number ||
+           !(JobsVal >= 0 && JobsVal < 0x1p64) ||
+           JobsVal != static_cast<double>(static_cast<size_t>(JobsVal)));
       bool BadOptimize =
           !Optimize->isNull() && Optimize->type() != JsonValue::Type::Bool;
       bool BadShare =
           !Share->isNull() && Share->type() != JsonValue::Type::Bool;
       if (BadJobs || BadOptimize || BadShare ||
-          (Jobs->isNull() && Optimize->isNull() && Share->isNull() &&
-           !HaveStrat)) {
+          (Jobs->isNull() && Optimize->isNull() && Share->isNull())) {
         Resp.Ok = false;
         Resp.ErrorLine = LineNo;
         Resp.Error = "config needs 'jobs' (a non-negative integer), "
-                     "'optimize' and/or 'share_fixpoints' (booleans), "
-                     "and/or 'fixpoint_strategy' (a strategy name)";
+                     "'optimize' and/or 'share_fixpoints' (booleans)";
         Emit(Resp);
       } else {
         if (!Jobs->isNull())
-          Session.setJobs(static_cast<size_t>(Jobs->asNumber()));
+          Session.setJobs(static_cast<size_t>(JobsVal));
         if (!Optimize->isNull())
           Session.setOptimize(Optimize->asBool());
         if (!Share->isNull())
           Session.setShareFixpoints(Share->asBool());
-        if (HaveStrat)
-          Session.setFixpointStrategy(StratVal);
         JsonRef O = JsonValue::object();
         if (!Resp.Id.empty())
           O->set("id", JsonValue::string(Resp.Id));
@@ -798,9 +749,6 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
         O->set("optimize", JsonValue::boolean(Session.optimizeEnabled()));
         O->set("share_fixpoints",
                JsonValue::boolean(Session.shareFixpointsEnabled()));
-        O->set("fixpoint_strategy",
-               JsonValue::string(
-                   fixpointStrategyName(Session.fixpointStrategy())));
         ++Answered;
         Out << O->dump() << "\n";
       }

@@ -25,10 +25,10 @@
 /// deterministic — independent of the worker count and of the dispatch
 /// interleaving — because every context derives the same canonical
 /// problems and the solver itself is deterministic. The `cache`,
-/// `time_ms`, `iterations` and `strategy` fields describe *execution*
-/// (who hit the shared cache, how long the winning run took, how the
-/// fixpoint was scheduled) and may differ between a parallel and a
-/// serial cold run; textually identical requests are
+/// `time_ms`, `iterations` and `iterations_replayed` fields describe
+/// *execution* (who hit the shared cache, how long the winning run
+/// took, how much of the fixpoint was replayed) and may differ between
+/// a parallel and a serial cold run; textually identical requests are
 /// deduplicated before dispatch and reported exactly as a serial run
 /// would (first one solves, the rest are cache hits). On a warm session
 /// every field, timing included, is byte-identical at any job count.
@@ -78,18 +78,18 @@ bool requestFromJson(const JsonValue &Obj, AnalysisRequest &Req,
                      std::string &Error);
 
 /// Encodes a response as a JSON object (id, ok, error, holds,
-/// satisfiable, cache, lean, iterations, iterations_replayed, substeps,
-/// strategy, time_ms, model; optimize responses instead carry optimized,
-/// cost_before, cost_after, rewrites and the proof trace). `error` —
+/// satisfiable, cache, lean, iterations, iterations_replayed, time_ms,
+/// model; optimize responses instead carry optimized, cost_before,
+/// cost_after, rewrites and the proof trace). `error` —
 /// present exactly when ok is false — is a structured object
 /// {"code":...,"message":...}, extended with the 1-based input line and
 /// byte offset for protocol-level failures (malformed JSON, oversized
 /// lines); see errorObjectJson. With
 /// \p IncludeVolatile false the execution-dependent fields (cache,
-/// iterations, iterations_replayed, substeps, strategy, time_ms — in
-/// trace entries too) are omitted — the remaining payload is
-/// deterministic, which is what `xsolve batch --stable` uses to make
-/// output byte-comparable across job counts, strategies and runs.
+/// iterations, iterations_replayed, time_ms — in trace entries too) are
+/// omitted — the remaining payload is deterministic, which is what
+/// `xsolve batch --stable` uses to make output byte-comparable across
+/// job counts and runs.
 JsonRef responseToJson(const AnalysisResponse &Resp,
                        bool IncludeVolatile = true);
 

@@ -218,62 +218,6 @@ private:
   std::unordered_map<std::string, Entry> Map; ///< length-prefixed key
 };
 
-/// Thread-safe store of remembered per-lean fixpoint-strategy choices:
-/// the shared face of the solver's StrategyMemo that Auto mode consults
-/// (service/Context.h adapts it per context). Keyed by lean signature —
-/// the same label-abstracted key the fixpoint store uses — so one
-/// worker's resolution pins the strategy for every formula with that
-/// lean, across threads and (via AnalysisSession::saveCache/loadCache)
-/// across processes. Stored values are always concrete strategies,
-/// never Auto. One mutex, not shards: a lookup is a small map probe
-/// dwarfed by the solver run behind it, and entries are a few bytes.
-class StrategyChoiceStore {
-public:
-  /// Bounded like OptimizeSeedStore: past MaxEntries the map is flushed
-  /// wholesale rather than LRU-tracked.
-  static constexpr size_t MaxEntries = 1 << 16;
-
-  bool lookup(const std::string &LeanSig, FixpointStrategy &Out) const {
-    std::lock_guard<std::mutex> Lock(M);
-    auto It = Map.find(LeanSig);
-    if (It == Map.end())
-      return false;
-    Out = It->second;
-    return true;
-  }
-
-  /// First writer wins: a remembered choice is never overwritten, so
-  /// racing workers (and reloaded persistent entries) converge on one
-  /// strategy per lean regardless of arrival order.
-  void remember(const std::string &LeanSig, FixpointStrategy S) {
-    std::lock_guard<std::mutex> Lock(M);
-    if (Map.size() >= MaxEntries && !Map.count(LeanSig))
-      Map.clear();
-    Map.emplace(LeanSig, S);
-  }
-
-  void forEachEntry(const std::function<void(const std::string &LeanSig,
-                                             FixpointStrategy S)> &Fn) const {
-    std::lock_guard<std::mutex> Lock(M);
-    for (const auto &[Sig, S] : Map)
-      Fn(Sig, S);
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return Map.size();
-  }
-
-  void clear() {
-    std::lock_guard<std::mutex> Lock(M);
-    Map.clear();
-  }
-
-private:
-  mutable std::mutex M;
-  std::unordered_map<std::string, FixpointStrategy> Map;
-};
-
 } // namespace xsa
 
 #endif // XSA_SERVICE_CACHE_H

@@ -43,8 +43,7 @@ AnalysisContext::AnalysisContext(const SolverOptions &BaseOpts,
                                  ShardedResultCache *SharedCache,
                                  AtomicSessionStats *SharedStats,
                                  SharedFixpointStore *SharedFixpoints,
-                                 OptimizeSeedStore *SharedOptimizeSeeds,
-                                 StrategyChoiceStore *SharedStrategyChoices)
+                                 OptimizeSeedStore *SharedOptimizeSeeds)
     : Opts(BaseOpts), Stats(SharedStats), OptimizeSeeds(SharedOptimizeSeeds) {
   if (SharedCache) {
     CacheAdapter = std::make_unique<SharedCacheAdapter>(FF, *SharedCache);
@@ -58,22 +57,12 @@ AnalysisContext::AnalysisContext(const SolverOptions &BaseOpts,
   } else {
     Opts.Fixpoints = nullptr;
   }
-  if (SharedStrategyChoices) {
-    StrategyChoices =
-        std::make_unique<StrategyMemoAdapter>(*SharedStrategyChoices);
-    Opts.StrategyChoices = StrategyChoices.get();
-  } else {
-    Opts.StrategyChoices = nullptr;
-  }
   if (Stats) {
     Opts.StatsHook = [this](const SolverStats &S) {
       // Relaxed tallies; see the memory-order note in the header.
       Stats->Solves.fetch_add(1, std::memory_order_relaxed);
       Stats->SolverIterations.fetch_add(S.Iterations,
                                         std::memory_order_relaxed);
-      Stats->SolverSubSteps.fetch_add(S.SubSteps, std::memory_order_relaxed);
-      Stats->StrategyRuns[static_cast<size_t>(S.StrategyUsed)].fetch_add(
-          1, std::memory_order_relaxed);
       Stats->SolverTimeUs.fetch_add(static_cast<size_t>(S.TimeMs * 1000.0),
                                     std::memory_order_relaxed);
       if (S.IterationsReplayed) {
@@ -103,18 +92,6 @@ bool AnalysisContext::shareFixpoints() const {
 void AnalysisContext::setShareFixpoints(bool On) {
   if (Fixpoints)
     Fixpoints->On = On;
-}
-
-void AnalysisContext::setFixpointStrategy(FixpointStrategy S) {
-  if (Opts.Strategy == S)
-    return;
-  Opts.Strategy = S;
-  // The Analyzer and raw solver copy Opts at construction; rebuild them
-  // so the new strategy takes effect. The adapters, memos and shared
-  // fronts all live in the context and stay wired through the pointers
-  // already in Opts.
-  An = std::make_unique<Analyzer>(FF, Opts);
-  RawSolver = std::make_unique<BddSolver>(FF, Opts);
 }
 
 ExprRef AnalysisContext::query(const std::string &XPath, std::string &Error) {

@@ -43,7 +43,6 @@
 #include "service/FixpointStore.h"
 #include "xtype/Dtd.h"
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -83,12 +82,6 @@ struct AtomicSessionStats {
   /// iterate, and the total iterates replayed (Upd images skipped).
   std::atomic<size_t> FixpointSeededRuns{0};
   std::atomic<size_t> FixpointIterationsReplayed{0};
-  /// Fixpoint scheduling: total relational-image sub-steps, and actual
-  /// solver runs by the concrete strategy the run executed (indexed by
-  /// FixpointStrategy; Auto always resolves before the run, so slot 3
-  /// stays zero and only exists to make the indexing total).
-  std::atomic<size_t> SolverSubSteps{0};
-  std::array<std::atomic<size_t>, 4> StrategyRuns{};
 };
 
 /// A single-threaded solver context: factory, parser/DTD memos, Analyzer
@@ -103,9 +96,7 @@ public:
                            ShardedResultCache *SharedCache = nullptr,
                            AtomicSessionStats *SharedStats = nullptr,
                            SharedFixpointStore *SharedFixpoints = nullptr,
-                           OptimizeSeedStore *SharedOptimizeSeeds = nullptr,
-                           StrategyChoiceStore *SharedStrategyChoices =
-                               nullptr);
+                           OptimizeSeedStore *SharedOptimizeSeeds = nullptr);
   AnalysisContext(const AnalysisContext &) = delete;
   AnalysisContext &operator=(const AnalysisContext &) = delete;
 
@@ -177,16 +168,6 @@ public:
   bool shareFixpoints() const;
   void setShareFixpoints(bool On);
 
-  /// Fixpoint scheduling strategy (SolverOptions::Strategy; see
-  /// solver/BddSolver.h). Auto resolves per lean through the shared
-  /// StrategyChoiceStore when one was wired in. The Analyzer and the
-  /// raw solver copy their options at construction, so changing the
-  /// strategy rebuilds both — cheap (the memos and shared fronts live
-  /// in the context and survive), but like the other toggles not
-  /// thread-safe against a running batch.
-  FixpointStrategy fixpointStrategy() const { return Opts.Strategy; }
-  void setFixpointStrategy(FixpointStrategy S);
-
 private:
   /// Bridges the solver's pointer-keyed ResultCache interface to the
   /// session's text-keyed ShardedResultCache. The canonical text of each
@@ -239,30 +220,12 @@ private:
     SharedFixpointStore &Shared;
   };
 
-  /// Bridges the solver's StrategyMemo hook (Auto-mode per-lean
-  /// choices) to the session's shared StrategyChoiceStore.
-  class StrategyMemoAdapter : public StrategyMemo {
-  public:
-    explicit StrategyMemoAdapter(StrategyChoiceStore &Shared)
-        : Shared(Shared) {}
-    bool lookup(const std::string &LeanSig, FixpointStrategy &Out) override {
-      return Shared.lookup(LeanSig, Out);
-    }
-    void remember(const std::string &LeanSig, FixpointStrategy S) override {
-      Shared.remember(LeanSig, S);
-    }
-
-  private:
-    StrategyChoiceStore &Shared;
-  };
-
   FormulaFactory FF;
   SolverOptions Opts;
   AtomicSessionStats *Stats;            ///< may be null
   OptimizeSeedStore *OptimizeSeeds;     ///< may be null
   std::unique_ptr<SharedCacheAdapter> CacheAdapter;
   std::unique_ptr<FixpointAdapter> Fixpoints;
-  std::unique_ptr<StrategyMemoAdapter> StrategyChoices;
   std::unique_ptr<Analyzer> An;
   std::unique_ptr<BddSolver> RawSolver;
 

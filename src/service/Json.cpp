@@ -3,6 +3,7 @@
 #include "service/Json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -139,8 +140,14 @@ std::string JsonValue::dump() const {
   case Type::Bool:
     return B ? "true" : "false";
   case Type::Number: {
+    // JSON has no infinities (strtod turns "1e400" into one); print
+    // them as null, as JavaScript does, rather than as invalid JSON.
+    if (!std::isfinite(Num))
+      return "null";
     // Integers (the common case: counters, ids) print without a point.
-    if (Num == static_cast<double>(static_cast<long long>(Num))) {
+    // Range first: casting a double past long long's range is undefined.
+    if (std::fabs(Num) < 0x1p63 &&
+        Num == static_cast<double>(static_cast<long long>(Num))) {
       std::ostringstream OS;
       OS << static_cast<long long>(Num);
       return OS.str();

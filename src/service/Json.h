@@ -16,6 +16,7 @@
 #ifndef XSA_SERVICE_JSON_H
 #define XSA_SERVICE_JSON_H
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -83,6 +84,20 @@ JsonRef parseJson(const std::string &Text, std::string &Error,
 
 /// Escapes \p S as a JSON string literal including the quotes.
 std::string jsonQuote(const std::string &S);
+
+/// \p V truncated toward zero and clamped to T's range, with NaN reading
+/// as T's minimum. Numbers from clients go through this before an
+/// integer cast: a plain static_cast of a value outside the target's
+/// range — such as the infinity that "1e400" parses to — is undefined.
+template <typename T> T clampedInteger(double V) {
+  constexpr T Lo = std::numeric_limits<T>::min();
+  constexpr T Hi = std::numeric_limits<T>::max();
+  if (!(V > static_cast<double>(Lo)))
+    return Lo;
+  if (V >= static_cast<double>(Hi))
+    return Hi;
+  return static_cast<T>(V);
+}
 
 } // namespace xsa
 

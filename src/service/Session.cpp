@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <thread>
 
 using namespace xsa;
@@ -34,8 +36,7 @@ size_t resolveJobs(size_t Jobs) {
 AnalysisSession::AnalysisSession(SessionOptions SOpts)
     : Opts(SOpts), Cache(SOpts.CacheCapacity, SOpts.CacheShards),
       Fixpoints(SOpts.FixpointCapacity, SOpts.CacheShards),
-      Main(SOpts.Solver, &Cache, &Counters, &Fixpoints, &OptSeeds,
-           &StratChoices) {
+      Main(SOpts.Solver, &Cache, &Counters, &Fixpoints, &OptSeeds) {
   Opts.Jobs = resolveJobs(Opts.Jobs);
   Main.setOptimizePrePass(Opts.Optimize);
   Main.setShareFixpoints(Opts.ShareFixpoints);
@@ -57,13 +58,6 @@ void AnalysisSession::setShareFixpoints(bool On) {
   Main.setShareFixpoints(On);
   for (auto &W : Workers)
     W->setShareFixpoints(On);
-}
-
-void AnalysisSession::setFixpointStrategy(FixpointStrategy S) {
-  Opts.Solver.Strategy = S;
-  Main.setFixpointStrategy(S);
-  for (auto &W : Workers)
-    W->setFixpointStrategy(S);
 }
 
 AnalysisResult AnalysisSession::emptiness(const ExprRef &E, Formula Chi) {
@@ -130,8 +124,7 @@ WorkerPool &AnalysisSession::pool() {
     Pool = std::make_unique<WorkerPool>(Opts.Jobs);
   while (Workers.size() < Opts.Jobs) {
     Workers.push_back(std::make_unique<AnalysisContext>(
-        Opts.Solver, &Cache, &Counters, &Fixpoints, &OptSeeds,
-        &StratChoices));
+        Opts.Solver, &Cache, &Counters, &Fixpoints, &OptSeeds));
     Workers.back()->setOptimizePrePass(Opts.Optimize);
     Workers.back()->setShareFixpoints(Opts.ShareFixpoints);
   }
@@ -143,12 +136,25 @@ WorkerPool &AnalysisSession::pool() {
 //===----------------------------------------------------------------------===//
 
 /// Persistent format versions. v1 carried result entries only; v2 adds
-/// fixpoint-store sequences ("fx"), optimized query forms ("oq") and —
-/// later, without a version bump, since readers skip line shapes they
-/// do not recognize — per-lean strategy choices ("st").
+/// fixpoint-store sequences ("fx") and optimized query forms ("oq").
+/// Readers skip line shapes they do not recognize, such as the per-lean
+/// strategy choices ("st") that earlier v2 writers appended.
 /// Bump CacheFormatVersion when a line shape changes incompatibly;
 /// loadCache rejects versions it does not know instead of guessing.
 static constexpr int CacheFormatVersion = 2;
+
+/// Reads field \p Key of a cache line into \p Out. False when the number
+/// lies outside T's range — a negative, huge or infinite value would
+/// make the integer cast undefined — so the caller drops the entry like
+/// any other corrupt one. A missing field reads as 0.
+template <typename T>
+static bool readCount(const JsonValue &Obj, const char *Key, T &Out) {
+  double V = Obj.get(Key)->asNumber();
+  if (!(V >= 0 && V < std::ldexp(1.0, std::numeric_limits<T>::digits)))
+    return false;
+  Out = static_cast<T>(V);
+  return true;
+}
 
 bool AnalysisSession::saveCache(const std::string &Path,
                                 std::string &Error) const {
@@ -216,36 +222,6 @@ bool AnalysisSession::saveCache(const std::string &Path,
     O->set("opt", JsonValue::string(T));
     Out << O->dump() << "\n";
   }
-  // Remembered per-lean Auto strategy choices, sorted for
-  // reproducibility like the optimize seeds. Readers predating this
-  // line shape skip it (no key they recognize), so the format version
-  // stays 2.
-  std::vector<std::pair<std::string, FixpointStrategy>> StratEntries;
-  StratChoices.forEachEntry([&](const std::string &Sig, FixpointStrategy S) {
-    StratEntries.push_back({Sig, S});
-  });
-  std::sort(StratEntries.begin(), StratEntries.end());
-  // Defensive dedupe: the store is keyed by signature so duplicates
-  // should be impossible, but a stray repeat (e.g. a hand-edited or
-  // concatenated cache file resaved) must not multiply "st" lines on
-  // every save/load cycle. The entries were just sorted by (signature,
-  // strategy), so a duplicated signature deterministically keeps its
-  // smallest strategy value — insertion order is already gone here (the
-  // store iterates a hash map), so "first remembered wins" cannot be
-  // reconstructed at save time; determinism is what matters for the
-  // reproducible-file contract.
-  StratEntries.erase(
-      std::unique(StratEntries.begin(), StratEntries.end(),
-                  [](const auto &A, const auto &B) {
-                    return A.first == B.first;
-                  }),
-      StratEntries.end());
-  for (const auto &[Sig, S] : StratEntries) {
-    JsonRef O = JsonValue::object();
-    O->set("st", JsonValue::string(Sig));
-    O->set("strategy", JsonValue::string(fixpointStrategyName(S)));
-    Out << O->dump() << "\n";
-  }
   if (!Out) {
     Error = "write error on cache file " + Path;
     return false;
@@ -280,8 +256,9 @@ bool AnalysisSession::loadCache(const std::string &Path, std::string &Error) {
         return false;
       }
       double V = Version->asNumber();
-      if (V != static_cast<double>(static_cast<int>(V)) || V < 1 ||
-          V > CacheFormatVersion) {
+      // Range before the integer cast, which is undefined past int.
+      if (V < 1 || V > CacheFormatVersion ||
+          V != static_cast<double>(static_cast<int>(V))) {
         // A future (or corrupt) version would parse as garbage line by
         // line; refuse it outright rather than half-load it.
         Error = Path + ": unsupported cache format version";
@@ -310,10 +287,9 @@ bool AnalysisSession::loadCache(const std::string &Path, std::string &Error) {
           }
           Data->Snapshots.push_back(std::move(Snap));
         }
-      if (!Bad && !Data->Snapshots.empty())
-        Fixpoints.publish(FxSig, static_cast<uint32_t>(
-                                     Obj->get("o")->asNumber()),
-                          std::move(Data));
+      uint32_t OptsKey = 0;
+      if (!Bad && !Data->Snapshots.empty() && readCount(*Obj, "o", OptsKey))
+        Fixpoints.publish(FxSig, OptsKey, std::move(Data));
       continue;
     }
     // Optimized query form (v2). An entry without a well-formed DTD
@@ -331,24 +307,17 @@ bool AnalysisSession::loadCache(const std::string &Path, std::string &Error) {
         OptSeeds.store(OptQuery, Obj->str("dtd"), Fp, OptText);
       continue;
     }
-    // Remembered strategy choice. An Auto or unrecognized strategy name
-    // is dropped: stored choices must be concrete.
-    std::string StratSig = Obj->str("st");
-    if (!StratSig.empty()) {
-      FixpointStrategy S;
-      if (parseFixpointStrategy(Obj->str("strategy"), S) &&
-          S != FixpointStrategy::Auto)
-        StratChoices.remember(StratSig, S);
-      continue;
-    }
     std::string Key = Obj->str("k");
     if (Key.empty())
       continue;
     SolverResult R;
+    uint32_t OptsKey = 0;
+    if (!readCount(*Obj, "o", OptsKey) ||
+        !readCount(*Obj, "lean", R.Stats.LeanSize) ||
+        !readCount(*Obj, "iter", R.Stats.Iterations) ||
+        !readCount(*Obj, "bdd", R.Stats.PeakBddNodes))
+      continue;
     R.Satisfiable = Obj->get("sat")->asBool();
-    R.Stats.LeanSize = static_cast<size_t>(Obj->get("lean")->asNumber());
-    R.Stats.Iterations = static_cast<size_t>(Obj->get("iter")->asNumber());
-    R.Stats.PeakBddNodes = static_cast<size_t>(Obj->get("bdd")->asNumber());
     R.Stats.TimeMs = Obj->get("time_ms")->asNumber();
     std::string ModelXml = Obj->str("model");
     if (!ModelXml.empty()) {
@@ -358,7 +327,7 @@ bool AnalysisSession::loadCache(const std::string &Path, std::string &Error) {
         continue; // corrupt model: drop the entry rather than lie
       R.Model = std::move(Doc);
     }
-    Cache.store(Key, static_cast<uint32_t>(Obj->get("o")->asNumber()), R);
+    Cache.store(Key, OptsKey, R);
   }
   if (!SawHeader) {
     Error = Path + " is not an xsa cache file";
@@ -395,8 +364,5 @@ SessionStats AnalysisSession::stats() const {
       Counters.FixpointSeededRuns.load(std::memory_order_relaxed);
   S.FixpointIterationsReplayed =
       Counters.FixpointIterationsReplayed.load(std::memory_order_relaxed);
-  S.SolverSubSteps = Counters.SolverSubSteps.load(std::memory_order_relaxed);
-  for (size_t I = 0; I < Counters.StrategyRuns.size(); ++I)
-    S.StrategyRuns[I] = Counters.StrategyRuns[I].load(std::memory_order_relaxed);
   return S;
 }

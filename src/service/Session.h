@@ -75,12 +75,6 @@ struct SessionStats {
   CacheStats Fixpoints;
   size_t FixpointSeededRuns = 0;
   size_t FixpointIterationsReplayed = 0;
-  /// Fixpoint scheduling: total relational-image sub-steps across all
-  /// runs, and actual solver runs by the concrete strategy executed
-  /// (indexed by FixpointStrategy; the Auto slot stays zero — Auto
-  /// always resolves to a concrete strategy before the run).
-  size_t SolverSubSteps = 0;
-  size_t StrategyRuns[4] = {0, 0, 0, 0};
 };
 
 /// Knobs of an AnalysisSession. Solver options are the per-context
@@ -186,12 +180,6 @@ public:
   bool shareFixpointsEnabled() const { return Opts.ShareFixpoints; }
   void setShareFixpoints(bool On);
 
-  /// The fixpoint scheduling strategy (SolverOptions::Strategy), applied
-  /// to every context; Auto resolves per lean through the shared
-  /// StrategyChoiceStore. Not thread-safe against a running batch.
-  FixpointStrategy fixpointStrategy() const { return Opts.Solver.Strategy; }
-  void setFixpointStrategy(FixpointStrategy S);
-
   /// The dispatcher's pool, sized to jobs() threads, with one warm
   /// AnalysisContext per worker. Lazily constructed on first use so
   /// jobs=1 sessions never spawn a thread.
@@ -209,17 +197,16 @@ public:
   /// version header {"xsa_cache":2}, then one entry per line — cached
   /// results ("k": canonical-text key, options fingerprint, verdict,
   /// stats, model XML), fixpoint-store sequences ("fx": lean signature,
-  /// options fingerprint, encoded snapshots), optimized query forms
-  /// ("oq"), and remembered per-lean fixpoint-strategy choices ("st").
-  /// Line shapes a reader does not recognize are skipped, so the "st"
-  /// lines did not bump the format version — older readers ignore them.
-  /// Returns false and sets \p Error on I/O failure.
+  /// options fingerprint, encoded snapshots) and optimized query forms
+  /// ("oq"). Returns false and sets \p Error on I/O failure.
   bool saveCache(const std::string &Path, std::string &Error) const;
 
   /// Loads entries saved by saveCache into the shared stores (counted as
   /// insertions, not hits). Format versions: 1 (results only) and 2 are
   /// read; an unknown version is rejected with a clear error instead of
-  /// being mis-parsed. Entries that fail to parse are skipped; returns
+  /// being mis-parsed. Line shapes it does not recognize (such as the
+  /// "st" lines older versions wrote) and entries that fail to parse or
+  /// carry an out-of-range number are skipped; returns
   /// false and sets \p Error only when the file is unreadable, not a
   /// cache file, or of an unsupported version. Safe to call on a warm
   /// session; existing entries are refreshed.
@@ -231,8 +218,6 @@ public:
   SharedFixpointStore &fixpointStore() { return Fixpoints; }
   /// The shared store of persisted optimized query forms.
   OptimizeSeedStore &optimizeSeeds() { return OptSeeds; }
-  /// The shared store of remembered per-lean Auto strategy choices.
-  StrategyChoiceStore &strategyChoices() { return StratChoices; }
 
   SessionStats stats() const;
 
@@ -241,7 +226,6 @@ private:
   ShardedResultCache Cache;
   SharedFixpointStore Fixpoints;
   OptimizeSeedStore OptSeeds;
-  StrategyChoiceStore StratChoices;
   AtomicSessionStats Counters;
   AnalysisContext Main;
   std::vector<std::unique_ptr<AnalysisContext>> Workers;

@@ -17,10 +17,8 @@
 #include "obs/Trace.h"
 #include "solver/Pipeline.h"
 
-#include <array>
 #include <cassert>
 #include <chrono>
-#include <optional>
 #include <utility>
 
 using namespace xsa;
@@ -54,32 +52,6 @@ Formula xsa::singleMarkFormula(FormulaFactory &FF) {
   return FF.mu({{Z, ZDef}, {O, ODef}}, FF.var(O));
 }
 
-const char *xsa::fixpointStrategyName(FixpointStrategy S) {
-  switch (S) {
-  case FixpointStrategy::Bfs:
-    return "bfs";
-  case FixpointStrategy::Chaining:
-    return "chaining";
-  case FixpointStrategy::Saturation:
-    return "saturation";
-  case FixpointStrategy::Auto:
-    return "auto";
-  }
-  return "bfs";
-}
-
-bool xsa::parseFixpointStrategy(const std::string &Name,
-                                FixpointStrategy &Out) {
-  for (FixpointStrategy S :
-       {FixpointStrategy::Bfs, FixpointStrategy::Chaining,
-        FixpointStrategy::Saturation, FixpointStrategy::Auto})
-    if (Name == fixpointStrategyName(S)) {
-      Out = S;
-      return true;
-    }
-  return false;
-}
-
 uint32_t xsa::solverOptionsKey(const SolverOptions &Opts) {
   uint32_t K = static_cast<uint32_t>(Opts.Order);
   K = (K << 1) | Opts.EarlyQuantification;
@@ -87,66 +59,16 @@ uint32_t xsa::solverOptionsKey(const SolverOptions &Opts) {
   K = (K << 1) | Opts.ExtractModel;
   K = (K << 1) | Opts.EarlyTermination;
   K = (K << 1) | Opts.RequireSingleRoot;
-  K = (K << 2) | static_cast<uint32_t>(Opts.Strategy);
-  return K;
+  // Two zero bits where earlier versions stored a scheduling choice, so
+  // persisted cache entries keep their keys.
+  return K << 2;
 }
 
 uint32_t xsa::fixpointOptionsKey(const SolverOptions &Opts) {
-  return fixpointOptionsKey(Opts, Opts.Strategy);
-}
-
-uint32_t xsa::fixpointOptionsKey(const SolverOptions &Opts,
-                                 FixpointStrategy Resolved) {
-  return (static_cast<uint32_t>(Resolved) << 1) | Opts.EarlyQuantification;
+  return Opts.EarlyQuantification;
 }
 
 namespace {
-
-/// Auto mode's pure heuristic: a function of the lean alone, so every
-/// worker (and every future session replaying the persistent cache)
-/// resolves the same lean to the same strategy. Small leans converge in
-/// a handful of rounds under any schedule, so the chains' confirm
-/// sub-steps are pure overhead; beyond that, a lean whose modal members
-/// skew toward ⟨2⟩ has the long sibling runs chaining collapses (one
-/// XML level is one ⟨1⟩ step plus a ⟨2⟩ chain in the binary encoding),
-/// while child-heavy leans deserve saturation's second phase.
-FixpointStrategy resolveAutoStrategy(const Lean &L) {
-  if (L.size() < 16)
-    return FixpointStrategy::Bfs;
-  size_t Sib = L.existsOfProgram(Program::Sibling).size();
-  size_t Chi = L.existsOfProgram(Program::Child).size();
-  return Sib >= Chi ? FixpointStrategy::Chaining
-                    : FixpointStrategy::Saturation;
-}
-
-/// `xsa_fixpoint_rounds_total{strategy=...}` / `..._substeps_total`:
-/// cumulative loop work by resolved strategy. Volatile for the same
-/// reason as the BDD tallies: at --jobs > 1 which duplicate request wins
-/// the result-cache race decides how many runs they cover.
-void tallyStrategyMetrics(FixpointStrategy S, size_t Rounds,
-                          size_t SubSteps) {
-  static const std::array<std::pair<Counter *, Counter *>, 3> ByStrategy =
-      [] {
-        std::array<std::pair<Counter *, Counter *>, 3> A{};
-        MetricRegistry &R = MetricRegistry::global();
-        for (size_t I = 0; I < A.size(); ++I) {
-          const char *Name =
-              fixpointStrategyName(static_cast<FixpointStrategy>(I));
-          A[I] = {&R.counter(labeledMetricName("xsa_fixpoint_rounds_total",
-                                               "strategy", Name),
-                             "Fixpoint rounds run, by strategy",
-                             /*Volatile=*/true),
-                  &R.counter(labeledMetricName("xsa_fixpoint_substeps_total",
-                                               "strategy", Name),
-                             "Fixpoint relational-image sub-steps, by strategy",
-                             /*Volatile=*/true)};
-        }
-        return A;
-      }();
-  auto &[RoundsC, SubStepsC] = ByStrategy[static_cast<size_t>(S)];
-  RoundsC->add(Rounds);
-  SubStepsC->add(SubSteps);
-}
 
 /// Exports a finished run's iterate sequence over lean-member indices.
 std::shared_ptr<const FixpointSeedData>
@@ -241,28 +163,12 @@ SolverResult BddSolver::solve(Formula Psi) {
   TransitionSystem TS(FF, Plan, Opts, M);
   ChiSpan.end();
 
-  // Resolve Auto to a concrete strategy before any fixpoint key is
-  // computed: stored sequences and remembered choices are both
-  // per-lean, and the resolved strategy is part of the store key (a Bfs
-  // seed must never replay into a Chaining run). A remembered choice
-  // wins over the heuristic so a session — and, via the persistent
-  // cache, a future session — keeps answering a lean the same way.
-  FixpointStrategy Strategy = Opts.Strategy;
-  if (Strategy == FixpointStrategy::Auto) {
-    if (!Opts.StrategyChoices ||
-        !Opts.StrategyChoices->lookup(Plan.signature(), Strategy)) {
-      Strategy = resolveAutoStrategy(Plan.lean());
-      if (Opts.StrategyChoices)
-        Opts.StrategyChoices->remember(Plan.signature(), Strategy);
-    }
-  }
-
-  // Seed lookup: a stored prefix of this lean's iterate sequence under
-  // the resolved strategy. The shared_ptr pins the entry for the whole
-  // run; the loop imports its snapshots lazily as it replays them.
+  // Seed lookup: a stored prefix of this lean's iterate sequence. The
+  // shared_ptr pins the entry for the whole run; the loop imports its
+  // snapshots lazily as it replays them.
   FixpointCache *Store =
       Opts.Fixpoints && Opts.Fixpoints->enabled() ? Opts.Fixpoints : nullptr;
-  uint32_t FpKey = fixpointOptionsKey(Opts, Strategy);
+  uint32_t FpKey = fixpointOptionsKey(Opts);
   std::shared_ptr<const FixpointSeedData> Seed;
   if (Store)
     Seed = Store->lookup(Plan.signature(), FpKey);
@@ -274,26 +180,19 @@ SolverResult BddSolver::solve(Formula Psi) {
     RootCond &= !TS.x(L.diamTopIndex(Program::Sibling));
   Bdd FinalCond = RootCond & TS.statusBdd(Phi, /*YCopy=*/false);
 
-  // Stage 3: the Upd iteration under the resolved strategy, replaying
-  // the seed first.
+  // Stage 3: the Upd iteration, replaying the seed first.
   Span FixSpan("solver.fixpoint");
-  if (FixSpan.active())
-    FixSpan.arg("strategy", fixpointStrategyName(Strategy));
   FixpointLoop Loop(TS);
-  FixpointLoop::Outcome Out = Loop.run(FinalCond, Seed.get(), Strategy);
+  FixpointLoop::Outcome Out = Loop.run(FinalCond, Seed.get());
   FixSpan.arg("iterations", static_cast<double>(Out.Iterations));
-  FixSpan.arg("substeps", static_cast<double>(Out.SubSteps));
   FixSpan.arg("replayed", static_cast<double>(Out.Replayed));
   FixSpan.end();
-  tallyStrategyMetrics(Strategy, Out.Iterations, Out.SubSteps);
 
   SolverResult Result;
   Result.Satisfiable = Out.Sat;
   Result.Stats.LeanSize = Plan.numBits();
   Result.Stats.Iterations = Out.Iterations;
   Result.Stats.IterationsReplayed = Out.Replayed;
-  Result.Stats.SubSteps = Out.SubSteps;
-  Result.Stats.StrategyUsed = Strategy;
   Result.Stats.PeakBddNodes = M.peakNodes();
 
   // Publish when this run extended what the store had (a run fully
@@ -306,35 +205,8 @@ SolverResult BddSolver::solve(Formula Psi) {
 
   if (Out.Sat && Opts.ExtractModel) {
     Span ExtractSpan("solver.extract");
-    const std::vector<Bdd> *ModelSnaps = &Loop.snapshots();
-    Bdd ModelFinal = Out.Final;
-    std::optional<FixpointLoop> BfsLoop;
-    if (Strategy != FixpointStrategy::Bfs) {
-      // The §7.2 reconstruction minimizes model depth against the
-      // iterate *history*, which is strategy-dependent even though the
-      // verdict and the fixpoint are not. Re-derive the Bfs history
-      // (replaying the store's Bfs-keyed sequence when one exists, and
-      // publishing it back otherwise) and extract from that, so the
-      // model is byte-identical across strategies. Satisfiable runs
-      // stop early, so this second loop is short; its rounds are
-      // extraction cost, not fixpoint cost, and stay out of Stats.
-      uint32_t BfsKey = fixpointOptionsKey(Opts, FixpointStrategy::Bfs);
-      std::shared_ptr<const FixpointSeedData> BfsSeed;
-      if (Store)
-        BfsSeed = Store->lookup(Plan.signature(), BfsKey);
-      BfsLoop.emplace(TS);
-      FixpointLoop::Outcome BfsOut =
-          BfsLoop->run(FinalCond, BfsSeed.get(), FixpointStrategy::Bfs);
-      assert(BfsOut.Sat && "verdict is strategy-invariant");
-      if (Store && BfsOut.Iterations > BfsOut.Replayed)
-        Store->publish(
-            Plan.signature(), BfsKey,
-            exportSequence(M, BfsLoop->snapshots(), BfsOut.Converged));
-      ModelSnaps = &BfsLoop->snapshots();
-      ModelFinal = BfsOut.Final;
-    }
-    ModelExtractor Extractor(TS, *ModelSnaps);
-    Result.Model = Extractor.extract(ModelFinal);
+    ModelExtractor Extractor(TS, Loop.snapshots());
+    Result.Model = Extractor.extract(Out.Final);
   }
   Result.Stats.TimeMs =
       std::chrono::duration<double, std::milli>(

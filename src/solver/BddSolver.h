@@ -56,50 +56,6 @@ namespace xsa {
 struct SolverResult;
 struct SolverStats;
 
-/// How FixpointLoop schedules the per-program relational images within
-/// the §7.1 iteration (see DESIGN.md "Strategy soundness"):
-///
-///  * Bfs        — the paper's loop: one full Upd image per round.
-///  * Chaining   — per round, compute the ⟨1⟩ (first-child) witness once
-///                 and then re-apply the ⟨2⟩ (sibling) product against
-///                 the freshest iterate until it stabilizes, so a whole
-///                 sibling chain collapses into one round (LTSmin-style
-///                 chaining adapted to the conjunction in Upd).
-///  * Saturation — chaining's sibling phase followed by a symmetric
-///                 child phase (sibling witness held), stabilizing the
-///                 "low" sibling dimension before propagating upward.
-///  * Auto       — resolve a concrete strategy per lean signature from
-///                 the lean's size and label mix (and a StrategyMemo,
-///                 when installed) before the run starts. Never reaches
-///                 the loop itself.
-///
-/// Every strategy computes the same least fixpoint and the same verdict
-/// and model; only the iterate sequence (and hence the round count)
-/// differs, which is why stored sequences are keyed by the resolved
-/// strategy (fixpointOptionsKey).
-enum class FixpointStrategy : uint8_t { Bfs, Chaining, Saturation, Auto };
-
-/// Stable lowercase name ("bfs", "chaining", "saturation", "auto") used
-/// in JSON responses, span labels, CLI flags and the persistent cache.
-const char *fixpointStrategyName(FixpointStrategy S);
-
-/// Parses a fixpointStrategyName back; returns false (leaving \p Out
-/// untouched) on any other spelling.
-bool parseFixpointStrategy(const std::string &Name, FixpointStrategy &Out);
-
-/// Remembered per-lean strategy choices consulted by Auto mode. Keys are
-/// lean signatures (the same label-abstracted signature the fixpoint
-/// store uses). Implementations live above the solver (see
-/// service/Cache.h) and must be safe to call from whatever thread
-/// solve() runs on. Stored values are always concrete (never Auto).
-class StrategyMemo {
-public:
-  virtual ~StrategyMemo() = default;
-  /// True and sets \p Out when a choice is remembered for \p LeanSig.
-  virtual bool lookup(const std::string &LeanSig, FixpointStrategy &Out) = 0;
-  virtual void remember(const std::string &LeanSig, FixpointStrategy S) = 0;
-};
-
 /// Semantic result cache consulted by BddSolver::solve when installed in
 /// SolverOptions. Keys are canonical formulas (FormulaFactory::
 /// canonicalize), so α-equivalent queries share an entry, plus the
@@ -211,27 +167,13 @@ struct SolverOptions {
   /// so, like Cache and StatsHook, Fixpoints is excluded from the
   /// options fingerprint.
   FixpointCache *Fixpoints = nullptr;
-  /// Fixpoint scheduling strategy. Auto resolves to a concrete strategy
-  /// per lean signature before the loop runs (consulting StrategyChoices
-  /// when installed, else a pure heuristic over the lean). The verdict
-  /// and model are strategy-invariant; the Iterations stat is not.
-  FixpointStrategy Strategy = FixpointStrategy::Bfs;
-  /// Optional store of remembered per-lean Auto choices, not owned.
-  /// Ignored unless Strategy == Auto. Runs on the solving thread, same
-  /// thread-safety contract as Cache/Fixpoints. Excluded from the
-  /// options fingerprints: a remembered choice only fixes which concrete
-  /// strategy Auto resolves to, which is already what the fingerprints
-  /// key on.
-  StrategyMemo *StrategyChoices = nullptr;
 };
 
 /// Fingerprint of the semantically relevant option bits, used to key
-/// cached results. Cache, StatsHook, Fixpoints and StrategyChoices are
-/// deliberately excluded. The *configured* Strategy (Auto included, as
-/// its own value) is folded in: the verdict and model are
-/// strategy-invariant, but the Iterations stat a cached result replays
-/// is not, and an Auto run's resolution may differ from any fixed
-/// strategy's.
+/// cached results. Cache, StatsHook and Fixpoints are deliberately
+/// excluded. The two low bits are always zero: they are kept so that
+/// entries persisted by earlier versions, which stored a scheduling
+/// choice there (zero for the paper's loop), keep their keys.
 uint32_t solverOptionsKey(const SolverOptions &Opts);
 
 /// Fingerprint used to key fixpoint-store entries: only the bits that
@@ -241,36 +183,17 @@ uint32_t solverOptionsKey(const SolverOptions &Opts);
 /// reconstruction, and how *far* the sequence is followed — none of
 /// which changes an iterate's value — so runs differing in those share
 /// sequences freely. EarlyQuantification is kept out of caution (both
-/// modes compute the same relational product). The *resolved* strategy
-/// IS part of the key: each strategy walks a different iterate sequence
-/// to the same fixpoint, so a Bfs seed must never replay into a
-/// Chaining run (solve() resolves Auto before computing the key; the
-/// one-argument form keys on Opts.Strategy as-is).
+/// modes compute the same relational product).
 uint32_t fixpointOptionsKey(const SolverOptions &Opts);
-uint32_t fixpointOptionsKey(const SolverOptions &Opts,
-                            FixpointStrategy Resolved);
 
 struct SolverStats {
   size_t LeanSize = 0;
-  /// Fixpoint rounds. Under Bfs one round is one Upd image (the §7.1
-  /// iteration count); under Chaining/Saturation one round is one pass
-  /// of the strategy's sub-step schedule, so the count measures how
-  /// often the loop returned to a fresh full image — the number the
-  /// strategies exist to reduce.
+  /// Upd images of the §7.1 iteration.
   size_t Iterations = 0;
-  /// Of Iterations, how many rounds were replayed in full from a
-  /// fixpoint-store seed rather than computed (0 for an unseeded run; a
-  /// round the seed only partially covered counts as computed).
-  /// Iterations itself is seed-independent — it always reports the
-  /// cold-equivalent count.
+  /// Of Iterations, how many were replayed from a fixpoint-store seed
+  /// rather than computed (0 for an unseeded run). Iterations itself is
+  /// seed-independent — it always reports the cold-equivalent count.
   size_t IterationsReplayed = 0;
-  /// Relational-image sub-steps across all rounds: equals Iterations
-  /// under Bfs, and is larger under Chaining/Saturation (each round
-  /// runs several cheaper single-program products).
-  size_t SubSteps = 0;
-  /// The concrete strategy the run executed (what Auto resolved to;
-  /// never FixpointStrategy::Auto).
-  FixpointStrategy StrategyUsed = FixpointStrategy::Bfs;
   size_t PeakBddNodes = 0;
   double TimeMs = 0;
 };

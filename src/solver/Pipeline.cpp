@@ -248,178 +248,58 @@ Bdd TransitionSystem::witnessEarlyQuantified(Program A, const Bdd &TY) {
 //===----------------------------------------------------------------------===//
 
 FixpointLoop::Outcome FixpointLoop::run(const Bdd &FinalCond,
-                                        const FixpointSeedData *Seed,
-                                        FixpointStrategy Strategy) {
-  assert(Strategy != FixpointStrategy::Auto &&
-         "BddSolver resolves Auto before the loop runs");
+                                        const FixpointSeedData *Seed) {
   BddManager &M = TS.manager();
   bool EarlyTermination = TS.options().EarlyTermination;
   Outcome Out;
   Out.Final = M.zero();
   Bdd T = M.zero();
-  size_t SeedIdx = 0;
   size_t SeedLen = Seed ? Seed->Snapshots.size() : 0;
-
-  // One sub-step's iterate: while the seed lasts, the stored iterate
-  // stands in for the computed one. By lean-determinism of the sub-step
-  // operators (each is a function of the lean and the schedule position
-  // alone) this is the value \p Compute would have produced, so
-  // everything downstream — the early-termination check, the chain and
-  // convergence tests, the snapshot record — behaves exactly as in a
-  // cold run. Imported lazily: an early exit on replayed iterate i
-  // never materializes the tables past i. Stored variables are
-  // lean-member indices; the manager's unprimed copy of bit I is
-  // variable 2I, remapped on the fly so the shared table is never
-  // cloned. RoundReplayed tracks whether the current round came
-  // entirely from the seed (Outcome::Replayed counts whole rounds).
-  bool RoundReplayed = true;
-  auto NextIterate = [&](auto &&Compute) -> Bdd {
-    ++Out.SubSteps;
-    if (SeedIdx < SeedLen)
-      return importSnapshot(M, Seed->Snapshots[SeedIdx++],
-                            [](unsigned V) { return 2 * V; });
-    RoundReplayed = false;
-    return Compute();
-  };
-  // Records a sub-step's iterate and applies the per-sub-step early-
-  // termination check; true means a satisfiable exit.
-  auto Record = [&](const Bdd &TNext) -> bool {
-    Snapshots.push_back(TNext);
-    if (!EarlyTermination)
-      return false;
-    Out.Final = TNext & FinalCond;
-    if (Out.Final.isZero())
-      return false;
-    Out.Sat = true;
-    return true;
-  };
-  auto Converge = [&](const Bdd &TNext) {
-    Out.Converged = true;
-    if (!EarlyTermination) {
-      Out.Final = TNext & FinalCond;
-      Out.Sat = !Out.Final.isZero();
-    }
-  };
-
-  if (Strategy == FixpointStrategy::Bfs) {
-    // §7.1 verbatim: one full Upd image per round.
-    for (;;) {
-      Span RoundSpan("fixpoint.round");
-      if (RoundSpan.active()) {
-        RoundSpan.arg("round", static_cast<double>(Out.Iterations));
-        RoundSpan.arg("replayed", SeedIdx < SeedLen ? 1 : 0);
-        RoundSpan.arg("strategy", "bfs");
-      }
-      RoundReplayed = true;
-      Bdd TNext = NextIterate([&] {
-        Bdd TY = TS.shiftToY(T);
-        return T | (TS.typesBdd() & TS.witness(Program::Child, TY) &
-                    TS.witness(Program::Sibling, TY));
-      });
-      ++Out.Iterations;
-      if (RoundReplayed)
-        ++Out.Replayed;
-      if (Record(TNext))
-        break;
-      if (TNext == T) {
-        Converge(TNext);
-        break;
-      }
-      T = TNext;
-    }
-    return Out;
-  }
-
-  // Chaining / Saturation. Upd conjoins both programs' witnesses, so a
-  // per-label *union* chain (LTSmin's shape) would overshoot the lfp;
-  // instead a chain holds one program's witness at the value it had on
-  // the chain's base iterate and recomputes only the other. Since the
-  // base is ⊆ every later iterate and witnesses are monotone, each
-  // sub-step stays ⊆ Upd(current) ⊆ lfp while still ⊇ the sub-step
-  // before it — sound and inflationary (DESIGN.md "Strategy
-  // soundness"). The held witness is built at most once per chain, so
-  // each inner sub-step costs one relational product instead of Bfs's
-  // two, and is skipped entirely while the chain replays from a seed.
-  Bdd Base;                          // iterate the held witness covers
-  Bdd Held;                          // lazy: invalid until first needed
-  Program HeldProg = Program::Child; // which program Held is for
-  auto Rebase = [&](Program A, const Bdd &NewBase) {
-    Base = NewBase;
-    Held = Bdd();
-    HeldProg = A;
-  };
-  // The chain product: held witness of HeldProg, fresh witness of the
-  // other program, both conjoined with χTypes as in Upd.
-  auto ChainStep = [&](Program Chain) -> Bdd {
-    return NextIterate([&] {
-      if (!Held.valid())
-        Held = TS.witness(HeldProg, TS.shiftToY(Base));
-      return T | (TS.typesBdd() & Held & TS.witness(Chain, TS.shiftToY(T)));
-    });
-  };
-  // Runs a chain to stabilization. The terminating no-change iterate is
-  // recorded like any other: replay decides the chain's exit by
-  // comparing consecutive stored iterates, so the duplicate is part of
-  // the canonical sequence. Returns true on a satisfiable exit.
-  auto Saturate = [&](Program Chain, const char *Label) -> bool {
-    for (;;) {
-      Span SubSpan("fixpoint.substep");
-      if (SubSpan.active()) {
-        SubSpan.arg("round", static_cast<double>(Out.Iterations - 1));
-        SubSpan.arg("chain", Label);
-        SubSpan.arg("replayed", SeedIdx < SeedLen ? 1 : 0);
-      }
-      Bdd SNext = ChainStep(Chain);
-      if (Record(SNext))
-        return true;
-      bool Changed = SNext != T;
-      T = SNext;
-      if (!Changed)
-        return false;
-    }
-  };
-
-  const char *StratName =
-      Strategy == FixpointStrategy::Chaining ? "chaining" : "saturation";
+  // §7.1 verbatim: one full Upd image per round.
   for (;;) {
+    // While the seed lasts, the stored iterate stands in for the computed
+    // one. By lean-determinism of Upd this is the value the image would
+    // have produced, so everything downstream — the early-termination
+    // check, the convergence test, the snapshot record — behaves exactly
+    // as in a cold run. Imported lazily: an early exit on replayed
+    // iterate i never materializes the tables past i. Stored variables
+    // are lean-member indices; the manager's unprimed copy of bit I is
+    // variable 2I, remapped on the fly so the shared table is never
+    // cloned.
+    bool Replay = Out.Iterations < SeedLen;
     Span RoundSpan("fixpoint.round");
     if (RoundSpan.active()) {
       RoundSpan.arg("round", static_cast<double>(Out.Iterations));
-      RoundSpan.arg("replayed", SeedIdx < SeedLen ? 1 : 0);
-      RoundSpan.arg("strategy", StratName);
+      RoundSpan.arg("replayed", Replay ? 1 : 0);
     }
-    RoundReplayed = true;
+    Bdd TNext;
+    if (Replay) {
+      TNext = importSnapshot(M, Seed->Snapshots[Out.Iterations],
+                             [](unsigned V) { return 2 * V; });
+      ++Out.Replayed;
+    } else {
+      Bdd TY = TS.shiftToY(T);
+      TNext = T | (TS.typesBdd() & TS.witness(Program::Child, TY) &
+                   TS.witness(Program::Sibling, TY));
+    }
     ++Out.Iterations;
-    // The round opens with a full Upd image (child witness freshly
-    // rebased, sibling witness fresh): the convergence probe. A round
-    // whose opening image adds nothing has hit Upd's fixpoint — the
-    // later chains can only add subsets of Upd's additions.
-    Rebase(Program::Child, T);
-    Bdd TNext = ChainStep(Program::Sibling);
-    bool Exit = Record(TNext);
-    if (!Exit && TNext == T) {
-      Converge(TNext);
-      if (RoundReplayed)
-        ++Out.Replayed;
+    Snapshots.push_back(TNext);
+    if (EarlyTermination) {
+      Out.Final = TNext & FinalCond;
+      if (!Out.Final.isZero()) {
+        Out.Sat = true;
+        break;
+      }
+    }
+    if (TNext == T) {
+      Out.Converged = true;
+      if (!EarlyTermination) {
+        Out.Final = TNext & FinalCond;
+        Out.Sat = !Out.Final.isZero();
+      }
       break;
     }
     T = TNext;
-    // Sibling chain: re-apply the ⟨2⟩ product against the freshest
-    // iterate, child witness held, until a whole sibling run has been
-    // absorbed in this round.
-    if (!Exit)
-      Exit = Saturate(Program::Sibling, "sibling");
-    // Saturation also stabilizes the ⟨1⟩ dimension before re-probing:
-    // sibling witness rebased to the sibling-saturated iterate, child
-    // witness fresh per sub-step.
-    if (Strategy == FixpointStrategy::Saturation && !Exit) {
-      Rebase(Program::Sibling, T);
-      Exit = Saturate(Program::Child, "child");
-    }
-    if (RoundReplayed)
-      ++Out.Replayed;
-    if (Exit)
-      break;
   }
   return Out;
 }

@@ -19,19 +19,14 @@
 ///    concrete BddManager. Clause construction is lazy: a run whose
 ///    fixpoint is fully replayed from a seed never builds ∆a at all.
 ///
-///  * FixpointLoop (stage 3): the two-line Upd iteration of §7.1 with
-///    seed/snapshot hooks, scheduled by a FixpointStrategy: Bfs runs one
-///    full Upd image per round; Chaining and Saturation decompose a
-///    round into per-program sub-steps that reuse a held witness so
-///    whole sibling (and child) chains collapse into one round. All
-///    strategies reach the same least fixpoint (DESIGN.md "Strategy
-///    soundness"). A seed is a prefix of the lean's canonical per-
-///    strategy iterate sequence T^1, T^2, ...; the loop replays it —
-///    checking the final condition against each replayed iterate exactly
-///    as a cold run would — before computing further iterates. Replay is
-///    output-invisible: snapshots, verdict, model and iteration count
-///    are identical to a cold run (DESIGN.md proves why), only the
-///    expensive relational products are skipped.
+///  * FixpointLoop (stage 3): the two-line Upd iteration of §7.1 — one
+///    full Upd image per round — with seed/snapshot hooks. A seed is a
+///    prefix of the lean's canonical iterate sequence T^1, T^2, ...; the
+///    loop replays it — checking the final condition against each
+///    replayed iterate exactly as a cold run would — before computing
+///    further iterates. Replay is output-invisible: snapshots, verdict,
+///    model and iteration count are identical to a cold run (DESIGN.md
+///    proves why), only the expensive relational products are skipped.
 ///
 ///  * ModelExtractor (§7.2): top-down model reconstruction over the
 ///    retained snapshots.
@@ -134,35 +129,26 @@ public:
 
   struct Outcome {
     bool Sat = false;
-    /// TNext ∧ FinalCond of the terminating sub-step (zero when unsat).
+    /// TNext ∧ FinalCond of the terminating round (zero when unsat).
     Bdd Final;
-    /// Rounds taken — replay included, so this is the count a cold run
-    /// reports. One round is one Upd image under Bfs and one pass of
-    /// the sub-step schedule under Chaining/Saturation.
+    /// Upd images taken — replay included, so this is the count a cold
+    /// run reports.
     size_t Iterations = 0;
-    /// Of Iterations, how many rounds came entirely from the seed.
+    /// Of Iterations, how many came from the seed.
     size_t Replayed = 0;
-    /// Relational-image sub-steps across all rounds (== Iterations
-    /// under Bfs).
-    size_t SubSteps = 0;
     /// True when the loop ended by reaching Upd's fixpoint (as opposed
     /// to an early satisfiable exit).
     bool Converged = false;
   };
 
-  /// Runs the iteration under \p Strategy (must be a concrete strategy,
-  /// not Auto — the solver resolves Auto before the loop). \p Seed (may
-  /// be null) is a stored sequence of *sub-step* iterates recorded under
-  /// the same strategy; elements are imported into TS's manager lazily —
-  /// only when actually replayed, since an early-terminating run may
-  /// consume one iterate of a long sequence — and stand in for computed
-  /// iterates under the exact cold control flow (every control decision
-  /// is a pure function of the iterate values, so replay walks the same
-  /// rounds, phases and exits as the cold run; see DESIGN.md "Strategy
-  /// soundness"). Early termination follows
-  /// TS.options().EarlyTermination and is checked after every sub-step.
-  Outcome run(const Bdd &FinalCond, const FixpointSeedData *Seed,
-              FixpointStrategy Strategy = FixpointStrategy::Bfs);
+  /// Runs the iteration. \p Seed (may be null) is a stored iterate
+  /// sequence of the same lean; its elements are imported into TS's
+  /// manager lazily — only when actually replayed, since an
+  /// early-terminating run may consume one iterate of a long sequence —
+  /// and stand in for computed iterates under the exact cold control
+  /// flow. Early termination follows TS.options().EarlyTermination and
+  /// is checked after every round.
+  Outcome run(const Bdd &FinalCond, const FixpointSeedData *Seed);
 
   /// T^1, T^2, ... as retained for model reconstruction; identical to a
   /// cold run's sequence whether or not a seed was replayed.

@@ -22,8 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 using namespace xsa;
 
 namespace {
@@ -193,19 +191,16 @@ private:
   SharedFixpointStore &S;
 };
 
-/// Solves \p Text in a fresh factory with \p Store installed (or not)
-/// under the given fixpoint scheduling strategy.
+/// Solves \p Text in a fresh factory with \p Store installed (or not).
 SolverResult solveWith(const std::string &Text, FixpointCache *Store,
-                       FixpointStrategy Strategy = FixpointStrategy::Bfs,
-                       StrategyMemo *Memo = nullptr) {
+                       bool EarlyQuantification = true) {
   FormulaFactory FF;
   std::string Err;
   Formula F = parseFormula(FF, Text, Err);
   EXPECT_NE(F, nullptr) << Err;
   SolverOptions Opts;
   Opts.Fixpoints = Store;
-  Opts.Strategy = Strategy;
-  Opts.StrategyChoices = Memo;
+  Opts.EarlyQuantification = EarlyQuantification;
   BddSolver Solver(FF, Opts);
   return Solver.solve(F);
 }
@@ -295,179 +290,33 @@ TEST(FixpointSharing, DisabledAdapterSkipsTheStore) {
   EXPECT_EQ(Store.stats().Misses, 0u);
 }
 
-//===----------------------------------------------------------------------===//
-// Fixpoint scheduling strategies
-//===----------------------------------------------------------------------===//
-
-TEST(FixpointStrategy, VerdictAndModelAreStrategyIndependent) {
-  // One SAT formula (model extracted) and one UNSAT formula (full
-  // fixpoint), under every concrete strategy: the least fixpoint — and
-  // with it the verdict and the reconstructed model — must not depend
-  // on the iteration schedule.
-  const FixpointStrategy All[] = {FixpointStrategy::Bfs,
-                                  FixpointStrategy::Chaining,
-                                  FixpointStrategy::Saturation};
-  SolverResult SatBase = solveWith("<1>(a & <2>(b & <2>c))", nullptr);
-  SolverResult UnsatBase = solveWith("x & <-1>T & <-2>T", nullptr);
-  EXPECT_TRUE(SatBase.Satisfiable);
-  EXPECT_FALSE(UnsatBase.Satisfiable);
-  for (FixpointStrategy S : All) {
-    SolverResult Sat = solveWith("<1>(a & <2>(b & <2>c))", nullptr, S);
-    EXPECT_TRUE(Sat.Satisfiable) << fixpointStrategyName(S);
-    EXPECT_EQ(modelXml(Sat), modelXml(SatBase)) << fixpointStrategyName(S);
-    EXPECT_EQ(Sat.Stats.StrategyUsed, S);
-    SolverResult Unsat = solveWith("x & <-1>T & <-2>T", nullptr, S);
-    EXPECT_FALSE(Unsat.Satisfiable) << fixpointStrategyName(S);
-    EXPECT_EQ(Unsat.Stats.StrategyUsed, S);
-  }
-}
-
-TEST(FixpointStrategy, ChainingCollapsesSiblingRuns) {
-  // A sibling chain takes Bfs one round per <2> step; chaining saturates
-  // the run within a round, so it converges in strictly fewer rounds
-  // (paid for in extra sub-steps). Under Bfs, sub-steps == rounds.
-  const char *Chain = "<1>(a & <2>(b & <2>(c & <2>(d & <2>e))))";
-  SolverResult Bfs, Chained;
-  {
-    FormulaFactory FF;
-    std::string Err;
-    Formula F = parseFormula(FF, Chain, Err);
-    SolverOptions Opts;
-    Opts.EarlyTermination = false;
-    BddSolver Solver(FF, Opts);
-    Bfs = Solver.solve(F);
-  }
-  {
-    FormulaFactory FF;
-    std::string Err;
-    Formula F = parseFormula(FF, Chain, Err);
-    SolverOptions Opts;
-    Opts.EarlyTermination = false;
-    Opts.Strategy = FixpointStrategy::Chaining;
-    BddSolver Solver(FF, Opts);
-    Chained = Solver.solve(F);
-  }
-  EXPECT_EQ(Bfs.Satisfiable, Chained.Satisfiable);
-  EXPECT_EQ(Bfs.Stats.SubSteps, Bfs.Stats.Iterations);
-  EXPECT_LT(Chained.Stats.Iterations, Bfs.Stats.Iterations);
-  EXPECT_GE(Chained.Stats.SubSteps, Chained.Stats.Iterations);
-}
-
-TEST(FixpointStrategy, ReplayRefusesAMismatchedStrategyKey) {
-  // A sequence published under Chaining must never seed a Bfs run: the
-  // store keys on fixpointOptionsKey, which embeds the resolved
-  // strategy, so the Bfs run cold-misses and publishes its own entry.
-  // The shape is UNSAT so no model-extraction fallback publishes a
-  // second (Bfs-keyed) sequence behind our back.
+TEST(FixpointSharing, ReplayRefusesAMismatchedOptionsKey) {
+  // A sequence published with early quantification off must never seed
+  // a run with it on: the store keys on fixpointOptionsKey, which
+  // carries the EarlyQuantification bit, so the second run cold-misses
+  // and publishes its own entry. The shape is UNSAT so each run
+  // publishes exactly one converged sequence.
   SharedFixpointStore Store;
   StoreCache Cache(Store);
-  SolverResult First =
-      solveWith("x & <-1>T & <-2>T", &Cache, FixpointStrategy::Chaining);
+  SolverResult First = solveWith("x & <-1>T & <-2>T", &Cache,
+                                 /*EarlyQuantification=*/false);
   EXPECT_FALSE(First.Satisfiable);
   EXPECT_EQ(First.Stats.IterationsReplayed, 0u);
   EXPECT_EQ(Store.stats().Insertions, 1u);
 
-  SolverResult Second =
-      solveWith("y & <-1>T & <-2>T", &Cache, FixpointStrategy::Bfs);
+  SolverResult Second = solveWith("y & <-1>T & <-2>T", &Cache);
   EXPECT_EQ(Second.Stats.IterationsReplayed, 0u)
-      << "a chaining-keyed seed must not replay into a bfs run";
+      << "a sequence keyed without early quantification must not replay "
+         "into a run with it";
   EXPECT_EQ(Store.stats().Insertions, 2u)
-      << "the bfs run publishes under its own key";
+      << "the second run publishes under its own key";
 
-  // Same shape, same strategy: now it replays end to end.
-  SolverResult Third =
-      solveWith("z & <-1>T & <-2>T", &Cache, FixpointStrategy::Chaining);
+  // Same shape, same key: now it replays end to end.
+  SolverResult Third = solveWith("z & <-1>T & <-2>T", &Cache,
+                                 /*EarlyQuantification=*/false);
   EXPECT_FALSE(Third.Satisfiable);
   EXPECT_EQ(Third.Stats.IterationsReplayed, Third.Stats.Iterations);
   EXPECT_EQ(Third.Stats.Iterations, First.Stats.Iterations);
-}
-
-TEST(FixpointStrategy, ModelFallbackPublishesABfsSequence) {
-  // A SAT run under a chained strategy extracts its model from a Bfs
-  // fallback loop; that loop shares the store, so one chaining solve
-  // leaves both a chaining-keyed and a bfs-keyed sequence behind, and a
-  // later Bfs run replays the fallback's work.
-  SharedFixpointStore Store;
-  StoreCache Cache(Store);
-  SolverResult First =
-      solveWith("<1>(a & <2>b)", &Cache, FixpointStrategy::Chaining);
-  EXPECT_TRUE(First.Satisfiable);
-  EXPECT_EQ(Store.stats().Insertions, 2u)
-      << "chaining sequence plus the model fallback's bfs sequence";
-  SolverResult Second =
-      solveWith("<1>(p & <2>q)", &Cache, FixpointStrategy::Bfs);
-  EXPECT_GT(Second.Stats.IterationsReplayed, 0u);
-}
-
-TEST(FixpointStrategy, SeededChainingRunMatchesColdRun) {
-  // The sharing invariant holds per strategy: a chaining run seeded from
-  // a chaining-keyed sequence reports cold-equivalent rounds and model.
-  const char *Variants[] = {"<1>(a & <2>(b & <2>c))",
-                            "<1>(p & <2>(q & <2>r))"};
-  SolverResult Cold =
-      solveWith(Variants[1], nullptr, FixpointStrategy::Chaining);
-  SharedFixpointStore Store;
-  StoreCache Cache(Store);
-  solveWith(Variants[0], &Cache, FixpointStrategy::Chaining);
-  SolverResult Seeded =
-      solveWith(Variants[1], &Cache, FixpointStrategy::Chaining);
-  EXPECT_GT(Seeded.Stats.IterationsReplayed, 0u);
-  EXPECT_EQ(Seeded.Stats.Iterations, Cold.Stats.Iterations);
-  EXPECT_EQ(Seeded.Stats.SubSteps, Cold.Stats.SubSteps);
-  EXPECT_EQ(modelXml(Seeded), modelXml(Cold));
-}
-
-TEST(FixpointStrategy, AutoResolvesThroughTheMemo) {
-  class RecordingMemo : public StrategyMemo {
-  public:
-    bool lookup(const std::string &Sig, FixpointStrategy &Out) override {
-      ++Lookups;
-      auto It = Map.find(Sig);
-      if (It == Map.end())
-        return false;
-      Out = It->second;
-      return true;
-    }
-    void remember(const std::string &Sig, FixpointStrategy S) override {
-      Map.emplace(Sig, S);
-    }
-    size_t Lookups = 0;
-    std::map<std::string, FixpointStrategy> Map;
-  };
-  RecordingMemo Memo;
-  SolverResult R1 =
-      solveWith("<1>(a & <2>b)", nullptr, FixpointStrategy::Auto, &Memo);
-  EXPECT_NE(R1.Stats.StrategyUsed, FixpointStrategy::Auto)
-      << "Auto must resolve to a concrete strategy";
-  EXPECT_GE(Memo.Lookups, 1u);
-  ASSERT_EQ(Memo.Map.size(), 1u) << "the heuristic choice is remembered";
-
-  // Pin the memo to the other strategies: the remembered choice wins
-  // over the heuristic, and the run is keyed/executed accordingly. The
-  // model stays that of an unmemoized run of the same formula.
-  std::string PqModel = modelXml(solveWith("<1>(p & <2>q)", nullptr));
-  for (FixpointStrategy Pinned :
-       {FixpointStrategy::Saturation, FixpointStrategy::Bfs}) {
-    Memo.Map.begin()->second = Pinned;
-    SolverResult R = solveWith("<1>(p & <2>q)", nullptr,
-                               FixpointStrategy::Auto, &Memo);
-    EXPECT_EQ(R.Stats.StrategyUsed, Pinned);
-    EXPECT_EQ(modelXml(R), PqModel);
-  }
-}
-
-TEST(FixpointStrategy, NamesRoundTrip) {
-  const FixpointStrategy All[] = {
-      FixpointStrategy::Bfs, FixpointStrategy::Chaining,
-      FixpointStrategy::Saturation, FixpointStrategy::Auto};
-  for (FixpointStrategy S : All) {
-    FixpointStrategy Back;
-    ASSERT_TRUE(parseFixpointStrategy(fixpointStrategyName(S), Back));
-    EXPECT_EQ(Back, S);
-  }
-  FixpointStrategy Out;
-  EXPECT_FALSE(parseFixpointStrategy("dfs", Out));
-  EXPECT_FALSE(parseFixpointStrategy("", Out));
 }
 
 } // namespace

@@ -502,9 +502,11 @@ TEST(BatchProtocol, StableMetricsOpOmitsVolatileSections) {
 }
 
 TEST(BatchProtocol, UnknownConfigKeyIsRejectedStructurally) {
-  // A near-miss of a real switch, and a key the protocol no longer has.
+  // A near-miss of a real switch, and keys the protocol no longer has.
   const std::pair<const char *, const char *> Inputs[] = {
-      {"share_fixpoint", "true"}, {"bdd_backend", "\"parallel\""}};
+      {"share_fixpoint", "true"},
+      {"bdd_backend", "\"parallel\""},
+      {"fixpoint_strategy", "\"bfs\""}};
   for (const auto &[Key, Value] : Inputs) {
     SCOPED_TRACE(Key);
     AnalysisSession Session;
@@ -721,7 +723,6 @@ TEST(SlowQueryLog, ToJsonCarriesReproductionPayload) {
       "\"dtd\":\"xhtml\"}";
   R.Optimize = true;
   R.Share = true;
-  R.Strategy = "auto";
   JsonRef J = SlowQueryLog::toJson(R);
   // The request embeds as an object (re-parsed, not a quoted string) —
   // what `xsolve replay` re-executes.
@@ -734,7 +735,7 @@ TEST(SlowQueryLog, ToJsonCarriesReproductionPayload) {
   ASSERT_EQ(Cfg->type(), JsonValue::Type::Object);
   EXPECT_TRUE(Cfg->get("optimize")->asBool());
   EXPECT_TRUE(Cfg->get("share_fixpoints")->asBool());
-  EXPECT_EQ(Cfg->str("fixpoint_strategy"), "auto");
+  EXPECT_FALSE(Cfg->has("fixpoint_strategy"));
   EXPECT_FALSE(Cfg->has("bdd_backend"));
 }
 

@@ -241,6 +241,40 @@ TEST(Server, DeadlineExpiredInQueueIsRejectedStructurally) {
   EXPECT_EQ(Ns->DeadlineMisses.load(), 1u);
 }
 
+TEST(Server, DistantDeadlineMeansNoDeadline) {
+  // A deadline the steady clock cannot reach is no deadline. In
+  // nanoseconds 2e13 ms overflows uint64_t and "1e400" parses to
+  // infinity; neither may turn into an already-expired deadline. Huge
+  // priorities are clamped the same way.
+  ServerFixture F(stableServerOptions(1));
+  LineClient C = F.connect();
+  for (const char *Far : {"2e13", "1e400"}) {
+    SCOPED_TRACE(Far);
+    ASSERT_TRUE(C.sendLine(std::string("{\"id\":\"far\",\"op\":\"contains\","
+                                       "\"e1\":\"/a/b\",\"e2\":\"//b\","
+                                       "\"priority\":-1e300,\"deadline_ms\":") +
+                           Far + "}"));
+    std::string Resp;
+    ASSERT_TRUE(C.recvLine(Resp));
+    std::string Error;
+    JsonRef R = parseJson(Resp, Error);
+    ASSERT_NE(R, nullptr) << Error;
+    EXPECT_EQ(R->str("id"), "far");
+    EXPECT_TRUE(R->get("ok")->asBool()) << Resp;
+    EXPECT_TRUE(R->get("holds")->asBool()) << Resp;
+  }
+  EXPECT_EQ(F.Server.namespaceState("default")->DeadlineMisses.load(), 0u);
+  // Record counts past size_t's range are clamped, not cast.
+  for (const char *Op : {"slowlog", "log"}) {
+    SCOPED_TRACE(Op);
+    ASSERT_TRUE(C.sendLine(std::string("{\"id\":\"n\",\"op\":\"") + Op +
+                           "\",\"n\":1e400}"));
+    std::string Resp;
+    ASSERT_TRUE(C.recvLine(Resp));
+    EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos) << Resp;
+  }
+}
+
 TEST(Server, FullQueueRejectsWithOverloaded) {
   ServerOptions Opts = stableServerOptions(1);
   Opts.QueueLimit = 3;
@@ -392,31 +426,33 @@ TEST(Server, ProtocolHardeningMatchesBatchDriver) {
 }
 
 TEST(Server, NamespacesIsolateConfigNotResults) {
-  ServerOptions Opts = stableServerOptions(1);
-  Opts.DefaultStable = false; // volatile responses carry the strategy used
-  ServerFixture F(Opts);
+  ServerFixture F(stableServerOptions(1));
 
   LineClient A = F.connect();
   ASSERT_TRUE(A.sendLine("{\"op\":\"config\",\"ns\":\"team-a\","
-                         "\"fixpoint_strategy\":\"chaining\"}"));
+                         "\"optimize\":true}"));
   std::string Resp;
   ASSERT_TRUE(A.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ns\":\"team-a\""), std::string::npos);
-  EXPECT_NE(Resp.find("\"fixpoint_strategy\":\"chaining\""),
-            std::string::npos);
+  EXPECT_NE(Resp.find("\"optimize\":true"), std::string::npos) << Resp;
 
-  // team-a runs chaining; an untouched connection stays on the server
-  // default (bfs). Distinct queries so both actually solve.
+  // team-a runs with the optimize pre-pass; an untouched connection
+  // stays on the server default (off). Distinct queries so both
+  // actually solve.
   ASSERT_TRUE(A.sendLine("{\"id\":\"a\",\"op\":\"contains\","
                          "\"e1\":\"/na1/x\",\"e2\":\"//x\"}"));
   ASSERT_TRUE(A.recvLine(Resp));
-  EXPECT_NE(Resp.find("\"strategy\":\"chaining\""), std::string::npos);
+  EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos) << Resp;
 
   LineClient B = F.connect();
+  ASSERT_TRUE(B.sendLine("{\"op\":\"config\",\"ns\":\"default\"}"));
+  ASSERT_TRUE(B.recvLine(Resp));
+  EXPECT_NE(Resp.find("\"ns\":\"default\""), std::string::npos);
+  EXPECT_NE(Resp.find("\"optimize\":false"), std::string::npos) << Resp;
   ASSERT_TRUE(B.sendLine("{\"id\":\"b\",\"op\":\"contains\","
                          "\"e1\":\"/nb1/x\",\"e2\":\"//x\"}"));
   ASSERT_TRUE(B.recvLine(Resp));
-  EXPECT_NE(Resp.find("\"strategy\":\"bfs\""), std::string::npos);
+  EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos) << Resp;
 
   // Per-namespace accounting shows up in the metrics op.
   ASSERT_TRUE(B.sendLine("{\"id\":\"m\",\"op\":\"metrics\"}"));
@@ -433,28 +469,34 @@ TEST(Server, NamespacesIsolateConfigNotResults) {
 TEST(Server, UnknownConfigKeyIsRejectedStructurally) {
   ServerFixture F(stableServerOptions(1));
   LineClient C = F.connect();
-  // bdd_backend is not a config key (older servers accepted it); like
-  // any unknown key it is rejected rather than silently ignored.
-  ASSERT_TRUE(C.sendLine("{\"id\":\"c\",\"op\":\"config\","
-                         "\"bdd_backend\":\"parallel\"}"));
+  // Neither key is a config key (older servers accepted both); like any
+  // unknown key each is rejected rather than silently ignored.
+  const std::pair<const char *, const char *> Inputs[] = {
+      {"bdd_backend", "\"parallel\""}, {"fixpoint_strategy", "\"bfs\""}};
   std::string Resp;
-  ASSERT_TRUE(C.recvLine(Resp));
-  std::string Error;
-  JsonRef R = parseJson(Resp, Error);
-  ASSERT_NE(R, nullptr) << Error;
-  EXPECT_EQ(R->str("id"), "c");
-  EXPECT_FALSE(R->get("ok")->asBool());
-  JsonRef E = R->get("error");
-  ASSERT_EQ(E->type(), JsonValue::Type::Object);
-  EXPECT_EQ(E->str("code"), "unknown_config_key");
-  EXPECT_EQ(E->str("key"), "bdd_backend");
-  // The connection stays usable, and a valid config echo has no
-  // backend field.
+  for (const auto &[Key, Value] : Inputs) {
+    SCOPED_TRACE(Key);
+    ASSERT_TRUE(C.sendLine(std::string("{\"id\":\"c\",\"op\":\"config\",\"") +
+                           Key + "\":" + Value + "}"));
+    ASSERT_TRUE(C.recvLine(Resp));
+    std::string Error;
+    JsonRef R = parseJson(Resp, Error);
+    ASSERT_NE(R, nullptr) << Error;
+    EXPECT_EQ(R->str("id"), "c");
+    EXPECT_FALSE(R->get("ok")->asBool());
+    JsonRef E = R->get("error");
+    ASSERT_EQ(E->type(), JsonValue::Type::Object);
+    EXPECT_EQ(E->str("code"), "unknown_config_key");
+    EXPECT_EQ(E->str("key"), Key);
+  }
+  // The connection stays usable, and a valid config echo has neither
+  // field.
   ASSERT_TRUE(C.sendLine("{\"id\":\"ok\",\"op\":\"config\","
                          "\"optimize\":false}"));
   ASSERT_TRUE(C.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos) << Resp;
   EXPECT_EQ(Resp.find("bdd_backend"), std::string::npos) << Resp;
+  EXPECT_EQ(Resp.find("fixpoint_strategy"), std::string::npos) << Resp;
 }
 
 //===----------------------------------------------------------------------===//

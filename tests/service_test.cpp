@@ -302,7 +302,8 @@ TEST(Batch, SharedDtdCompiledOnce) {
 TEST(Json, ParseAndDumpRoundTrip) {
   std::string Err;
   JsonRef V = parseJson(
-      R"({"op":"cover","id":"qA","others":["//a","//b"],"n":3,"t":true})",
+      R"({"op":"cover","id":"qA","others":["//a","//b"],"n":3,"t":true,)"
+      R"("big":-1e300,"inf":1e400})",
       Err);
   ASSERT_NE(V, nullptr) << Err;
   EXPECT_EQ(V->str("op"), "cover");
@@ -312,10 +313,13 @@ TEST(Json, ParseAndDumpRoundTrip) {
   EXPECT_TRUE(V->get("t")->asBool());
   EXPECT_TRUE(V->get("missing")->isNull());
 
-  // dump() emits valid JSON that re-parses to the same shape.
+  // dump() emits valid JSON that re-parses to the same shape. JSON has
+  // no infinity, so the one "1e400" parses to dumps as null.
   JsonRef Again = parseJson(V->dump(), Err);
   ASSERT_NE(Again, nullptr) << Err;
   EXPECT_EQ(Again->dump(), V->dump());
+  EXPECT_EQ(Again->get("big")->asNumber(), -1e300);
+  EXPECT_TRUE(Again->get("inf")->isNull());
 }
 
 TEST(Json, EscapeRoundTripsEverySingleByte) {
@@ -871,11 +875,16 @@ TEST(ParallelBatch, ConfigLineSwitchesJobsMidStream) {
   EXPECT_TRUE(Resps[2]->get("ok")->asBool());
   EXPECT_EQ(Session.jobs(), 3u);
 
-  // A config line without 'jobs' is an error response, not a stop.
+  // A config line without 'jobs', or with a count no size_t holds, is
+  // an error response, not a stop.
   std::vector<JsonRef> Bad =
-      runLines(Session, R"({"op":"config"})" "\n");
-  ASSERT_EQ(Bad.size(), 1u);
-  EXPECT_FALSE(Bad[0]->get("ok")->asBool());
+      runLines(Session, R"({"op":"config"})" "\n"
+                        R"({"op":"config","jobs":1e30})" "\n"
+                        R"({"op":"config","jobs":-1})" "\n");
+  ASSERT_EQ(Bad.size(), 3u);
+  for (const JsonRef &R : Bad)
+    EXPECT_FALSE(R->get("ok")->asBool());
+  EXPECT_EQ(Session.jobs(), 3u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1138,132 +1147,103 @@ TEST(PersistentCache, OptimizedFormsAreKeyedToDtdContent) {
   std::remove(DtdPath.c_str());
 }
 
-//===----------------------------------------------------------------------===//
-// Fixpoint scheduling strategies (service surface)
-//===----------------------------------------------------------------------===//
-
-TEST(FixpointStrategyService, StableOutputByteIdenticalAcrossStrategiesAndJobs) {
-  // The acceptance criterion of the strategy engine: --stable responses
-  // (verdict, lean, model) must be byte-identical under every strategy,
-  // Auto included, at jobs 1 and 4.
-  std::string Input = nearDuplicateInput(4);
-  AnalysisSession Base;
-  std::string Expected = runLinesRaw(Base, Input, /*Stable=*/true);
-  for (FixpointStrategy S :
-       {FixpointStrategy::Bfs, FixpointStrategy::Chaining,
-        FixpointStrategy::Saturation, FixpointStrategy::Auto}) {
-    for (size_t Jobs : {1, 4}) {
-      SessionOptions SOpts;
-      SOpts.Solver.Strategy = S;
-      SOpts.Jobs = Jobs;
-      AnalysisSession Session(SOpts);
-      std::string Got = runLinesRaw(Session, Input, /*Stable=*/true);
-      EXPECT_EQ(Expected, Got)
-          << fixpointStrategyName(S) << " at jobs=" << Jobs;
-    }
-  }
-}
-
-TEST(FixpointStrategyService, ConfigLineSwitchesStrategyMidStream) {
-  AnalysisSession Session;
-  EXPECT_EQ(Session.fixpointStrategy(), FixpointStrategy::Bfs);
-  std::vector<JsonRef> Resps = runLines(
-      Session,
-      "{\"id\":\"cfg\",\"op\":\"config\",\"fixpoint_strategy\":"
-      "\"chaining\"}\n" +
-          nearDuplicateInput(2));
-  ASSERT_GE(Resps.size(), 2u);
-  EXPECT_TRUE(Resps[0]->get("ok")->asBool());
-  EXPECT_EQ(Resps[0]->str("fixpoint_strategy"), "chaining");
-  EXPECT_EQ(Session.fixpointStrategy(), FixpointStrategy::Chaining);
-  // Every solver run after the switch executed under Chaining, and the
-  // cumulative stats say so.
-  SessionStats S = Session.stats();
-  EXPECT_GT(S.Solves, 0u);
-  EXPECT_EQ(S.StrategyRuns[static_cast<size_t>(FixpointStrategy::Chaining)],
-            S.Solves);
-  EXPECT_GT(S.SolverSubSteps, 0u);
-  EXPECT_GE(S.SolverSubSteps, S.SolverIterations)
-      << "chained rounds take at least one sub-step each";
-}
-
-TEST(FixpointStrategyService, InvalidStrategyValueIsStructurallyRejected) {
-  AnalysisSession Session;
-  std::vector<JsonRef> Resps = runLines(
-      Session,
-      "{\"id\":\"bad\",\"op\":\"config\",\"fixpoint_strategy\":"
-      "\"chainning\"}\n"
-      "{\"id\":\"worse\",\"op\":\"config\",\"fixpoint_strategy\":7}\n");
-  ASSERT_EQ(Resps.size(), 2u);
-  for (const JsonRef &R : Resps) {
-    EXPECT_FALSE(R->get("ok")->asBool());
-    JsonRef E = R->get("error");
-    ASSERT_EQ(E->type(), JsonValue::Type::Object);
-    EXPECT_EQ(E->str("code"), "invalid_config_value");
-    EXPECT_EQ(E->str("key"), "fixpoint_strategy");
-    EXPECT_NE(E->str("message").find("expected bfs"), std::string::npos);
-  }
-  EXPECT_EQ(Resps[0]->get("error")->str("value"), "chainning");
-  // The typo must not have left a half-applied strategy in force.
-  EXPECT_EQ(Session.fixpointStrategy(), FixpointStrategy::Bfs);
-
-  // Volatile responses carry the strategy actually used per request.
-  std::vector<JsonRef> Run = runLines(Session, nearDuplicateInput(1));
-  ASSERT_GE(Run.size(), 1u);
-  EXPECT_EQ(Run[0]->str("strategy"), "bfs");
-}
-
-TEST(PersistentCache, RememberedStrategyChoicesSurviveARestart) {
-  // An Auto session memoizes its per-lean choice in the shared store;
-  // save → load must hand the same choices to a restarted session so
-  // its runs are keyed (and replayed) consistently from the start.
+TEST(PersistentCache, LegacyStrategyLinesAreSkipped) {
+  // Earlier versions appended per-lean strategy choices ("st" lines) to
+  // the cache file. The loader skips that line shape, and every other
+  // entry of such a file still loads and hits.
   std::string Path = testing::TempDir() + "xsa_service_test_st.jsonl";
   std::remove(Path.c_str());
-  SessionOptions SOpts;
-  SOpts.Solver.Strategy = FixpointStrategy::Auto;
-  std::vector<std::pair<std::string, FixpointStrategy>> Saved;
+  std::string Input = nearDuplicateInput(3);
+  std::string Expected;
   {
-    AnalysisSession A(SOpts);
-    runLinesRaw(A, nearDuplicateInput(3));
-    A.strategyChoices().forEachEntry(
-        [&](const std::string &Sig, FixpointStrategy S) {
-          Saved.emplace_back(Sig, S);
-        });
-    ASSERT_GT(Saved.size(), 0u) << "Auto must remember its choices";
+    AnalysisSession A;
+    Expected = runLinesRaw(A, Input, /*Stable=*/true);
     std::string Error;
     ASSERT_TRUE(A.saveCache(Path, Error)) << Error;
   }
-
-  AnalysisSession B(SOpts);
+  {
+    std::ofstream Out(Path, std::ios::app);
+    Out << "{\"st\":\"legacy-lean\",\"strategy\":\"chaining\"}\n";
+  }
+  AnalysisSession B;
   std::string Error;
   ASSERT_TRUE(B.loadCache(Path, Error)) << Error;
-  EXPECT_EQ(B.strategyChoices().size(), Saved.size());
-  for (const auto &[Sig, S] : Saved) {
-    FixpointStrategy Loaded;
-    ASSERT_TRUE(B.strategyChoices().lookup(Sig, Loaded)) << Sig;
-    EXPECT_EQ(Loaded, S) << Sig;
-  }
+  EXPECT_EQ(runLinesRaw(B, Input, /*Stable=*/true), Expected);
+  EXPECT_EQ(B.stats().Solves, 0u) << "every request hits the loaded cache";
+  EXPECT_EQ(B.stats().Cache.Misses, 0u);
+  std::remove(Path.c_str());
+}
 
-  // And the choices are actually honoured: an unseen same-shaped batch
-  // resolves through the loaded memo, with output identical to a plain
-  // session's.
-  std::string Unseen = nearDuplicateInput(3, /*Offset=*/200);
-  AnalysisSession Plain;
-  std::string Expected = runLinesRaw(Plain, Unseen, /*Stable=*/true);
-  EXPECT_EQ(runLinesRaw(B, Unseen, /*Stable=*/true), Expected);
+TEST(PersistentCache, OutOfRangeNumbersDropOnlyTheirEntry) {
+  // A number an integer field cannot hold (negative, past the type's
+  // range, or the infinity "1e400" parses to) marks its entry corrupt:
+  // the loader drops that entry instead of casting it, and loads the
+  // rest of the file.
+  std::string Path = testing::TempDir() + "xsa_service_test_range.jsonl";
+  auto Entry = [](const std::string &Key, const std::string &Field,
+                  const std::string &Value) {
+    std::string Fields[][2] = {
+        {"o", "0"}, {"lean", "4"}, {"iter", "2"}, {"bdd", "10"}};
+    std::string Line = "{\"k\":\"" + Key + "\",\"sat\":true";
+    for (auto &[Name, Default] : Fields)
+      Line += ",\"" + Name + "\":" + (Name == Field ? Value : Default);
+    return Line + ",\"time_ms\":0.5}\n";
+  };
+  {
+    std::ofstream Out(Path, std::ios::trunc);
+    Out << "{\"xsa_cache\":2}\n"
+        << Entry("neg-opts", "o", "-1") << Entry("wide-opts", "o", "4294967296")
+        << Entry("neg-lean", "lean", "-3") << Entry("inf-iter", "iter", "1e400")
+        << Entry("huge-bdd", "bdd", "1e30") << Entry("good", "", "");
+  }
+  AnalysisSession S;
+  std::string Error;
+  ASSERT_TRUE(S.loadCache(Path, Error)) << Error;
+  EXPECT_EQ(S.resultCache().size(), 1u);
+  SolverResult R;
+  ASSERT_TRUE(S.resultCache().lookup("good", 0, R));
+  EXPECT_EQ(R.Stats.LeanSize, 4u);
+  EXPECT_EQ(R.Stats.Iterations, 2u);
+
+  // A fixpoint sequence with an out-of-range options key is dropped too.
+  SessionOptions SOpts;
+  SOpts.ShareFixpoints = true;
+  {
+    AnalysisSession A(SOpts);
+    runLinesRaw(A, nearDuplicateInput(1));
+    ASSERT_GT(A.fixpointStore().size(), 0u);
+    ASSERT_TRUE(A.saveCache(Path, Error)) << Error;
+  }
+  std::ifstream In(Path);
+  std::string Text, Line;
+  size_t Rewritten = 0;
+  while (std::getline(In, Line)) {
+    size_t At = Line.find("\",\"o\":1,\"conv\":");
+    if (Line.rfind("{\"fx\":", 0) == 0 && At != std::string::npos) {
+      Line.replace(At, 7, "\",\"o\":-1");
+      ++Rewritten;
+    }
+    Text += Line + "\n";
+  }
+  In.close();
+  ASSERT_GT(Rewritten, 0u);
+  std::ofstream(Path, std::ios::trunc) << Text;
+  AnalysisSession B(SOpts);
+  ASSERT_TRUE(B.loadCache(Path, Error)) << Error;
+  EXPECT_EQ(B.fixpointStore().size(), 0u);
+  EXPECT_GT(B.resultCache().size(), 0u) << "the result entries still load";
   std::remove(Path.c_str());
 }
 
 TEST(PersistentCache, SaveLoadSaveIsByteIdentical) {
   // A save → load → save round trip must be a fixpoint of the file
-  // format: entries (including the "st" strategy-choice lines) are
-  // sorted and deduplicated on save, so reloading a file and saving it
-  // again reproduces it byte for byte — repeated server drains never
-  // grow or reorder the cache file.
+  // format: reloading a file and saving it again reproduces it byte for
+  // byte — repeated server drains never grow or reorder the cache file.
+  // Sharing is on so the file holds fixpoint sequences too.
   std::string P1 = testing::TempDir() + "xsa_service_test_rt1.jsonl";
   std::string P2 = testing::TempDir() + "xsa_service_test_rt2.jsonl";
   SessionOptions SOpts;
-  SOpts.Solver.Strategy = FixpointStrategy::Auto;
+  SOpts.ShareFixpoints = true;
   std::string Error;
   {
     AnalysisSession A(SOpts);
@@ -1281,7 +1261,7 @@ TEST(PersistentCache, SaveLoadSaveIsByteIdentical) {
     return S.str();
   };
   std::string First = Slurp(P1);
-  ASSERT_FALSE(First.empty());
+  ASSERT_NE(First.find("{\"fx\":"), std::string::npos);
   EXPECT_EQ(Slurp(P2), First);
   std::remove(P1.c_str());
   std::remove(P2.c_str());
