@@ -1,21 +1,14 @@
-//===- bench_rewrite.cpp - Rewrite throughput and pre-pass uplift ----------===//
+//===- bench_rewrite.cpp - Rewrite throughput ------------------------------===//
 //
-// Measures the solver-verified rewrite engine (src/rewrite/) on two
-// axes the ISSUE's acceptance criteria name:
-//
-//   * optimize throughput — queries/second through the full certified
-//     loop (candidate generation, cost ranking, solver obligations),
-//     cold on a fresh session and again memoized on a warm one;
-//
-//   * the batch cache-hit-rate uplift the optimize pre-pass buys on a
-//     near-duplicate workload: syntactic variants of the same query
-//     compile to different formulas and each pay their own solve, until
-//     the pre-pass canonicalizes them onto one cache entry.
+// Measures the solver-verified rewrite engine (src/rewrite/) behind the
+// optimize request: queries/second through the full certified loop
+// (candidate generation, cost ranking, solver obligations), cold on a
+// fresh session and again memoized on a warm one. The memoized row is
+// the per-context optimize memo's evidence.
 //
 // Standalone (no google-benchmark dependency) so it builds everywhere
 // and can emit BENCH_rewrite.json (name, wall_ms, cache_hit_rate)
-// itself; exits nonzero when the pre-pass shows no uplift, so a CI
-// smoke run doubles as a regression gate.
+// itself; exits nonzero when an optimize request fails.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,39 +59,6 @@ std::vector<AnalysisRequest> optimizeWorkload(size_t Groups = 10) {
   return Reqs;
 }
 
-/// Near-duplicate emptiness workload: per group, four syntactic
-/// variants of `a/descendant::b` that compile to *different* formulas
-/// yet all rewrite to the same canonical form. Without the pre-pass
-/// each variant pays its own solve; with it, three of four are answered
-/// from the first variant's cache entry.
-std::vector<AnalysisRequest> nearDuplicateWorkload(size_t Groups = 12) {
-  std::vector<AnalysisRequest> Reqs;
-  for (size_t I = 0; I < Groups; ++I) {
-    std::string A = "a" + std::to_string(I);
-    std::string B = "b" + std::to_string(I);
-    for (const std::string &Q : {
-             A + "/descendant::" + B,
-             A + "//" + B,
-             A + "/self::*/descendant::" + B,
-             A + "/descendant::*/self::" + B,
-         }) {
-      AnalysisRequest R;
-      R.Id = "q" + std::to_string(Reqs.size());
-      R.Kind = RequestKind::Emptiness;
-      R.Query1 = Q;
-      Reqs.push_back(R);
-    }
-  }
-  return Reqs;
-}
-
-double responseHitRate(const std::vector<AnalysisResponse> &Resps) {
-  size_t Hits = 0;
-  for (const AnalysisResponse &R : Resps)
-    Hits += R.FromCache;
-  return Resps.empty() ? 0 : static_cast<double>(Hits) / Resps.size();
-}
-
 } // namespace
 
 int main() {
@@ -145,40 +105,5 @@ int main() {
               "(%.0f q/s, optimize-memo hit rate %.2f)\n",
               Opt.size(), WarmMs, 1e3 * Opt.size() / WarmMs, MemoRate);
   Json.record("optimize-memoized", WarmMs, MemoRate, WarmProbe.quantiles());
-
-  // --- Pre-pass cache-hit-rate uplift on near-duplicates. ---
-  std::vector<AnalysisRequest> Dup = nearDuplicateWorkload();
-
-  AnalysisSession Plain;
-  xsa_bench::LatencyProbe OffProbe(xsa_bench::requestLatencyHistogram());
-  T0 = std::chrono::steady_clock::now();
-  double OffRate = responseHitRate(runBatch(Plain, Dup));
-  double OffMs = msSince(T0);
-  std::printf("batch-prepass-off:  %3zu requests %8.1f ms  "
-              "(response cache-hit rate %.2f)\n",
-              Dup.size(), OffMs, OffRate);
-  Json.record("batch-prepass-off", OffMs, OffRate, OffProbe.quantiles());
-
-  SessionOptions WithOpt;
-  WithOpt.Optimize = true;
-  AnalysisSession Optimized(WithOpt);
-  xsa_bench::LatencyProbe OnProbe(xsa_bench::requestLatencyHistogram());
-  T0 = std::chrono::steady_clock::now();
-  double OnRate = responseHitRate(runBatch(Optimized, Dup));
-  double OnMs = msSince(T0);
-  std::printf("batch-prepass-on:   %3zu requests %8.1f ms  "
-              "(response cache-hit rate %.2f)\n",
-              Dup.size(), OnMs, OnRate);
-  Json.record("batch-prepass-on", OnMs, OnRate, OnProbe.quantiles());
-
-  std::printf("pre-pass uplift:    +%.0f%% cache-hit rate\n",
-              100 * (OnRate - OffRate));
-  if (OnRate <= OffRate) {
-    std::fprintf(stderr,
-                 "FAIL: optimize pre-pass shows no cache-hit-rate uplift "
-                 "(%.2f -> %.2f)\n",
-                 OffRate, OnRate);
-    return 1;
-  }
   return 0;
 }

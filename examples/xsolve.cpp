@@ -82,8 +82,8 @@ int usage() {
       "  xsolve validate <xml-file> <dtd>\n"
       "  xsolve optimize '<xpath>' [dtd]\n"
       "  xsolve batch [file|-] [--jobs N] [--cache-file F] [--stable]\n"
-      "               [--optimize] [--share-fixpoints]\n"
-      "               [--trace-file F] [--metrics-file F]\n"
+      "               [--share-fixpoints] [--trace-file F]\n"
+      "               [--metrics-file F]\n"
       "  xsolve replay <slowlog.json|-> [--out F] [batch flags]\n"
       "where [dtd] is a file path or one of: wikipedia, smil, xhtml.\n"
       "optimize rewrites the query rule by rule, accepting a candidate\n"
@@ -93,8 +93,7 @@ int usage() {
       "  {\"id\":\"q1\",\"op\":\"contains\",\"e1\":\"/a//b\","
       "\"e2\":\"//b\",\"dtd\":\"xhtml\"}\n"
       "(ops: sat empty contains overlap cover equiv typecheck optimize;\n"
-      " {\"op\":\"config\",\"jobs\":N,\"optimize\":B,"
-      "\"share_fixpoints\":B}\n"
+      " {\"op\":\"config\",\"jobs\":N,\"share_fixpoints\":B}\n"
       " reconfigures mid-stream)\n"
       "replay turns a slow-query log entry (xsolved /slowlog output, one\n"
       "JSON object or a dump array) into a batch run that re-executes the\n"
@@ -106,9 +105,6 @@ int usage() {
       "                  exists) and save it back on exit\n"
       "  --stable        omit execution-dependent fields (cache, time_ms)\n"
       "                  so output is byte-identical at any job count\n"
-      "  --optimize      rewrite every query (solver-verified) before\n"
-      "                  analysis, canonicalizing near-duplicates onto\n"
-      "                  shared cache entries\n"
       "  --share-fixpoints\n"
       "                  share solver fixpoint sets across requests:\n"
       "                  runs with the same lean replay stored iterates\n"
@@ -243,14 +239,12 @@ bool slowlogToBatch(const std::string &Text, std::string &BatchText,
     if (Cfg && Cfg->type() == JsonValue::Type::Object) {
       JsonRef Line = JsonValue::object();
       Line->set("op", JsonValue::string("config"));
-      // Only keys the batch config line accepts are copied; anything
-      // else a record carries (e.g. the retired "bdd_backend" and
-      // "fixpoint_strategy" of older slowlogs) is dropped so the record
-      // still replays.
-      for (const char *Key : {"optimize", "share_fixpoints"}) {
-        if (JsonRef V = Cfg->get(Key); V && !V->isNull())
-          Line->set(Key, V);
-      }
+      // Only the key the batch config line accepts is copied; anything
+      // else a record carries (e.g. the retired "optimize", "bdd_backend"
+      // and "fixpoint_strategy" of older slowlogs) is dropped so the
+      // record still replays.
+      if (JsonRef V = Cfg->get("share_fixpoints"); V && !V->isNull())
+        Line->set("share_fixpoints", V);
       std::string Dumped = Line->dump();
       if (Dumped != LastConfig) {
         BatchText += Dumped;
@@ -327,8 +321,6 @@ int main(int argc, char **argv) {
         MetricsFile = argv[++I];
       } else if (Arg == "--stable") {
         Stable = true;
-      } else if (Arg == "--optimize") {
-        Session.setOptimize(true);
       } else if (Arg == "--share-fixpoints") {
         Session.setShareFixpoints(true);
       } else if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {

@@ -92,7 +92,6 @@ JsonRef SlowQueryLog::toJson(const SlowQueryRecord &R) {
     if (JsonRef Req = parseJson(R.RequestJson, Err)) {
       O->set("request", Req);
       JsonRef Cfg = JsonValue::object();
-      Cfg->set("optimize", JsonValue::boolean(R.Optimize));
       Cfg->set("share_fixpoints", JsonValue::boolean(R.Share));
       O->set("config", Cfg);
     }

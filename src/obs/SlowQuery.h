@@ -61,7 +61,6 @@ struct SlowQueryRecord {
   std::string RequestJson;
   /// Effective per-job config snapshot (namespace overrides applied):
   /// what `xsolve replay` turns into the batch's config preamble.
-  bool Optimize = false;
   bool Share = false;
 };
 

@@ -228,7 +228,6 @@ struct XsolvedServer::Job {
   /// any slowlog capture. Generated ids never reach stable output.
   std::string Rid;
   bool Stable = false;
-  bool Optimize = false;
   bool Share = false;
   /// The admitted request line dumped back to JSON, carried so a slowlog
   /// capture can reproduce the request verbatim (`xsolve replay`).
@@ -862,7 +861,7 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
   };
 
   static constexpr const char *KnownKeys[] = {
-      "op", "id", "ns", "stable", "optimize", "share_fixpoints"};
+      "op", "id", "ns", "stable", "share_fixpoints"};
   for (const auto &[K, V] : Obj.members()) {
     if (K == "jobs") {
       Reject("invalid_config_value",
@@ -880,30 +879,20 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
     }
   }
 
+  // Validate every value before applying any, so a rejected op changes
+  // nothing — not even the namespace registry.
   JsonRef NsName = Obj.get("ns");
-  if (!NsName->isNull()) {
-    if (NsName->type() != JsonValue::Type::String ||
-        NsName->asString().empty()) {
-      Reject("invalid_config_value", "ns must be a non-empty string", "ns",
-             NsName->type() == JsonValue::Type::String ? NsName->asString()
-                                                       : NsName->dump());
-      return;
-    }
-    Conn.Ns = namespaceState(NsName->asString());
+  if (!NsName->isNull() && (NsName->type() != JsonValue::Type::String ||
+                            NsName->asString().empty())) {
+    Reject("invalid_config_value", "ns must be a non-empty string", "ns",
+           NsName->type() == JsonValue::Type::String ? NsName->asString()
+                                                     : NsName->dump());
+    return;
   }
   JsonRef Stable = Obj.get("stable");
-  if (!Stable->isNull()) {
-    if (Stable->type() != JsonValue::Type::Bool) {
-      Reject("invalid_config_value", "stable must be a boolean", "stable",
-             Stable->dump());
-      return;
-    }
-    Conn.Stable = Stable->asBool();
-  }
-  JsonRef Optimize = Obj.get("optimize");
-  if (!Optimize->isNull() && Optimize->type() != JsonValue::Type::Bool) {
-    Reject("invalid_config_value", "optimize must be a boolean", "optimize",
-           Optimize->dump());
+  if (!Stable->isNull() && Stable->type() != JsonValue::Type::Bool) {
+    Reject("invalid_config_value", "stable must be a boolean", "stable",
+           Stable->dump());
     return;
   }
   JsonRef Share = Obj.get("share_fixpoints");
@@ -912,19 +901,19 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
            "share_fixpoints", Share->dump());
     return;
   }
+
+  if (!NsName->isNull())
+    Conn.Ns = namespaceState(NsName->asString());
+  if (!Stable->isNull())
+    Conn.Stable = Stable->asBool();
   NamespaceState &Ns = *Conn.Ns;
-  bool EffOptimize, EffShare;
+  bool EffShare;
   {
     std::lock_guard<std::mutex> L(Ns.Mu);
-    if (!Optimize->isNull()) {
-      Ns.HaveOptimize = true;
-      Ns.Optimize = Optimize->asBool();
-    }
     if (!Share->isNull()) {
       Ns.HaveShare = true;
       Ns.Share = Share->asBool();
     }
-    EffOptimize = Ns.HaveOptimize ? Ns.Optimize : Opts.Session.Optimize;
     EffShare = Ns.HaveShare ? Ns.Share : Opts.Session.ShareFixpoints;
   }
 
@@ -935,7 +924,6 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
   O->set("ns", JsonValue::string(Ns.Name));
   O->set("stable", JsonValue::boolean(Conn.Stable));
   O->set("jobs", JsonValue::number(static_cast<double>(Sess->jobs())));
-  O->set("optimize", JsonValue::boolean(EffOptimize));
   O->set("share_fixpoints", JsonValue::boolean(EffShare));
   deliver(Conn, Seq, O->dump());
 }
@@ -1154,8 +1142,6 @@ void XsolvedServer::admit(Connection &Conn, uint64_t Seq, const JsonValue &Obj,
   }
   {
     std::lock_guard<std::mutex> L(Conn.Ns->Mu);
-    J.Optimize =
-        Conn.Ns->HaveOptimize ? Conn.Ns->Optimize : Opts.Session.Optimize;
     J.Share =
         Conn.Ns->HaveShare ? Conn.Ns->Share : Opts.Session.ShareFixpoints;
   }
@@ -1274,7 +1260,6 @@ void XsolvedServer::dispatchLoop() {
       SR.TotalMs = WaitMs;
       SR.StageMs.emplace_back("server.queue_wait", WaitMs);
       SR.RequestJson = J.RequestJson;
-      SR.Optimize = J.Optimize;
       SR.Share = J.Share;
       J.Ns->SlowQueries.fetch_add(1, std::memory_order_relaxed);
       SlowQueryLog::global().record(std::move(SR));
@@ -1304,7 +1289,6 @@ void XsolvedServer::dispatchBatch(std::vector<Job> &Batch) {
   Sess->pool().parallelFor(Batch.size(), [&](size_t I, size_t Worker) {
     AnalysisContext &Ctx = Sess->workerContext(Worker);
     // Apply the namespace-config snapshot taken at admission.
-    Ctx.setOptimizePrePass(Batch[I].Optimize);
     Ctx.setShareFixpoints(Batch[I].Share);
     Resps[I] = runRequest(Ctx, Batch[I].Req);
   });
@@ -1351,7 +1335,6 @@ void XsolvedServer::dispatchBatch(std::vector<Job> &Batch) {
       SR.StageMs = R.StageMs;
       SR.StageMs.emplace_back("server.queue_wait", QueueWaitMs[I]);
       SR.RequestJson = J.RequestJson;
-      SR.Optimize = J.Optimize;
       SR.Share = J.Share;
       J.Ns->SlowQueries.fetch_add(1, std::memory_order_relaxed);
       Slow.record(std::move(SR));

@@ -37,11 +37,11 @@
 ///
 /// Tenancy. A connection starts in the "default" namespace and may
 /// switch with {"op":"config","ns":"team-a"}. A namespace carries its
-/// own config overrides (optimize, share_fixpoints)
-/// and its own request statistics; the caches underneath stay shared —
-/// namespaces isolate *configuration and accounting*, not results,
-/// which is the point of a shared-session server (reads through a
-/// shared cache cannot change any verdict; see DESIGN.md).
+/// own config override (share_fixpoints) and its own request
+/// statistics; the caches underneath stay shared — namespaces isolate
+/// *configuration and accounting*, not results, which is the point of a
+/// shared-session server (reads through a shared cache cannot change any
+/// verdict; see DESIGN.md).
 ///
 /// Shutdown. SIGTERM (wired in examples/xsolved.cpp) or a client
 /// {"op":"drain"} stops accepting connections, answers further analysis
@@ -133,7 +133,6 @@ struct NamespaceState {
   const std::string Name;
 
   std::mutex Mu;
-  bool HaveOptimize = false, Optimize = false;
   bool HaveShare = false, Share = false;
 
   std::atomic<uint64_t> Requests{0};

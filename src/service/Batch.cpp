@@ -166,12 +166,12 @@ AnalysisResponse runRequestImpl(AnalysisContext &Ctx,
     return R;
   }
 
-  // Optimize requests report the solver-verified rewrite itself, so
-  // they owe a full proof trace (no seeded forms).
+  // Optimize requests report the solver-verified rewrite itself, with
+  // its proof trace.
   if (Req.Kind == RequestKind::Optimize) {
     if (Req.Query1.empty())
       return errorResponse(Req, "missing query e1");
-    const auto OE = Ctx.optimized(Req.Query1, Req.Dtd1, /*AllowSeed=*/false);
+    const auto OE = Ctx.optimized(Req.Query1, Req.Dtd1);
     if (!OE->Ok)
       return errorResponse(Req, OE->Error);
     R.Ok = true;
@@ -192,22 +192,6 @@ AnalysisResponse runRequestImpl(AnalysisContext &Ctx,
   // case.
   const std::string &Dtd2 = Req.Dtd2.empty() ? Req.Dtd1 : Req.Dtd2;
 
-  // Optimize pre-pass: substitute the solver-verified rewrite of each
-  // query. Verdicts cannot change (each accepted rewrite was proved
-  // equivalent under this very DTD); what changes is the compiled
-  // formula, which canonicalizes near-duplicate queries onto shared
-  // cache entries.
-  auto PrePass = [&](ExprRef E, const std::string &Query,
-                     const std::string &Dtd) {
-    if (!Ctx.optimizePrePass())
-      return E;
-    // Only the rewritten AST matters here, so a seeded (already-proved)
-    // form is taken without re-deriving the rewrite.
-    const auto OE = Ctx.optimized(Query, Dtd, /*AllowSeed=*/true);
-    return OE->Ok ? OE->Result.Optimized : E;
-  };
-  E1 = PrePass(E1, Req.Query1, Req.Dtd1);
-
   Analyzer &An = Ctx.analyzer();
   switch (Req.Kind) {
   case RequestKind::Sat:
@@ -225,7 +209,6 @@ AnalysisResponse runRequestImpl(AnalysisContext &Ctx,
     Formula Chi2;
     if (!resolveContext(Ctx, Dtd2, Chi2, Error))
       return errorResponse(Req, Error);
-    E2 = PrePass(E2, Req.Query2, Dtd2);
     if (Req.Kind == RequestKind::Containment)
       fillFromAnalysis(R, An.containment(E1, Chi1, E2, Chi2),
                        /*HoldsWhenUnsat=*/true);
@@ -242,11 +225,11 @@ AnalysisResponse runRequestImpl(AnalysisContext &Ctx,
       return errorResponse(Req, "cover needs a non-empty 'others' array");
     std::vector<ExprRef> Others;
     std::vector<Formula> OtherChis;
-    for (size_t I = 0; I < Req.Others.size(); ++I) {
+    for (const std::string &Other : Req.Others) {
       ExprRef E;
-      if (!resolveQuery(Ctx, Req.Others[I], "others", E, Error))
+      if (!resolveQuery(Ctx, Other, "others", E, Error))
         return errorResponse(Req, Error);
-      Others.push_back(PrePass(E, Req.Others[I], Req.Dtd1));
+      Others.push_back(E);
       OtherChis.push_back(Chi1);
     }
     fillFromAnalysis(R, An.coverage(E1, Chi1, Others, OtherChis),
@@ -542,8 +525,6 @@ JsonRef xsa::statsToJson(const SessionStats &S) {
          JsonValue::number(static_cast<double>(S.QueriesOptimized)));
   O->set("optimize_cache_hits",
          JsonValue::number(static_cast<double>(S.OptimizeCacheHits)));
-  O->set("optimize_seed_hits",
-         JsonValue::number(static_cast<double>(S.OptimizeSeedHits)));
   O->set("rewrite_checks",
          JsonValue::number(static_cast<double>(S.RewriteChecks)));
   O->set("rewrites_accepted",
@@ -678,9 +659,8 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
       SegItems.push_back(std::move(It));
     } else if (Obj->str("op") == "config") {
       // Control line: answer in order, apply to everything after it.
-      // Accepts 'jobs' (worker count), 'optimize' (pre-pass switch)
-      // and/or 'share_fixpoints' (cross-request fixpoint sharing); at
-      // least one must be present.
+      // Accepts 'jobs' (worker count) and/or 'share_fixpoints'
+      // (cross-request fixpoint sharing); at least one must be present.
       Flush();
       AnalysisResponse Resp;
       Resp.Id = Obj->str("id");
@@ -688,7 +668,6 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
       // silently ignored — a misspelled switch ("share_fixpoint") must
       // not read as an applied one.
       static constexpr const char *KnownKeys[] = {"op", "id", "jobs",
-                                                  "optimize",
                                                   "share_fixpoints"};
       std::string UnknownKey;
       for (const auto &[K, V] : Obj->members())
@@ -713,7 +692,6 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
         continue;
       }
       JsonRef Jobs = Obj->get("jobs");
-      JsonRef Optimize = Obj->get("optimize");
       JsonRef Share = Obj->get("share_fixpoints");
       // Range before the cast: converting a double past size_t's range
       // is undefined.
@@ -723,22 +701,17 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
           (Jobs->type() != JsonValue::Type::Number ||
            !(JobsVal >= 0 && JobsVal < 0x1p64) ||
            JobsVal != static_cast<double>(static_cast<size_t>(JobsVal)));
-      bool BadOptimize =
-          !Optimize->isNull() && Optimize->type() != JsonValue::Type::Bool;
       bool BadShare =
           !Share->isNull() && Share->type() != JsonValue::Type::Bool;
-      if (BadJobs || BadOptimize || BadShare ||
-          (Jobs->isNull() && Optimize->isNull() && Share->isNull())) {
+      if (BadJobs || BadShare || (Jobs->isNull() && Share->isNull())) {
         Resp.Ok = false;
         Resp.ErrorLine = LineNo;
-        Resp.Error = "config needs 'jobs' (a non-negative integer), "
-                     "'optimize' and/or 'share_fixpoints' (booleans)";
+        Resp.Error = "config needs 'jobs' (a non-negative integer) and/or "
+                     "'share_fixpoints' (a boolean)";
         Emit(Resp);
       } else {
         if (!Jobs->isNull())
           Session.setJobs(static_cast<size_t>(JobsVal));
-        if (!Optimize->isNull())
-          Session.setOptimize(Optimize->asBool());
         if (!Share->isNull())
           Session.setShareFixpoints(Share->asBool());
         JsonRef O = JsonValue::object();
@@ -746,7 +719,6 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
           O->set("id", JsonValue::string(Resp.Id));
         O->set("ok", JsonValue::boolean(true));
         O->set("jobs", JsonValue::number(static_cast<double>(Session.jobs())));
-        O->set("optimize", JsonValue::boolean(Session.optimizeEnabled()));
         O->set("share_fixpoints",
                JsonValue::boolean(Session.shareFixpointsEnabled()));
         ++Answered;

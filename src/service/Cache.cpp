@@ -3,7 +3,6 @@
 #include "service/Cache.h"
 
 #include "obs/Trace.h"
-#include "support/KeyEncoding.h"
 
 using namespace xsa;
 
@@ -148,46 +147,4 @@ void ShardedResultCache::clear() {
     S->Lru.clear();
     S->Entries.clear();
   }
-}
-
-//===----------------------------------------------------------------------===//
-// OptimizeSeedStore
-//===----------------------------------------------------------------------===//
-
-bool OptimizeSeedStore::lookup(const std::string &Query,
-                               const std::string &Dtd, uint64_t DtdFp,
-                               std::string &OptimizedOut) const {
-  std::lock_guard<std::mutex> Lock(M);
-  auto It = Map.find(lengthPrefixedKey(Query, Dtd));
-  if (It == Map.end() || It->second.DtdFp != DtdFp)
-    return false;
-  OptimizedOut = It->second.Optimized;
-  return true;
-}
-
-void OptimizeSeedStore::store(const std::string &Query, const std::string &Dtd,
-                              uint64_t DtdFp, const std::string &Optimized) {
-  std::lock_guard<std::mutex> Lock(M);
-  if (Map.size() >= MaxEntries)
-    Map.clear();
-  Map.insert_or_assign(lengthPrefixedKey(Query, Dtd),
-                       Entry{Query, Dtd, Optimized, DtdFp});
-}
-
-void OptimizeSeedStore::forEachEntry(
-    const std::function<void(const std::string &, const std::string &,
-                             uint64_t, const std::string &)> &Fn) const {
-  std::lock_guard<std::mutex> Lock(M);
-  for (const auto &[Key, E] : Map)
-    Fn(E.Query, E.Dtd, E.DtdFp, E.Optimized);
-}
-
-size_t OptimizeSeedStore::size() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Map.size();
-}
-
-void OptimizeSeedStore::clear() {
-  std::lock_guard<std::mutex> Lock(M);
-  Map.clear();
 }

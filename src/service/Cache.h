@@ -175,49 +175,6 @@ private:
       SizeCount{0};
 };
 
-/// Thread-safe store of solver-verified optimized query forms, keyed on
-/// (query text, DTD name). This is the shared, persistable face of the
-/// per-context OptimizeMemo: contexts publish every accepted rewrite
-/// here, consult it before re-deriving one (the pre-pass path), and
-/// AnalysisSession::saveCache/loadCache carry it across processes so a
-/// restarted service skips the proof obligations entirely. Entries are
-/// just the optimized concrete syntax — the proofs were discharged by
-/// whoever published, exactly the trust already extended to persisted
-/// SolverResults. A DTD name is mutable content, though (a .dtd file
-/// can change between runs, unlike the canonical-formula result-cache
-/// keys that bake the compiled DTD in), so every entry carries a
-/// fingerprint of the *compiled* DTD context it was proved under and a
-/// lookup under a different content misses rather than resurrecting a
-/// stale proof. One mutex, not shards: entries are tiny and the
-/// rewriter dominates any contention on this map.
-class OptimizeSeedStore {
-public:
-  /// Entries are bounded like the per-context memo: past MaxEntries the
-  /// map is flushed wholesale rather than LRU-tracked.
-  static constexpr size_t MaxEntries = 1 << 16;
-
-  /// The stored optimized form of (\p Query, \p Dtd), provided it was
-  /// proved under a DTD compiling to \p DtdFp; false otherwise.
-  bool lookup(const std::string &Query, const std::string &Dtd,
-              uint64_t DtdFp, std::string &OptimizedOut) const;
-  void store(const std::string &Query, const std::string &Dtd,
-             uint64_t DtdFp, const std::string &Optimized);
-  void forEachEntry(const std::function<
-                    void(const std::string &Query, const std::string &Dtd,
-                         uint64_t DtdFp, const std::string &Optimized)> &Fn)
-      const;
-  size_t size() const;
-  void clear();
-
-private:
-  struct Entry {
-    std::string Query, Dtd, Optimized;
-    uint64_t DtdFp = 0;
-  };
-  mutable std::mutex M;
-  std::unordered_map<std::string, Entry> Map; ///< length-prefixed key
-};
-
 } // namespace xsa
 
 #endif // XSA_SERVICE_CACHE_H

@@ -39,25 +39,27 @@ void AnalysisContext::SharedCacheAdapter::store(Formula Canonical,
   Shared.store(textFor(Canonical), OptsKey, R);
 }
 
+// The Analyzer forces RequireSingleRoot for the XPath decision problems;
+// the raw solver keeps the caller's setting. The two run under different
+// option fingerprints, so cache entries never cross.
 AnalysisContext::AnalysisContext(const SolverOptions &BaseOpts,
                                  ShardedResultCache *SharedCache,
                                  AtomicSessionStats *SharedStats,
-                                 SharedFixpointStore *SharedFixpoints,
-                                 OptimizeSeedStore *SharedOptimizeSeeds)
-    : Opts(BaseOpts), Stats(SharedStats), OptimizeSeeds(SharedOptimizeSeeds) {
-  if (SharedCache) {
-    CacheAdapter = std::make_unique<SharedCacheAdapter>(FF, *SharedCache);
-    Opts.Cache = CacheAdapter.get();
-  } else {
-    Opts.Cache = nullptr;
-  }
-  if (SharedFixpoints) {
-    Fixpoints = std::make_unique<FixpointAdapter>(*SharedFixpoints);
-    Opts.Fixpoints = Fixpoints.get();
-  } else {
-    Opts.Fixpoints = nullptr;
-  }
-  if (Stats) {
+                                 SharedFixpointStore *SharedFixpoints)
+    : Stats(SharedStats),
+      CacheAdapter(SharedCache
+                       ? std::make_unique<SharedCacheAdapter>(FF, *SharedCache)
+                       : nullptr),
+      Fixpoints(SharedFixpoints
+                    ? std::make_unique<FixpointAdapter>(*SharedFixpoints)
+                    : nullptr),
+      An(FF, wiredOptions(BaseOpts)), RawSolver(FF, wiredOptions(BaseOpts)) {}
+
+SolverOptions AnalysisContext::wiredOptions(SolverOptions Opts) {
+  Opts.Cache = CacheAdapter.get();
+  Opts.Fixpoints = Fixpoints.get();
+  Opts.StatsHook = nullptr;
+  if (Stats)
     Opts.StatsHook = [this](const SolverStats &S) {
       // Relaxed tallies; see the memory-order note in the header.
       Stats->Solves.fetch_add(1, std::memory_order_relaxed);
@@ -71,18 +73,11 @@ AnalysisContext::AnalysisContext(const SolverOptions &BaseOpts,
             S.IterationsReplayed, std::memory_order_relaxed);
       }
     };
-  } else {
-    Opts.StatsHook = nullptr;
-  }
-  // The Analyzer forces RequireSingleRoot for the XPath decision
-  // problems; the raw solver keeps the caller's setting. The two run
-  // under different option fingerprints, so cache entries never cross.
-  An = std::make_unique<Analyzer>(FF, Opts);
-  RawSolver = std::make_unique<BddSolver>(FF, Opts);
+  return Opts;
 }
 
 SolverResult AnalysisContext::satisfiable(Formula Psi) {
-  return RawSolver->solve(Psi);
+  return RawSolver.solve(Psi);
 }
 
 bool AnalysisContext::shareFixpoints() const {
@@ -163,59 +158,21 @@ Formula AnalysisContext::typeFormula(const std::string &Name,
 }
 
 std::shared_ptr<const AnalysisContext::OptimizeEntry>
-AnalysisContext::optimized(const std::string &XPath, const std::string &Dtd,
-                           bool AllowSeed) {
+AnalysisContext::optimized(const std::string &XPath, const std::string &Dtd) {
   // Length-prefixed so the key stays injective even for query text the
   // parser will reject (error entries are memoized too).
   std::string Key = lengthPrefixedKey(XPath, Dtd);
   auto It = OptimizeMemo.find(Key);
   if (It != OptimizeMemo.end()) {
-    // A seeded entry has no proof trace; a caller that owes one (an
-    // explicit optimize request) re-derives and replaces it.
-    if (!It->second->Seeded || AllowSeed) {
-      if (Stats)
-        Stats->OptimizeCacheHits.fetch_add(1, std::memory_order_relaxed);
-      return It->second;
-    }
-    OptimizeMemo.erase(It);
-  }
-  // Pre-pass path: a form someone already proved (this process or a
-  // loaded cache file) is taken as-is — no rewriter run, no obligations.
-  // Proofs are only as good as the DTD they ran under, and a DTD *file*
-  // can change between processes, so the seed must match the compiled
-  // content fingerprint, not just the name.
-  if (AllowSeed && OptimizeSeeds) {
-    std::string SeedText;
-    uint64_t DtdFp = typeContextFingerprint(Dtd);
-    if (DtdFp && OptimizeSeeds->lookup(XPath, Dtd, DtdFp, SeedText)) {
-      auto Entry = std::make_shared<OptimizeEntry>();
-      ExprRef E = query(XPath, Entry->Error);
-      std::string SeedError;
-      ExprRef Opt = E ? parseXPath(SeedText, SeedError) : nullptr;
-      if (Opt) {
-        Entry->Ok = true;
-        Entry->Seeded = true;
-        Entry->Result.Original = E;
-        Entry->Result.Optimized = Opt;
-        CostModel Cost;
-        Entry->Result.OriginalCost = Cost.cost(E);
-        Entry->Result.OptimizedCost = Cost.cost(Opt);
-        if (Stats)
-          Stats->OptimizeSeedHits.fetch_add(1, std::memory_order_relaxed);
-        if (OptimizeMemo.size() >= MaxOptimizeMemo)
-          OptimizeMemo.clear();
-        return OptimizeMemo.emplace(std::move(Key), std::move(Entry))
-            .first->second;
-      }
-      // A seed that no longer parses is ignored, not trusted.
-    }
+    if (Stats)
+      Stats->OptimizeCacheHits.fetch_add(1, std::memory_order_relaxed);
+    return It->second;
   }
   // Epoch flush: entries are heavyweight (a full proof trace each), so
   // unlike the parser/DTD memos this one is bounded. Dropping the whole
   // map is safe — entries are shared_ptr-owned, so a held one outlives
-  // the flush — and on a near-duplicate stream (the pre-pass's reason
-  // to exist) re-deriving a flushed rewrite is answered from the
-  // session's result cache anyway.
+  // the flush — and re-deriving a flushed rewrite answers its proof
+  // obligations from the session's result cache.
   if (OptimizeMemo.size() >= MaxOptimizeMemo)
     OptimizeMemo.clear();
   auto Entry = std::make_shared<OptimizeEntry>();
@@ -224,7 +181,7 @@ AnalysisContext::optimized(const std::string &XPath, const std::string &Dtd,
     Formula Chi = typeContext(Dtd, Entry->Error);
     if (Chi) {
       Span RewriteSpan("rewrite.optimize");
-      Rewriter RW(*An);
+      Rewriter RW(An);
       Entry->Result = RW.optimize(E, Chi);
       RewriteSpan.arg("checked",
                       static_cast<double>(Entry->Result.CheckedCandidates));
@@ -239,12 +196,6 @@ AnalysisContext::optimized(const std::string &XPath, const std::string &Dtd,
         Stats->RewritesAccepted.fetch_add(Entry->Result.AcceptedSteps,
                                           std::memory_order_relaxed);
       }
-      // Publish the proved form so other contexts — and, through the
-      // persistent cache, other processes — skip this derivation. The
-      // fingerprint records which DTD content the proofs ran under.
-      if (OptimizeSeeds)
-        if (uint64_t DtdFp = typeContextFingerprint(Dtd))
-          OptimizeSeeds->store(XPath, Dtd, DtdFp, Entry->Result.text());
     }
   }
   return OptimizeMemo.emplace(std::move(Key), std::move(Entry)).first->second;
@@ -263,17 +214,4 @@ Formula AnalysisContext::typeContext(const std::string &Name,
   if (!Entry.Context)
     Entry.Context = FF.conj(Entry.Type, rootFormula(FF));
   return Entry.Context;
-}
-
-uint64_t AnalysisContext::typeContextFingerprint(const std::string &Name) {
-  std::string Error;
-  Formula Chi = typeContext(Name, Error);
-  if (!Chi)
-    return 0;
-  // The unconstrained context gets the same lazy memoization as named
-  // DTDs (its canonical text never changes within a context).
-  uint64_t &Fp = Name.empty() ? EmptyContextFp : loadDtd(Name).ContextFp;
-  if (!Fp)
-    Fp = fingerprintText(FF.toString(FF.canonicalize(Chi)));
-  return Fp;
 }

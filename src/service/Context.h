@@ -68,14 +68,11 @@ struct AtomicSessionStats {
   std::atomic<size_t> QueryCacheHits{0};
   std::atomic<size_t> DtdCompilations{0};
   std::atomic<size_t> DtdCacheHits{0};
-  /// Rewrite-engine work (optimize requests and the optimize pre-pass).
-  /// Optimizations are memoized per context on (query, dtd) text, like
-  /// the parser memo above.
+  /// Rewrite-engine work (optimize requests). Optimizations are
+  /// memoized per context on (query, dtd) text, like the parser memo
+  /// above.
   std::atomic<size_t> QueriesOptimized{0};
   std::atomic<size_t> OptimizeCacheHits{0};
-  /// Pre-pass optimizations answered from the shared/persisted seed
-  /// store instead of a rewriter run (no proof obligations).
-  std::atomic<size_t> OptimizeSeedHits{0};
   std::atomic<size_t> RewriteChecks{0};
   std::atomic<size_t> RewritesAccepted{0};
   /// Fixpoint sharing: solver runs that replayed at least one stored
@@ -95,8 +92,7 @@ public:
   explicit AnalysisContext(const SolverOptions &BaseOpts,
                            ShardedResultCache *SharedCache = nullptr,
                            AtomicSessionStats *SharedStats = nullptr,
-                           SharedFixpointStore *SharedFixpoints = nullptr,
-                           OptimizeSeedStore *SharedOptimizeSeeds = nullptr);
+                           SharedFixpointStore *SharedFixpoints = nullptr);
   AnalysisContext(const AnalysisContext &) = delete;
   AnalysisContext &operator=(const AnalysisContext &) = delete;
 
@@ -105,7 +101,7 @@ public:
   /// The context's Analyzer: every decision problem routed through it
   /// consults the shared session cache. Callers may use it directly for
   /// the full §8 interface.
-  Analyzer &analyzer() { return *An; }
+  Analyzer &analyzer() { return An; }
 
   /// Cached raw satisfiability under the context options (no single-root
   /// restriction, matching a bare BddSolver).
@@ -124,11 +120,6 @@ public:
   /// used as the context χ of a query constrained by a schema. "" → ⊤.
   Formula typeContext(const std::string &Name, std::string &Error);
 
-  /// Deterministic cross-process fingerprint of typeContext(Name)'s
-  /// canonical text (0 when the DTD does not load). What optimize seeds
-  /// are verified against — see OptimizeSeedStore.
-  uint64_t typeContextFingerprint(const std::string &Name);
-
   /// A memoized solver-verified optimization of \p XPath under \p Dtd
   /// (rewrite/Rewriter.h). Error is set (and Result empty) when the
   /// query does not parse or the DTD does not load; failures are
@@ -141,25 +132,9 @@ public:
     RewriteResult Result;
     std::string Error;
     bool Ok = false;
-    /// Built from the shared seed store: the optimized form is proved
-    /// (by whoever published it) but this entry has no local trace.
-    bool Seeded = false;
   };
-  /// With \p AllowSeed true (the pre-pass path, where only the rewritten
-  /// AST matters) a memo miss first consults the shared OptimizeSeedStore
-  /// and, on a hit, parses the stored form instead of re-deriving the
-  /// rewrite — the seeded entry carries no proof trace. Explicit
-  /// optimize requests pass false: they owe the caller a full trace, so
-  /// a seeded memo entry is recomputed (and then republished) for them.
-  std::shared_ptr<const OptimizeEntry>
-  optimized(const std::string &XPath, const std::string &Dtd,
-            bool AllowSeed = false);
-
-  /// When true, runRequest rewrites every query through optimized()
-  /// before analysis, so near-duplicate queries canonicalize to more
-  /// cache-sharable forms (SessionOptions::Optimize).
-  bool optimizePrePass() const { return PrePass; }
-  void setOptimizePrePass(bool On) { PrePass = On; }
+  std::shared_ptr<const OptimizeEntry> optimized(const std::string &XPath,
+                                                 const std::string &Dtd);
 
   /// Cross-request fixpoint sharing (SessionOptions::ShareFixpoints):
   /// when on — and a SharedFixpointStore was wired in — every solver run
@@ -220,14 +195,17 @@ private:
     SharedFixpointStore &Shared;
   };
 
+  /// \p BaseOpts with the adapters and the stats hook wired in. Called
+  /// from the member-initializer list, so it may read only the members
+  /// declared above An.
+  SolverOptions wiredOptions(SolverOptions Opts);
+
   FormulaFactory FF;
-  SolverOptions Opts;
-  AtomicSessionStats *Stats;            ///< may be null
-  OptimizeSeedStore *OptimizeSeeds;     ///< may be null
-  std::unique_ptr<SharedCacheAdapter> CacheAdapter;
-  std::unique_ptr<FixpointAdapter> Fixpoints;
-  std::unique_ptr<Analyzer> An;
-  std::unique_ptr<BddSolver> RawSolver;
+  AtomicSessionStats *Stats;                        ///< may be null
+  std::unique_ptr<SharedCacheAdapter> CacheAdapter; ///< may be null
+  std::unique_ptr<FixpointAdapter> Fixpoints;       ///< may be null
+  Analyzer An;
+  BddSolver RawSolver;
 
   struct QueryEntry {
     ExprRef E;
@@ -237,24 +215,16 @@ private:
   struct DtdEntry {
     Formula Type = nullptr;    ///< null when loading failed
     Formula Context = nullptr; ///< Type ∧ root restriction, lazily built
-    /// Cross-process fingerprint of the canonical text of Context,
-    /// lazily computed; keys persisted optimize seeds to DTD *content*
-    /// (a .dtd file may change between runs of the same name). 0 until
-    /// computed or when loading failed.
-    uint64_t ContextFp = 0;
     std::string Error;
   };
   std::unordered_map<std::string, DtdEntry> DtdMemo;
-  /// Memoized typeContextFingerprint("") — the ⊤ context's fingerprint.
-  uint64_t EmptyContextFp = 0;
   /// Bounded, unlike the memos above: a RewriteResult carries the full
-  /// proof trace, so a long-running mostly-distinct --optimize stream
-  /// must not accumulate entries forever. Flushed wholesale when full
-  /// (see optimized()).
+  /// proof trace, so a long-running stream of mostly distinct optimize
+  /// requests must not accumulate entries forever. Flushed wholesale
+  /// when full (see optimized()).
   static constexpr size_t MaxOptimizeMemo = 4096;
   std::unordered_map<std::string, std::shared_ptr<const OptimizeEntry>>
       OptimizeMemo;
-  bool PrePass = false;
 
   DtdEntry &loadDtd(const std::string &Name);
 };

@@ -7,10 +7,7 @@
 #include "tree/Xml.h"
 
 #include <algorithm>
-#include <array>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <thread>
@@ -36,22 +33,14 @@ size_t resolveJobs(size_t Jobs) {
 AnalysisSession::AnalysisSession(SessionOptions SOpts)
     : Opts(SOpts), Cache(SOpts.CacheCapacity, SOpts.CacheShards),
       Fixpoints(SOpts.FixpointCapacity, SOpts.CacheShards),
-      Main(SOpts.Solver, &Cache, &Counters, &Fixpoints, &OptSeeds) {
+      Main(SOpts.Solver, &Cache, &Counters, &Fixpoints) {
   Opts.Jobs = resolveJobs(Opts.Jobs);
-  Main.setOptimizePrePass(Opts.Optimize);
   Main.setShareFixpoints(Opts.ShareFixpoints);
 }
 
 AnalysisSession::AnalysisSession(SolverOptions Opts, size_t CacheCapacity)
     : AnalysisSession(SessionOptions{Opts, CacheCapacity,
                                      /*CacheShards=*/8, /*Jobs=*/1}) {}
-
-void AnalysisSession::setOptimize(bool On) {
-  Opts.Optimize = On;
-  Main.setOptimizePrePass(On);
-  for (auto &W : Workers)
-    W->setOptimizePrePass(On);
-}
 
 void AnalysisSession::setShareFixpoints(bool On) {
   Opts.ShareFixpoints = On;
@@ -124,8 +113,7 @@ WorkerPool &AnalysisSession::pool() {
     Pool = std::make_unique<WorkerPool>(Opts.Jobs);
   while (Workers.size() < Opts.Jobs) {
     Workers.push_back(std::make_unique<AnalysisContext>(
-        Opts.Solver, &Cache, &Counters, &Fixpoints, &OptSeeds));
-    Workers.back()->setOptimizePrePass(Opts.Optimize);
+        Opts.Solver, &Cache, &Counters, &Fixpoints));
     Workers.back()->setShareFixpoints(Opts.ShareFixpoints);
   }
   return *Pool;
@@ -136,9 +124,9 @@ WorkerPool &AnalysisSession::pool() {
 //===----------------------------------------------------------------------===//
 
 /// Persistent format versions. v1 carried result entries only; v2 adds
-/// fixpoint-store sequences ("fx") and optimized query forms ("oq").
-/// Readers skip line shapes they do not recognize, such as the per-lean
-/// strategy choices ("st") that earlier v2 writers appended.
+/// fixpoint-store sequences ("fx"). Readers skip line shapes they do not
+/// recognize, such as the per-lean strategy choices ("st") and optimized
+/// query forms ("oq") that earlier v2 writers appended.
 /// Bump CacheFormatVersion when a line shape changes incompatibly;
 /// loadCache rejects versions it does not know instead of guessing.
 static constexpr int CacheFormatVersion = 2;
@@ -202,26 +190,6 @@ bool AnalysisSession::saveCache(const std::string &Path,
   });
   for (auto It = FxLines.rbegin(); It != FxLines.rend(); ++It)
     Out << (*It)->dump() << "\n";
-  // Optimized query forms, sorted so the file is reproducible (the
-  // seed store is an unordered map). The DTD fingerprint travels as a
-  // hex string: JSON numbers are doubles and would truncate 64 bits.
-  std::vector<std::array<std::string, 4>> OptEntries;
-  OptSeeds.forEachEntry([&](const std::string &Q, const std::string &D,
-                            uint64_t Fp, const std::string &T) {
-    char Hex[17];
-    std::snprintf(Hex, sizeof(Hex), "%016llx",
-                  static_cast<unsigned long long>(Fp));
-    OptEntries.push_back({Q, D, Hex, T});
-  });
-  std::sort(OptEntries.begin(), OptEntries.end());
-  for (const auto &[Q, D, Fp, T] : OptEntries) {
-    JsonRef O = JsonValue::object();
-    O->set("oq", JsonValue::string(Q));
-    O->set("dtd", JsonValue::string(D));
-    O->set("dfp", JsonValue::string(Fp));
-    O->set("opt", JsonValue::string(T));
-    Out << O->dump() << "\n";
-  }
   if (!Out) {
     Error = "write error on cache file " + Path;
     return false;
@@ -292,21 +260,6 @@ bool AnalysisSession::loadCache(const std::string &Path, std::string &Error) {
         Fixpoints.publish(FxSig, OptsKey, std::move(Data));
       continue;
     }
-    // Optimized query form (v2). An entry without a well-formed DTD
-    // fingerprint is dropped: it could not be verified against the
-    // consumer's DTD content.
-    std::string OptQuery = Obj->str("oq");
-    if (!OptQuery.empty()) {
-      std::string OptText = Obj->str("opt");
-      std::string FpHex = Obj->str("dfp");
-      uint64_t Fp = 0;
-      auto [Ptr, Ec] = std::from_chars(
-          FpHex.data(), FpHex.data() + FpHex.size(), Fp, 16);
-      if (!OptText.empty() && Ec == std::errc() &&
-          Ptr == FpHex.data() + FpHex.size() && Fp)
-        OptSeeds.store(OptQuery, Obj->str("dtd"), Fp, OptText);
-      continue;
-    }
     std::string Key = Obj->str("k");
     if (Key.empty())
       continue;
@@ -354,8 +307,6 @@ SessionStats AnalysisSession::stats() const {
       Counters.QueriesOptimized.load(std::memory_order_relaxed);
   S.OptimizeCacheHits =
       Counters.OptimizeCacheHits.load(std::memory_order_relaxed);
-  S.OptimizeSeedHits =
-      Counters.OptimizeSeedHits.load(std::memory_order_relaxed);
   S.RewriteChecks = Counters.RewriteChecks.load(std::memory_order_relaxed);
   S.RewritesAccepted =
       Counters.RewritesAccepted.load(std::memory_order_relaxed);

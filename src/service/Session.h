@@ -62,10 +62,9 @@ struct SessionStats {
   size_t QueryCacheHits = 0;
   size_t DtdCompilations = 0;
   size_t DtdCacheHits = 0;
-  /// Rewrite-engine work (optimize requests and the optimize pre-pass).
+  /// Rewrite-engine work (optimize requests).
   size_t QueriesOptimized = 0;
   size_t OptimizeCacheHits = 0;
-  size_t OptimizeSeedHits = 0;
   size_t RewriteChecks = 0;
   size_t RewritesAccepted = 0;
   /// Cross-request fixpoint sharing: store counters (Hits/Misses count
@@ -89,13 +88,6 @@ struct SessionOptions {
   /// Worker threads used by runBatch. 1 = serial dispatch on the main
   /// context; 0 = hardware concurrency.
   size_t Jobs = 1;
-  /// Solver-verified optimize pre-pass (src/rewrite/): every query of a
-  /// decision-problem request is rewritten — each accepted rewrite
-  /// proved equivalent under the request's DTD — before analysis, so
-  /// near-duplicate queries canonicalize to more cache-sharable forms.
-  /// Verdicts are unchanged by construction; per-response lean and
-  /// iteration stats describe the optimized query's (smaller) formula.
-  bool Optimize = false;
   /// Cross-request fixpoint sharing: solver runs seed their §7.1
   /// iteration from the SharedFixpointStore and publish back. Replay is
   /// output-invisible (see solver/Pipeline.h), so responses are
@@ -170,11 +162,6 @@ public:
   /// a running batch.
   void setJobs(size_t Jobs);
 
-  /// The optimize pre-pass switch (SessionOptions::Optimize), applied
-  /// to every context. Not thread-safe against a running batch.
-  bool optimizeEnabled() const { return Opts.Optimize; }
-  void setOptimize(bool On);
-
   /// The fixpoint-sharing switch (SessionOptions::ShareFixpoints),
   /// applied to every context. Not thread-safe against a running batch.
   bool shareFixpointsEnabled() const { return Opts.ShareFixpoints; }
@@ -196,17 +183,17 @@ public:
   /// Serializes the session's shared state to \p Path as JSON lines: a
   /// version header {"xsa_cache":2}, then one entry per line — cached
   /// results ("k": canonical-text key, options fingerprint, verdict,
-  /// stats, model XML), fixpoint-store sequences ("fx": lean signature,
-  /// options fingerprint, encoded snapshots) and optimized query forms
-  /// ("oq"). Returns false and sets \p Error on I/O failure.
+  /// stats, model XML) and fixpoint-store sequences ("fx": lean
+  /// signature, options fingerprint, encoded snapshots). Returns false
+  /// and sets \p Error on I/O failure.
   bool saveCache(const std::string &Path, std::string &Error) const;
 
   /// Loads entries saved by saveCache into the shared stores (counted as
   /// insertions, not hits). Format versions: 1 (results only) and 2 are
   /// read; an unknown version is rejected with a clear error instead of
   /// being mis-parsed. Line shapes it does not recognize (such as the
-  /// "st" lines older versions wrote) and entries that fail to parse or
-  /// carry an out-of-range number are skipped; returns
+  /// "st" and "oq" lines older versions wrote) and entries that fail to
+  /// parse or carry an out-of-range number are skipped; returns
   /// false and sets \p Error only when the file is unreadable, not a
   /// cache file, or of an unsupported version. Safe to call on a warm
   /// session; existing entries are refreshed.
@@ -216,8 +203,6 @@ public:
   ShardedResultCache &resultCache() { return Cache; }
   /// The shared fixpoint store (exposed for tests and tooling).
   SharedFixpointStore &fixpointStore() { return Fixpoints; }
-  /// The shared store of persisted optimized query forms.
-  OptimizeSeedStore &optimizeSeeds() { return OptSeeds; }
 
   SessionStats stats() const;
 
@@ -225,7 +210,6 @@ private:
   SessionOptions Opts;
   ShardedResultCache Cache;
   SharedFixpointStore Fixpoints;
-  OptimizeSeedStore OptSeeds;
   AtomicSessionStats Counters;
   AnalysisContext Main;
   std::vector<std::unique_ptr<AnalysisContext>> Workers;

@@ -18,23 +18,9 @@
 #ifndef XSA_SUPPORT_KEYENCODING_H
 #define XSA_SUPPORT_KEYENCODING_H
 
-#include <cstdint>
 #include <string>
 
 namespace xsa {
-
-/// FNV-1a over the bytes of \p Text. Used where a fingerprint must be
-/// stable across processes and toolchains (std::hash makes no such
-/// promise) — e.g. the DTD-content fingerprints persisted with
-/// optimized query forms.
-inline uint64_t fingerprintText(const std::string &Text) {
-  uint64_t H = 1469598103934665603ull;
-  for (unsigned char C : Text) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 inline void appendLengthPrefixed(std::string &Out, const std::string &Field) {
   Out += std::to_string(Field.size());

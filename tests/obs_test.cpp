@@ -506,7 +506,8 @@ TEST(BatchProtocol, UnknownConfigKeyIsRejectedStructurally) {
   const std::pair<const char *, const char *> Inputs[] = {
       {"share_fixpoint", "true"},
       {"bdd_backend", "\"parallel\""},
-      {"fixpoint_strategy", "\"bfs\""}};
+      {"fixpoint_strategy", "\"bfs\""},
+      {"optimize", "true"}};
   for (const auto &[Key, Value] : Inputs) {
     SCOPED_TRACE(Key);
     AnalysisSession Session;
@@ -721,7 +722,6 @@ TEST(SlowQueryLog, ToJsonCarriesReproductionPayload) {
   R.RequestJson =
       "{\"id\":\"q1\",\"op\":\"contains\",\"e1\":\"/a//b\",\"e2\":\"//b\","
       "\"dtd\":\"xhtml\"}";
-  R.Optimize = true;
   R.Share = true;
   JsonRef J = SlowQueryLog::toJson(R);
   // The request embeds as an object (re-parsed, not a quoted string) —
@@ -733,8 +733,8 @@ TEST(SlowQueryLog, ToJsonCarriesReproductionPayload) {
   // The effective config snapshot becomes replay's config preamble.
   JsonRef Cfg = J->get("config");
   ASSERT_EQ(Cfg->type(), JsonValue::Type::Object);
-  EXPECT_TRUE(Cfg->get("optimize")->asBool());
   EXPECT_TRUE(Cfg->get("share_fixpoints")->asBool());
+  EXPECT_FALSE(Cfg->has("optimize"));
   EXPECT_FALSE(Cfg->has("fixpoint_strategy"));
   EXPECT_FALSE(Cfg->has("bdd_backend"));
 }

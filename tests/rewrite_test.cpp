@@ -397,75 +397,15 @@ TEST(OptimizeService, ErrorsAreReported) {
   EXPECT_FALSE(Resp.Error.empty());
 }
 
-TEST(OptimizePrePass, VerdictsUnchanged) {
-  std::vector<AnalysisRequest> Reqs;
-  auto Add = [&](RequestKind K, const char *E1, const char *E2) {
-    AnalysisRequest R;
-    R.Kind = K;
-    R.Query1 = E1;
-    R.Query2 = E2 ? E2 : "";
-    Reqs.push_back(R);
-  };
-  Add(RequestKind::Containment, "a//b", "//b");
-  Add(RequestKind::Containment, "//b", "a//b");
-  Add(RequestKind::Emptiness, "a/self::b", nullptr);
-  Add(RequestKind::Overlap, "a//b", "a/descendant::b");
-
-  AnalysisSession Plain;
-  SessionOptions WithOpt;
-  WithOpt.Optimize = true;
-  AnalysisSession Optimized(WithOpt);
-  std::vector<AnalysisResponse> A = runBatch(Plain, Reqs);
-  std::vector<AnalysisResponse> B = runBatch(Optimized, Reqs);
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t I = 0; I < A.size(); ++I) {
-    EXPECT_TRUE(A[I].Ok);
-    EXPECT_TRUE(B[I].Ok);
-    EXPECT_EQ(A[I].Holds, B[I].Holds) << Reqs[I].Query1;
-  }
-}
-
-TEST(OptimizePrePass, NearDuplicatesShareCacheEntries) {
-  // a//b and a/descendant::b compile to different formulas, so without
-  // the pre-pass each pays its own solve; with it both canonicalize to
-  // a/descendant::b and the second is a cache hit.
-  std::vector<AnalysisRequest> Reqs;
-  for (const char *Q : {"a//b", "a/descendant::b"}) {
-    AnalysisRequest R;
-    R.Kind = RequestKind::Emptiness;
-    R.Query1 = Q;
-    Reqs.push_back(R);
-  }
-
-  AnalysisSession Plain;
-  std::vector<AnalysisResponse> A = runBatch(Plain, Reqs);
-  EXPECT_FALSE(A[0].FromCache);
-  EXPECT_FALSE(A[1].FromCache);
-
-  SessionOptions WithOpt;
-  WithOpt.Optimize = true;
-  AnalysisSession Optimized(WithOpt);
-  std::vector<AnalysisResponse> B = runBatch(Optimized, Reqs);
-  EXPECT_TRUE(B[1].FromCache)
-      << "pre-pass should canonicalize the near-duplicate onto the "
-         "first request's cache entry";
-  // Semantic payload identical with and without the pre-pass.
-  for (size_t I = 0; I < Reqs.size(); ++I)
-    EXPECT_EQ(A[I].Holds, B[I].Holds);
-}
-
-TEST(OptimizePrePass, ConfigLineTogglesMidStream) {
+TEST(OptimizeOp, JsonLineReportsOptimizedForm) {
   AnalysisSession Session;
   std::istringstream In(
-      "{\"id\":\"c\",\"op\":\"config\",\"optimize\":true}\n"
       "{\"id\":\"q1\",\"op\":\"optimize\",\"e\":\"a//b\"}\n");
   std::ostringstream Out;
   size_t Failed = 0;
   size_t Answered = runBatchJsonLines(Session, In, Out, &Failed);
-  EXPECT_EQ(Answered, 2u);
+  EXPECT_EQ(Answered, 1u);
   EXPECT_EQ(Failed, 0u);
-  EXPECT_TRUE(Session.optimizeEnabled());
-  EXPECT_NE(Out.str().find("\"optimize\":true"), std::string::npos);
   EXPECT_NE(Out.str().find("\"optimized\":\"child::a/descendant::b\""),
             std::string::npos);
 }

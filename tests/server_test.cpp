@@ -430,15 +430,14 @@ TEST(Server, NamespacesIsolateConfigNotResults) {
 
   LineClient A = F.connect();
   ASSERT_TRUE(A.sendLine("{\"op\":\"config\",\"ns\":\"team-a\","
-                         "\"optimize\":true}"));
+                         "\"share_fixpoints\":true}"));
   std::string Resp;
   ASSERT_TRUE(A.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ns\":\"team-a\""), std::string::npos);
-  EXPECT_NE(Resp.find("\"optimize\":true"), std::string::npos) << Resp;
+  EXPECT_NE(Resp.find("\"share_fixpoints\":true"), std::string::npos) << Resp;
 
-  // team-a runs with the optimize pre-pass; an untouched connection
-  // stays on the server default (off). Distinct queries so both
-  // actually solve.
+  // team-a runs with fixpoint sharing; an untouched connection stays on
+  // the server default (off). Distinct queries so both actually solve.
   ASSERT_TRUE(A.sendLine("{\"id\":\"a\",\"op\":\"contains\","
                          "\"e1\":\"/na1/x\",\"e2\":\"//x\"}"));
   ASSERT_TRUE(A.recvLine(Resp));
@@ -448,7 +447,8 @@ TEST(Server, NamespacesIsolateConfigNotResults) {
   ASSERT_TRUE(B.sendLine("{\"op\":\"config\",\"ns\":\"default\"}"));
   ASSERT_TRUE(B.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ns\":\"default\""), std::string::npos);
-  EXPECT_NE(Resp.find("\"optimize\":false"), std::string::npos) << Resp;
+  EXPECT_NE(Resp.find("\"share_fixpoints\":false"), std::string::npos)
+      << Resp;
   ASSERT_TRUE(B.sendLine("{\"id\":\"b\",\"op\":\"contains\","
                          "\"e1\":\"/nb1/x\",\"e2\":\"//x\"}"));
   ASSERT_TRUE(B.recvLine(Resp));
@@ -469,10 +469,12 @@ TEST(Server, NamespacesIsolateConfigNotResults) {
 TEST(Server, UnknownConfigKeyIsRejectedStructurally) {
   ServerFixture F(stableServerOptions(1));
   LineClient C = F.connect();
-  // Neither key is a config key (older servers accepted both); like any
-  // unknown key each is rejected rather than silently ignored.
+  // None of these is a config key (older servers accepted each); like
+  // any unknown key each is rejected rather than silently ignored.
   const std::pair<const char *, const char *> Inputs[] = {
-      {"bdd_backend", "\"parallel\""}, {"fixpoint_strategy", "\"bfs\""}};
+      {"bdd_backend", "\"parallel\""},
+      {"fixpoint_strategy", "\"bfs\""},
+      {"optimize", "true"}};
   std::string Resp;
   for (const auto &[Key, Value] : Inputs) {
     SCOPED_TRACE(Key);
@@ -489,14 +491,57 @@ TEST(Server, UnknownConfigKeyIsRejectedStructurally) {
     EXPECT_EQ(E->str("code"), "unknown_config_key");
     EXPECT_EQ(E->str("key"), Key);
   }
-  // The connection stays usable, and a valid config echo has neither
-  // field.
+  // The connection stays usable, and a valid config echo has none of
+  // the fields.
   ASSERT_TRUE(C.sendLine("{\"id\":\"ok\",\"op\":\"config\","
-                         "\"optimize\":false}"));
+                         "\"share_fixpoints\":false}"));
   ASSERT_TRUE(C.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos) << Resp;
   EXPECT_EQ(Resp.find("bdd_backend"), std::string::npos) << Resp;
   EXPECT_EQ(Resp.find("fixpoint_strategy"), std::string::npos) << Resp;
+  EXPECT_EQ(Resp.find("\"optimize\""), std::string::npos) << Resp;
+}
+
+TEST(Server, RejectedConfigAppliesNothing) {
+  ServerFixture F(stableServerOptions(1));
+  LineClient C = F.connect();
+  std::string Resp, Error;
+  ASSERT_TRUE(C.sendLine("{\"op\":\"config\",\"ns\":\"team-c\","
+                         "\"stable\":false}"));
+  ASSERT_TRUE(C.recvLine(Resp));
+  EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos) << Resp;
+
+  // Valid ns and stable values ride along with an invalid one: the op is
+  // rejected whole, so neither takes effect.
+  ASSERT_TRUE(C.sendLine("{\"id\":\"bad\",\"op\":\"config\",\"ns\":\"team-b\","
+                         "\"stable\":true,\"share_fixpoints\":\"yes\"}"));
+  ASSERT_TRUE(C.recvLine(Resp));
+  JsonRef R = parseJson(Resp, Error);
+  ASSERT_NE(R, nullptr) << Error;
+  EXPECT_FALSE(R->get("ok")->asBool());
+  EXPECT_EQ(R->get("error")->str("code"), "invalid_config_value");
+  EXPECT_EQ(R->get("error")->str("key"), "share_fixpoints");
+
+  ASSERT_TRUE(C.sendLine("{\"op\":\"config\"}"));
+  ASSERT_TRUE(C.recvLine(Resp));
+  R = parseJson(Resp, Error);
+  ASSERT_NE(R, nullptr) << Error;
+  EXPECT_EQ(R->str("ns"), "team-c") << Resp;
+  EXPECT_FALSE(R->get("stable")->asBool()) << Resp;
+
+  // Responses keep the connection's volatile encoding.
+  ASSERT_TRUE(C.sendLine("{\"id\":\"q\",\"op\":\"contains\","
+                         "\"e1\":\"/rc/x\",\"e2\":\"//x\"}"));
+  ASSERT_TRUE(C.recvLine(Resp));
+  EXPECT_NE(Resp.find("\"cache\""), std::string::npos) << Resp;
+
+  // The rejected op created no namespace and no metrics series.
+  ASSERT_TRUE(C.sendLine("{\"id\":\"m\",\"op\":\"metrics\"}"));
+  ASSERT_TRUE(C.recvLine(Resp));
+  JsonRef M = parseJson(Resp, Error);
+  ASSERT_NE(M, nullptr) << Error;
+  EXPECT_TRUE(M->get("namespaces")->has("team-c"));
+  EXPECT_EQ(Resp.find("team-b"), std::string::npos) << Resp;
 }
 
 //===----------------------------------------------------------------------===//

@@ -1066,91 +1066,11 @@ TEST(FixpointSharing, PersistedSequencesSeedARestartedSession) {
   std::remove(Path.c_str());
 }
 
-TEST(PersistentCache, OptimizedFormsSurviveARestart) {
-  // An optimize pre-pass session persists its proved rewrites; a
-  // restarted session applies them without a single proof obligation.
-  std::string Path = testing::TempDir() + "xsa_service_test_oq.jsonl";
-  std::remove(Path.c_str());
-  const std::string Input =
-      R"({"id":"q1","op":"empty","e1":"a//b"})" "\n";
-  SessionOptions SOpts;
-  SOpts.Optimize = true;
-  std::string Expected;
-  {
-    AnalysisSession A(SOpts);
-    Expected = runLinesRaw(A, Input, /*Stable=*/true);
-    EXPECT_GT(A.stats().RewriteChecks, 0u);
-    EXPECT_GT(A.optimizeSeeds().size(), 0u);
-    std::string Error;
-    ASSERT_TRUE(A.saveCache(Path, Error)) << Error;
-  }
-  AnalysisSession B(SOpts);
-  std::string Error;
-  ASSERT_TRUE(B.loadCache(Path, Error)) << Error;
-  // Fresh result cache entries were loaded too; the point here is that
-  // the *rewrite* is not re-derived.
-  EXPECT_EQ(runLinesRaw(B, Input, /*Stable=*/true), Expected);
-  SessionStats S = B.stats();
-  EXPECT_EQ(S.RewriteChecks, 0u) << "no proof obligations after restart";
-  EXPECT_GT(S.OptimizeSeedHits, 0u);
-  std::remove(Path.c_str());
-}
-
-TEST(PersistentCache, OptimizedFormsAreKeyedToDtdContent) {
-  // A persisted rewrite proved under one DTD file must not be applied
-  // after the file's content changes: the fingerprint misses and the
-  // pre-pass re-derives (and re-proves) under the new content.
-  std::string DtdPath = testing::TempDir() + "xsa_oq_test.dtd";
-  std::string Path = testing::TempDir() + "xsa_service_test_oq2.jsonl";
-  std::remove(Path.c_str());
-  auto WriteDtd = [&](const char *Content) {
-    std::ofstream Out(DtdPath, std::ios::trunc);
-    Out << Content;
-  };
-  const std::string Input = "{\"id\":\"q\",\"op\":\"empty\",\"e1\":"
-                            "\"r//x\",\"dtd\":\"" +
-                            DtdPath + "\"}\n";
-  SessionOptions SOpts;
-  SOpts.Optimize = true;
-
-  WriteDtd("<!ELEMENT r (x)>\n<!ELEMENT x EMPTY>\n");
-  {
-    AnalysisSession A(SOpts);
-    runLinesRaw(A, Input);
-    EXPECT_GT(A.optimizeSeeds().size(), 0u);
-    std::string Error;
-    ASSERT_TRUE(A.saveCache(Path, Error)) << Error;
-  }
-
-  // Same content: the seed applies, nothing is re-proved.
-  {
-    AnalysisSession B(SOpts);
-    std::string Error;
-    ASSERT_TRUE(B.loadCache(Path, Error)) << Error;
-    runLinesRaw(B, Input);
-    EXPECT_GT(B.stats().OptimizeSeedHits, 0u);
-    EXPECT_EQ(B.stats().RewriteChecks, 0u);
-  }
-
-  // Changed content under the same name: the seed must miss.
-  WriteDtd("<!ELEMENT r (x|y)>\n<!ELEMENT x EMPTY>\n<!ELEMENT y EMPTY>\n");
-  {
-    AnalysisSession C(SOpts);
-    std::string Error;
-    ASSERT_TRUE(C.loadCache(Path, Error)) << Error;
-    runLinesRaw(C, Input);
-    EXPECT_EQ(C.stats().OptimizeSeedHits, 0u)
-        << "a stale proof must not be resurrected";
-    EXPECT_GT(C.stats().QueriesOptimized, 0u) << "re-derived instead";
-  }
-  std::remove(Path.c_str());
-  std::remove(DtdPath.c_str());
-}
-
 TEST(PersistentCache, LegacyStrategyLinesAreSkipped) {
-  // Earlier versions appended per-lean strategy choices ("st" lines) to
-  // the cache file. The loader skips that line shape, and every other
-  // entry of such a file still loads and hits.
+  // Earlier versions appended per-lean strategy choices ("st" lines) and
+  // optimized query forms ("oq" lines) to the cache file. The loader
+  // skips both line shapes, and every other entry of such a file still
+  // loads and hits.
   std::string Path = testing::TempDir() + "xsa_service_test_st.jsonl";
   std::remove(Path.c_str());
   std::string Input = nearDuplicateInput(3);
@@ -1164,6 +1084,8 @@ TEST(PersistentCache, LegacyStrategyLinesAreSkipped) {
   {
     std::ofstream Out(Path, std::ios::app);
     Out << "{\"st\":\"legacy-lean\",\"strategy\":\"chaining\"}\n";
+    Out << "{\"oq\":\"a//b\",\"dtd\":\"\",\"dfp\":\"00000000000000ff\","
+           "\"opt\":\"child::a\"}\n";
   }
   AnalysisSession B;
   std::string Error;
