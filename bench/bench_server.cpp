@@ -8,19 +8,25 @@
 // Rows written to BENCH_server.json (closed loop = one outstanding
 // request per client, latency measured per request at the client):
 //
-//   closed_cold_jobsN   4 clients x 100 mixed requests, fresh server
+//   closed_cold_jobsN   4 clients x the same 100 mixed requests, fresh
+//                       server
 //   closed_warm_jobsN   the same clients' workload repeated against the
 //                       now-warm shared cache (the multi-tenant payoff:
 //                       hit rate > 0.5 and a wall-clock speedup)
-//   open_burst          one client floods 200 requests into a paused
-//                       dispatcher with a small admission bound, then
-//                       the dispatcher resumes — exercises the
-//                       overloaded backpressure path under load
+//   closed_disjoint_cold_jobsN
+//                       4 clients x 100 requests of their own, fresh
+//                       server: 400 distinct solves, so jobs=4 should
+//                       take well under half the jobs=1 wall time
+//   open_burst          one client floods 200 requests into paused
+//                       workers with a small admission bound, then the
+//                       workers resume — exercises the overloaded
+//                       backpressure path under load
 //
 // Each closed-loop row records wall_ms, cache_hit_rate, client-measured
 // p50_ms/p99_ms and throughput_rps; open_burst records the admitted /
-// rejected split. CI gates on the p50/p99 fields being present and on
-// warm beating cold.
+// rejected split. CI gates on the p50/p99 fields being present, on warm
+// beating cold, and (on hosts with at least 4 cores) on the disjoint
+// jobs=4 row taking at most half the jobs=1 wall time.
 //
 // Standalone on purpose (no google-benchmark): CI runs it in every
 // Release build the way bench_rewrite and bench_fixpoint already run.
@@ -36,6 +42,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,18 +131,20 @@ double percentile(std::vector<double> &Sorted, double P) {
   return Sorted[Idx];
 }
 
-/// One closed-loop pass: \p Clients threads each run the full workload
-/// against the server, latencies merged across clients.
+/// One closed-loop pass: one client thread per entry of \p ClientLines,
+/// each running its own lines against the server, latencies merged
+/// across clients.
 void closedLoopRow(BenchJsonWriter &Out, const std::string &Name,
                    XsolvedServer &Server,
-                   const std::vector<std::string> &Lines, size_t Clients) {
+                   const std::vector<std::vector<std::string>> &ClientLines) {
+  const size_t Clients = ClientLines.size();
   SessionStats Before = Server.session().stats();
   std::vector<ClientResult> Results(Clients);
   auto T0 = std::chrono::steady_clock::now();
   std::vector<std::thread> Threads;
   for (size_t I = 0; I < Clients; ++I)
     Threads.emplace_back([&, I] {
-      Results[I] = runClosedLoop(Server.tcpPort(), Lines);
+      Results[I] = runClosedLoop(Server.tcpPort(), ClientLines[I]);
     });
   for (std::thread &T : Threads)
     T.join();
@@ -172,8 +181,26 @@ void closedLoopRow(BenchJsonWriter &Out, const std::string &Name,
               percentile(All, 0.99), Rps);
 }
 
-/// Open loop: pipeline the whole burst without waiting, against a
-/// paused dispatcher and a small admission bound, then resume. The
+/// Runs \p Rows against a fresh server with \p Jobs workers, then drains
+/// it. False when the server does not start.
+bool withServer(size_t Jobs,
+                const std::function<void(XsolvedServer &)> &Rows) {
+  ServerOptions Opts;
+  Opts.TcpPort = 0;
+  Opts.Session.Jobs = Jobs;
+  XsolvedServer Server(Opts);
+  std::string Error;
+  if (!Server.start(Error)) {
+    std::fprintf(stderr, "bench_server: %s\n", Error.c_str());
+    return false;
+  }
+  Rows(Server);
+  Server.drainAndWait();
+  return true;
+}
+
+/// Open loop: pipeline the whole burst without waiting, against paused
+/// workers and a small admission bound, then resume. The
 /// interesting numbers are the admitted/rejected split and that the
 /// server stays responsive (every request gets exactly one answer).
 void openBurstRow(BenchJsonWriter &Out) {
@@ -328,23 +355,33 @@ void obsOverheadRow(BenchJsonWriter &Out) {
 
 int main() {
   BenchJsonWriter Out("BENCH_server.json");
-  const size_t Clients = 4;
-  std::vector<std::string> Lines = workloadLines(100);
+  const size_t Clients = 4, PerClient = 100;
+  // Shared: every client sends the same lines. Disjoint: client I sends
+  // lines [I * PerClient, (I + 1) * PerClient) of one longer workload.
+  std::vector<std::vector<std::string>> Shared(Clients,
+                                               workloadLines(PerClient));
+  std::vector<std::string> All = workloadLines(Clients * PerClient);
+  std::vector<std::vector<std::string>> Disjoint;
+  for (size_t I = 0; I < Clients; ++I)
+    Disjoint.emplace_back(All.begin() + I * PerClient,
+                          All.begin() + (I + 1) * PerClient);
 
   for (size_t Jobs : {size_t(1), size_t(4)}) {
-    ServerOptions Opts;
-    Opts.TcpPort = 0;
-    Opts.Session.Jobs = Jobs;
-    XsolvedServer Server(Opts);
-    std::string Error;
-    if (!Server.start(Error)) {
-      std::fprintf(stderr, "bench_server: %s\n", Error.c_str());
-      return 1;
-    }
     std::string Suffix = "_jobs" + std::to_string(Jobs);
-    closedLoopRow(Out, "closed_cold" + Suffix, Server, Lines, Clients);
-    closedLoopRow(Out, "closed_warm" + Suffix, Server, Lines, Clients);
-    Server.drainAndWait();
+    bool Started =
+        withServer(Jobs,
+                   [&](XsolvedServer &Server) {
+                     closedLoopRow(Out, "closed_cold" + Suffix, Server,
+                                   Shared);
+                     closedLoopRow(Out, "closed_warm" + Suffix, Server,
+                                   Shared);
+                   }) &&
+        withServer(Jobs, [&](XsolvedServer &Server) {
+          closedLoopRow(Out, "closed_disjoint_cold" + Suffix, Server,
+                        Disjoint);
+        });
+    if (!Started)
+      return 1;
   }
 
   openBurstRow(Out);

@@ -8,7 +8,6 @@
 #include "obs/Trace.h"
 #include "service/Batch.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -161,6 +160,18 @@ Histogram &queueWaitHistogram() {
       "Admission-to-dispatch wait of analysis requests");
 }
 
+/// An analysis request answered without a solve: refused at admission
+/// (overloaded, draining) or expired in the queue (deadline_exceeded).
+AnalysisResponse refusal(const AnalysisRequest &Req, const std::string &Rid,
+                         const char *Code, std::string Message) {
+  AnalysisResponse R;
+  R.Id = Req.Id;
+  R.ErrorCode = Code;
+  R.Error = std::move(Message);
+  R.Rid = Rid;
+  return R;
+}
+
 } // namespace
 
 NamespaceState::NamespaceState(std::string N) : Name(std::move(N)) {
@@ -175,9 +186,9 @@ NamespaceState::NamespaceState(std::string N) : Name(std::move(N)) {
 
 /// One client connection. The reader thread owns Fd reads and seq
 /// assignment; the reorder buffer is guarded by WriteMu and filled by
-/// producers (reader thread for control responses, dispatcher thread
-/// for analysis responses) — producers only enqueue and notify, they
-/// never touch the socket. The writer thread alone sends, so a client
+/// producers (reader thread for control responses, worker threads for
+/// analysis responses) — producers only enqueue and notify, they never
+/// touch the socket. The writer thread alone sends, so a client
 /// that stops reading blocks its own writer and nobody else.
 struct XsolvedServer::Connection {
   int Fd = -1;
@@ -205,14 +216,14 @@ struct XsolvedServer::Connection {
   /// Per-connection protocol state: current namespace and response
   /// encoding. Written by the reader thread on a config line; the
   /// values a job uses are snapshotted into the job at admission, so
-  /// the dispatcher never reads these directly.
+  /// workers never read these directly.
   std::shared_ptr<NamespaceState> Ns;
   bool Stable = false;
 };
 
-/// An admitted analysis request, carrying everything the dispatcher
-/// needs — including the namespace-config snapshot taken at admission,
-/// so a later config change never races a queued job.
+/// An admitted analysis request, carrying everything a worker needs —
+/// including the namespace-config and encoding snapshots taken at
+/// admission, so a later config change never races a queued job.
 struct XsolvedServer::Job {
   std::shared_ptr<Connection> Conn;
   std::shared_ptr<NamespaceState> Ns;
@@ -289,10 +300,10 @@ bool XsolvedServer::start(std::string &Error) {
       LogEvent(LogLevel::Info, "cache.loaded").str("path", Opts.CacheFile);
     }
   }
-  // Build the pool (and the per-worker contexts) once, on this thread:
-  // AnalysisSession::pool() is not thread-safe and every later caller
-  // is the dispatcher alone.
-  Sess->pool();
+  // Every worker's context is built here, on this thread, before any
+  // worker starts: context creation is not thread-safe.
+  for (size_t W = 0; W < Sess->jobs(); ++W)
+    Sess->workerContext(W);
 
   if (Opts.TcpPort >= 0) {
     TcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -356,7 +367,9 @@ bool XsolvedServer::start(std::string &Error) {
 
   Started.store(true);
   AcceptThread = std::thread([this] { acceptLoop(); });
-  DispatchThread = std::thread([this] { dispatchLoop(); });
+  for (size_t W = 0; W < Sess->jobs(); ++W)
+    Workers.emplace_back(
+        [this, &Ctx = Sess->workerContext(W)] { workerLoop(Ctx); });
   {
     LogEvent Ev(LogLevel::Info, "server.start");
     Ev.num("jobs", static_cast<double>(Sess->jobs()))
@@ -371,8 +384,8 @@ bool XsolvedServer::start(std::string &Error) {
 }
 
 void XsolvedServer::requestDrain() {
-  // Stored under QueueMu so the dispatcher cannot evaluate its wait
-  // predicate just before the store and sleep just after the notify —
+  // Stored under QueueMu so no worker can evaluate its wait predicate
+  // just before the store and sleep just after the notify —
   // admissions during drain reject without notifying, so a lost wakeup
   // here would hang the drain.
   bool WasDraining;
@@ -399,15 +412,15 @@ void XsolvedServer::wait() {
     return;
   if (AcceptThread.joinable())
     AcceptThread.join();
-  if (DispatchThread.joinable())
-    DispatchThread.join();
-  // The dispatcher has sequenced everything admitted. Teardown is two-
+  for (std::thread &W : Workers)
+    W.join();
+  // The workers have sequenced everything admitted. Teardown is two-
   // phase so even connections the final drain sweep accepted get their
   // promised structured answers:
   //
   // Phase 1 — half-close the read sides only. recv() hands the readers
   // whatever the kernel already buffered and then EOF, so pipelined
-  // requests are answered ("draining" rejections — the dispatcher is
+  // requests are answered ("draining" rejections — the workers are
   // gone but admit() rejects inline) instead of vanishing; Open stays
   // true so the writers keep flushing those answers. Joining happens
   // outside ConnsMu: a reader mid-admit needs that lock to exit.
@@ -620,14 +633,14 @@ void XsolvedServer::readerLoop(std::shared_ptr<Connection> Conn) {
       break;
     }
     FirstLine = false;
-    handleLine(*Conn, Line, LineNo, Truncated);
+    handleLine(Conn, Line, LineNo, Truncated);
   }
   LogEvent(LogLevel::Debug, "conn.close")
       .num("conn", static_cast<double>(Conn->Id))
       .num("lines", static_cast<double>(LineNo));
-  // Input is over, but responses for requests still in the dispatcher
-  // may be outstanding: hand the writer the final sequence number so it
-  // can flush everything and only then close the connection. Forcing
+  // Input is over, but responses for requests still queued or on a
+  // worker may be outstanding: hand the writer the final sequence number
+  // so it can flush everything and only then close the connection. Forcing
   // Open=false or SHUT_WR here would drop responses a pipelined client
   // that half-closed early is still owed.
   {
@@ -775,8 +788,10 @@ void XsolvedServer::serveHttpConnection(Connection &Conn,
       .num("served", static_cast<double>(Served));
 }
 
-void XsolvedServer::handleLine(Connection &Conn, const std::string &Line,
-                               size_t LineNo, bool Truncated) {
+void XsolvedServer::handleLine(const std::shared_ptr<Connection> &ConnPtr,
+                               const std::string &Line, size_t LineNo,
+                               bool Truncated) {
+  Connection &Conn = *ConnPtr;
   if (Truncated) {
     uint64_t Seq = Conn.NextSeq++;
     AnalysisResponse R;
@@ -820,107 +835,52 @@ void XsolvedServer::handleLine(Connection &Conn, const std::string &Line,
   } else if (Op == "log") {
     handleLog(Conn, Seq, *Obj);
   } else if (Op == "ping") {
-    JsonRef O = JsonValue::object();
-    std::string Id = Obj->str("id");
-    if (!Id.empty())
-      O->set("id", JsonValue::string(Id));
-    O->set("ok", JsonValue::boolean(true));
+    JsonRef O = controlResponseJson(*Obj);
     O->set("op", JsonValue::string("ping"));
     deliver(Conn, Seq, O->dump());
   } else if (Op == "drain") {
-    JsonRef O = JsonValue::object();
-    std::string Id = Obj->str("id");
-    if (!Id.empty())
-      O->set("id", JsonValue::string(Id));
-    O->set("ok", JsonValue::boolean(true));
+    JsonRef O = controlResponseJson(*Obj);
     O->set("draining", JsonValue::boolean(true));
     deliver(Conn, Seq, O->dump());
     requestDrain();
   } else {
-    admit(Conn, Seq, *Obj, LineNo);
+    admit(ConnPtr, Seq, *Obj, LineNo);
   }
 }
 
 void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
                                  const JsonValue &Obj) {
-  std::string Id = Obj.str("id");
-  auto Reject = [&](const std::string &Code, const std::string &Message,
-                    const std::string &Key, const std::string &Value) {
-    JsonRef O = JsonValue::object();
-    if (!Id.empty())
-      O->set("id", JsonValue::string(Id));
-    O->set("ok", JsonValue::boolean(false));
-    JsonRef E = errorObjectJson(Code, Message);
-    if (!Key.empty())
-      E->set("key", JsonValue::string(Key));
-    if (!Value.empty())
-      E->set("value", JsonValue::string(Value));
-    O->set("error", E);
-    Conn.Ns->Errors.fetch_add(1, std::memory_order_relaxed);
-    deliver(Conn, Seq, O->dump());
-  };
-
-  static constexpr const char *KnownKeys[] = {
-      "op", "id", "ns", "stable", "share_fixpoints"};
-  for (const auto &[K, V] : Obj.members()) {
-    if (K == "jobs") {
-      Reject("invalid_config_value",
-             "jobs is fixed at server start (the worker pool is shared by "
-             "every client)",
-             "jobs", "");
-      return;
-    }
-    const std::string &Key = K;
-    if (std::find_if(std::begin(KnownKeys), std::end(KnownKeys),
-                     [&Key](const char *Known) { return Key == Known; }) ==
-        std::end(KnownKeys)) {
-      Reject("unknown_config_key", "unknown config key '" + K + "'", K, "");
-      return;
-    }
-  }
-
-  // Validate every value before applying any, so a rejected op changes
+  // Every value is checked before any applies, so a rejected op changes
   // nothing — not even the namespace registry.
-  JsonRef NsName = Obj.get("ns");
-  if (!NsName->isNull() && (NsName->type() != JsonValue::Type::String ||
-                            NsName->asString().empty())) {
-    Reject("invalid_config_value", "ns must be a non-empty string", "ns",
-           NsName->type() == JsonValue::Type::String ? NsName->asString()
-                                                     : NsName->dump());
+  ConfigLine Cfg;
+  JsonRef Err =
+      Obj.has("jobs")
+          ? configErrorJson(Obj, "invalid_config_value",
+                            "jobs is fixed at server start (the workers are "
+                            "shared by every client)",
+                            "jobs")
+          : decodeConfigLine(Obj, {"ns", "stable", "share_fixpoints"}, Cfg);
+  if (Err) {
+    Conn.Ns->Errors.fetch_add(1, std::memory_order_relaxed);
+    deliver(Conn, Seq, Err->dump());
     return;
   }
-  JsonRef Stable = Obj.get("stable");
-  if (!Stable->isNull() && Stable->type() != JsonValue::Type::Bool) {
-    Reject("invalid_config_value", "stable must be a boolean", "stable",
-           Stable->dump());
-    return;
-  }
-  JsonRef Share = Obj.get("share_fixpoints");
-  if (!Share->isNull() && Share->type() != JsonValue::Type::Bool) {
-    Reject("invalid_config_value", "share_fixpoints must be a boolean",
-           "share_fixpoints", Share->dump());
-    return;
-  }
-
-  if (!NsName->isNull())
-    Conn.Ns = namespaceState(NsName->asString());
-  if (!Stable->isNull())
-    Conn.Stable = Stable->asBool();
+  if (Cfg.Ns)
+    Conn.Ns = namespaceState(*Cfg.Ns);
+  if (Cfg.Stable)
+    Conn.Stable = *Cfg.Stable;
   NamespaceState &Ns = *Conn.Ns;
   bool EffShare;
   {
     std::lock_guard<std::mutex> L(Ns.Mu);
-    if (!Share->isNull()) {
+    if (Cfg.ShareFixpoints) {
       Ns.HaveShare = true;
-      Ns.Share = Share->asBool();
+      Ns.Share = *Cfg.ShareFixpoints;
     }
     EffShare = Ns.HaveShare ? Ns.Share : Opts.Session.ShareFixpoints;
   }
 
-  JsonRef O = JsonValue::object();
-  if (!Id.empty())
-    O->set("id", JsonValue::string(Id));
-  O->set("ok", JsonValue::boolean(true));
+  JsonRef O = controlResponseJson(Obj);
   O->set("ns", JsonValue::string(Ns.Name));
   O->set("stable", JsonValue::boolean(Conn.Stable));
   O->set("jobs", JsonValue::number(static_cast<double>(Sess->jobs())));
@@ -930,11 +890,7 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
 
 void XsolvedServer::handleMetrics(Connection &Conn, uint64_t Seq,
                                   const JsonValue &Obj) {
-  JsonRef O = JsonValue::object();
-  std::string Id = Obj.str("id");
-  if (!Id.empty())
-    O->set("id", JsonValue::string(Id));
-  O->set("ok", JsonValue::boolean(true));
+  JsonRef O = controlResponseJson(Obj);
   JsonRef M = MetricRegistry::global().toJson(
       /*IncludeVolatile=*/!Conn.Stable);
   for (const auto &[K, V] : M->members())
@@ -945,11 +901,7 @@ void XsolvedServer::handleMetrics(Connection &Conn, uint64_t Seq,
 
 void XsolvedServer::handleStats(Connection &Conn, uint64_t Seq,
                                 const JsonValue &Obj) {
-  JsonRef O = JsonValue::object();
-  std::string Id = Obj.str("id");
-  if (!Id.empty())
-    O->set("id", JsonValue::string(Id));
-  O->set("ok", JsonValue::boolean(true));
+  JsonRef O = controlResponseJson(Obj);
   O->set("stats", statsToJson(Sess->stats()));
   O->set("namespaces", namespacesJson());
   deliver(Conn, Seq, O->dump());
@@ -963,22 +915,14 @@ void XsolvedServer::handleStats(Connection &Conn, uint64_t Seq,
 
 void XsolvedServer::handleStatus(Connection &Conn, uint64_t Seq,
                                  const JsonValue &Obj) {
-  JsonRef O = JsonValue::object();
-  std::string Id = Obj.str("id");
-  if (!Id.empty())
-    O->set("id", JsonValue::string(Id));
-  O->set("ok", JsonValue::boolean(true));
+  JsonRef O = controlResponseJson(Obj);
   O->set("status", statusJson());
   deliver(Conn, Seq, O->dump());
 }
 
 void XsolvedServer::handleSlowlog(Connection &Conn, uint64_t Seq,
                                   const JsonValue &Obj) {
-  JsonRef O = JsonValue::object();
-  std::string Id = Obj.str("id");
-  if (!Id.empty())
-    O->set("id", JsonValue::string(Id));
-  O->set("ok", JsonValue::boolean(true));
+  JsonRef O = controlResponseJson(Obj);
   size_t Max = clampedInteger<size_t>(Obj.get("n")->asNumber());
   O->set("slowlog", slowlogJson(Max));
   deliver(Conn, Seq, O->dump());
@@ -986,11 +930,7 @@ void XsolvedServer::handleSlowlog(Connection &Conn, uint64_t Seq,
 
 void XsolvedServer::handleLog(Connection &Conn, uint64_t Seq,
                               const JsonValue &Obj) {
-  JsonRef O = JsonValue::object();
-  std::string Id = Obj.str("id");
-  if (!Id.empty())
-    O->set("id", JsonValue::string(Id));
-  O->set("ok", JsonValue::boolean(true));
+  JsonRef O = controlResponseJson(Obj);
   size_t Max = clampedInteger<size_t>(Obj.get("n")->asNumber());
   O->set("log", logJson(Max));
   deliver(Conn, Seq, O->dump());
@@ -1089,21 +1029,9 @@ JsonRef XsolvedServer::logJson(size_t MaxRecords) {
   return S;
 }
 
-void XsolvedServer::reject(Connection &Conn, uint64_t Seq,
-                           const std::string &Id, bool Stable,
-                           const std::string &Code, const std::string &Message,
-                           const std::string &Rid) {
-  AnalysisResponse R;
-  R.Id = Id;
-  R.Ok = false;
-  R.ErrorCode = Code;
-  R.Error = Message;
-  R.Rid = Rid;
-  deliver(Conn, Seq, responseToJson(R, /*IncludeVolatile=*/!Stable)->dump());
-}
-
-void XsolvedServer::admit(Connection &Conn, uint64_t Seq, const JsonValue &Obj,
-                          size_t LineNo) {
+void XsolvedServer::admit(const std::shared_ptr<Connection> &ConnPtr,
+                          uint64_t Seq, const JsonValue &Obj, size_t LineNo) {
+  Connection &Conn = *ConnPtr;
   AnalysisRequest Req;
   std::string Error;
   if (!requestFromJson(Obj, Req, Error)) {
@@ -1119,6 +1047,7 @@ void XsolvedServer::admit(Connection &Conn, uint64_t Seq, const JsonValue &Obj,
   }
 
   Job J;
+  J.Conn = ConnPtr;
   J.Seq = Seq;
   J.Req = std::move(Req);
   J.Stable = Conn.Stable;
@@ -1146,220 +1075,171 @@ void XsolvedServer::admit(Connection &Conn, uint64_t Seq, const JsonValue &Obj,
         Conn.Ns->HaveShare ? Conn.Ns->Share : Opts.Session.ShareFixpoints;
   }
 
-  // Find this connection's shared_ptr (deliver from the dispatcher needs
-  // shared ownership; the reader only has the raw ref).
-  {
-    std::lock_guard<std::mutex> L(ConnsMu);
-    for (const auto &C : Conns)
-      if (C.get() == &Conn) {
-        J.Conn = C;
-        break;
-      }
-  }
-  if (!J.Conn)
-    return; // connection already torn down
-
   std::shared_ptr<NamespaceState> Ns = J.Ns;
+  bool Drain, Full;
   {
-    std::unique_lock<std::mutex> L(QueueMu);
-    // Checked under QueueMu: once the dispatcher can observe
+    std::lock_guard<std::mutex> L(QueueMu);
+    // Checked under QueueMu: once a worker can observe
     // "Draining && queue empty" and exit, every admission afterwards
     // sees Draining here and rejects instead of enqueueing into a queue
     // nobody pops.
-    if (Draining.load()) {
-      L.unlock();
-      Ns->Rejections.fetch_add(1, std::memory_order_relaxed);
-      rejectionCounter("draining").add();
-      LogEvent(LogLevel::Warn, "request.rejected")
-          .str("rid", J.Rid)
-          .str("ns", Ns->Name)
-          .str("code", "draining")
-          .num("conn", static_cast<double>(Conn.Id));
-      reject(Conn, Seq, J.Req.Id, Conn.Stable, "draining",
-             "server is draining and no longer accepts analysis requests",
-             J.Rid);
-      return;
-    }
-    if (Queue->Q.size() >= Opts.QueueLimit) {
-      L.unlock();
-      Ns->Rejections.fetch_add(1, std::memory_order_relaxed);
-      rejectionCounter("overloaded").add();
-      LogEvent(LogLevel::Warn, "request.rejected")
-          .str("rid", J.Rid)
-          .str("ns", Ns->Name)
-          .str("code", "overloaded")
-          .num("queue_limit", static_cast<double>(Opts.QueueLimit))
-          .num("conn", static_cast<double>(Conn.Id));
-      reject(Conn, Seq, J.Req.Id, Conn.Stable, "overloaded",
-             "request queue is full (limit " +
-                 std::to_string(Opts.QueueLimit) + "); retry later",
-             J.Rid);
-      return;
-    }
-    J.AdmitSeq = NextAdmitSeq++;
-    Queue->Q.push(std::move(J));
-    queueDepthGauge().set(static_cast<double>(Queue->Q.size()));
-  }
-  Ns->Requests.fetch_add(1, std::memory_order_relaxed);
-  Ns->RequestsMetric->add();
-  QueueCv.notify_one();
-}
-
-//===----------------------------------------------------------------------===//
-// Dispatcher
-//===----------------------------------------------------------------------===//
-
-void XsolvedServer::dispatchLoop() {
-  const size_t BatchMax = std::max<size_t>(1, Sess->jobs());
-  while (true) {
-    std::vector<Job> Batch, Expired;
-    {
-      std::unique_lock<std::mutex> L(QueueMu);
-      // Drain overrides the debug pause: a paused server still finishes
-      // its admitted work on shutdown.
-      QueueCv.wait(L, [&] {
-        return Draining.load() || (!Paused.load() && !Queue->Q.empty());
-      });
-      if (Queue->Q.empty() && Draining.load())
-        break;
-      if (Queue->Q.empty())
-        continue;
-      uint64_t Now = nowSteadyNs();
-      while (!Queue->Q.empty() && Batch.size() < BatchMax) {
-        Job J = Queue->Q.top();
-        Queue->Q.pop();
-        if (J.DeadlineNs && Now > J.DeadlineNs)
-          Expired.push_back(std::move(J));
-        else
-          Batch.push_back(std::move(J));
-      }
+    Drain = Draining.load();
+    Full = !Drain && Queue->Q.size() >= Opts.QueueLimit;
+    if (!Drain && !Full) {
+      J.AdmitSeq = NextAdmitSeq++;
+      Queue->Q.push(std::move(J));
       queueDepthGauge().set(static_cast<double>(Queue->Q.size()));
     }
-    for (Job &J : Expired) {
-      deadlineMissCounter().add();
-      J.Ns->DeadlineMisses.fetch_add(1, std::memory_order_relaxed);
-      double WaitMs = (nowSteadyNs() - J.EnqueueNs) / 1e6;
-      LogEvent(LogLevel::Warn, "request.deadline_exceeded")
-          .str("rid", J.Rid)
-          .str("ns", J.Ns->Name)
-          .num("queue_wait_ms", WaitMs)
-          .num("conn", static_cast<double>(J.Conn->Id));
-      // A deadline miss always qualifies for the slowlog (shouldRecord
-      // treats any non-Ok outcome as a tail event); the request never
-      // ran, so the breakdown is queue wait alone.
-      SlowQueryRecord SR;
-      SR.RequestId = J.Rid;
-      SR.ClientId = J.Req.Id;
-      SR.Ns = J.Ns->Name;
-      SR.Op = requestKindName(J.Req.Kind);
-      SR.Ok = false;
-      SR.Code = "deadline_exceeded";
-      SR.Priority = J.Priority;
-      SR.ConnId = J.Conn->Id;
-      SR.QueueWaitMs = WaitMs;
-      SR.TotalMs = WaitMs;
-      SR.StageMs.emplace_back("server.queue_wait", WaitMs);
-      SR.RequestJson = J.RequestJson;
-      SR.Share = J.Share;
-      J.Ns->SlowQueries.fetch_add(1, std::memory_order_relaxed);
-      SlowQueryLog::global().record(std::move(SR));
-      // J.Stable is the admission-time snapshot: the dispatcher must
-      // not read Conn.Stable, which the reader may be rewriting.
-      reject(*J.Conn, J.Seq, J.Req.Id, J.Stable, "deadline_exceeded",
-             "deadline expired before the request reached a worker", J.Rid);
+  }
+  if (!Drain && !Full) {
+    Ns->Requests.fetch_add(1, std::memory_order_relaxed);
+    Ns->RequestsMetric->add();
+    QueueCv.notify_one();
+    return;
+  }
+  const char *Code = Drain ? "draining" : "overloaded";
+  Ns->Rejections.fetch_add(1, std::memory_order_relaxed);
+  rejectionCounter(Code).add();
+  {
+    LogEvent Ev(LogLevel::Warn, "request.rejected");
+    Ev.str("rid", J.Rid).str("ns", Ns->Name).str("code", Code);
+    if (Full)
+      Ev.num("queue_limit", static_cast<double>(Opts.QueueLimit));
+    Ev.num("conn", static_cast<double>(Conn.Id));
+  }
+  std::string Message =
+      Drain ? "server is draining and no longer accepts analysis requests"
+            : "request queue is full (limit " +
+                  std::to_string(Opts.QueueLimit) + "); retry later";
+  deliver(Conn, Seq,
+          responseToJson(refusal(J.Req, J.Rid, Code, std::move(Message)),
+                         /*IncludeVolatile=*/!Conn.Stable)
+              ->dump());
+}
+
+//===----------------------------------------------------------------------===//
+// Workers
+//===----------------------------------------------------------------------===//
+
+/// One of the jobs() worker threads, each on its own context. It pops
+/// the highest-priority job, answers it — deadline_exceeded without a
+/// solve when the deadline passed in the queue — and finishes it, so no
+/// request waits for another to complete. Drain overrides the debug
+/// pause: a paused server still finishes its admitted work, and workers
+/// exit once a drain was requested and the queue is empty.
+void XsolvedServer::workerLoop(AnalysisContext &Ctx) {
+  while (true) {
+    std::unique_lock<std::mutex> L(QueueMu);
+    QueueCv.wait(L, [&] {
+      return Draining.load() || (!Paused.load() && !Queue->Q.empty());
+    });
+    if (Queue->Q.empty())
+      return;
+    Job J = Queue->Q.top();
+    Queue->Q.pop();
+    queueDepthGauge().set(static_cast<double>(Queue->Q.size()));
+    L.unlock();
+
+    uint64_t Now = nowSteadyNs();
+    double WaitMs = (Now - J.EnqueueNs) / 1e6;
+    AnalysisResponse R;
+    if (J.DeadlineNs && Now > J.DeadlineNs) {
+      R = refusal(J.Req, J.Rid, "deadline_exceeded",
+                  "deadline expired before the request reached a worker");
+    } else {
+      queueWaitHistogram().observe(WaitMs);
+      Tracer::global().recordSpanFrom("server.queue_wait", J.EnqueueNs);
+      InFlight.fetch_add(1, std::memory_order_relaxed);
+      J.Ns->InFlight.fetch_add(1, std::memory_order_relaxed);
+      // Apply the namespace-config snapshot taken at admission.
+      Ctx.setShareFixpoints(J.Share);
+      R = runRequest(Ctx, J.Req);
+      J.Ns->InFlight.fetch_sub(1, std::memory_order_relaxed);
+      InFlight.fetch_sub(1, std::memory_order_relaxed);
     }
-    if (!Batch.empty())
-      dispatchBatch(Batch);
+    finish(J, R, WaitMs);
   }
 }
 
-void XsolvedServer::dispatchBatch(std::vector<Job> &Batch) {
-  Histogram &QueueWait = queueWaitHistogram();
-  uint64_t Now = nowSteadyNs();
-  std::vector<double> QueueWaitMs(Batch.size());
-  for (size_t I = 0; I < Batch.size(); ++I) {
-    const Job &J = Batch[I];
-    QueueWaitMs[I] = (Now - J.EnqueueNs) / 1e6;
-    QueueWait.observe(QueueWaitMs[I]);
-    Tracer::global().recordSpanFrom("server.queue_wait", J.EnqueueNs);
-    J.Ns->InFlight.fetch_add(1, std::memory_order_relaxed);
+/// The tail of every admitted request, run or expired: namespace
+/// tallies, tail sampling, logs and delivery. Total latency is queue
+/// wait + execution (the "request" stage row when stage capture ran,
+/// Stats.TimeMs as the fallback); an expired request never ran, so its
+/// breakdown is queue wait alone. The slowlog decision comes after the
+/// response exists, so fast successes leave nothing behind. Encodes
+/// with the job's admission-time J.Stable: a worker must not read
+/// Conn.Stable, which the reader may be rewriting.
+void XsolvedServer::finish(const Job &J, const AnalysisResponse &R,
+                           double WaitMs) {
+  NamespaceState &Ns = *J.Ns;
+  bool Expired = R.ErrorCode == "deadline_exceeded";
+  if (Expired) {
+    deadlineMissCounter().add();
+    Ns.DeadlineMisses.fetch_add(1, std::memory_order_relaxed);
+    LogEvent(LogLevel::Warn, "request.deadline_exceeded")
+        .str("rid", J.Rid)
+        .str("ns", Ns.Name)
+        .num("queue_wait_ms", WaitMs)
+        .num("conn", static_cast<double>(J.Conn->Id));
+  } else if (!R.Ok) {
+    Ns.Errors.fetch_add(1, std::memory_order_relaxed);
+  } else if (R.FromCache) {
+    Ns.CacheHits.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    Ns.CacheMisses.fetch_add(1, std::memory_order_relaxed);
   }
-  InFlight.fetch_add(Batch.size(), std::memory_order_relaxed);
-  std::vector<AnalysisResponse> Resps(Batch.size());
-  Sess->pool().parallelFor(Batch.size(), [&](size_t I, size_t Worker) {
-    AnalysisContext &Ctx = Sess->workerContext(Worker);
-    // Apply the namespace-config snapshot taken at admission.
-    Ctx.setShareFixpoints(Batch[I].Share);
-    Resps[I] = runRequest(Ctx, Batch[I].Req);
-  });
-  InFlight.fetch_sub(Batch.size(), std::memory_order_relaxed);
+  Ns.SolverTimeUs.fetch_add(static_cast<uint64_t>(R.Stats.TimeMs * 1000.0),
+                            std::memory_order_relaxed);
+  double ExecMs = R.Stats.TimeMs;
+  for (const auto &[Name, Ms] : R.StageMs)
+    if (Name == "request") {
+      ExecMs = Ms;
+      break;
+    }
+  double TotalMs = WaitMs + ExecMs;
   SlowQueryLog &Slow = SlowQueryLog::global();
-  EventLog &Log = EventLog::global();
-  for (size_t I = 0; I < Batch.size(); ++I) {
-    Job &J = Batch[I];
-    const AnalysisResponse &R = Resps[I];
-    J.Ns->InFlight.fetch_sub(1, std::memory_order_relaxed);
-    if (!R.Ok)
-      J.Ns->Errors.fetch_add(1, std::memory_order_relaxed);
-    else if (R.FromCache)
-      J.Ns->CacheHits.fetch_add(1, std::memory_order_relaxed);
-    else
-      J.Ns->CacheMisses.fetch_add(1, std::memory_order_relaxed);
-    J.Ns->SolverTimeUs.fetch_add(
-        static_cast<uint64_t>(R.Stats.TimeMs * 1000.0),
-        std::memory_order_relaxed);
-    // Tail sampling: total latency is queue wait + execution (the
-    // "request" stage row when stage capture ran, Stats.TimeMs as the
-    // fallback). Decided AFTER the request ran — fast successes leave
-    // nothing behind.
-    double ExecMs = R.Stats.TimeMs;
-    for (const auto &[Name, Ms] : R.StageMs)
-      if (Name == "request") {
-        ExecMs = Ms;
-        break;
-      }
-    double TotalMs = QueueWaitMs[I] + ExecMs;
-    if (Slow.shouldRecord(TotalMs, R.Ok)) {
-      SlowQueryRecord SR;
-      SR.RequestId = J.Rid;
-      SR.ClientId = J.Req.Id;
-      SR.Ns = J.Ns->Name;
-      SR.Op = requestKindName(J.Req.Kind);
-      SR.Ok = R.Ok;
-      SR.Code = R.ErrorCode;
-      SR.Priority = J.Priority;
-      SR.ConnId = J.Conn->Id;
-      SR.QueueWaitMs = QueueWaitMs[I];
-      SR.TotalMs = TotalMs;
-      SR.FromCache = R.FromCache;
-      SR.StageMs = R.StageMs;
-      SR.StageMs.emplace_back("server.queue_wait", QueueWaitMs[I]);
-      SR.RequestJson = J.RequestJson;
-      SR.Share = J.Share;
-      J.Ns->SlowQueries.fetch_add(1, std::memory_order_relaxed);
-      Slow.record(std::move(SR));
-      // Link the latency histogram back to this capture.
+  if (Slow.shouldRecord(TotalMs, R.Ok)) {
+    SlowQueryRecord SR;
+    SR.RequestId = J.Rid;
+    SR.ClientId = J.Req.Id;
+    SR.Ns = Ns.Name;
+    SR.Op = requestKindName(J.Req.Kind);
+    SR.Ok = R.Ok;
+    SR.Code = R.ErrorCode;
+    SR.Priority = J.Priority;
+    SR.ConnId = J.Conn->Id;
+    SR.QueueWaitMs = WaitMs;
+    SR.TotalMs = TotalMs;
+    SR.FromCache = R.FromCache;
+    SR.StageMs = R.StageMs;
+    SR.StageMs.emplace_back("server.queue_wait", WaitMs);
+    SR.RequestJson = J.RequestJson;
+    SR.Share = J.Share;
+    Ns.SlowQueries.fetch_add(1, std::memory_order_relaxed);
+    Slow.record(std::move(SR));
+    // Link the latency histogram back to this capture; an expired
+    // request was never observed there.
+    if (!Expired)
       MetricRegistry::global()
           .histogram("xsa_request_latency_ms")
           .setExemplar(J.Rid, TotalMs);
-      if (R.Ok)
-        LogEvent(LogLevel::Warn, "request.slow")
-            .str("rid", J.Rid)
-            .str("ns", J.Ns->Name)
-            .num("total_ms", TotalMs)
-            .num("queue_wait_ms", QueueWaitMs[I]);
-    }
-    if (Log.enabled(LogLevel::Debug))
-      LogEvent(LogLevel::Debug, "request.done")
+    if (R.Ok)
+      LogEvent(LogLevel::Warn, "request.slow")
           .str("rid", J.Rid)
-          .str("ns", J.Ns->Name)
-          .flag("ok", R.Ok)
-          .flag("cache", R.FromCache)
+          .str("ns", Ns.Name)
           .num("total_ms", TotalMs)
-          .num("conn", static_cast<double>(J.Conn->Id));
-    deliver(*J.Conn, J.Seq,
-            responseToJson(R, /*IncludeVolatile=*/!J.Stable)->dump());
+          .num("queue_wait_ms", WaitMs);
   }
+  if (EventLog::global().enabled(LogLevel::Debug))
+    LogEvent(LogLevel::Debug, "request.done")
+        .str("rid", J.Rid)
+        .str("ns", Ns.Name)
+        .flag("ok", R.Ok)
+        .flag("cache", R.FromCache)
+        .num("total_ms", TotalMs)
+        .num("conn", static_cast<double>(J.Conn->Id));
+  deliver(*J.Conn, J.Seq,
+          responseToJson(R, /*IncludeVolatile=*/!J.Stable)->dump());
 }
 
 //===----------------------------------------------------------------------===//
@@ -1368,8 +1248,8 @@ void XsolvedServer::dispatchBatch(std::vector<Job> &Batch) {
 
 /// Producer side of the per-connection sequencer: parks the response
 /// line in the reorder buffer and wakes the writer. Called from the
-/// reader (control responses, admission rejections) and the dispatcher
-/// (analysis responses) — NEVER performs socket I/O, so neither thread
+/// reader (control responses, admission rejections) and the workers
+/// (analysis responses) — NEVER performs socket I/O, so none of them
 /// can be stalled by a client that stopped reading. The buffer is
 /// bounded: a connection whose client left more than MaxOutboundBytes
 /// unread is dropped, not buffered without limit.

@@ -19,21 +19,22 @@
 ///    ops inline, and ADMITS analysis requests into a bounded priority
 ///    queue (admission control: a full queue answers "overloaded"
 ///    immediately, it never blocks the client or buffers unboundedly);
-///  * one dispatcher thread pops admitted jobs (priority desc, FIFO
-///    within a priority), drops jobs whose deadline already expired
-///    ("deadline_exceeded" — an expired job never occupies a worker),
-///    and dispatches the rest across the session's WorkerPool exactly
-///    like `xsolve batch --jobs N` does;
+///  * jobs() worker threads, each with its own AnalysisContext, pull
+///    from that queue (priority desc, FIFO within a priority). A worker
+///    answers a job whose deadline already expired with
+///    "deadline_exceeded" without solving it, runs the rest, and does
+///    the request's accounting, tail sampling and delivery itself — so
+///    a fast request never waits for a slow one to finish;
 ///  * responses return to their connection through a per-connection
 ///    sequencer that restores request order, so every client observes
 ///    the same stream a serial `xsolve batch` would produce — with the
 ///    per-connection `stable` encoding, byte-identical to it;
 ///  * one writer thread per connection drains that sequencer to the
-///    socket. The dispatcher only enqueues response lines and never
-///    performs socket I/O, so a client that stops reading stalls its
-///    own writer thread — not the dispatcher, not other tenants. The
-///    outbound buffer is bounded (MaxOutboundBytes); a connection that
-///    overflows it is dropped.
+///    socket. Workers only enqueue response lines and never perform
+///    socket I/O, so a client that stops reading stalls its own writer
+///    thread — not a worker, not other tenants. The outbound buffer is
+///    bounded (MaxOutboundBytes); a connection that overflows it is
+///    dropped.
 ///
 /// Tenancy. A connection starts in the "default" namespace and may
 /// switch with {"op":"config","ns":"team-a"}. A namespace carries its
@@ -54,6 +55,7 @@
 #define XSA_SERVER_SERVER_H
 
 #include "service/Json.h"
+#include "service/Request.h"
 #include "service/Session.h"
 
 #include <atomic>
@@ -83,15 +85,15 @@ struct ServerOptions {
   /// Unix-domain listener ("" disables). An existing socket file at the
   /// path is unlinked before bind.
   std::string UnixPath;
-  /// Admission control: most analysis requests queued (not yet
-  /// dispatched) at once, across all connections. A full queue answers
+  /// Admission control: most analysis requests queued (not yet popped
+  /// by a worker) at once, across all connections. A full queue answers
   /// {"error":{"code":"overloaded"}} immediately.
   size_t QueueLimit = 256;
   /// Longest accepted input line (see BatchStreamOptions::MaxLineBytes).
   size_t MaxLineBytes = size_t(1) << 20;
   /// Most response bytes buffered for one connection whose client is
-  /// not reading (the kernel socket buffer is full). The dispatcher
-  /// never blocks on a socket; it parks response lines here for the
+  /// not reading (the kernel socket buffer is full). Workers never
+  /// block on a socket; they park response lines here for the
   /// connection's writer thread, and a connection that overflows this
   /// bound is dropped rather than buffered unboundedly.
   size_t MaxOutboundBytes = size_t(32) << 20;
@@ -113,8 +115,8 @@ struct ServerOptions {
   /// Idle keep-alive timeout for HTTP connections: a scraper that sends
   /// no new request within this many milliseconds is closed.
   size_t HttpIdleTimeoutMs = 5000;
-  /// The shared session's knobs (jobs = worker count; fixed for the
-  /// server's lifetime — the pool is built once at start()).
+  /// The shared session's knobs. jobs is the number of worker threads,
+  /// started by start() and fixed for the server's lifetime.
   SessionOptions Session;
   /// When non-empty: loaded at start() if present, persisted on drain.
   std::string CacheFile;
@@ -125,8 +127,8 @@ struct ServerOptions {
 
 /// Per-namespace configuration overrides and accounting. Config fields
 /// are guarded by Mu and snapshotted into each job at admission;
-/// counters are relaxed atomics (independent tallies, read after the
-/// dispatcher's barrier or at export time).
+/// counters are relaxed atomics (independent tallies bumped by readers
+/// and workers, read at export time).
 struct NamespaceState {
   explicit NamespaceState(std::string Name);
 
@@ -143,8 +145,8 @@ struct NamespaceState {
   std::atomic<uint64_t> Rejections{0};
   std::atomic<uint64_t> SolverTimeUs{0};
   std::atomic<uint64_t> SlowQueries{0};
-  /// Requests of this namespace currently on a worker (set around the
-  /// dispatcher's parallelFor) — the per-tenant in-flight figure of
+  /// Requests of this namespace currently running on a worker (counted
+  /// around the solve) — the per-tenant in-flight figure of
   /// {"op":"status"} / /statusz.
   std::atomic<uint64_t> InFlight{0};
 
@@ -161,8 +163,9 @@ public:
   XsolvedServer &operator=(const XsolvedServer &) = delete;
 
   /// Binds the listeners, loads the cache file (when configured and
-  /// present), builds the worker pool and starts the accept and
-  /// dispatcher threads. False (with \p Error) on bind/listen failure.
+  /// present), and starts the accept thread and jobs() worker threads,
+  /// each on its own worker context. False (with \p Error) on
+  /// bind/listen failure.
   bool start(std::string &Error);
 
   /// The bound TCP port (after start(); 0 when TCP is disabled).
@@ -191,9 +194,10 @@ public:
   /// The shared session (for tests and stats endpoints).
   AnalysisSession &session() { return *Sess; }
 
-  /// Test hook: while paused the dispatcher pops nothing, so the queue
+  /// Test hook: while paused the workers pop nothing, so the queue
   /// fills deterministically (overload tests) and deadlines expire
-  /// (deadline tests). Never used outside tests.
+  /// (deadline tests). A drain overrides the pause. Never used outside
+  /// tests.
   void debugPauseDispatch(bool Paused);
 
   /// Looks up (or creates) a namespace. Exposed for tests.
@@ -206,28 +210,21 @@ private:
 
   bool acceptOne(int ListenFd);
   void acceptLoop();
-  void dispatchLoop();
+  void workerLoop(AnalysisContext &Ctx);
   void readerLoop(std::shared_ptr<Connection> Conn);
   void writerLoop(std::shared_ptr<Connection> Conn);
-  void handleLine(Connection &Conn, const std::string &Line, size_t LineNo,
-                  bool Truncated);
+  void handleLine(const std::shared_ptr<Connection> &ConnPtr,
+                  const std::string &Line, size_t LineNo, bool Truncated);
   void handleConfig(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
   void handleMetrics(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
   void handleStats(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
   void handleStatus(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
   void handleSlowlog(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
   void handleLog(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
-  void admit(Connection &Conn, uint64_t Seq, const JsonValue &Obj,
-             size_t LineNo);
-  void dispatchBatch(std::vector<Job> &Batch);
+  void admit(const std::shared_ptr<Connection> &ConnPtr, uint64_t Seq,
+             const JsonValue &Obj, size_t LineNo);
+  void finish(const Job &J, const AnalysisResponse &R, double WaitMs);
   void deliver(Connection &Conn, uint64_t Seq, std::string Line);
-  /// \p Stable is the caller's snapshot of the response encoding: the
-  /// reader passes the connection's current value, the dispatcher the
-  /// job's admission-time snapshot — it must never re-read Conn.Stable,
-  /// which only the reader thread may touch.
-  void reject(Connection &Conn, uint64_t Seq, const std::string &Id,
-              bool Stable, const std::string &Code, const std::string &Message,
-              const std::string &Rid = std::string());
   /// HTTP/1.1 side of the listener, entered when a connection's first
   /// line is a GET: serves /metrics, /healthz, /statusz, /slowlog and
   /// /logz with keep-alive (idle timeout, connection cap) on the reader
@@ -247,7 +244,8 @@ private:
   int TcpFd = -1, UnixFd = -1;
   int BoundPort = 0;
 
-  std::thread AcceptThread, DispatchThread;
+  std::thread AcceptThread;
+  std::vector<std::thread> Workers;
 
   std::mutex ConnsMu;
   std::vector<std::shared_ptr<Connection>> Conns;

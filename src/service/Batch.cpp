@@ -498,6 +498,64 @@ JsonRef xsa::errorObjectJson(const std::string &Code,
   return E;
 }
 
+JsonRef xsa::controlResponseJson(const JsonValue &Req, bool Ok) {
+  JsonRef O = JsonValue::object();
+  std::string Id = Req.str("id");
+  if (!Id.empty())
+    O->set("id", JsonValue::string(Id));
+  O->set("ok", JsonValue::boolean(Ok));
+  return O;
+}
+
+JsonRef xsa::configErrorJson(const JsonValue &Obj, const std::string &Code,
+                             const std::string &Message,
+                             const std::string &Key, const std::string &Value,
+                             size_t Line) {
+  JsonRef O = controlResponseJson(Obj, /*Ok=*/false);
+  JsonRef E = errorObjectJson(Code, Message, Line);
+  E->set("key", JsonValue::string(Key));
+  if (!Value.empty())
+    E->set("value", JsonValue::string(Value));
+  O->set("error", E);
+  return O;
+}
+
+JsonRef xsa::decodeConfigLine(const JsonValue &Obj,
+                              std::initializer_list<const char *> Keys,
+                              ConfigLine &Out, size_t Line) {
+  Out = ConfigLine();
+  for (const auto &[K, V] : Obj.members()) {
+    if (K == "op" || K == "id")
+      continue;
+    auto Fail = [&](const char *Code, const std::string &Message) {
+      return configErrorJson(Obj, Code, Message, K, V->dump(), Line);
+    };
+    // Unknown keys are rejected rather than ignored: a misspelled switch
+    // ("share_fixpoint") must not read as an applied one.
+    if (std::find(Keys.begin(), Keys.end(), K) == Keys.end())
+      return Fail("unknown_config_key", "unknown config key '" + K + "'");
+    if (K == "jobs") {
+      // Range before the cast: converting a double past size_t's range
+      // is undefined.
+      double N = V->asNumber();
+      if (V->type() != JsonValue::Type::Number || !(N >= 0 && N < 0x1p64) ||
+          N != static_cast<double>(static_cast<size_t>(N)))
+        return Fail("invalid_config_value",
+                    "jobs must be a non-negative integer");
+      Out.Jobs = static_cast<size_t>(N);
+    } else if (K == "ns") {
+      if (V->type() != JsonValue::Type::String || V->asString().empty())
+        return Fail("invalid_config_value", "ns must be a non-empty string");
+      Out.Ns = V->asString();
+    } else if (V->type() != JsonValue::Type::Bool) {
+      return Fail("invalid_config_value", K + " must be a boolean");
+    } else {
+      (K == "stable" ? Out.Stable : Out.ShareFixpoints) = V->asBool();
+    }
+  }
+  return nullptr;
+}
+
 JsonRef xsa::statsToJson(const SessionStats &S) {
   JsonRef O = JsonValue::object();
   JsonRef C = JsonValue::object();
@@ -659,71 +717,33 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
       SegItems.push_back(std::move(It));
     } else if (Obj->str("op") == "config") {
       // Control line: answer in order, apply to everything after it.
-      // Accepts 'jobs' (worker count) and/or 'share_fixpoints'
-      // (cross-request fixpoint sharing); at least one must be present.
       Flush();
-      AnalysisResponse Resp;
-      Resp.Id = Obj->str("id");
-      // Unknown keys are rejected with a structured error rather than
-      // silently ignored — a misspelled switch ("share_fixpoint") must
-      // not read as an applied one.
-      static constexpr const char *KnownKeys[] = {"op", "id", "jobs",
-                                                  "share_fixpoints"};
-      std::string UnknownKey;
-      for (const auto &[K, V] : Obj->members())
-        if (std::find_if(std::begin(KnownKeys), std::end(KnownKeys),
-                         [&](const char *Known) { return K == Known; }) ==
-            std::end(KnownKeys)) {
-          UnknownKey = K;
-          break;
-        }
-      if (!UnknownKey.empty()) {
-        JsonRef O = JsonValue::object();
-        if (!Resp.Id.empty())
-          O->set("id", JsonValue::string(Resp.Id));
-        O->set("ok", JsonValue::boolean(false));
-        JsonRef E = errorObjectJson(
-            "unknown_config_key", "unknown config key '" + UnknownKey + "'",
-            LineNo);
-        E->set("key", JsonValue::string(UnknownKey));
-        O->set("error", E);
+      ConfigLine Cfg;
+      if (JsonRef Err = decodeConfigLine(*Obj, {"jobs", "share_fixpoints"},
+                                         Cfg, LineNo)) {
         ++Errors;
-        Out << O->dump() << "\n";
+        Out << Err->dump() << "\n";
         continue;
       }
-      JsonRef Jobs = Obj->get("jobs");
-      JsonRef Share = Obj->get("share_fixpoints");
-      // Range before the cast: converting a double past size_t's range
-      // is undefined.
-      double JobsVal = Jobs->asNumber();
-      bool BadJobs =
-          !Jobs->isNull() &&
-          (Jobs->type() != JsonValue::Type::Number ||
-           !(JobsVal >= 0 && JobsVal < 0x1p64) ||
-           JobsVal != static_cast<double>(static_cast<size_t>(JobsVal)));
-      bool BadShare =
-          !Share->isNull() && Share->type() != JsonValue::Type::Bool;
-      if (BadJobs || BadShare || (Jobs->isNull() && Share->isNull())) {
-        Resp.Ok = false;
+      if (!Cfg.Jobs && !Cfg.ShareFixpoints) {
+        AnalysisResponse Resp;
+        Resp.Id = Obj->str("id");
         Resp.ErrorLine = LineNo;
         Resp.Error = "config needs 'jobs' (a non-negative integer) and/or "
                      "'share_fixpoints' (a boolean)";
         Emit(Resp);
-      } else {
-        if (!Jobs->isNull())
-          Session.setJobs(static_cast<size_t>(JobsVal));
-        if (!Share->isNull())
-          Session.setShareFixpoints(Share->asBool());
-        JsonRef O = JsonValue::object();
-        if (!Resp.Id.empty())
-          O->set("id", JsonValue::string(Resp.Id));
-        O->set("ok", JsonValue::boolean(true));
-        O->set("jobs", JsonValue::number(static_cast<double>(Session.jobs())));
-        O->set("share_fixpoints",
-               JsonValue::boolean(Session.shareFixpointsEnabled()));
-        ++Answered;
-        Out << O->dump() << "\n";
+        continue;
       }
+      if (Cfg.Jobs)
+        Session.setJobs(*Cfg.Jobs);
+      if (Cfg.ShareFixpoints)
+        Session.setShareFixpoints(*Cfg.ShareFixpoints);
+      JsonRef O = controlResponseJson(*Obj);
+      O->set("jobs", JsonValue::number(static_cast<double>(Session.jobs())));
+      O->set("share_fixpoints",
+             JsonValue::boolean(Session.shareFixpointsEnabled()));
+      ++Answered;
+      Out << O->dump() << "\n";
       continue;
     } else if (Obj->str("op") == "metrics") {
       // Control line: the process-wide metric registry as JSON, after a
@@ -731,11 +751,7 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
       // registry's members (schema version first) are spliced into the
       // response object, so clients key on response["schema"].
       Flush();
-      JsonRef O = JsonValue::object();
-      std::string Id = Obj->str("id");
-      if (!Id.empty())
-        O->set("id", JsonValue::string(Id));
-      O->set("ok", JsonValue::boolean(true));
+      JsonRef O = controlResponseJson(*Obj);
       JsonRef M = MetricRegistry::global().toJson(
           /*IncludeVolatile=*/!StableOutput);
       for (const auto &[K, V] : M->members())

@@ -48,7 +48,9 @@
 #include "service/Session.h"
 
 #include <atomic>
+#include <initializer_list>
 #include <iosfwd>
+#include <optional>
 #include <vector>
 
 namespace xsa {
@@ -102,6 +104,39 @@ JsonRef statsToJson(const SessionStats &S);
 /// deadline_exceeded, draining) through the same encoder.
 JsonRef errorObjectJson(const std::string &Code, const std::string &Message,
                         size_t Line = 0, long Byte = -1);
+
+/// The head of a control-op answer, {"id":...,"ok":Ok} (no "id" when
+/// \p Req has none); the op appends its own fields.
+JsonRef controlResponseJson(const JsonValue &Req, bool Ok = true);
+
+/// The settings one {"op":"config"} line carries; keys the line leaves
+/// out stay unset.
+struct ConfigLine {
+  std::optional<size_t> Jobs;
+  std::optional<bool> ShareFixpoints;
+  std::optional<bool> Stable;
+  std::optional<std::string> Ns;
+};
+
+/// Decodes a {"op":"config"} line for `xsolve batch` and xsolved alike.
+/// \p Keys names the config keys the caller accepts (a subset of jobs,
+/// share_fixpoints, stable and ns) besides "op" and "id". jobs must be an
+/// integer in [0, 2^64), share_fixpoints and stable booleans, ns a
+/// non-empty string. Returns null with \p Out filled when the whole line
+/// is valid; otherwise the ok=false response to send (see
+/// configErrorJson), with code unknown_config_key or invalid_config_value
+/// and the offending key and value, so a rejected line applies nothing.
+/// \p Line (1-based; 0 = none) is reported in the error.
+JsonRef decodeConfigLine(const JsonValue &Obj,
+                         std::initializer_list<const char *> Keys,
+                         ConfigLine &Out, size_t Line = 0);
+
+/// The ok=false response to a config line: the line's id, then
+/// {"error":{"code","message","line"?,"key","value"?}}. An empty \p Value
+/// is left out.
+JsonRef configErrorJson(const JsonValue &Obj, const std::string &Code,
+                        const std::string &Message, const std::string &Key,
+                        const std::string &Value = "", size_t Line = 0);
 
 /// Knobs of the JSON-lines stream driver beyond the original positional
 /// parameters. Defaults reproduce the historical behaviour (apart from

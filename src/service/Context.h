@@ -28,8 +28,8 @@
 /// so the only requirement is freedom from lost updates, which relaxed
 /// fetch_add provides. Readers that need a *consistent* snapshot (e.g.
 /// asserting exact totals after a batch) get it from the happens-before
-/// edge of the dispatcher's barrier (WorkerPool::parallelFor returns
-/// only after joining all workers under a mutex), not from the counters
+/// edge of runBatch's barrier (WorkerPool::parallelFor returns only
+/// after joining all workers under a mutex), not from the counters
 /// themselves.
 ///
 //===----------------------------------------------------------------------===//

@@ -111,12 +111,17 @@ void AnalysisSession::setJobs(size_t Jobs) {
 WorkerPool &AnalysisSession::pool() {
   if (!Pool)
     Pool = std::make_unique<WorkerPool>(Opts.Jobs);
-  while (Workers.size() < Opts.Jobs) {
+  workerContext(Opts.Jobs - 1);
+  return *Pool;
+}
+
+AnalysisContext &AnalysisSession::workerContext(size_t Worker) {
+  while (Workers.size() <= Worker) {
     Workers.push_back(std::make_unique<AnalysisContext>(
         Opts.Solver, &Cache, &Counters, &Fixpoints));
     Workers.back()->setShareFixpoints(Opts.ShareFixpoints);
   }
-  return *Pool;
+  return *Workers[Worker];
 }
 
 //===----------------------------------------------------------------------===//

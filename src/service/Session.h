@@ -11,8 +11,8 @@
 ///
 ///  * the shared front (this class) owns a ShardedResultCache of solver
 ///    results keyed on canonical formula text + options fingerprint, an
-///    AtomicSessionStats bundle, and the WorkerPool used by the batch
-///    dispatcher;
+///    AtomicSessionStats bundle, and the WorkerPool runBatch dispatches
+///    over;
 ///  * each worker owns an AnalysisContext (see Context.h) — its own
 ///    FormulaFactory, parser memo, DTD memo, Analyzer and BddSolver —
 ///    because a context is single-threaded by design: the session
@@ -85,8 +85,9 @@ struct SessionOptions {
   /// Requested shard count (rounded to a power of two, clamped; see
   /// ShardedResultCache).
   size_t CacheShards = 8;
-  /// Worker threads used by runBatch. 1 = serial dispatch on the main
-  /// context; 0 = hardware concurrency.
+  /// Worker count: runBatch's pool threads (1 = serial dispatch on the
+  /// main context) and xsolved's worker threads; 0 = hardware
+  /// concurrency.
   size_t Jobs = 1;
   /// Cross-request fixpoint sharing: solver runs seed their §7.1
   /// iteration from the SharedFixpointStore and publish back. Replay is
@@ -147,14 +148,14 @@ public:
   Formula typeContext(const std::string &Name, std::string &Error);
 
   //===--------------------------------------------------------------------===//
-  // Parallel dispatch (used by runBatch)
+  // Parallel dispatch (runBatch and xsolved's workers)
   //===--------------------------------------------------------------------===//
 
   /// Upper bound on jobs: each job costs a thread plus a full solver
   /// context, so requests beyond this are clamped rather than honoured.
   static constexpr size_t MaxJobs = 256;
 
-  /// Effective worker count for batch dispatch (≥ 1, ≤ MaxJobs).
+  /// Effective worker count (≥ 1, ≤ MaxJobs).
   size_t jobs() const { return Opts.Jobs; }
   /// Changes the worker count (0 = hardware concurrency; clamped to
   /// MaxJobs). Takes effect on the next batch; existing worker contexts
@@ -167,14 +168,15 @@ public:
   bool shareFixpointsEnabled() const { return Opts.ShareFixpoints; }
   void setShareFixpoints(bool On);
 
-  /// The dispatcher's pool, sized to jobs() threads, with one warm
-  /// AnalysisContext per worker. Lazily constructed on first use so
-  /// jobs=1 sessions never spawn a thread.
+  /// runBatch's pool, sized to jobs() threads, with every worker's
+  /// context created. Lazily constructed on first use so jobs=1
+  /// sessions never spawn a thread.
   WorkerPool &pool();
-  /// Worker \p Worker's context. Only valid after pool(); each context
-  /// must be used by one thread at a time (the pool's worker-id
-  /// discipline guarantees this during parallelFor).
-  AnalysisContext &workerContext(size_t Worker) { return *Workers[Worker]; }
+  /// Worker \p Worker's warm context, created on first use and kept
+  /// across setJobs. Creation is not thread-safe: fetch each worker's
+  /// context on one thread before the workers start (pool() does this
+  /// for runBatch). Each context must be used by one thread at a time.
+  AnalysisContext &workerContext(size_t Worker);
 
   //===--------------------------------------------------------------------===//
   // Persistent cache (warm-up across processes)

@@ -290,7 +290,7 @@ TEST(Server, FullQueueRejectsWithOverloaded) {
                     "\",\"op\":\"contains\",\"e1\":\"/a/b\",\"e2\":\"//b\"}");
   for (const std::string &L : Lines)
     ASSERT_TRUE(C.sendLine(L));
-  // Unpausing early would let the dispatcher free queue slots while the
+  // Unpausing early would let the workers free queue slots while the
   // reader is still admitting; wait for all 5 rejections (counted at
   // admission) so the overload split is deterministic.
   auto Ns = F.Server.namespaceState("default");
@@ -339,6 +339,49 @@ TEST(Server, HigherPriorityJobsDispatchFirst) {
   EXPECT_NE(R2.find("\"id\":\"hi\""), std::string::npos);
   EXPECT_NE(R1.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(R2.find("\"ok\":true"), std::string::npos);
+}
+
+TEST(Server, FastRequestIsNotHeldBehindASlowOne) {
+  // Two workers, two connections, both requests queued while paused:
+  // Table 2's row 1 (over 100 ms even in a Release build) on A, then a
+  // problem of a few milliseconds on B. Each worker finishes its own
+  // request, so B's answer arrives while A's solve is still running.
+  ServerFixture F(stableServerOptions(2));
+  F.Server.debugPauseDispatch(true);
+  auto Ns = F.Server.namespaceState("default");
+  LineClient A = F.connect();
+  LineClient B = F.connect();
+  ASSERT_TRUE(A.sendLine("{\"id\":\"slow\",\"op\":\"contains\","
+                         "\"e1\":\"/a[.//b[c/*//d]/b[c//d]/b[c/d]]\","
+                         "\"e2\":\"/a[.//b[c/*//d]/b[c/d]]\"}"));
+  // Admitted first, A is popped first.
+  for (int I = 0; I < 500 && Ns->Requests.load() < 1; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_TRUE(B.sendLine("{\"id\":\"fast\",\"op\":\"contains\","
+                         "\"e1\":\"/f1/x\",\"e2\":\"//x\"}"));
+  for (int I = 0; I < 500 && Ns->Requests.load() < 2; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  F.Server.debugPauseDispatch(false);
+
+  std::string Resp;
+  ASSERT_TRUE(B.recvLine(Resp));
+  EXPECT_NE(Resp.find("\"id\":\"fast\",\"ok\":true"), std::string::npos)
+      << Resp;
+  std::string SlowResp;
+  bool Closed = false;
+  bool SlowFirst = A.pollLine(SlowResp, Closed);
+  EXPECT_FALSE(SlowFirst) << "A answered first: " << SlowResp;
+  ASSERT_TRUE(B.sendLine("{\"op\":\"status\"}"));
+  ASSERT_TRUE(B.recvLine(Resp));
+  std::string Error;
+  JsonRef S = parseJson(Resp, Error);
+  ASSERT_NE(S, nullptr) << Error;
+  EXPECT_EQ(S->get("status")->get("in_flight")->asNumber(), 1) << Resp;
+  if (!SlowFirst)
+    ASSERT_TRUE(A.recvLine(SlowResp));
+  EXPECT_NE(SlowResp.find("\"id\":\"slow\",\"ok\":true"),
+            std::string::npos)
+      << SlowResp;
 }
 
 TEST(Server, DrainRejectsNewWorkButFinishesAdmitted) {

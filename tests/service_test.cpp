@@ -875,16 +875,26 @@ TEST(ParallelBatch, ConfigLineSwitchesJobsMidStream) {
   EXPECT_TRUE(Resps[2]->get("ok")->asBool());
   EXPECT_EQ(Session.jobs(), 3u);
 
-  // A config line without 'jobs', or with a count no size_t holds, is
-  // an error response, not a stop.
+  // A config line without 'jobs', with a count no size_t holds or with
+  // a non-boolean switch is an error response, not a stop. The bad
+  // values are answered as xsolved answers them: invalid_config_value
+  // naming the key.
   std::vector<JsonRef> Bad =
       runLines(Session, R"({"op":"config"})" "\n"
                         R"({"op":"config","jobs":1e30})" "\n"
-                        R"({"op":"config","jobs":-1})" "\n");
-  ASSERT_EQ(Bad.size(), 3u);
+                        R"({"op":"config","jobs":-1})" "\n"
+                        R"({"op":"config","share_fixpoints":"yes"})" "\n");
+  ASSERT_EQ(Bad.size(), 4u);
   for (const JsonRef &R : Bad)
     EXPECT_FALSE(R->get("ok")->asBool());
+  const char *BadKeys[] = {"jobs", "jobs", "share_fixpoints"};
+  for (size_t I = 1; I < Bad.size(); ++I) {
+    SCOPED_TRACE(I);
+    EXPECT_EQ(Bad[I]->get("error")->str("code"), "invalid_config_value");
+    EXPECT_EQ(Bad[I]->get("error")->str("key"), BadKeys[I - 1]);
+  }
   EXPECT_EQ(Session.jobs(), 3u);
+  EXPECT_FALSE(Session.shareFixpointsEnabled());
 }
 
 //===----------------------------------------------------------------------===//
