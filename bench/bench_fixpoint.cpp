@@ -4,19 +4,22 @@
 // configuration) for the fixpoint store. The workload is the service
 // benchmark's shape: near-duplicate decision problems — one query shape
 // instantiated over per-request alphabets — whose leans are isomorphic,
-// so with --share-fixpoints every run after the first per shape replays
-// the stored iterate sequence instead of recomputing it.
+// so in a session every run after the first per shape replays the
+// stored iterate sequence instead of recomputing it.
 //
-// It doubles as the CI regression gate for the sharing engine; the
-// process exits nonzero unless all of:
+// It doubles as the CI regression gate for the sharing engine. The
+// reference is an unshared run: every request answered by runRequest on
+// a standalone AnalysisContext (no result cache, no fixpoint store) and
+// encoded as --stable encodes it. The process exits nonzero unless all
+// of:
 //
-//   * sharing is output-invisible: the stable JSON-lines responses are
-//     byte-identical with sharing off, sharing on, and sharing on at
-//     jobs=4;
-//   * the computed iteration count (solver iterations minus replayed
-//     ones) drops strictly with sharing on;
+//   * sharing is output-invisible: the session's stable JSON-lines
+//     responses, serial and at jobs=4, are byte-identical to the
+//     reference's;
+//   * the session's computed iteration count (solver iterations minus
+//     replayed ones) is below the reference's cold-equivalent total;
 //   * a store-warm batch of *unseen* same-shaped queries seeds every
-//     solver run.
+//     solver run, and matches its own unshared reference.
 //
 // A last, ungated row times one XHTML-scale single query
 // (xhtml-single-query) and records its BDD work: bdd_mk_calls and
@@ -24,18 +27,21 @@
 //
 // Results go to BENCH_fixpoint.json; every row carries name, wall_ms,
 // cache_hit_rate, solver_iterations, iterations_computed,
-// iterations_replayed, seeded_runs, seed_hit_rate, p50_ms and p99_ms (the tail fields come from the engine's
-// request-latency histogram, bracketed per run).
+// iterations_replayed, seeded_runs, seed_hit_rate, p50_ms and p99_ms
+// (the tail fields come from the engine's request-latency histogram,
+// bracketed per run).
 //
 //===----------------------------------------------------------------------===//
 
 #include "service/Batch.h"
+#include "service/Context.h"
 #include "service/Session.h"
 
 #include "BenchJson.h"
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -68,6 +74,37 @@ struct RunOutcome {
   /// delta), appended to the BENCH_fixpoint.json extras.
   std::vector<std::pair<std::string, double>> Quantiles;
 };
+
+/// The unshared reference: each line of \p Input answered on one
+/// standalone context, with no result cache and no fixpoint store.
+/// Stats carries the cold iteration total.
+RunOutcome runUnshared(const std::string &Input) {
+  RunOutcome Out;
+  AnalysisContext Ctx{SolverOptions{}};
+  std::istringstream In(Input);
+  std::string Line;
+  xsa_bench::LatencyProbe Probe(xsa_bench::requestLatencyHistogram());
+  auto T0 = std::chrono::steady_clock::now();
+  while (std::getline(In, Line)) {
+    std::string Error;
+    JsonRef Obj = parseJson(Line, Error);
+    AnalysisRequest Req;
+    if (!Obj || !requestFromJson(*Obj, Req, Error)) {
+      std::fprintf(stderr, "bench_fixpoint: bad line %s: %s\n", Line.c_str(),
+                   Error.c_str());
+      std::exit(1);
+    }
+    AnalysisResponse R = runRequest(Ctx, Req);
+    Out.Stats.SolverIterations += R.Stats.Iterations;
+    Out.StableOut += responseToJson(R, /*IncludeVolatile=*/false)->dump();
+    Out.StableOut += '\n';
+  }
+  Out.WallMs = std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - T0)
+                   .count();
+  Out.Quantiles = Probe.quantiles();
+  return Out;
+}
 
 RunOutcome runBatchOn(AnalysisSession &Session, const std::string &Input) {
   RunOutcome Out;
@@ -117,19 +154,16 @@ int main() {
     Ok = false;
   };
 
-  // Baseline: sharing off, everything computed.
-  AnalysisSession Off;
-  RunOutcome Base = runBatchOn(Off, Batch);
-  Json.record("near-dup-batch/share=off", Base.WallMs,
-              xsa_bench::sessionHitRate(Off), extras(Base.Stats, Base));
+  // The unshared reference: everything computed.
+  RunOutcome Base = runUnshared(Batch);
+  Json.record("near-dup-batch/unshared", Base.WallMs, 0,
+              extras(Base.Stats, Base));
 
-  // Sharing on, serial.
-  SessionOptions ShareOpts;
-  ShareOpts.ShareFixpoints = true;
-  AnalysisSession On(ShareOpts);
-  RunOutcome Shared = runBatchOn(On, Batch);
-  Json.record("near-dup-batch/share=on", Shared.WallMs,
-              xsa_bench::sessionHitRate(On), extras(Shared.Stats, Shared));
+  // A session, serial: runs after the first per shape replay.
+  AnalysisSession Serial;
+  RunOutcome Shared = runBatchOn(Serial, Batch);
+  Json.record("near-dup-batch/session", Shared.WallMs,
+              xsa_bench::sessionHitRate(Serial), extras(Shared.Stats, Shared));
 
   if (Shared.StableOut != Base.StableOut)
     Fail("sharing changed the stable batch output");
@@ -149,21 +183,22 @@ int main() {
   if (Shared.Stats.FixpointSeededRuns == 0)
     Fail("no solver run was seeded");
 
-  // Sharing on, 4 workers, cold: byte-identical despite racing seeds.
-  SessionOptions ParOpts = ShareOpts;
+  // A session with 4 workers, cold: byte-identical despite racing seeds.
+  SessionOptions ParOpts;
   ParOpts.Jobs = 4;
   AnalysisSession Par(ParOpts);
   RunOutcome Parallel = runBatchOn(Par, Batch);
-  Json.record("near-dup-batch/share=on-jobs=4", Parallel.WallMs,
+  Json.record("near-dup-batch/session-jobs=4", Parallel.WallMs,
               xsa_bench::sessionHitRate(Par), extras(Parallel.Stats, Parallel));
   if (Parallel.StableOut != Base.StableOut)
-    Fail("jobs=4 seeded output differs from the serial run");
+    Fail("jobs=4 seeded output differs from the unshared reference");
 
-  // Warm-store batch: unseen labels, same shapes — the restarted-service
-  // scenario. Every run must seed; this is the warm-batch uplift gate.
+  // Warm-store batch: unseen labels, same shapes, on the serial session
+  // whose store the batch above filled. Every run must seed; this is the
+  // warm-batch uplift gate.
   std::string Unseen = nearDuplicateBatch(Groups, /*Offset=*/1000);
-  SessionStats Before = On.stats();
-  RunOutcome Warm = runBatchOn(On, Unseen);
+  SessionStats Before = Serial.stats();
+  RunOutcome Warm = runBatchOn(Serial, Unseen);
   SessionStats Delta;
   Delta.SolverIterations =
       Warm.Stats.SolverIterations - Before.SolverIterations;
@@ -174,19 +209,15 @@ int main() {
   Delta.Fixpoints.Hits = Warm.Stats.Fixpoints.Hits - Before.Fixpoints.Hits;
   Delta.Fixpoints.Misses =
       Warm.Stats.Fixpoints.Misses - Before.Fixpoints.Misses;
-  Json.record("warm-store-batch/share=on", Warm.WallMs,
-              xsa_bench::sessionHitRate(On), extras(Delta, Warm));
+  Json.record("warm-store-batch/session", Warm.WallMs,
+              xsa_bench::sessionHitRate(Serial), extras(Delta, Warm));
   size_t WarmSolves = Warm.Stats.Solves - Before.Solves;
   if (Delta.FixpointSeededRuns < WarmSolves)
     Fail("a warm-store run went unseeded");
   if (Delta.FixpointIterationsReplayed * 2 < Delta.SolverIterations)
     Fail("warm-store batch replayed less than half of its iterations");
-
-  // Reference: what the unseen batch costs with no store at all.
-  AnalysisSession OffUnseen;
-  RunOutcome UnseenBase = runBatchOn(OffUnseen, Unseen);
-  if (Warm.StableOut != UnseenBase.StableOut)
-    Fail("warm-store output differs from an unshared session's");
+  if (Warm.StableOut != runUnshared(Unseen).StableOut)
+    Fail("warm-store output differs from the unshared reference");
 
   // One XHTML-scale single query. Next to wall time the row records
   // machine-independent counters, so rows from different hosts compare:

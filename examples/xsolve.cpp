@@ -82,8 +82,7 @@ int usage() {
       "  xsolve validate <xml-file> <dtd>\n"
       "  xsolve optimize '<xpath>' [dtd]\n"
       "  xsolve batch [file|-] [--jobs N] [--cache-file F] [--stable]\n"
-      "               [--share-fixpoints] [--trace-file F]\n"
-      "               [--metrics-file F]\n"
+      "               [--trace-file F] [--metrics-file F]\n"
       "  xsolve replay <slowlog.json|-> [--out F] [batch flags]\n"
       "where [dtd] is a file path or one of: wikipedia, smil, xhtml.\n"
       "optimize rewrites the query rule by rule, accepting a candidate\n"
@@ -93,22 +92,17 @@ int usage() {
       "  {\"id\":\"q1\",\"op\":\"contains\",\"e1\":\"/a//b\","
       "\"e2\":\"//b\",\"dtd\":\"xhtml\"}\n"
       "(ops: sat empty contains overlap cover equiv typecheck optimize;\n"
-      " {\"op\":\"config\",\"jobs\":N,\"share_fixpoints\":B}\n"
-      " reconfigures mid-stream)\n"
+      " {\"op\":\"config\",\"jobs\":N} reconfigures mid-stream)\n"
       "replay turns a slow-query log entry (xsolved /slowlog output, one\n"
       "JSON object or a dump array) into a batch run that re-executes the\n"
-      "recorded request under its recorded configuration; --out F writes\n"
-      "the generated batch file instead of running it.\n"
+      "recorded request; --out F writes the generated batch file instead\n"
+      "of running it.\n"
       "batch flags:\n"
       "  --jobs N        dispatch across N worker threads (0 = all cores)\n"
       "  --cache-file F  load the result cache from F on start (if it\n"
       "                  exists) and save it back on exit\n"
       "  --stable        omit execution-dependent fields (cache, time_ms)\n"
       "                  so output is byte-identical at any job count\n"
-      "  --share-fixpoints\n"
-      "                  share solver fixpoint sets across requests:\n"
-      "                  runs with the same lean replay stored iterates\n"
-      "                  instead of recomputing them (output unchanged)\n"
       "  --trace-file F  record spans for every pipeline stage and write\n"
       "                  them as Chrome trace-event JSON to F (open in\n"
       "                  Perfetto / chrome://tracing); response output is\n"
@@ -184,9 +178,8 @@ void collectSlowlogRecords(const JsonRef &V, std::vector<JsonRef> &Out) {
 
 /// Turns slowlog JSON (one record, a /slowlog dump, an array, or
 /// JSON-lines of records) into batch text: for each record that carries
-/// a reproduction payload, a {"op":"config",...} preamble built from its
-/// "config" snapshot followed by its "request" object stripped of
-/// server-only fields. Consecutive identical config lines are elided.
+/// a reproduction payload, its "request" object stripped of server-only
+/// fields. A "config" object older slowlogs carry is ignored.
 bool slowlogToBatch(const std::string &Text, std::string &BatchText,
                     std::string &Error) {
   std::vector<JsonRef> Parsed;
@@ -225,7 +218,6 @@ bool slowlogToBatch(const std::string &Text, std::string &BatchText,
   }
 
   size_t Skipped = 0;
-  std::string LastConfig;
   for (const JsonRef &R : Records) {
     JsonRef Req = R->get("request");
     if (!Req || Req->type() != JsonValue::Type::Object) {
@@ -234,23 +226,6 @@ bool slowlogToBatch(const std::string &Text, std::string &BatchText,
       // silently shrinking the batch.
       ++Skipped;
       continue;
-    }
-    JsonRef Cfg = R->get("config");
-    if (Cfg && Cfg->type() == JsonValue::Type::Object) {
-      JsonRef Line = JsonValue::object();
-      Line->set("op", JsonValue::string("config"));
-      // Only the key the batch config line accepts is copied; anything
-      // else a record carries (e.g. the retired "optimize", "bdd_backend"
-      // and "fixpoint_strategy" of older slowlogs) is dropped so the
-      // record still replays.
-      if (JsonRef V = Cfg->get("share_fixpoints"); V && !V->isNull())
-        Line->set("share_fixpoints", V);
-      std::string Dumped = Line->dump();
-      if (Dumped != LastConfig) {
-        BatchText += Dumped;
-        BatchText += '\n';
-        LastConfig = Dumped;
-      }
     }
     // The admitted request verbatim, minus fields only the server's
     // admission queue interprets.
@@ -321,8 +296,6 @@ int main(int argc, char **argv) {
         MetricsFile = argv[++I];
       } else if (Arg == "--stable") {
         Stable = true;
-      } else if (Arg == "--share-fixpoints") {
-        Session.setShareFixpoints(true);
       } else if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {
         std::fprintf(stderr, "error: unknown %s flag %s\n", Cmd.c_str(),
                      Arg.c_str());
@@ -333,9 +306,7 @@ int main(int argc, char **argv) {
     }
     // Replay preprocessing: turn the slowlog input into batch text
     // before any session state is touched, so --out can exit without
-    // side effects. The recorded config rides inside the batch text as
-    // {"op":"config"} preambles, overriding any command-line defaults —
-    // reproducing the configuration the request actually ran under.
+    // side effects.
     std::string ReplayBatch;
     if (Replay) {
       std::string Text;

@@ -3,7 +3,7 @@
 // The daemon front end to server/Server.h:
 //
 //   xsolved [--tcp PORT] [--unix PATH] [--jobs N] [--queue-limit N]
-//           [--cache-file F] [--stable] [--share-fixpoints] [--port-file F]
+//           [--cache-file F] [--stable] [--port-file F]
 //   xsolved client (--tcp HOST:PORT | --unix PATH) [file|-]
 //
 // The server wraps ONE shared AnalysisSession: every client's requests
@@ -60,8 +60,7 @@ int usage() {
       stderr,
       "usage:\n"
       "  xsolved [--tcp PORT] [--unix PATH] [--jobs N] [--queue-limit N]\n"
-      "          [--cache-file F] [--stable] [--share-fixpoints]\n"
-      "          [--port-file F]\n"
+      "          [--cache-file F] [--stable] [--port-file F]\n"
       "  xsolved client (--tcp HOST:PORT | --unix PATH) [file|-]\n"
       "server flags:\n"
       "  --tcp PORT      listen on 127.0.0.1:PORT (0 = ephemeral port)\n"
@@ -228,8 +227,6 @@ int main(int argc, char **argv) {
       Opts.CacheFile = argv[++I];
     } else if (Arg == "--stable") {
       Opts.DefaultStable = true;
-    } else if (Arg == "--share-fixpoints") {
-      Opts.Session.ShareFixpoints = true;
     } else if (Arg == "--port-file" && I + 1 < argc) {
       PortFile = argv[++I];
     } else if (Arg == "--log-file" && I + 1 < argc) {

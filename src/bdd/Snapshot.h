@@ -15,10 +15,6 @@
 /// lean signature). Import rebuilds through the manager's public
 /// hash-consing operations, so the result is canonical in the consumer.
 ///
-/// Snapshots also serialize to a compact text line (and back) for the
-/// versioned persistent cache, where malformed input must be detected,
-/// never trusted.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef XSA_BDD_SNAPSHOT_H
@@ -27,7 +23,6 @@
 #include "bdd/Bdd.h"
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace xsa {
@@ -55,12 +50,6 @@ struct BddSnapshot {
     for (Node &N : Nodes)
       N.Var = Map(N.Var);
   }
-
-  /// Compact single-line text form: "root n var low high var low high
-  /// ...". decode() rejects anything that is not a well-formed,
-  /// topologically ordered table (untrusted cache-file input).
-  std::string encode() const;
-  static bool decode(const std::string &Text, BddSnapshot &Out);
 };
 
 /// Serializes \p F (which must belong to \p M) as a snapshot. Variables

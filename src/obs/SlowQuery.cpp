@@ -84,17 +84,13 @@ JsonRef SlowQueryLog::toJson(const SlowQueryRecord &R) {
   for (const auto &[Name, Ms] : R.StageMs)
     Stages->set(Name, JsonValue::number(Ms));
   O->set("stages", Stages);
-  // Reproduction payload: the admitted request (re-parsed so it embeds
-  // as an object, not a quoted string) and the effective config it ran
-  // under. `xsolve replay` consumes exactly these two fields.
+  // Reproduction payload: the admitted request, re-parsed so it embeds
+  // as an object, not a quoted string. `xsolve replay` consumes exactly
+  // this field.
   if (!R.RequestJson.empty()) {
     std::string Err;
-    if (JsonRef Req = parseJson(R.RequestJson, Err)) {
+    if (JsonRef Req = parseJson(R.RequestJson, Err))
       O->set("request", Req);
-      JsonRef Cfg = JsonValue::object();
-      Cfg->set("share_fixpoints", JsonValue::boolean(R.Share));
-      O->set("config", Cfg);
-    }
   }
   return O;
 }

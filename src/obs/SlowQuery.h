@@ -59,9 +59,6 @@ struct SlowQueryRecord {
   /// The request as admitted, dumped back to JSON — what `xsolve replay`
   /// turns into a runnable batch line ("" when capture predates it).
   std::string RequestJson;
-  /// Effective per-job config snapshot (namespace overrides applied):
-  /// what `xsolve replay` turns into the batch's config preamble.
-  bool Share = false;
 };
 
 class SlowQueryLog {

@@ -36,7 +36,7 @@ namespace detail {
 struct FdLineReader {
   int Fd;
   size_t MaxBytes;
-  std::string Buf;
+  std::string Buf = {};
   size_t Pos = 0;
   bool Eof = false;
   /// When >= 0: before each recv, wait at most this many milliseconds
@@ -222,8 +222,8 @@ struct XsolvedServer::Connection {
 };
 
 /// An admitted analysis request, carrying everything a worker needs —
-/// including the namespace-config and encoding snapshots taken at
-/// admission, so a later config change never races a queued job.
+/// including the encoding snapshot taken at admission, so a later config
+/// change never races a queued job.
 struct XsolvedServer::Job {
   std::shared_ptr<Connection> Conn;
   std::shared_ptr<NamespaceState> Ns;
@@ -239,7 +239,6 @@ struct XsolvedServer::Job {
   /// any slowlog capture. Generated ids never reach stable output.
   std::string Rid;
   bool Stable = false;
-  bool Share = false;
   /// The admitted request line dumped back to JSON, carried so a slowlog
   /// capture can reproduce the request verbatim (`xsolve replay`).
   std::string RequestJson;
@@ -859,7 +858,7 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
                             "jobs is fixed at server start (the workers are "
                             "shared by every client)",
                             "jobs")
-          : decodeConfigLine(Obj, {"ns", "stable", "share_fixpoints"}, Cfg);
+          : decodeConfigLine(Obj, {"ns", "stable"}, Cfg);
   if (Err) {
     Conn.Ns->Errors.fetch_add(1, std::memory_order_relaxed);
     deliver(Conn, Seq, Err->dump());
@@ -869,22 +868,11 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
     Conn.Ns = namespaceState(*Cfg.Ns);
   if (Cfg.Stable)
     Conn.Stable = *Cfg.Stable;
-  NamespaceState &Ns = *Conn.Ns;
-  bool EffShare;
-  {
-    std::lock_guard<std::mutex> L(Ns.Mu);
-    if (Cfg.ShareFixpoints) {
-      Ns.HaveShare = true;
-      Ns.Share = *Cfg.ShareFixpoints;
-    }
-    EffShare = Ns.HaveShare ? Ns.Share : Opts.Session.ShareFixpoints;
-  }
 
   JsonRef O = controlResponseJson(Obj);
-  O->set("ns", JsonValue::string(Ns.Name));
+  O->set("ns", JsonValue::string(Conn.Ns->Name));
   O->set("stable", JsonValue::boolean(Conn.Stable));
   O->set("jobs", JsonValue::number(static_cast<double>(Sess->jobs())));
-  O->set("share_fixpoints", JsonValue::boolean(EffShare));
   deliver(Conn, Seq, O->dump());
 }
 
@@ -1069,11 +1057,6 @@ void XsolvedServer::admit(const std::shared_ptr<Connection> &ConnPtr,
     if (Ns < std::numeric_limits<uint64_t>::max() - J.EnqueueNs)
       J.DeadlineNs = J.EnqueueNs + Ns;
   }
-  {
-    std::lock_guard<std::mutex> L(Conn.Ns->Mu);
-    J.Share =
-        Conn.Ns->HaveShare ? Conn.Ns->Share : Opts.Session.ShareFixpoints;
-  }
 
   std::shared_ptr<NamespaceState> Ns = J.Ns;
   bool Drain, Full;
@@ -1151,8 +1134,6 @@ void XsolvedServer::workerLoop(AnalysisContext &Ctx) {
       Tracer::global().recordSpanFrom("server.queue_wait", J.EnqueueNs);
       InFlight.fetch_add(1, std::memory_order_relaxed);
       J.Ns->InFlight.fetch_add(1, std::memory_order_relaxed);
-      // Apply the namespace-config snapshot taken at admission.
-      Ctx.setShareFixpoints(J.Share);
       R = runRequest(Ctx, J.Req);
       J.Ns->InFlight.fetch_sub(1, std::memory_order_relaxed);
       InFlight.fetch_sub(1, std::memory_order_relaxed);
@@ -1214,7 +1195,6 @@ void XsolvedServer::finish(const Job &J, const AnalysisResponse &R,
     SR.StageMs = R.StageMs;
     SR.StageMs.emplace_back("server.queue_wait", WaitMs);
     SR.RequestJson = J.RequestJson;
-    SR.Share = J.Share;
     Ns.SlowQueries.fetch_add(1, std::memory_order_relaxed);
     Slow.record(std::move(SR));
     // Link the latency histogram back to this capture; an expired

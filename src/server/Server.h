@@ -38,11 +38,10 @@
 ///
 /// Tenancy. A connection starts in the "default" namespace and may
 /// switch with {"op":"config","ns":"team-a"}. A namespace carries its
-/// own config override (share_fixpoints) and its own request
-/// statistics; the caches underneath stay shared — namespaces isolate
-/// *configuration and accounting*, not results, which is the point of a
-/// shared-session server (reads through a shared cache cannot change any
-/// verdict; see DESIGN.md).
+/// own request statistics; the result cache and fixpoint store
+/// underneath stay shared — namespaces isolate *accounting*, not
+/// results, which is the point of a shared-session server (reads
+/// through a shared cache cannot change any verdict; see DESIGN.md).
 ///
 /// Shutdown. SIGTERM (wired in examples/xsolved.cpp) or a client
 /// {"op":"drain"} stops accepting connections, answers further analysis
@@ -125,17 +124,12 @@ struct ServerOptions {
   bool DefaultStable = false;
 };
 
-/// Per-namespace configuration overrides and accounting. Config fields
-/// are guarded by Mu and snapshotted into each job at admission;
-/// counters are relaxed atomics (independent tallies bumped by readers
-/// and workers, read at export time).
+/// Per-namespace accounting: relaxed atomics (independent tallies
+/// bumped by readers and workers, read at export time).
 struct NamespaceState {
   explicit NamespaceState(std::string Name);
 
   const std::string Name;
-
-  std::mutex Mu;
-  bool HaveShare = false, Share = false;
 
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> Errors{0};

@@ -530,8 +530,8 @@ JsonRef xsa::decodeConfigLine(const JsonValue &Obj,
     auto Fail = [&](const char *Code, const std::string &Message) {
       return configErrorJson(Obj, Code, Message, K, V->dump(), Line);
     };
-    // Unknown keys are rejected rather than ignored: a misspelled switch
-    // ("share_fixpoint") must not read as an applied one.
+    // Unknown keys are rejected rather than ignored: a misspelled key
+    // ("stabel") must not read as an applied one.
     if (std::find(Keys.begin(), Keys.end(), K) == Keys.end())
       return Fail("unknown_config_key", "unknown config key '" + K + "'");
     if (K == "jobs") {
@@ -550,7 +550,7 @@ JsonRef xsa::decodeConfigLine(const JsonValue &Obj,
     } else if (V->type() != JsonValue::Type::Bool) {
       return Fail("invalid_config_value", K + " must be a boolean");
     } else {
-      (K == "stable" ? Out.Stable : Out.ShareFixpoints) = V->asBool();
+      Out.Stable = V->asBool();
     }
   }
   return nullptr;
@@ -719,29 +719,22 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
       // Control line: answer in order, apply to everything after it.
       Flush();
       ConfigLine Cfg;
-      if (JsonRef Err = decodeConfigLine(*Obj, {"jobs", "share_fixpoints"},
-                                         Cfg, LineNo)) {
+      if (JsonRef Err = decodeConfigLine(*Obj, {"jobs"}, Cfg, LineNo)) {
         ++Errors;
         Out << Err->dump() << "\n";
         continue;
       }
-      if (!Cfg.Jobs && !Cfg.ShareFixpoints) {
+      if (!Cfg.Jobs) {
         AnalysisResponse Resp;
         Resp.Id = Obj->str("id");
         Resp.ErrorLine = LineNo;
-        Resp.Error = "config needs 'jobs' (a non-negative integer) and/or "
-                     "'share_fixpoints' (a boolean)";
+        Resp.Error = "config needs 'jobs' (a non-negative integer)";
         Emit(Resp);
         continue;
       }
-      if (Cfg.Jobs)
-        Session.setJobs(*Cfg.Jobs);
-      if (Cfg.ShareFixpoints)
-        Session.setShareFixpoints(*Cfg.ShareFixpoints);
+      Session.setJobs(*Cfg.Jobs);
       JsonRef O = controlResponseJson(*Obj);
       O->set("jobs", JsonValue::number(static_cast<double>(Session.jobs())));
-      O->set("share_fixpoints",
-             JsonValue::boolean(Session.shareFixpointsEnabled()));
       ++Answered;
       Out << O->dump() << "\n";
       continue;

@@ -113,19 +113,18 @@ JsonRef controlResponseJson(const JsonValue &Req, bool Ok = true);
 /// out stay unset.
 struct ConfigLine {
   std::optional<size_t> Jobs;
-  std::optional<bool> ShareFixpoints;
   std::optional<bool> Stable;
   std::optional<std::string> Ns;
 };
 
 /// Decodes a {"op":"config"} line for `xsolve batch` and xsolved alike.
 /// \p Keys names the config keys the caller accepts (a subset of jobs,
-/// share_fixpoints, stable and ns) besides "op" and "id". jobs must be an
-/// integer in [0, 2^64), share_fixpoints and stable booleans, ns a
-/// non-empty string. Returns null with \p Out filled when the whole line
-/// is valid; otherwise the ok=false response to send (see
-/// configErrorJson), with code unknown_config_key or invalid_config_value
-/// and the offending key and value, so a rejected line applies nothing.
+/// stable and ns) besides "op" and "id". jobs must be an integer in
+/// [0, 2^64), stable a boolean, ns a non-empty string. Returns null with
+/// \p Out filled when the whole line is valid; otherwise the ok=false
+/// response to send (see configErrorJson), with code unknown_config_key
+/// or invalid_config_value and the offending key and value, so a
+/// rejected line applies nothing.
 /// \p Line (1-based; 0 = none) is reported in the error.
 JsonRef decodeConfigLine(const JsonValue &Obj,
                          std::initializer_list<const char *> Keys,

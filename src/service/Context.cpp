@@ -50,14 +50,12 @@ AnalysisContext::AnalysisContext(const SolverOptions &BaseOpts,
       CacheAdapter(SharedCache
                        ? std::make_unique<SharedCacheAdapter>(FF, *SharedCache)
                        : nullptr),
-      Fixpoints(SharedFixpoints
-                    ? std::make_unique<FixpointAdapter>(*SharedFixpoints)
-                    : nullptr),
+      Fixpoints(SharedFixpoints),
       An(FF, wiredOptions(BaseOpts)), RawSolver(FF, wiredOptions(BaseOpts)) {}
 
 SolverOptions AnalysisContext::wiredOptions(SolverOptions Opts) {
   Opts.Cache = CacheAdapter.get();
-  Opts.Fixpoints = Fixpoints.get();
+  Opts.Fixpoints = Fixpoints;
   Opts.StatsHook = nullptr;
   if (Stats)
     Opts.StatsHook = [this](const SolverStats &S) {
@@ -78,15 +76,6 @@ SolverOptions AnalysisContext::wiredOptions(SolverOptions Opts) {
 
 SolverResult AnalysisContext::satisfiable(Formula Psi) {
   return RawSolver.solve(Psi);
-}
-
-bool AnalysisContext::shareFixpoints() const {
-  return Fixpoints && Fixpoints->On;
-}
-
-void AnalysisContext::setShareFixpoints(bool On) {
-  if (Fixpoints)
-    Fixpoints->On = On;
 }
 
 ExprRef AnalysisContext::query(const std::string &XPath, std::string &Error) {

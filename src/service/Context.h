@@ -14,12 +14,16 @@
 /// Nothing inside a context is shared, so a context may only ever be used
 /// by one thread at a time.
 ///
-/// What *is* shared sits behind two thread-safe fronts wired in at
+/// What *is* shared sits behind three thread-safe fronts wired in at
 /// construction:
 ///
 ///  * a ShardedResultCache of solver results, keyed on canonical formula
 ///    text (factory-independent, see Cache.h) — this is how a worker
 ///    benefits from fixpoints another worker already ran;
+///  * a SharedFixpointStore of iterate sequences, keyed on lean
+///    signature, which every solver run seeds from and publishes to —
+///    this is how a worker benefits from another's run on a relabeled
+///    query;
 ///  * an AtomicSessionStats bundle that all contexts tally into.
 ///
 /// Memory order: every AtomicSessionStats member is a relaxed atomic.
@@ -82,9 +86,10 @@ struct AtomicSessionStats {
 };
 
 /// A single-threaded solver context: factory, parser/DTD memos, Analyzer
-/// and raw solver, wired through the session's shared cache and stats.
-/// AnalysisSession owns one context per worker (plus one for the serial
-/// API); it is also usable standalone with both shared fronts null.
+/// and raw solver, wired through the session's shared cache, fixpoint
+/// store and stats. AnalysisSession owns one context per worker (plus
+/// one for the serial API); it is also usable standalone with every
+/// shared front null, which runs uncached and unshared.
 class AnalysisContext {
 public:
   /// Every shared-front pointer may be null (uncached / untallied
@@ -136,13 +141,6 @@ public:
   std::shared_ptr<const OptimizeEntry> optimized(const std::string &XPath,
                                                  const std::string &Dtd);
 
-  /// Cross-request fixpoint sharing (SessionOptions::ShareFixpoints):
-  /// when on — and a SharedFixpointStore was wired in — every solver run
-  /// seeds its fixpoint from the store and publishes back. Off by
-  /// default; toggling is not thread-safe against a running batch.
-  bool shareFixpoints() const;
-  void setShareFixpoints(bool On);
-
 private:
   /// Bridges the solver's pointer-keyed ResultCache interface to the
   /// session's text-keyed ShardedResultCache. The canonical text of each
@@ -174,36 +172,15 @@ private:
     SolverResult Hit;
   };
 
-  /// Bridges the solver's FixpointCache hook to the session's shared
-  /// store, with the per-context sharing switch in front: when off the
-  /// solver skips signature computation entirely (enabled() gate).
-  class FixpointAdapter : public FixpointCache {
-  public:
-    explicit FixpointAdapter(SharedFixpointStore &Shared) : Shared(Shared) {}
-    bool enabled() const override { return On; }
-    std::shared_ptr<const FixpointSeedData>
-    lookup(const std::string &LeanSig, uint32_t OptsKey) override {
-      return Shared.lookup(LeanSig, OptsKey);
-    }
-    void publish(const std::string &LeanSig, uint32_t OptsKey,
-                 std::shared_ptr<const FixpointSeedData> Data) override {
-      Shared.publish(LeanSig, OptsKey, std::move(Data));
-    }
-    bool On = false;
-
-  private:
-    SharedFixpointStore &Shared;
-  };
-
-  /// \p BaseOpts with the adapters and the stats hook wired in. Called
-  /// from the member-initializer list, so it may read only the members
-  /// declared above An.
+  /// \p BaseOpts with the cache adapter, the fixpoint store and the
+  /// stats hook wired in. Called from the member-initializer list, so it
+  /// may read only the members declared above An.
   SolverOptions wiredOptions(SolverOptions Opts);
 
   FormulaFactory FF;
   AtomicSessionStats *Stats;                        ///< may be null
   std::unique_ptr<SharedCacheAdapter> CacheAdapter; ///< may be null
-  std::unique_ptr<FixpointAdapter> Fixpoints;       ///< may be null
+  SharedFixpointStore *Fixpoints;                   ///< may be null
   Analyzer An;
   BddSolver RawSolver;
 

@@ -19,8 +19,17 @@
 ///    stored one (converged beats any prefix, longer prefix beats
 ///    shorter), so racing workers converge to the best sequence no
 ///    matter the interleaving;
-///  * a per-entry node budget guards against pathological runs turning
-///    the store into a memory sink.
+///  * the store is bounded by what it holds, not by how many entries it
+///    has: one budget in snapshot-node units (12 bytes), split evenly
+///    across the shards, charged with everything an entry holds — its
+///    snapshots' node tables and headers, its key's text and a fixed
+///    per-entry overhead (see cost()), so neither sequences of constant
+///    sets nor long keys come free. A publish evicts least-recently-used
+///    entries of its shard until the offer fits, and an offer larger
+///    than its shard's share is dropped.
+///
+/// Sequences live in memory only; the persistent cache file carries
+/// results, not sequences.
 ///
 /// Sharing is sound and output-invisible because the Upd operator of
 /// §7.1 is a function of the lean alone — see the file comment of
@@ -47,43 +56,44 @@
 
 namespace xsa {
 
-class SharedFixpointStore {
+class SharedFixpointStore : public FixpointCache {
 public:
-  /// \p Capacity is the total entry budget (0 disables the store:
-  /// lookups miss, publishes are dropped). \p Shards as in
-  /// ShardedResultCache. \p MaxEntryNodes bounds one entry's summed
-  /// snapshot node count; larger offers are dropped.
-  explicit SharedFixpointStore(size_t Capacity = 256, size_t Shards = 8,
-                               size_t MaxEntryNodes = size_t(1) << 22);
+  /// The budget every session's store gets: 2^23 node units, about
+  /// 100 MB, enough to keep all 14 paper-corpus sequences at once.
+  static constexpr size_t DefaultNodeBudget = size_t(1) << 23;
+
+  /// \p NodeBudget is the total budget in node units. \p Shards as in
+  /// ShardedResultCache: rounded down to a power of two, and never more
+  /// shards than budget units.
+  explicit SharedFixpointStore(size_t NodeBudget = DefaultNodeBudget,
+                               size_t Shards = 8);
+
+  /// What an entry for \p LeanSig holding \p Data costs against the
+  /// budget, in node units: its bytes divided by a node's 12, rounded up.
+  static size_t cost(const std::string &LeanSig, const FixpointSeedData &Data);
 
   /// The best stored sequence for the key, or null on a miss.
-  std::shared_ptr<const FixpointSeedData> lookup(const std::string &LeanSig,
-                                                 uint32_t OptsKey);
+  std::shared_ptr<const FixpointSeedData>
+  lookup(const std::string &LeanSig, uint32_t OptsKey) override;
 
-  /// Offers a sequence; keeps it only if it improves on the stored one.
-  /// Returns true when the offer was kept.
+  /// Offers a sequence; keeps it only if it improves on the stored one
+  /// and fits its shard's share of the budget. Returns true when the
+  /// offer was kept.
   bool publish(const std::string &LeanSig, uint32_t OptsKey,
-               std::shared_ptr<const FixpointSeedData> Data);
+               std::shared_ptr<const FixpointSeedData> Data) override;
 
-  /// Visits every entry, one shard at a time, most-recently-used first
-  /// within a shard (AnalysisSession::saveCache). Entries published
-  /// concurrently with the walk may or may not be visited.
-  void forEachEntry(
-      const std::function<void(const std::string &LeanSig, uint32_t OptsKey,
-                               const FixpointSeedData &Data)> &Fn) const;
-
-  /// Hits/Misses count lookups; Insertions counts kept publishes.
+  /// Hits/Misses count lookups; Insertions counts kept publishes;
+  /// Size counts entries.
   CacheStats stats() const;
-  size_t capacity() const { return Capacity; }
   size_t numShards() const { return ShardTable.size(); }
   size_t size() const;
-  void clear();
 
 private:
   struct Entry {
     std::string Sig;
     uint32_t Opts;
     std::shared_ptr<const FixpointSeedData> Data;
+    size_t Cost; ///< cost(Sig, *Data)
   };
   struct KeyView {
     std::string_view Sig;
@@ -102,6 +112,7 @@ private:
   struct Shard {
     mutable std::mutex M;
     std::list<Entry> Lru; ///< most-recently-used first
+    size_t Held = 0;      ///< summed Cost of Lru's entries
     /// Keys view the list-owned signature strings (stable under splice).
     std::unordered_map<KeyView, std::list<Entry>::iterator, KeyHash, KeyEq>
         Entries;
@@ -110,13 +121,11 @@ private:
   Shard &shardFor(const KeyView &K) {
     return *ShardTable[KeyHash()(K) & (ShardTable.size() - 1)];
   }
-  const Shard &shardFor(const KeyView &K) const {
-    return *ShardTable[KeyHash()(K) & (ShardTable.size() - 1)];
-  }
 
-  size_t Capacity;
-  size_t ShardCapacity;
-  size_t MaxEntryNodes;
+  /// Erases \p It from \p S (the caller holds S.M).
+  void erase(Shard &S, std::list<Entry>::iterator It);
+
+  size_t ShardBudget;
   std::vector<std::unique_ptr<Shard>> ShardTable;
 
   /// Relaxed: independent monotonic counters (see Cache.h).

@@ -2,7 +2,6 @@
 
 #include "service/Session.h"
 
-#include "bdd/Snapshot.h"
 #include "service/Json.h"
 #include "tree/Xml.h"
 
@@ -32,22 +31,14 @@ size_t resolveJobs(size_t Jobs) {
 
 AnalysisSession::AnalysisSession(SessionOptions SOpts)
     : Opts(SOpts), Cache(SOpts.CacheCapacity, SOpts.CacheShards),
-      Fixpoints(SOpts.FixpointCapacity, SOpts.CacheShards),
+      Fixpoints(SharedFixpointStore::DefaultNodeBudget, SOpts.CacheShards),
       Main(SOpts.Solver, &Cache, &Counters, &Fixpoints) {
   Opts.Jobs = resolveJobs(Opts.Jobs);
-  Main.setShareFixpoints(Opts.ShareFixpoints);
 }
 
 AnalysisSession::AnalysisSession(SolverOptions Opts, size_t CacheCapacity)
     : AnalysisSession(SessionOptions{Opts, CacheCapacity,
                                      /*CacheShards=*/8, /*Jobs=*/1}) {}
-
-void AnalysisSession::setShareFixpoints(bool On) {
-  Opts.ShareFixpoints = On;
-  Main.setShareFixpoints(On);
-  for (auto &W : Workers)
-    W->setShareFixpoints(On);
-}
 
 AnalysisResult AnalysisSession::emptiness(const ExprRef &E, Formula Chi) {
   return analyzer().emptiness(E, Chi);
@@ -116,11 +107,9 @@ WorkerPool &AnalysisSession::pool() {
 }
 
 AnalysisContext &AnalysisSession::workerContext(size_t Worker) {
-  while (Workers.size() <= Worker) {
+  while (Workers.size() <= Worker)
     Workers.push_back(std::make_unique<AnalysisContext>(
         Opts.Solver, &Cache, &Counters, &Fixpoints));
-    Workers.back()->setShareFixpoints(Opts.ShareFixpoints);
-  }
   return *Workers[Worker];
 }
 
@@ -128,9 +117,9 @@ AnalysisContext &AnalysisSession::workerContext(size_t Worker) {
 // Persistent cache
 //===----------------------------------------------------------------------===//
 
-/// Persistent format versions. v1 carried result entries only; v2 adds
-/// fixpoint-store sequences ("fx"). Readers skip line shapes they do not
-/// recognize, such as the per-lean strategy choices ("st") and optimized
+/// Persistent format versions. Both carry result entries ("k"); readers
+/// skip line shapes they do not recognize, such as the fixpoint-store
+/// sequences ("fx"), per-lean strategy choices ("st") and optimized
 /// query forms ("oq") that earlier v2 writers appended.
 /// Bump CacheFormatVersion when a line shape changes incompatibly;
 /// loadCache rejects versions it does not know instead of guessing.
@@ -179,22 +168,6 @@ bool AnalysisSession::saveCache(const std::string &Path,
   });
   for (auto It = Lines.rbegin(); It != Lines.rend(); ++It)
     Out << (*It)->dump() << "\n";
-  // Fixpoint sequences, same LRU treatment.
-  std::vector<JsonRef> FxLines;
-  Fixpoints.forEachEntry([&](const std::string &Sig, uint32_t OptsKey,
-                             const FixpointSeedData &Data) {
-    JsonRef O = JsonValue::object();
-    O->set("fx", JsonValue::string(Sig));
-    O->set("o", JsonValue::number(static_cast<double>(OptsKey)));
-    O->set("conv", JsonValue::boolean(Data.Converged));
-    JsonRef Snaps = JsonValue::array();
-    for (const BddSnapshot &S : Data.Snapshots)
-      Snaps->push(JsonValue::string(S.encode()));
-    O->set("snaps", Snaps);
-    FxLines.push_back(O);
-  });
-  for (auto It = FxLines.rbegin(); It != FxLines.rend(); ++It)
-    Out << (*It)->dump() << "\n";
   if (!Out) {
     Error = "write error on cache file " + Path;
     return false;
@@ -238,31 +211,6 @@ bool AnalysisSession::loadCache(const std::string &Path, std::string &Error) {
         return false;
       }
       SawHeader = true;
-      continue;
-    }
-    // Fixpoint sequence entry (v2). A snapshot that fails to decode
-    // poisons its whole entry — a partial sequence prefix would still be
-    // sound, but dropping the entry keeps corruption visible in the
-    // stats instead of silently degrading.
-    std::string FxSig = Obj->str("fx");
-    if (!FxSig.empty()) {
-      auto Data = std::make_shared<FixpointSeedData>();
-      Data->Converged = Obj->get("conv")->asBool();
-      JsonRef Snaps = Obj->get("snaps");
-      bool Bad = Snaps->type() != JsonValue::Type::Array;
-      if (!Bad)
-        for (const JsonRef &S : Snaps->items()) {
-          BddSnapshot Snap;
-          if (S->type() != JsonValue::Type::String ||
-              !BddSnapshot::decode(S->asString(), Snap)) {
-            Bad = true;
-            break;
-          }
-          Data->Snapshots.push_back(std::move(Snap));
-        }
-      uint32_t OptsKey = 0;
-      if (!Bad && !Data->Snapshots.empty() && readCount(*Obj, "o", OptsKey))
-        Fixpoints.publish(FxSig, OptsKey, std::move(Data));
       continue;
     }
     std::string Key = Obj->str("k");

@@ -10,9 +10,10 @@
 /// contexts:
 ///
 ///  * the shared front (this class) owns a ShardedResultCache of solver
-///    results keyed on canonical formula text + options fingerprint, an
-///    AtomicSessionStats bundle, and the WorkerPool runBatch dispatches
-///    over;
+///    results keyed on canonical formula text + options fingerprint, a
+///    SharedFixpointStore of iterate sequences keyed on lean signature,
+///    an AtomicSessionStats bundle, and the WorkerPool runBatch
+///    dispatches over;
 ///  * each worker owns an AnalysisContext (see Context.h) — its own
 ///    FormulaFactory, parser memo, DTD memo, Analyzer and BddSolver —
 ///    because a context is single-threaded by design: the session
@@ -22,6 +23,10 @@
 /// and schema-audit workloads — are answered from the shared cache
 /// instead of re-running the exponential fixpoint, no matter which
 /// worker (or which earlier process: see loadCache) first solved them.
+/// Queries whose lean is a relabeling of an earlier one's replay its
+/// stored iterates from the fixpoint store; replay is output-invisible
+/// (see solver/Pipeline.h), so responses are byte-identical to an
+/// unshared run's at any job count — only the work changes.
 ///
 /// The serial convenience API below (§8 decision problems, query/DTD
 /// resolution) routes everything through one distinguished "main"
@@ -89,15 +94,6 @@ struct SessionOptions {
   /// main context) and xsolved's worker threads; 0 = hardware
   /// concurrency.
   size_t Jobs = 1;
-  /// Cross-request fixpoint sharing: solver runs seed their §7.1
-  /// iteration from the SharedFixpointStore and publish back. Replay is
-  /// output-invisible (see solver/Pipeline.h), so responses are
-  /// byte-identical with sharing on or off, at any job count — only the
-  /// work changes.
-  bool ShareFixpoints = false;
-  /// Entry budget of the fixpoint store (entries, not bytes; 0 disables
-  /// it even when ShareFixpoints is requested).
-  size_t FixpointCapacity = 256;
 };
 
 class AnalysisSession {
@@ -163,11 +159,6 @@ public:
   /// a running batch.
   void setJobs(size_t Jobs);
 
-  /// The fixpoint-sharing switch (SessionOptions::ShareFixpoints),
-  /// applied to every context. Not thread-safe against a running batch.
-  bool shareFixpointsEnabled() const { return Opts.ShareFixpoints; }
-  void setShareFixpoints(bool On);
-
   /// runBatch's pool, sized to jobs() threads, with every worker's
   /// context created. Lazily constructed on first use so jobs=1
   /// sessions never spawn a thread.
@@ -182,19 +173,18 @@ public:
   // Persistent cache (warm-up across processes)
   //===--------------------------------------------------------------------===//
 
-  /// Serializes the session's shared state to \p Path as JSON lines: a
-  /// version header {"xsa_cache":2}, then one entry per line — cached
-  /// results ("k": canonical-text key, options fingerprint, verdict,
-  /// stats, model XML) and fixpoint-store sequences ("fx": lean
-  /// signature, options fingerprint, encoded snapshots). Returns false
+  /// Serializes the session's result cache to \p Path as JSON lines: a
+  /// version header {"xsa_cache":2}, then one cached result per line
+  /// ("k": canonical-text key, options fingerprint, verdict, stats,
+  /// model XML). Fixpoint-store sequences stay in memory. Returns false
   /// and sets \p Error on I/O failure.
   bool saveCache(const std::string &Path, std::string &Error) const;
 
-  /// Loads entries saved by saveCache into the shared stores (counted as
-  /// insertions, not hits). Format versions: 1 (results only) and 2 are
-  /// read; an unknown version is rejected with a clear error instead of
-  /// being mis-parsed. Line shapes it does not recognize (such as the
-  /// "st" and "oq" lines older versions wrote) and entries that fail to
+  /// Loads entries saved by saveCache into the result cache (counted as
+  /// insertions, not hits). Format versions: 1 and 2 are read; an
+  /// unknown version is rejected with a clear error instead of being
+  /// mis-parsed. Line shapes it does not recognize (such as the "st",
+  /// "oq" and "fx" lines older versions wrote) and entries that fail to
   /// parse or carry an out-of-range number are skipped; returns
   /// false and sets \p Error only when the file is unreadable, not a
   /// cache file, or of an unsupported version. Safe to call on a warm

@@ -166,12 +166,10 @@ SolverResult BddSolver::solve(Formula Psi) {
   // Seed lookup: a stored prefix of this lean's iterate sequence. The
   // shared_ptr pins the entry for the whole run; the loop imports its
   // snapshots lazily as it replays them.
-  FixpointCache *Store =
-      Opts.Fixpoints && Opts.Fixpoints->enabled() ? Opts.Fixpoints : nullptr;
   uint32_t FpKey = fixpointOptionsKey(Opts);
   std::shared_ptr<const FixpointSeedData> Seed;
-  if (Store)
-    Seed = Store->lookup(Plan.signature(), FpKey);
+  if (Opts.Fixpoints)
+    Seed = Opts.Fixpoints->lookup(Plan.signature(), FpKey);
 
   const Lean &L = Plan.lean();
   Bdd RootCond = (!TS.x(L.diamTopIndex(Program::ParentInv))) &
@@ -197,10 +195,11 @@ SolverResult BddSolver::solve(Formula Psi) {
 
   // Publish when this run extended what the store had (a run fully
   // served by its seed has nothing new to offer).
-  if (Store && Out.Iterations > Out.Replayed) {
+  if (Opts.Fixpoints && Out.Iterations > Out.Replayed) {
     Span PubSpan("solver.publish");
-    Store->publish(Plan.signature(), FpKey,
-                   exportSequence(M, Loop.snapshots(), Out.Converged));
+    Opts.Fixpoints->publish(
+        Plan.signature(), FpKey,
+        exportSequence(M, Loop.snapshots(), Out.Converged));
   }
 
   if (Out.Sat && Opts.ExtractModel) {

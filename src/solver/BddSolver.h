@@ -89,34 +89,25 @@ struct FixpointSeedData {
   /// True when the sequence ran to Upd's fixpoint (the lfp was reached);
   /// false for the prefix of an early-terminated satisfiable run.
   bool Converged = false;
-
-  size_t totalNodes() const {
-    size_t N = 0;
-    for (const BddSnapshot &S : Snapshots)
-      N += S.nodeCount();
-    return N;
-  }
 };
 
 /// Cross-request fixpoint store consulted by the solver when installed
 /// in SolverOptions. Keys are (lean signature, options fingerprint):
 /// factory-independent like the result-cache keys, so any worker's run
-/// can seed any other's. Implementations live above the solver (see
-/// service/FixpointStore.h) and must be safe to call from whatever
+/// can seed any other's. The implementation lives above the solver
+/// (service/FixpointStore.h) and must be safe to call from whatever
 /// thread solve() runs on.
 class FixpointCache {
 public:
   virtual ~FixpointCache() = default;
-  /// Cheap dynamic switch: when false the solver skips signature
-  /// computation entirely (the session toggles sharing per batch).
-  virtual bool enabled() const { return true; }
   /// The best stored sequence for the key, or null. Shared ownership:
   /// entries are immutable once published.
   virtual std::shared_ptr<const FixpointSeedData>
   lookup(const std::string &LeanSig, uint32_t OptsKey) = 0;
   /// Offers a sequence; the store keeps it only if it improves on what
   /// it has (converged beats prefix, longer prefix beats shorter).
-  virtual void publish(const std::string &LeanSig, uint32_t OptsKey,
+  /// Returns true when the offer was kept.
+  virtual bool publish(const std::string &LeanSig, uint32_t OptsKey,
                        std::shared_ptr<const FixpointSeedData> Data) = 0;
 };
 
@@ -159,13 +150,13 @@ struct SolverOptions {
   /// uses relaxed counters; see service/Context.h for the memory-order
   /// discussion).
   std::function<void(const SolverStats &)> StatsHook;
-  /// Optional cross-request fixpoint store, not owned. When set (and
-  /// enabled), every actual run looks up its lean signature, replays a
-  /// stored iterate prefix instead of recomputing it, and publishes its
-  /// own sequence back at the end. Replay never changes the result —
-  /// verdict, model, and the Iterations stat are those of a cold run —
-  /// so, like Cache and StatsHook, Fixpoints is excluded from the
-  /// options fingerprint.
+  /// Optional cross-request fixpoint store, not owned. When set, every
+  /// actual run looks up its lean signature, replays a stored iterate
+  /// prefix instead of recomputing it, and publishes its own sequence
+  /// back at the end; when null (a bare solver or Analyzer) the run is
+  /// unshared. Replay never changes the result — verdict, model, and the
+  /// Iterations stat are those of a cold run — so, like Cache and
+  /// StatsHook, Fixpoints is excluded from the options fingerprint.
   FixpointCache *Fixpoints = nullptr;
 };
 

@@ -3,7 +3,7 @@
 // Tests the staged-pipeline sharing machinery end to end: the
 // label-abstracted lean signature (same-shaped formulas over different
 // alphabets share, different shapes or orders do not), the
-// SharedFixpointStore's improvement policy under publishes, and —
+// SharedFixpointStore's improvement policy and node budget, and —
 // the load-bearing property — that a seeded solver run is
 // output-invisible: verdict, iteration count and extracted model are
 // those of a cold run, with only the replayed image computations
@@ -104,19 +104,26 @@ TEST(LeanSignature, AlphaRenamedBindersShare) {
 // SharedFixpointStore
 //===----------------------------------------------------------------------===//
 
-std::shared_ptr<FixpointSeedData> makeSeed(size_t Snapshots, bool Converged) {
+/// A sequence of \p Snapshots iterates, each a chain of \p Nodes BDD
+/// nodes (Nodes = 0 gives constant sets).
+std::shared_ptr<FixpointSeedData> makeSeed(size_t Snapshots, bool Converged,
+                                           uint32_t Nodes = 0) {
   auto Data = std::make_shared<FixpointSeedData>();
   Data->Converged = Converged;
-  for (size_t I = 0; I < Snapshots; ++I) {
-    BddSnapshot S;
-    S.Root = 1;
-    Data->Snapshots.push_back(S);
-  }
+  BddSnapshot S;
+  for (uint32_t I = 0; I < Nodes; ++I)
+    S.Nodes.push_back({I, 0, I == 0 ? 1u : I + 1});
+  S.Root = Nodes ? Nodes + 1 : 1;
+  Data->Snapshots.assign(Snapshots, S);
   return Data;
 }
 
+size_t costOf(const std::string &Sig, size_t Snapshots, uint32_t Nodes = 0) {
+  return SharedFixpointStore::cost(Sig, *makeSeed(Snapshots, true, Nodes));
+}
+
 TEST(SharedFixpointStore, PublishKeepsOnlyImprovements) {
-  SharedFixpointStore Store(16, 1);
+  SharedFixpointStore Store(costOf("sig", 9), 1);
   EXPECT_EQ(Store.lookup("sig", 0), nullptr);
   EXPECT_TRUE(Store.publish("sig", 0, makeSeed(2, false)));
   EXPECT_FALSE(Store.publish("sig", 0, makeSeed(2, false)))
@@ -134,62 +141,82 @@ TEST(SharedFixpointStore, PublishKeepsOnlyImprovements) {
 
   // Distinct options fingerprints do not meet.
   EXPECT_EQ(Store.lookup("sig", 1), nullptr);
-  // Empty or oversized offers are dropped.
+  // Empty and null offers are dropped.
   EXPECT_FALSE(Store.publish("sig2", 0, makeSeed(0, true)));
   EXPECT_FALSE(Store.publish("sig2", 0, nullptr));
 }
 
 TEST(SharedFixpointStore, CapacityEvictsLeastRecentlyUsed) {
-  SharedFixpointStore Store(2, 1);
-  EXPECT_TRUE(Store.publish("a", 0, makeSeed(1, true)));
-  EXPECT_TRUE(Store.publish("b", 0, makeSeed(1, true)));
+  // One shard with room for two one-snapshot sequences of 3 nodes.
+  const size_t C = costOf("a", 1, 3);
+  SharedFixpointStore Store(2 * C, 1);
+  EXPECT_TRUE(Store.publish("a", 0, makeSeed(1, true, 3)));
+  EXPECT_TRUE(Store.publish("b", 0, makeSeed(1, true, 3)));
   EXPECT_NE(Store.lookup("a", 0), nullptr); // a is now most recent
-  EXPECT_TRUE(Store.publish("c", 0, makeSeed(1, true))); // evicts b
+  EXPECT_TRUE(Store.publish("c", 0, makeSeed(1, true, 3))); // evicts b
   EXPECT_EQ(Store.lookup("b", 0), nullptr);
   EXPECT_NE(Store.lookup("a", 0), nullptr);
-  CacheStats S = Store.stats();
-  EXPECT_EQ(S.Evictions, 1u);
+  EXPECT_EQ(Store.stats().Evictions, 1u);
   EXPECT_EQ(Store.size(), 2u);
 
-  // Capacity 0 disables the store.
-  SharedFixpointStore Off(0);
-  EXPECT_FALSE(Off.publish("a", 0, makeSeed(1, true)));
-  EXPECT_EQ(Off.lookup("a", 0), nullptr);
+  // An offer evicts as many entries as it needs room for: two snapshots
+  // cost more than one, so both residents go.
+  ASSERT_GT(costOf("d", 2, 3), C);
+  EXPECT_TRUE(Store.publish("d", 0, makeSeed(2, true, 3)));
+  EXPECT_EQ(Store.lookup("a", 0), nullptr);
+  EXPECT_EQ(Store.lookup("c", 0), nullptr);
+  EXPECT_EQ(Store.stats().Evictions, 3u);
+  EXPECT_EQ(Store.size(), 1u);
+
+  // Constant sets have no nodes but still cost: a long sequence of them
+  // does not fit the shard.
+  EXPECT_GT(costOf("e", 2), costOf("e", 1));
+  EXPECT_FALSE(Store.publish("e", 0, makeSeed(100, true)));
+  EXPECT_NE(Store.lookup("d", 0), nullptr);
+
+  // An improving offer takes its predecessor's room, not more.
+  SharedFixpointStore Grow(2 * C, 1);
+  EXPECT_TRUE(Grow.publish("p", 0, makeSeed(1, false, 3)));
+  EXPECT_TRUE(Grow.publish("p", 0, makeSeed(2, false, 3)));
+  EXPECT_EQ(Grow.stats().Evictions, 0u);
+  EXPECT_EQ(Grow.size(), 1u);
 }
 
 TEST(SharedFixpointStore, NodeBudgetDropsOversizedEntries) {
-  SharedFixpointStore Store(16, 1, /*MaxEntryNodes=*/2);
-  auto Big = std::make_shared<FixpointSeedData>();
-  Big->Converged = true;
-  BddSnapshot S;
-  S.Nodes = {{0, 0, 1}, {1, 0, 1}, {2, 0, 1}};
-  S.Root = 2;
-  Big->Snapshots.push_back(S);
-  EXPECT_FALSE(Store.publish("sig", 0, Big));
-  EXPECT_EQ(Store.size(), 0u);
+  // One shard that a 15-node snapshot fills exactly: a 16-node one is
+  // dropped without evicting anything.
+  const size_t Budget = costOf("exact", 1, 15);
+  ASSERT_GT(costOf("big", 1, 16), Budget);
+  SharedFixpointStore Store(Budget, 1);
+  EXPECT_TRUE(Store.publish("small", 0, makeSeed(1, true, 2)));
+  EXPECT_FALSE(Store.publish("big", 0, makeSeed(1, true, 16)));
+  EXPECT_EQ(Store.size(), 1u);
+  EXPECT_NE(Store.lookup("small", 0), nullptr);
+  EXPECT_TRUE(Store.publish("exact", 0, makeSeed(1, true, 15)));
+  EXPECT_EQ(Store.lookup("small", 0), nullptr);
+  EXPECT_EQ(Store.size(), 1u);
+
+  // The key is charged too: a key as long as the budget's bytes uses it
+  // up alone, even with a sequence of one constant set.
+  std::string LongKey(Budget * sizeof(BddSnapshot::Node), 'k');
+  EXPECT_FALSE(Store.publish(LongKey, 0, makeSeed(1, true)));
+  EXPECT_NE(Store.lookup("exact", 0), nullptr);
+
+  // The budget is split across the shards: each of four shards holds a
+  // quarter, so an offer one unit over a quarter is dropped although
+  // the store's total would hold it.
+  const size_t Quarter = costOf("sig", 1, 3);
+  ASSERT_EQ(costOf("sig", 1, 4), Quarter + 1);
+  SharedFixpointStore Sharded(4 * Quarter, 4);
+  ASSERT_EQ(Sharded.numShards(), 4u);
+  EXPECT_FALSE(Sharded.publish("sig", 0, makeSeed(1, true, 4)));
+  EXPECT_TRUE(Sharded.publish("sig", 0, makeSeed(1, true, 3)));
+  EXPECT_EQ(Sharded.size(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
 // Seeded runs are output-invisible
 //===----------------------------------------------------------------------===//
-
-/// Minimal always-on bridge from the solver hook to a store (the
-/// service wires this through AnalysisContext's adapter).
-class StoreCache : public FixpointCache {
-public:
-  explicit StoreCache(SharedFixpointStore &S) : S(S) {}
-  std::shared_ptr<const FixpointSeedData>
-  lookup(const std::string &Sig, uint32_t K) override {
-    return S.lookup(Sig, K);
-  }
-  void publish(const std::string &Sig, uint32_t K,
-               std::shared_ptr<const FixpointSeedData> D) override {
-    S.publish(Sig, K, std::move(D));
-  }
-
-private:
-  SharedFixpointStore &S;
-};
 
 /// Solves \p Text in a fresh factory with \p Store installed (or not).
 SolverResult solveWith(const std::string &Text, FixpointCache *Store,
@@ -219,13 +246,12 @@ TEST(FixpointSharing, SeededRunMatchesColdRunByteForByte) {
     Cold.push_back(solveWith(V, nullptr));
 
   SharedFixpointStore Store;
-  StoreCache Cache(Store);
-  SolverResult First = solveWith(Variants[0], &Cache);
+  SolverResult First = solveWith(Variants[0], &Store);
   EXPECT_EQ(First.Stats.IterationsReplayed, 0u);
   EXPECT_EQ(Store.stats().Insertions, 1u);
 
   for (size_t I = 1; I < 3; ++I) {
-    SolverResult Seeded = solveWith(Variants[I], &Cache);
+    SolverResult Seeded = solveWith(Variants[I], &Store);
     EXPECT_GT(Seeded.Stats.IterationsReplayed, 0u)
         << "variant " << I << " must replay the stored sequence";
     EXPECT_EQ(Seeded.Satisfiable, Cold[I].Satisfiable);
@@ -242,8 +268,7 @@ TEST(FixpointSharing, UnsatisfiableRunsShareConvergedSequences) {
   // over two alphabets: the full fixpoint converges, is published, and
   // the second run replays it end to end.
   SharedFixpointStore Store;
-  StoreCache Cache(Store);
-  SolverResult R1 = solveWith("x & <-1>T & <-2>T", &Cache);
+  SolverResult R1 = solveWith("x & <-1>T & <-2>T", &Store);
   EXPECT_FALSE(R1.Satisfiable);
   EXPECT_EQ(R1.Stats.IterationsReplayed, 0u);
   auto Entry = Store.lookup(
@@ -259,35 +284,11 @@ TEST(FixpointSharing, UnsatisfiableRunsShareConvergedSequences) {
   ASSERT_NE(Entry, nullptr) << "the second alphabet's key must hit";
   EXPECT_TRUE(Entry->Converged);
 
-  SolverResult R2 = solveWith("y & <-1>T & <-2>T", &Cache);
+  SolverResult R2 = solveWith("y & <-1>T & <-2>T", &Store);
   EXPECT_FALSE(R2.Satisfiable);
   EXPECT_EQ(R2.Stats.Iterations, R1.Stats.Iterations);
   EXPECT_EQ(R2.Stats.IterationsReplayed, R2.Stats.Iterations)
       << "a converged seed serves the whole run";
-}
-
-TEST(FixpointSharing, DisabledAdapterSkipsTheStore) {
-  // enabled() == false must leave the store untouched (and skip
-  // signature work, though that is not observable here).
-  class Gate : public FixpointCache {
-  public:
-    explicit Gate(SharedFixpointStore &S) : S(S) {}
-    bool enabled() const override { return false; }
-    std::shared_ptr<const FixpointSeedData>
-    lookup(const std::string &Sig, uint32_t K) override {
-      return S.lookup(Sig, K);
-    }
-    void publish(const std::string &Sig, uint32_t K,
-                 std::shared_ptr<const FixpointSeedData> D) override {
-      S.publish(Sig, K, std::move(D));
-    }
-    SharedFixpointStore &S;
-  };
-  SharedFixpointStore Store;
-  Gate G(Store);
-  solveWith("<1>a & <2>b", &G);
-  EXPECT_EQ(Store.stats().Insertions, 0u);
-  EXPECT_EQ(Store.stats().Misses, 0u);
 }
 
 TEST(FixpointSharing, ReplayRefusesAMismatchedOptionsKey) {
@@ -297,14 +298,13 @@ TEST(FixpointSharing, ReplayRefusesAMismatchedOptionsKey) {
   // and publishes its own entry. The shape is UNSAT so each run
   // publishes exactly one converged sequence.
   SharedFixpointStore Store;
-  StoreCache Cache(Store);
-  SolverResult First = solveWith("x & <-1>T & <-2>T", &Cache,
+  SolverResult First = solveWith("x & <-1>T & <-2>T", &Store,
                                  /*EarlyQuantification=*/false);
   EXPECT_FALSE(First.Satisfiable);
   EXPECT_EQ(First.Stats.IterationsReplayed, 0u);
   EXPECT_EQ(Store.stats().Insertions, 1u);
 
-  SolverResult Second = solveWith("y & <-1>T & <-2>T", &Cache);
+  SolverResult Second = solveWith("y & <-1>T & <-2>T", &Store);
   EXPECT_EQ(Second.Stats.IterationsReplayed, 0u)
       << "a sequence keyed without early quantification must not replay "
          "into a run with it";
@@ -312,7 +312,7 @@ TEST(FixpointSharing, ReplayRefusesAMismatchedOptionsKey) {
       << "the second run publishes under its own key";
 
   // Same shape, same key: now it replays end to end.
-  SolverResult Third = solveWith("z & <-1>T & <-2>T", &Cache,
+  SolverResult Third = solveWith("z & <-1>T & <-2>T", &Store,
                                  /*EarlyQuantification=*/false);
   EXPECT_FALSE(Third.Satisfiable);
   EXPECT_EQ(Third.Stats.IterationsReplayed, Third.Stats.Iterations);

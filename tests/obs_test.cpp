@@ -502,9 +502,10 @@ TEST(BatchProtocol, StableMetricsOpOmitsVolatileSections) {
 }
 
 TEST(BatchProtocol, UnknownConfigKeyIsRejectedStructurally) {
-  // A near-miss of a real switch, and keys the protocol no longer has.
+  // A misspelled key, and keys the protocol no longer has.
   const std::pair<const char *, const char *> Inputs[] = {
       {"share_fixpoint", "true"},
+      {"share_fixpoints", "true"},
       {"bdd_backend", "\"parallel\""},
       {"fixpoint_strategy", "\"bfs\""},
       {"optimize", "true"}};
@@ -524,21 +525,18 @@ TEST(BatchProtocol, UnknownConfigKeyIsRejectedStructurally) {
     EXPECT_EQ(E->str("code"), "unknown_config_key");
     EXPECT_EQ(E->str("key"), Key);
     EXPECT_EQ(E->get("line")->asNumber(), 1);
-    // The near-miss did NOT silently enable sharing.
-    EXPECT_FALSE(Session.shareFixpointsEnabled());
   }
 }
 
 TEST(BatchProtocol, KnownConfigKeysStillApply) {
   AnalysisSession Session;
-  std::string Out = runLines(
-      Session,
-      "{\"op\":\"config\",\"jobs\":2,\"share_fixpoints\":true}\n");
+  std::string Out = runLines(Session, "{\"op\":\"config\",\"jobs\":2}\n");
   std::string Err;
   JsonRef R = parseJson(Out, Err);
   ASSERT_NE(R, nullptr) << Err;
   EXPECT_TRUE(R->get("ok")->asBool());
-  EXPECT_TRUE(Session.shareFixpointsEnabled());
+  EXPECT_EQ(R->get("jobs")->asNumber(), 2);
+  EXPECT_FALSE(R->has("share_fixpoints")) << Out;
   EXPECT_EQ(Session.jobs(), 2u);
 }
 
@@ -677,8 +675,9 @@ TEST(SlowQueryLog, RingEvictsOldestFirst) {
   ASSERT_EQ(Snap.size(), 4u); // capacity bound held, oldest 6 evicted
   for (size_t I = 0; I < Snap.size(); ++I) {
     EXPECT_EQ(Snap[I].RequestId, "r" + std::to_string(6 + I));
-    if (I)
+    if (I) {
       EXPECT_LT(Snap[I - 1].Seq, Snap[I].Seq);
+    }
   }
   // A bounded snapshot returns the NEWEST records, still oldest first.
   std::vector<SlowQueryRecord> Tail = Slow.snapshot(2);
@@ -722,7 +721,6 @@ TEST(SlowQueryLog, ToJsonCarriesReproductionPayload) {
   R.RequestJson =
       "{\"id\":\"q1\",\"op\":\"contains\",\"e1\":\"/a//b\",\"e2\":\"//b\","
       "\"dtd\":\"xhtml\"}";
-  R.Share = true;
   JsonRef J = SlowQueryLog::toJson(R);
   // The request embeds as an object (re-parsed, not a quoted string) —
   // what `xsolve replay` re-executes.
@@ -730,13 +728,9 @@ TEST(SlowQueryLog, ToJsonCarriesReproductionPayload) {
   ASSERT_EQ(Req->type(), JsonValue::Type::Object);
   EXPECT_EQ(Req->str("op"), "contains");
   EXPECT_EQ(Req->str("e1"), "/a//b");
-  // The effective config snapshot becomes replay's config preamble.
-  JsonRef Cfg = J->get("config");
-  ASSERT_EQ(Cfg->type(), JsonValue::Type::Object);
-  EXPECT_TRUE(Cfg->get("share_fixpoints")->asBool());
-  EXPECT_FALSE(Cfg->has("optimize"));
-  EXPECT_FALSE(Cfg->has("fixpoint_strategy"));
-  EXPECT_FALSE(Cfg->has("bdd_backend"));
+  // No request runs under a config of its own, so there is no config
+  // snapshot to record.
+  EXPECT_FALSE(J->has("config"));
 }
 
 //===----------------------------------------------------------------------===//

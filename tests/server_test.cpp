@@ -377,8 +377,9 @@ TEST(Server, FastRequestIsNotHeldBehindASlowOne) {
   JsonRef S = parseJson(Resp, Error);
   ASSERT_NE(S, nullptr) << Error;
   EXPECT_EQ(S->get("status")->get("in_flight")->asNumber(), 1) << Resp;
-  if (!SlowFirst)
+  if (!SlowFirst) {
     ASSERT_TRUE(A.recvLine(SlowResp));
+  }
   EXPECT_NE(SlowResp.find("\"id\":\"slow\",\"ok\":true"),
             std::string::npos)
       << SlowResp;
@@ -468,32 +469,28 @@ TEST(Server, ProtocolHardeningMatchesBatchDriver) {
   EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos);
 }
 
-TEST(Server, NamespacesIsolateConfigNotResults) {
+TEST(Server, NamespacesIsolateAccountingNotResults) {
   ServerFixture F(stableServerOptions(1));
 
   LineClient A = F.connect();
-  ASSERT_TRUE(A.sendLine("{\"op\":\"config\",\"ns\":\"team-a\","
-                         "\"share_fixpoints\":true}"));
+  ASSERT_TRUE(A.sendLine("{\"op\":\"config\",\"ns\":\"team-a\"}"));
   std::string Resp;
   ASSERT_TRUE(A.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ns\":\"team-a\""), std::string::npos);
-  EXPECT_NE(Resp.find("\"share_fixpoints\":true"), std::string::npos) << Resp;
-
-  // team-a runs with fixpoint sharing; an untouched connection stays on
-  // the server default (off). Distinct queries so both actually solve.
+  EXPECT_EQ(Resp.find("share_fixpoints"), std::string::npos) << Resp;
   ASSERT_TRUE(A.sendLine("{\"id\":\"a\",\"op\":\"contains\","
                          "\"e1\":\"/na1/x\",\"e2\":\"//x\"}"));
   ASSERT_TRUE(A.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos) << Resp;
 
+  // An untouched connection stays in the default namespace and reads
+  // team-a's result through the shared cache.
   LineClient B = F.connect();
   ASSERT_TRUE(B.sendLine("{\"op\":\"config\",\"ns\":\"default\"}"));
   ASSERT_TRUE(B.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ns\":\"default\""), std::string::npos);
-  EXPECT_NE(Resp.find("\"share_fixpoints\":false"), std::string::npos)
-      << Resp;
   ASSERT_TRUE(B.sendLine("{\"id\":\"b\",\"op\":\"contains\","
-                         "\"e1\":\"/nb1/x\",\"e2\":\"//x\"}"));
+                         "\"e1\":\"/na1/x\",\"e2\":\"//x\"}"));
   ASSERT_TRUE(B.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos) << Resp;
 
@@ -505,8 +502,11 @@ TEST(Server, NamespacesIsolateConfigNotResults) {
   ASSERT_NE(M, nullptr) << Error;
   JsonRef Namespaces = M->get("namespaces");
   ASSERT_EQ(Namespaces->type(), JsonValue::Type::Object);
-  EXPECT_EQ(Namespaces->get("team-a")->get("requests")->asNumber(), 1);
-  EXPECT_EQ(Namespaces->get("default")->get("requests")->asNumber(), 1);
+  JsonRef TeamA = Namespaces->get("team-a"), Default = Namespaces->get("default");
+  EXPECT_EQ(TeamA->get("requests")->asNumber(), 1);
+  EXPECT_EQ(TeamA->get("cache_misses")->asNumber(), 1);
+  EXPECT_EQ(Default->get("requests")->asNumber(), 1);
+  EXPECT_EQ(Default->get("cache_hits")->asNumber(), 1);
 }
 
 TEST(Server, UnknownConfigKeyIsRejectedStructurally) {
@@ -515,6 +515,7 @@ TEST(Server, UnknownConfigKeyIsRejectedStructurally) {
   // None of these is a config key (older servers accepted each); like
   // any unknown key each is rejected rather than silently ignored.
   const std::pair<const char *, const char *> Inputs[] = {
+      {"share_fixpoints", "true"},
       {"bdd_backend", "\"parallel\""},
       {"fixpoint_strategy", "\"bfs\""},
       {"optimize", "true"}};
@@ -537,9 +538,10 @@ TEST(Server, UnknownConfigKeyIsRejectedStructurally) {
   // The connection stays usable, and a valid config echo has none of
   // the fields.
   ASSERT_TRUE(C.sendLine("{\"id\":\"ok\",\"op\":\"config\","
-                         "\"share_fixpoints\":false}"));
+                         "\"ns\":\"default\"}"));
   ASSERT_TRUE(C.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos) << Resp;
+  EXPECT_EQ(Resp.find("share_fixpoints"), std::string::npos) << Resp;
   EXPECT_EQ(Resp.find("bdd_backend"), std::string::npos) << Resp;
   EXPECT_EQ(Resp.find("fixpoint_strategy"), std::string::npos) << Resp;
   EXPECT_EQ(Resp.find("\"optimize\""), std::string::npos) << Resp;
@@ -554,15 +556,27 @@ TEST(Server, RejectedConfigAppliesNothing) {
   ASSERT_TRUE(C.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos) << Resp;
 
-  // Valid ns and stable values ride along with an invalid one: the op is
-  // rejected whole, so neither takes effect.
+  // A valid ns value rides along with an invalid stable value: the op is
+  // rejected whole, so the namespace does not change either.
   ASSERT_TRUE(C.sendLine("{\"id\":\"bad\",\"op\":\"config\",\"ns\":\"team-b\","
-                         "\"stable\":true,\"share_fixpoints\":\"yes\"}"));
+                         "\"stable\":\"yes\"}"));
   ASSERT_TRUE(C.recvLine(Resp));
   JsonRef R = parseJson(Resp, Error);
   ASSERT_NE(R, nullptr) << Error;
   EXPECT_FALSE(R->get("ok")->asBool());
   EXPECT_EQ(R->get("error")->str("code"), "invalid_config_value");
+  EXPECT_EQ(R->get("error")->str("key"), "stable");
+
+  // Valid ns and stable values ride along with the retired sharing key:
+  // the op is rejected whole, so neither takes effect.
+  ASSERT_TRUE(C.sendLine("{\"id\":\"bad2\",\"op\":\"config\","
+                         "\"ns\":\"team-b\",\"stable\":true,"
+                         "\"share_fixpoints\":true}"));
+  ASSERT_TRUE(C.recvLine(Resp));
+  R = parseJson(Resp, Error);
+  ASSERT_NE(R, nullptr) << Error;
+  EXPECT_FALSE(R->get("ok")->asBool());
+  EXPECT_EQ(R->get("error")->str("code"), "unknown_config_key");
   EXPECT_EQ(R->get("error")->str("key"), "share_fixpoints");
 
   ASSERT_TRUE(C.sendLine("{\"op\":\"config\"}"));

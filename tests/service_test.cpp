@@ -672,31 +672,40 @@ TEST(ShardedResultCache, ForEachEntryUnderConcurrentStores) {
   EXPECT_EQ(Bad.load(), 0u);
 }
 
-TEST(SharedFixpointStore, ForEachEntryUnderConcurrentPublishes) {
-  SharedFixpointStore Store(128, 8);
-  WorkerPool Pool(8);
+TEST(SharedFixpointStore, BudgetHoldsUnderConcurrentPublishes) {
+  // 100 keys of equal cost race over a store with room for four of them
+  // per shard. Every key is offered in turn as a prefix and as the
+  // converged sequence of the same length, so improving offers replace
+  // entries while other publishes evict them.
+  auto Seed = [](bool Converged) {
+    auto Data = std::make_shared<FixpointSeedData>();
+    Data->Converged = Converged;
+    BddSnapshot S;
+    S.Nodes = {{0, 0, 1}, {1, 0, 2}, {2, 3, 1}};
+    S.Root = 4;
+    Data->Snapshots.assign(2, S);
+    return Data;
+  };
+  auto Sig = [](size_t K) { return "sig" + std::to_string(100 + K % 100); };
+  const size_t Cost = SharedFixpointStore::cost(Sig(0), *Seed(false));
+  const size_t Budget = 8 * 4 * Cost;
+  SharedFixpointStore Store(Budget, 8);
+  ASSERT_EQ(Store.numShards(), 8u);
+  WorkerPool Pool(4);
   std::atomic<size_t> Bad{0};
-  Pool.parallelFor(4000, [&](size_t I, size_t W) {
-    if (W == 0) {
-      Store.forEachEntry([&](const std::string &Sig, uint32_t,
-                             const FixpointSeedData &Data) {
-        // Every publisher of signature k offers exactly k % 7 + 1
-        // snapshots, so a coherent walk sees exactly that length.
-        size_t K = std::stoul(Sig.substr(3));
-        if (Data.Snapshots.size() != K % 7 + 1)
-          Bad.fetch_add(1);
-      });
-    } else {
-      size_t K = I % 100;
-      auto Data = std::make_shared<FixpointSeedData>();
-      Data->Converged = false;
-      for (size_t J = 0; J < K % 7 + 1; ++J)
-        Data->Snapshots.push_back(BddSnapshot{});
-      Store.publish("sig" + std::to_string(K), 0, std::move(Data));
-    }
+  Pool.parallelFor(4000, [&](size_t I, size_t) {
+    Store.publish(Sig(I), 0, Seed(I / 100 % 2 == 1));
+    if (auto Got = Store.lookup(Sig(I * 7), 0))
+      if (Got->Snapshots.size() != 2 || Got->Snapshots[1].nodeCount() != 3)
+        Bad.fetch_add(1);
   });
   EXPECT_EQ(Bad.load(), 0u);
-  EXPECT_LE(Store.size(), 128u);
+  EXPECT_GT(Store.stats().Evictions, 0u);
+  EXPECT_LE(Store.size() * Cost, Budget);
+  for (size_t K = 0; K < 100; ++K)
+    if (auto Got = Store.lookup(Sig(K), 0)) {
+      EXPECT_EQ(Got->Snapshots.size(), 2u);
+    }
 }
 
 TEST(ShardedResultCache, MultiShardConcurrentMixedUse) {
@@ -875,10 +884,10 @@ TEST(ParallelBatch, ConfigLineSwitchesJobsMidStream) {
   EXPECT_TRUE(Resps[2]->get("ok")->asBool());
   EXPECT_EQ(Session.jobs(), 3u);
 
-  // A config line without 'jobs', with a count no size_t holds or with
-  // a non-boolean switch is an error response, not a stop. The bad
+  // A config line without 'jobs', with a count no size_t holds, or with
+  // the retired sharing switch is an error response, not a stop. The bad
   // values are answered as xsolved answers them: invalid_config_value
-  // naming the key.
+  // naming the key; the switch is no key at all.
   std::vector<JsonRef> Bad =
       runLines(Session, R"({"op":"config"})" "\n"
                         R"({"op":"config","jobs":1e30})" "\n"
@@ -887,14 +896,15 @@ TEST(ParallelBatch, ConfigLineSwitchesJobsMidStream) {
   ASSERT_EQ(Bad.size(), 4u);
   for (const JsonRef &R : Bad)
     EXPECT_FALSE(R->get("ok")->asBool());
+  const char *BadCodes[] = {"invalid_config_value", "invalid_config_value",
+                            "unknown_config_key"};
   const char *BadKeys[] = {"jobs", "jobs", "share_fixpoints"};
   for (size_t I = 1; I < Bad.size(); ++I) {
     SCOPED_TRACE(I);
-    EXPECT_EQ(Bad[I]->get("error")->str("code"), "invalid_config_value");
+    EXPECT_EQ(Bad[I]->get("error")->str("code"), BadCodes[I - 1]);
     EXPECT_EQ(Bad[I]->get("error")->str("key"), BadKeys[I - 1]);
   }
   EXPECT_EQ(Session.jobs(), 3u);
-  EXPECT_FALSE(Session.shareFixpointsEnabled());
 }
 
 //===----------------------------------------------------------------------===//
@@ -992,95 +1002,67 @@ std::string nearDuplicateInput(size_t Groups, size_t Offset = 0) {
   return In;
 }
 
+/// The unshared reference for \p Input: every line answered on a
+/// standalone context (no result cache, no fixpoint store) and encoded
+/// as --stable encodes it. \p Iterations receives the cold iteration
+/// total.
+std::string unsharedReference(const std::string &Input, size_t &Iterations) {
+  AnalysisContext Ctx{SolverOptions{}};
+  std::istringstream In(Input);
+  std::string Line, Out;
+  Iterations = 0;
+  while (std::getline(In, Line)) {
+    std::string Error;
+    JsonRef Obj = parseJson(Line, Error);
+    AnalysisRequest Req;
+    EXPECT_TRUE(Obj && requestFromJson(*Obj, Req, Error)) << Error;
+    AnalysisResponse R = runRequest(Ctx, Req);
+    EXPECT_EQ(R.Stats.IterationsReplayed, 0u);
+    Iterations += R.Stats.Iterations;
+    Out += responseToJson(R, /*IncludeVolatile=*/false)->dump() + "\n";
+  }
+  return Out;
+}
+
 TEST(FixpointSharing, SharingIsOutputInvisibleAndSkipsIterations) {
   std::string Input = nearDuplicateInput(4);
-  AnalysisSession Off;
-  std::string OutOff = runLinesRaw(Off, Input, /*Stable=*/true);
+  size_t ColdIterations = 0;
+  std::string Expected = unsharedReference(Input, ColdIterations);
 
-  SessionOptions SOpts;
-  SOpts.ShareFixpoints = true;
-  AnalysisSession On(SOpts);
-  std::string OutOn = runLinesRaw(On, Input, /*Stable=*/true);
-  EXPECT_EQ(OutOff, OutOn) << "sharing must not change any response byte";
+  AnalysisSession Session;
+  EXPECT_EQ(runLinesRaw(Session, Input, /*Stable=*/true), Expected)
+      << "sharing must not change any response byte";
 
-  SessionStats S = On.stats();
+  SessionStats S = Session.stats();
   EXPECT_GT(S.FixpointSeededRuns, 0u);
   EXPECT_GT(S.FixpointIterationsReplayed, 0u);
   EXPECT_GT(S.Fixpoints.Hits, 0u);
   // The semantic iteration totals agree; only the computed share drops.
-  EXPECT_EQ(S.SolverIterations, Off.stats().SolverIterations);
+  EXPECT_EQ(S.SolverIterations, ColdIterations);
   EXPECT_LT(S.SolverIterations - S.FixpointIterationsReplayed,
-            S.SolverIterations);
+            ColdIterations);
 }
 
 TEST(FixpointSharing, ColdParallelSeededOutputMatchesSerial) {
-  // The acceptance criterion: with sharing on, an N-thread cold batch is
-  // byte-identical to the 1-thread run under --stable encoding, even
-  // though which runs get seeded differs with scheduling.
+  // The acceptance criterion: an N-thread cold batch is byte-identical
+  // to the 1-thread run under --stable encoding, even though which runs
+  // get seeded differs with scheduling.
   std::string Input = nearDuplicateInput(6);
-  SessionOptions Serial;
-  Serial.ShareFixpoints = true;
-  AnalysisSession S1(Serial);
+  AnalysisSession S1;
   std::string Out1 = runLinesRaw(S1, Input, /*Stable=*/true);
 
-  SessionOptions Parallel = Serial;
+  SessionOptions Parallel;
   Parallel.Jobs = 4;
   AnalysisSession S4(Parallel);
   std::string Out4 = runLinesRaw(S4, Input, /*Stable=*/true);
   EXPECT_EQ(Out1, Out4);
 }
 
-TEST(FixpointSharing, ConfigLineTogglesSharingMidStream) {
-  AnalysisSession Session;
-  EXPECT_FALSE(Session.shareFixpointsEnabled());
-  std::vector<JsonRef> Resps = runLines(
-      Session, "{\"op\":\"config\",\"share_fixpoints\":true}\n" +
-                   nearDuplicateInput(2));
-  ASSERT_GE(Resps.size(), 1u);
-  EXPECT_TRUE(Resps[0]->get("ok")->asBool());
-  EXPECT_TRUE(Resps[0]->get("share_fixpoints")->asBool());
-  EXPECT_TRUE(Session.shareFixpointsEnabled());
-  EXPECT_GT(Session.stats().FixpointSeededRuns, 0u);
-}
-
-TEST(FixpointSharing, PersistedSequencesSeedARestartedSession) {
-  // save → load → a batch of *unseen* same-shaped queries: the result
-  // cache misses (new texts) but every run seeds from the loaded store,
-  // and the --stable output is byte-identical to an unshared session's.
-  std::string Path = testing::TempDir() + "xsa_service_test_fx.jsonl";
-  std::remove(Path.c_str());
-  SessionOptions SOpts;
-  SOpts.ShareFixpoints = true;
-  {
-    AnalysisSession A(SOpts);
-    runLinesRaw(A, nearDuplicateInput(3));
-    EXPECT_GT(A.fixpointStore().size(), 0u);
-    std::string Error;
-    ASSERT_TRUE(A.saveCache(Path, Error)) << Error;
-  }
-
-  std::string Unseen = nearDuplicateInput(3, /*Offset=*/100);
-  AnalysisSession Plain;
-  std::string Expected = runLinesRaw(Plain, Unseen, /*Stable=*/true);
-
-  AnalysisSession B(SOpts);
-  std::string Error;
-  ASSERT_TRUE(B.loadCache(Path, Error)) << Error;
-  EXPECT_GT(B.fixpointStore().size(), 0u);
-  std::string Got = runLinesRaw(B, Unseen, /*Stable=*/true);
-  EXPECT_EQ(Expected, Got);
-  SessionStats S = B.stats();
-  EXPECT_EQ(S.Cache.Hits, 0u) << "unseen texts cannot hit the result cache";
-  EXPECT_GT(S.FixpointSeededRuns, 0u)
-      << "every run shares a lean with a persisted sequence";
-  std::remove(Path.c_str());
-}
-
 TEST(PersistentCache, LegacyStrategyLinesAreSkipped) {
-  // Earlier versions appended per-lean strategy choices ("st" lines) and
-  // optimized query forms ("oq" lines) to the cache file. The loader
-  // skips both line shapes, and every other entry of such a file still
-  // loads and hits.
+  // Earlier versions appended per-lean strategy choices ("st" lines),
+  // optimized query forms ("oq" lines) and fixpoint-store sequences
+  // ("fx" lines) to the cache file. The loader skips all three line
+  // shapes, and every other entry of such a file still loads and hits.
   std::string Path = testing::TempDir() + "xsa_service_test_st.jsonl";
   std::remove(Path.c_str());
   std::string Input = nearDuplicateInput(3);
@@ -1096,10 +1078,13 @@ TEST(PersistentCache, LegacyStrategyLinesAreSkipped) {
     Out << "{\"st\":\"legacy-lean\",\"strategy\":\"chaining\"}\n";
     Out << "{\"oq\":\"a//b\",\"dtd\":\"\",\"dfp\":\"00000000000000ff\","
            "\"opt\":\"child::a\"}\n";
+    Out << "{\"fx\":\"legacy-lean\",\"o\":1,\"conv\":true,"
+           "\"snaps\":[\"2 1 0 0 1\",\"2 1 0 0 1\"]}\n";
   }
   AnalysisSession B;
   std::string Error;
   ASSERT_TRUE(B.loadCache(Path, Error)) << Error;
+  EXPECT_EQ(B.fixpointStore().size(), 0u) << "sequences are not loaded";
   EXPECT_EQ(runLinesRaw(B, Input, /*Stable=*/true), Expected);
   EXPECT_EQ(B.stats().Solves, 0u) << "every request hits the loaded cache";
   EXPECT_EQ(B.stats().Cache.Misses, 0u);
@@ -1136,34 +1121,6 @@ TEST(PersistentCache, OutOfRangeNumbersDropOnlyTheirEntry) {
   ASSERT_TRUE(S.resultCache().lookup("good", 0, R));
   EXPECT_EQ(R.Stats.LeanSize, 4u);
   EXPECT_EQ(R.Stats.Iterations, 2u);
-
-  // A fixpoint sequence with an out-of-range options key is dropped too.
-  SessionOptions SOpts;
-  SOpts.ShareFixpoints = true;
-  {
-    AnalysisSession A(SOpts);
-    runLinesRaw(A, nearDuplicateInput(1));
-    ASSERT_GT(A.fixpointStore().size(), 0u);
-    ASSERT_TRUE(A.saveCache(Path, Error)) << Error;
-  }
-  std::ifstream In(Path);
-  std::string Text, Line;
-  size_t Rewritten = 0;
-  while (std::getline(In, Line)) {
-    size_t At = Line.find("\",\"o\":1,\"conv\":");
-    if (Line.rfind("{\"fx\":", 0) == 0 && At != std::string::npos) {
-      Line.replace(At, 7, "\",\"o\":-1");
-      ++Rewritten;
-    }
-    Text += Line + "\n";
-  }
-  In.close();
-  ASSERT_GT(Rewritten, 0u);
-  std::ofstream(Path, std::ios::trunc) << Text;
-  AnalysisSession B(SOpts);
-  ASSERT_TRUE(B.loadCache(Path, Error)) << Error;
-  EXPECT_EQ(B.fixpointStore().size(), 0u);
-  EXPECT_GT(B.resultCache().size(), 0u) << "the result entries still load";
   std::remove(Path.c_str());
 }
 
@@ -1171,18 +1128,18 @@ TEST(PersistentCache, SaveLoadSaveIsByteIdentical) {
   // A save → load → save round trip must be a fixpoint of the file
   // format: reloading a file and saving it again reproduces it byte for
   // byte — repeated server drains never grow or reorder the cache file.
-  // Sharing is on so the file holds fixpoint sequences too.
+  // The session's fixpoint store holds sequences, but they stay in
+  // memory: the file carries results only.
   std::string P1 = testing::TempDir() + "xsa_service_test_rt1.jsonl";
   std::string P2 = testing::TempDir() + "xsa_service_test_rt2.jsonl";
-  SessionOptions SOpts;
-  SOpts.ShareFixpoints = true;
   std::string Error;
   {
-    AnalysisSession A(SOpts);
+    AnalysisSession A;
     runLinesRaw(A, nearDuplicateInput(4));
+    ASSERT_GT(A.fixpointStore().size(), 0u);
     ASSERT_TRUE(A.saveCache(P1, Error)) << Error;
   }
-  AnalysisSession B(SOpts);
+  AnalysisSession B;
   ASSERT_TRUE(B.loadCache(P1, Error)) << Error;
   ASSERT_TRUE(B.saveCache(P2, Error)) << Error;
 
@@ -1193,7 +1150,8 @@ TEST(PersistentCache, SaveLoadSaveIsByteIdentical) {
     return S.str();
   };
   std::string First = Slurp(P1);
-  ASSERT_NE(First.find("{\"fx\":"), std::string::npos);
+  EXPECT_EQ(First.find("{\"fx\":"), std::string::npos);
+  EXPECT_NE(First.find("{\"k\":"), std::string::npos);
   EXPECT_EQ(Slurp(P2), First);
   std::remove(P1.c_str());
   std::remove(P2.c_str());
