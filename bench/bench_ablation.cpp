@@ -11,10 +11,7 @@
 //   * §6.2/§9 early termination: stopping as soon as a satisfying root
 //     type appears, vs running the fixpoint to completion (the
 //     greatest-fixpoint-style behaviour of Tanabe et al. cannot stop
-//     early; our least-fixpoint algorithm can);
-//   * fixpoint scheduling: breadth-first rounds vs per-program chaining
-//     and saturation (solver/Pipeline.cpp), which trade more
-//     relational-image sub-steps for fewer rounds.
+//     early; our least-fixpoint algorithm can).
 //
 //===----------------------------------------------------------------------===//
 

@@ -112,7 +112,9 @@ RunOutcome runBatchOn(AnalysisSession &Session, const std::string &Input) {
   std::ostringstream Os;
   xsa_bench::LatencyProbe Probe(xsa_bench::requestLatencyHistogram());
   auto T0 = std::chrono::steady_clock::now();
-  runBatchJsonLines(Session, In, Os, nullptr, /*StableOutput=*/true);
+  BatchStreamOptions Opts;
+  Opts.Stable = true;
+  runBatchJsonLines(Session, In, Os, nullptr, Opts);
   Out.WallMs = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - T0)
                    .count();

@@ -215,7 +215,7 @@ void openBurstRow(BenchJsonWriter &Out) {
     return;
   }
   std::vector<std::string> Lines = workloadLines(200);
-  Server.debugPauseDispatch(true);
+  Server.session().debugPause(true);
   LineClient C;
   if (!C.connectTcp("127.0.0.1", Server.tcpPort(), Error)) {
     std::fprintf(stderr, "bench_server: connect failed: %s\n", Error.c_str());
@@ -226,7 +226,7 @@ void openBurstRow(BenchJsonWriter &Out) {
   for (const std::string &L : Lines)
     if (!C.sendLine(L))
       break;
-  Server.debugPauseDispatch(false);
+  Server.session().debugPause(false);
   size_t Answered = 0, Overloaded = 0;
   std::string Resp;
   for (size_t I = 0; I < Lines.size(); ++I) {

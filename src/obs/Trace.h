@@ -25,9 +25,10 @@
 ///
 /// Quiescence contract: start(), stop() and the exporters may only run
 /// while no spans are in flight — in practice at batch boundaries, where
-/// WorkerPool::parallelFor's completion barrier (a mutex handshake) makes
-/// every worker's buffered events happen-before the reader. This is what
-/// keeps the tracer TSan-clean without per-event locks.
+/// AnalysisSession::quiesce (a mutex handshake with every worker, which
+/// runBatch and runBatchJsonLines end with) makes every worker's
+/// buffered events happen-before the reader. This is what keeps the
+/// tracer TSan-clean without per-event locks.
 ///
 /// Span names must be string literals (the tracer stores the pointer,
 /// not a copy).

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <queue>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -232,7 +231,6 @@ struct XsolvedServer::Job {
   int Priority = 0;
   uint64_t DeadlineNs = 0; ///< absolute steady-clock ns; 0 = none
   uint64_t EnqueueNs = 0;
-  uint64_t AdmitSeq = 0;
   /// Request id: the client's "id" when it sent one, else a server-
   /// generated "c<conn>-<seq>". Mirrored into Req.TraceId so it rides
   /// the request span, the volatile "rid" response field, log lines and
@@ -244,25 +242,11 @@ struct XsolvedServer::Job {
   std::string RequestJson;
 };
 
-struct XsolvedServer::JobQueue {
-  /// Higher priority first; FIFO (admission order) within a priority.
-  struct Order {
-    bool operator()(const Job &A, const Job &B) const {
-      if (A.Priority != B.Priority)
-        return A.Priority < B.Priority;
-      return A.AdmitSeq > B.AdmitSeq;
-    }
-  };
-  std::priority_queue<Job, std::vector<Job>, Order> Q;
-};
-
 //===----------------------------------------------------------------------===//
 // Lifecycle
 //===----------------------------------------------------------------------===//
 
-XsolvedServer::XsolvedServer(ServerOptions O) : Opts(std::move(O)) {
-  Queue = std::make_unique<JobQueue>();
-}
+XsolvedServer::XsolvedServer(ServerOptions O) : Opts(std::move(O)) {}
 
 XsolvedServer::~XsolvedServer() {
   if (Started.load())
@@ -299,11 +283,6 @@ bool XsolvedServer::start(std::string &Error) {
       LogEvent(LogLevel::Info, "cache.loaded").str("path", Opts.CacheFile);
     }
   }
-  // Every worker's context is built here, on this thread, before any
-  // worker starts: context creation is not thread-safe.
-  for (size_t W = 0; W < Sess->jobs(); ++W)
-    Sess->workerContext(W);
-
   if (Opts.TcpPort >= 0) {
     TcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (TcpFd < 0) {
@@ -366,9 +345,6 @@ bool XsolvedServer::start(std::string &Error) {
 
   Started.store(true);
   AcceptThread = std::thread([this] { acceptLoop(); });
-  for (size_t W = 0; W < Sess->jobs(); ++W)
-    Workers.emplace_back(
-        [this, &Ctx = Sess->workerContext(W)] { workerLoop(Ctx); });
   {
     LogEvent Ev(LogLevel::Info, "server.start");
     Ev.num("jobs", static_cast<double>(Sess->jobs()))
@@ -383,16 +359,11 @@ bool XsolvedServer::start(std::string &Error) {
 }
 
 void XsolvedServer::requestDrain() {
-  // Stored under QueueMu so no worker can evaluate its wait predicate
-  // just before the store and sleep just after the notify —
-  // admissions during drain reject without notifying, so a lost wakeup
-  // here would hang the drain.
-  bool WasDraining;
-  {
-    std::lock_guard<std::mutex> L(QueueMu);
-    WasDraining = Draining.exchange(true);
-  }
-  QueueCv.notify_all();
+  bool WasDraining = Draining.exchange(true);
+  // Admissions from here on are refused as "draining"; admitted work
+  // still runs, even under the test pause.
+  if (Sess)
+    Sess->close();
   if (!WasDraining)
     LogEvent(LogLevel::Info, "drain.begin")
         .num("uptime_s", StartSteadyNs
@@ -411,16 +382,15 @@ void XsolvedServer::wait() {
     return;
   if (AcceptThread.joinable())
     AcceptThread.join();
-  for (std::thread &W : Workers)
-    W.join();
+  Sess->quiesce();
   // The workers have sequenced everything admitted. Teardown is two-
   // phase so even connections the final drain sweep accepted get their
   // promised structured answers:
   //
   // Phase 1 — half-close the read sides only. recv() hands the readers
   // whatever the kernel already buffered and then EOF, so pipelined
-  // requests are answered ("draining" rejections — the workers are
-  // gone but admit() rejects inline) instead of vanishing; Open stays
+  // requests are answered ("draining" rejections — the session is
+  // closed, so admit() rejects inline) instead of vanishing; Open stays
   // true so the writers keep flushing those answers. Joining happens
   // outside ConnsMu: a reader mid-admit needs that lock to exit.
   std::vector<std::shared_ptr<Connection>> Snapshot;
@@ -469,14 +439,6 @@ void XsolvedServer::wait() {
   Stopped.store(true);
   LogEvent(LogLevel::Info, "drain.complete")
       .num("connections", static_cast<double>(Snapshot.size()));
-}
-
-void XsolvedServer::debugPauseDispatch(bool P) {
-  {
-    std::lock_guard<std::mutex> L(QueueMu); // same lost-wakeup guard
-    Paused.store(P);
-  }
-  QueueCv.notify_all();
 }
 
 void XsolvedServer::closeListeners() {
@@ -931,12 +893,7 @@ JsonRef XsolvedServer::statusJson() {
          JsonValue::number(
              StartSteadyNs ? (nowSteadyNs() - StartSteadyNs) / 1e9 : 0));
   S->set("draining", JsonValue::boolean(Draining.load()));
-  size_t Depth;
-  {
-    std::lock_guard<std::mutex> L(QueueMu);
-    Depth = Queue->Q.size();
-  }
-  S->set("queue_depth", JsonValue::number(static_cast<double>(Depth)));
+  S->set("queue_depth", JsonValue::number(static_cast<double>(Sess->queued())));
   S->set("queue_limit",
          JsonValue::number(static_cast<double>(Opts.QueueLimit)));
   S->set("in_flight", JsonValue::number(static_cast<double>(
@@ -1034,7 +991,8 @@ void XsolvedServer::admit(const std::shared_ptr<Connection> &ConnPtr,
     return;
   }
 
-  Job J;
+  auto JP = std::make_shared<Job>();
+  Job &J = *JP;
   J.Conn = ConnPtr;
   J.Seq = Seq;
   J.Req = std::move(Req);
@@ -1058,35 +1016,24 @@ void XsolvedServer::admit(const std::shared_ptr<Connection> &ConnPtr,
       J.DeadlineNs = J.EnqueueNs + Ns;
   }
 
-  std::shared_ptr<NamespaceState> Ns = J.Ns;
-  bool Drain, Full;
-  {
-    std::lock_guard<std::mutex> L(QueueMu);
-    // Checked under QueueMu: once a worker can observe
-    // "Draining && queue empty" and exit, every admission afterwards
-    // sees Draining here and rejects instead of enqueueing into a queue
-    // nobody pops.
-    Drain = Draining.load();
-    Full = !Drain && Queue->Q.size() >= Opts.QueueLimit;
-    if (!Drain && !Full) {
-      J.AdmitSeq = NextAdmitSeq++;
-      Queue->Q.push(std::move(J));
-      queueDepthGauge().set(static_cast<double>(Queue->Q.size()));
-    }
-  }
-  if (!Drain && !Full) {
-    Ns->Requests.fetch_add(1, std::memory_order_relaxed);
-    Ns->RequestsMetric->add();
-    QueueCv.notify_one();
+  NamespaceState &Ns = *J.Ns;
+  AnalysisSession::Admission A = Sess->submit(
+      [this, JP](AnalysisContext &Ctx) { runJob(*JP, Ctx); }, J.Priority,
+      Opts.QueueLimit);
+  if (A == AnalysisSession::Admission::Queued) {
+    queueDepthGauge().set(static_cast<double>(Sess->queued()));
+    Ns.Requests.fetch_add(1, std::memory_order_relaxed);
+    Ns.RequestsMetric->add();
     return;
   }
+  bool Drain = A == AnalysisSession::Admission::Closed;
   const char *Code = Drain ? "draining" : "overloaded";
-  Ns->Rejections.fetch_add(1, std::memory_order_relaxed);
+  Ns.Rejections.fetch_add(1, std::memory_order_relaxed);
   rejectionCounter(Code).add();
   {
     LogEvent Ev(LogLevel::Warn, "request.rejected");
-    Ev.str("rid", J.Rid).str("ns", Ns->Name).str("code", Code);
-    if (Full)
+    Ev.str("rid", J.Rid).str("ns", Ns.Name).str("code", Code);
+    if (!Drain)
       Ev.num("queue_limit", static_cast<double>(Opts.QueueLimit));
     Ev.num("conn", static_cast<double>(Conn.Id));
   }
@@ -1104,42 +1051,28 @@ void XsolvedServer::admit(const std::shared_ptr<Connection> &ConnPtr,
 // Workers
 //===----------------------------------------------------------------------===//
 
-/// One of the jobs() worker threads, each on its own context. It pops
-/// the highest-priority job, answers it — deadline_exceeded without a
-/// solve when the deadline passed in the queue — and finishes it, so no
-/// request waits for another to complete. Drain overrides the debug
-/// pause: a paused server still finishes its admitted work, and workers
-/// exit once a drain was requested and the queue is empty.
-void XsolvedServer::workerLoop(AnalysisContext &Ctx) {
-  while (true) {
-    std::unique_lock<std::mutex> L(QueueMu);
-    QueueCv.wait(L, [&] {
-      return Draining.load() || (!Paused.load() && !Queue->Q.empty());
-    });
-    if (Queue->Q.empty())
-      return;
-    Job J = Queue->Q.top();
-    Queue->Q.pop();
-    queueDepthGauge().set(static_cast<double>(Queue->Q.size()));
-    L.unlock();
-
-    uint64_t Now = nowSteadyNs();
-    double WaitMs = (Now - J.EnqueueNs) / 1e6;
-    AnalysisResponse R;
-    if (J.DeadlineNs && Now > J.DeadlineNs) {
-      R = refusal(J.Req, J.Rid, "deadline_exceeded",
-                  "deadline expired before the request reached a worker");
-    } else {
-      queueWaitHistogram().observe(WaitMs);
-      Tracer::global().recordSpanFrom("server.queue_wait", J.EnqueueNs);
-      InFlight.fetch_add(1, std::memory_order_relaxed);
-      J.Ns->InFlight.fetch_add(1, std::memory_order_relaxed);
-      R = runRequest(Ctx, J.Req);
-      J.Ns->InFlight.fetch_sub(1, std::memory_order_relaxed);
-      InFlight.fetch_sub(1, std::memory_order_relaxed);
-    }
-    finish(J, R, WaitMs);
+/// An admitted job, on one of the session's workers: deadline_exceeded
+/// without a solve when the deadline passed in the queue, else the
+/// request on that worker's context; then finish(), so no request waits
+/// for another to complete.
+void XsolvedServer::runJob(const Job &J, AnalysisContext &Ctx) {
+  queueDepthGauge().set(static_cast<double>(Sess->queued()));
+  uint64_t Now = nowSteadyNs();
+  double WaitMs = (Now - J.EnqueueNs) / 1e6;
+  AnalysisResponse R;
+  if (J.DeadlineNs && Now > J.DeadlineNs) {
+    R = refusal(J.Req, J.Rid, "deadline_exceeded",
+                "deadline expired before the request reached a worker");
+  } else {
+    queueWaitHistogram().observe(WaitMs);
+    Tracer::global().recordSpanFrom("server.queue_wait", J.EnqueueNs);
+    InFlight.fetch_add(1, std::memory_order_relaxed);
+    J.Ns->InFlight.fetch_add(1, std::memory_order_relaxed);
+    R = runRequest(Ctx, J.Req);
+    J.Ns->InFlight.fetch_sub(1, std::memory_order_relaxed);
+    InFlight.fetch_sub(1, std::memory_order_relaxed);
   }
+  finish(J, R, WaitMs);
 }
 
 /// The tail of every admitted request, run or expired: namespace

@@ -16,11 +16,13 @@
 /// a socket thread. Instead:
 ///
 ///  * one reader thread per connection parses lines, answers control
-///    ops inline, and ADMITS analysis requests into a bounded priority
-///    queue (admission control: a full queue answers "overloaded"
-///    immediately, it never blocks the client or buffers unboundedly);
-///  * jobs() worker threads, each with its own AnalysisContext, pull
-///    from that queue (priority desc, FIFO within a priority). A worker
+///    ops inline, and ADMITS analysis requests into the session's
+///    priority queue, bounded by QueueLimit (admission control: a full
+///    queue answers "overloaded" immediately, it never blocks the client
+///    or buffers unboundedly);
+///  * the session's jobs() worker threads, each with its own
+///    AnalysisContext, pull from that queue (priority desc, FIFO within
+///    a priority) — the same pool `xsolve batch` runs on. A worker
 ///    answers a job whose deadline already expired with
 ///    "deadline_exceeded" without solving it, runs the rest, and does
 ///    the request's accounting, tail sampling and delivery itself — so
@@ -44,9 +46,10 @@
 /// through a shared cache cannot change any verdict; see DESIGN.md).
 ///
 /// Shutdown. SIGTERM (wired in examples/xsolved.cpp) or a client
-/// {"op":"drain"} stops accepting connections, answers further analysis
-/// requests with "draining", finishes everything already admitted,
-/// delivers the responses, persists the cache file, and exits cleanly.
+/// {"op":"drain"} stops accepting connections, closes the session so
+/// further analysis requests are answered "draining", finishes
+/// everything already admitted, delivers the responses, persists the
+/// cache file, and exits cleanly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +61,6 @@
 #include "service/Session.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -84,7 +86,7 @@ struct ServerOptions {
   /// Unix-domain listener ("" disables). An existing socket file at the
   /// path is unlinked before bind.
   std::string UnixPath;
-  /// Admission control: most analysis requests queued (not yet popped
+  /// Admission control: most analysis requests queued (not yet taken
   /// by a worker) at once, across all connections. A full queue answers
   /// {"error":{"code":"overloaded"}} immediately.
   size_t QueueLimit = 256;
@@ -115,7 +117,8 @@ struct ServerOptions {
   /// no new request within this many milliseconds is closed.
   size_t HttpIdleTimeoutMs = 5000;
   /// The shared session's knobs. jobs is the number of worker threads,
-  /// started by start() and fixed for the server's lifetime.
+  /// fixed for the server's lifetime; the session starts them on the
+  /// first admitted request.
   SessionOptions Session;
   /// When non-empty: loaded at start() if present, persisted on drain.
   std::string CacheFile;
@@ -157,8 +160,7 @@ public:
   XsolvedServer &operator=(const XsolvedServer &) = delete;
 
   /// Binds the listeners, loads the cache file (when configured and
-  /// present), and starts the accept thread and jobs() worker threads,
-  /// each on its own worker context. False (with \p Error) on
+  /// present), and starts the accept thread. False (with \p Error) on
   /// bind/listen failure.
   bool start(std::string &Error);
 
@@ -185,14 +187,11 @@ public:
   /// loop polls to know a client asked the server down.
   bool draining() const { return Draining.load(); }
 
-  /// The shared session (for tests and stats endpoints).
+  /// The shared session (for tests and stats endpoints). Its
+  /// debugPause hook holds admitted jobs in the queue, so it fills
+  /// deterministically (overload tests) and deadlines expire (deadline
+  /// tests); a drain overrides the pause.
   AnalysisSession &session() { return *Sess; }
-
-  /// Test hook: while paused the workers pop nothing, so the queue
-  /// fills deterministically (overload tests) and deadlines expire
-  /// (deadline tests). A drain overrides the pause. Never used outside
-  /// tests.
-  void debugPauseDispatch(bool Paused);
 
   /// Looks up (or creates) a namespace. Exposed for tests.
   std::shared_ptr<NamespaceState> namespaceState(const std::string &Name);
@@ -200,11 +199,10 @@ public:
 private:
   struct Connection;
   struct Job;
-  struct JobQueue;
 
   bool acceptOne(int ListenFd);
   void acceptLoop();
-  void workerLoop(AnalysisContext &Ctx);
+  void runJob(const Job &J, AnalysisContext &Ctx);
   void readerLoop(std::shared_ptr<Connection> Conn);
   void writerLoop(std::shared_ptr<Connection> Conn);
   void handleLine(const std::shared_ptr<Connection> &ConnPtr,
@@ -239,7 +237,6 @@ private:
   int BoundPort = 0;
 
   std::thread AcceptThread;
-  std::vector<std::thread> Workers;
 
   std::mutex ConnsMu;
   std::vector<std::shared_ptr<Connection>> Conns;
@@ -248,13 +245,7 @@ private:
   std::mutex NsMu;
   std::map<std::string, std::shared_ptr<NamespaceState>> Namespaces;
 
-  std::mutex QueueMu;
-  std::condition_variable QueueCv;
-  std::unique_ptr<JobQueue> Queue; ///< guarded by QueueMu
-  uint64_t NextAdmitSeq = 0;       ///< guarded by QueueMu
-
   std::atomic<bool> Draining{false};
-  std::atomic<bool> Paused{false};
   std::atomic<bool> Started{false};
   std::atomic<bool> Stopped{false};
   std::mutex StopMu; ///< serializes wait()

@@ -13,7 +13,12 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <functional>
 #include <istream>
+#include <mutex>
+#include <optional>
 #include <ostream>
 #include <unordered_map>
 
@@ -116,9 +121,9 @@ void fillFromAnalysis(AnalysisResponse &R, const AnalysisResult &A,
 }
 
 /// Identity of a request up to textual equality of every field that can
-/// influence the answer (everything but Id). Textually identical
-/// requests are solved once per batch and the rest reported as cache
-/// hits — exactly what a serial run through the semantic cache does.
+/// influence the answer (everything but Id). A request identical to one
+/// still in flight waits for it and then hits the result cache, exactly
+/// as in a serial run (see OrderedRun::solve).
 std::string requestSignature(const AnalysisRequest &Req) {
   // Fields are length-prefixed, so the signature is injective for
   // arbitrary field bytes — even malformed requests (whose text the
@@ -312,50 +317,152 @@ AnalysisResponse xsa::runRequest(AnalysisSession &Session,
   return runRequest(Session.mainContext(), Req);
 }
 
+namespace {
+
+/// Most answers a batch holds back at once, waiting for an earlier line's
+/// answer: the reader blocks for room beyond this.
+constexpr size_t MaxUnanswered = 4096;
+
+/// One batch on the session's workers. The reader reserves an output
+/// position for each line that gets an answer, in input order, then
+/// either answers it at once or hands its request to solve(). Answers
+/// are released in input order: whichever thread completes the one at
+/// the head emits it and every later one already complete, so output
+/// streams at any job count.
+template <typename Answer> class OrderedRun {
+public:
+  using EncodeFn = std::function<Answer(AnalysisResponse)>;
+  /// Receives answers in input order, one call at a time.
+  using EmitFn = std::function<void(std::vector<Answer> &)>;
+
+  OrderedRun(AnalysisSession &Session, EncodeFn Encode, EmitFn Emit)
+      : Session(Session), Encode(std::move(Encode)), Emit(std::move(Emit)) {}
+  /// Workers hold its address.
+  OrderedRun(const OrderedRun &) = delete;
+  OrderedRun &operator=(const OrderedRun &) = delete;
+
+  /// The next output position; waits while MaxUnanswered are pending.
+  size_t reserve() {
+    std::unique_lock<std::mutex> L(M);
+    Cv.wait(L, [&] { return Slots.size() < MaxUnanswered; });
+    Slots.emplace_back();
+    return Released + Slots.size() - 1;
+  }
+
+  void answer(size_t Pos, Answer A) {
+    std::unique_lock<std::mutex> L(M);
+    Slots[Pos - Released] = std::move(A);
+    if (Emitting)
+      return; // the emitting thread picks it up
+    Emitting = true;
+    std::vector<Answer> Ready;
+    while (!Slots.empty() && Slots.front()) {
+      while (!Slots.empty() && Slots.front()) {
+        Ready.push_back(std::move(*Slots.front()));
+        Slots.pop_front();
+        ++Released;
+      }
+      L.unlock();
+      Emit(Ready);
+      Ready.clear();
+      L.lock();
+    }
+    Emitting = false;
+    // Under the lock: once drain() sees the run idle it may destroy it.
+    Cv.notify_all();
+  }
+
+  /// Answers position \p Pos with \p Req's response, computed on a
+  /// worker. A request textually identical to one still in flight waits
+  /// for it, then runs on the same context and hits the result cache:
+  /// the first occurrence solves and the rest report a hit, as serially.
+  void solve(size_t Pos, AnalysisRequest Req) {
+    std::string Sig = requestSignature(Req);
+    {
+      std::lock_guard<std::mutex> L(M);
+      auto [It, First] = InFlight.try_emplace(Sig);
+      if (!First) {
+        It->second.emplace_back(Pos, std::move(Req));
+        return;
+      }
+    }
+    // Kept for the answer to a refused job, once Req has moved into it.
+    RequestKind Kind = Req.Kind;
+    std::string Id = Req.Id;
+    auto Job = [this, Pos, Sig, Req = std::move(Req)](AnalysisContext &Ctx) {
+      Answer A = Encode(runRequest(Ctx, Req));
+      std::vector<std::pair<size_t, AnalysisRequest>> Waiting;
+      {
+        std::lock_guard<std::mutex> L(M);
+        auto It = InFlight.find(Sig);
+        Waiting = std::move(It->second);
+        InFlight.erase(It);
+      }
+      // Nothing of this run is touched after the last answer.
+      answer(Pos, std::move(A));
+      for (auto &[WaitPos, WaitReq] : Waiting)
+        answer(WaitPos, Encode(runRequest(Ctx, WaitReq)));
+    };
+    if (Session.submit(std::move(Job)) != AnalysisSession::Admission::Queued) {
+      {
+        std::lock_guard<std::mutex> L(M);
+        InFlight.erase(Sig);
+      }
+      AnalysisResponse R;
+      R.Kind = Kind;
+      R.Id = std::move(Id);
+      R.Error = "the session is closed";
+      answer(Pos, Encode(std::move(R)));
+    }
+  }
+
+  /// Returns once every reserved position has been emitted.
+  void drain() {
+    std::unique_lock<std::mutex> L(M);
+    Cv.wait(L, [&] { return Slots.empty() && !Emitting; });
+  }
+
+  /// drain(), then waits for the workers to go idle: what they recorded
+  /// (stats, spans) happens-before the return.
+  void finish() {
+    drain();
+    Session.quiesce();
+  }
+
+private:
+  AnalysisSession &Session;
+  EncodeFn Encode;
+  EmitFn Emit;
+
+  std::mutex M;
+  std::condition_variable Cv;
+  /// Positions [Released, Released + Slots.size()), answered or not.
+  std::deque<std::optional<Answer>> Slots;
+  size_t Released = 0;
+  bool Emitting = false;
+  /// Requests in flight by signature, with the identical ones that wait
+  /// for them.
+  std::unordered_map<std::string,
+                     std::vector<std::pair<size_t, AnalysisRequest>>>
+      InFlight;
+};
+
+} // namespace
+
 std::vector<AnalysisResponse>
 xsa::runBatch(AnalysisSession &Session,
               const std::vector<AnalysisRequest> &Reqs) {
-  std::vector<AnalysisResponse> Out(Reqs.size());
-  if (Session.jobs() <= 1 || Reqs.size() < 2) {
-    for (size_t I = 0; I < Reqs.size(); ++I)
-      Out[I] = runRequest(Session, Reqs[I]);
-    return Out;
-  }
-
-  // Textual dedup before dispatch: later copies of an identical request
-  // become cache-hit replies of the first, which both avoids redundant
-  // concurrent solves of the same problem and keeps the reported
-  // hit/miss pattern identical to a serial run.
-  constexpr size_t NotDup = ~size_t(0);
-  std::unordered_map<std::string, size_t> FirstOf;
-  std::vector<size_t> Unique;
-  std::vector<size_t> DupOf(Reqs.size(), NotDup);
-  Unique.reserve(Reqs.size());
-  for (size_t I = 0; I < Reqs.size(); ++I) {
-    auto [It, Inserted] = FirstOf.emplace(requestSignature(Reqs[I]), I);
-    if (Inserted)
-      Unique.push_back(I);
-    else
-      DupOf[I] = It->second;
-  }
-
-  // Self-scheduling dispatch: each worker pulls the next unclaimed
-  // request and answers it on its own context. Input order of the
-  // responses is preserved by construction (slot I belongs to request I).
-  WorkerPool &Pool = Session.pool();
-  Pool.parallelFor(Unique.size(), [&](size_t U, size_t Worker) {
-    size_t I = Unique[U];
-    Out[I] = runRequest(Session.workerContext(Worker), Reqs[I]);
-  });
-
-  for (size_t I = 0; I < Reqs.size(); ++I) {
-    if (DupOf[I] == NotDup)
-      continue;
-    Out[I] = Out[DupOf[I]];
-    Out[I].Id = Reqs[I].Id;
-    if (Out[I].Ok)
-      Out[I].FromCache = true;
-  }
+  std::vector<AnalysisResponse> Out;
+  Out.reserve(Reqs.size());
+  OrderedRun<AnalysisResponse> Run(
+      Session, [](AnalysisResponse R) { return R; },
+      [&Out](std::vector<AnalysisResponse> &Ready) {
+        for (AnalysisResponse &R : Ready)
+          Out.push_back(std::move(R));
+      });
+  for (const AnalysisRequest &Req : Reqs)
+    Run.solve(Run.reserve(), Req);
+  Run.finish();
   return Out;
 }
 
@@ -634,53 +741,28 @@ bool readLineBounded(std::istream &In, std::string &Line, size_t MaxBytes,
 
 size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
                               std::ostream &Out, size_t *Failed,
-                              bool StableOutput) {
-  BatchStreamOptions Opts;
-  Opts.Stable = StableOutput;
-  return runBatchJsonLines(Session, In, Out, Failed, Opts);
-}
-
-size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
-                              std::ostream &Out, size_t *Failed,
                               const BatchStreamOptions &Opts) {
-  const bool StableOutput = Opts.Stable;
+  struct Encoded {
+    std::string Text;
+    bool Ok = false;
+  };
   size_t Answered = 0, Errors = 0;
-
-  // One buffered segment between config lines. With jobs == 1 the
-  // segment is flushed after every line, preserving the historical
-  // stream-as-you-go behaviour; with jobs > 1 requests accumulate so a
-  // whole segment can be dispatched across the pool at once — bounded
-  // by MaxSegment so an arbitrarily large input never buffers
-  // unboundedly. Pipelined clients that need a response per request
-  // should run jobs == 1 (or send a config line to force a flush).
-  constexpr size_t MaxSegment = 4096;
-  struct Item {
-    size_t ReqIdx = ~size_t(0); ///< index into SegReqs, or none
-    AnalysisResponse Resp;      ///< pre-made response when ReqIdx is none
+  auto Encode = [Stable = Opts.Stable](AnalysisResponse R) {
+    return Encoded{responseToJson(R, /*IncludeVolatile=*/!Stable)->dump(),
+                   R.Ok};
   };
-  std::vector<AnalysisRequest> SegReqs;
-  std::vector<Item> SegItems;
-
-  auto Emit = [&](const AnalysisResponse &Resp) {
-    if (Resp.Ok)
-      ++Answered;
-    else
-      ++Errors;
-    Out << responseToJson(Resp, /*IncludeVolatile=*/!StableOutput)->dump()
-        << "\n";
-  };
-  auto Flush = [&] {
-    if (!SegReqs.empty()) {
-      std::vector<AnalysisResponse> Resps = runBatch(Session, SegReqs);
-      for (Item &It : SegItems)
-        if (It.ReqIdx != ~size_t(0))
-          It.Resp = std::move(Resps[It.ReqIdx]);
+  OrderedRun<Encoded> Run(Session, Encode, [&](std::vector<Encoded> &Ready) {
+    for (const Encoded &E : Ready) {
+      ++(E.Ok ? Answered : Errors);
+      Out << E.Text << "\n";
     }
-    for (const Item &It : SegItems)
-      Emit(It.Resp);
-    SegReqs.clear();
-    SegItems.clear();
-  };
+    Out.flush();
+  });
+  auto AnswerNow = [&](Encoded E) { Run.answer(Run.reserve(), std::move(E)); };
+  // Workers write Out while this thread reads In. A tie (std::cin's to
+  // std::cout) would flush Out from this thread as well; every emit
+  // flushes, so the tie is dropped for the run.
+  std::ostream *Tied = In.tie(nullptr);
 
   std::string Line;
   size_t LineNo = 0;
@@ -689,15 +771,12 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
          readLineBounded(In, Line, Opts.MaxLineBytes, Truncated)) {
     ++LineNo;
     if (Truncated) {
-      Item It;
-      It.Resp.Ok = false;
-      It.Resp.Error = "input line exceeds " +
-                      std::to_string(Opts.MaxLineBytes) + " bytes";
-      It.Resp.ErrorLine = LineNo;
-      It.Resp.ErrorByte = static_cast<long>(Opts.MaxLineBytes);
-      SegItems.push_back(std::move(It));
-      if (Session.jobs() <= 1 || SegItems.size() >= MaxSegment)
-        Flush();
+      AnalysisResponse R;
+      R.Error = "input line exceeds " + std::to_string(Opts.MaxLineBytes) +
+                " bytes";
+      R.ErrorLine = LineNo;
+      R.ErrorByte = static_cast<long>(Opts.MaxLineBytes);
+      AnswerNow(Encode(std::move(R)));
       continue;
     }
     // Skip blank lines and #-comments so hand-written batch files can be
@@ -709,67 +788,59 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
     size_t ErrByte = 0;
     JsonRef Obj = parseJson(Line, Error, &ErrByte);
     if (!Obj) {
-      Item It;
-      It.Resp.Ok = false;
-      It.Resp.Error = "bad JSON: " + Error;
-      It.Resp.ErrorLine = LineNo;
-      It.Resp.ErrorByte = static_cast<long>(ErrByte);
-      SegItems.push_back(std::move(It));
+      AnalysisResponse R;
+      R.Error = "bad JSON: " + Error;
+      R.ErrorLine = LineNo;
+      R.ErrorByte = static_cast<long>(ErrByte);
+      AnswerNow(Encode(std::move(R)));
     } else if (Obj->str("op") == "config") {
-      // Control line: answer in order, apply to everything after it.
-      Flush();
+      // Control line: answered after every line before it, applied to
+      // everything after it.
+      Run.drain();
       ConfigLine Cfg;
       if (JsonRef Err = decodeConfigLine(*Obj, {"jobs"}, Cfg, LineNo)) {
-        ++Errors;
-        Out << Err->dump() << "\n";
+        AnswerNow({Err->dump(), false});
         continue;
       }
       if (!Cfg.Jobs) {
-        AnalysisResponse Resp;
-        Resp.Id = Obj->str("id");
-        Resp.ErrorLine = LineNo;
-        Resp.Error = "config needs 'jobs' (a non-negative integer)";
-        Emit(Resp);
+        AnalysisResponse R;
+        R.Id = Obj->str("id");
+        R.ErrorLine = LineNo;
+        R.Error = "config needs 'jobs' (a non-negative integer)";
+        AnswerNow(Encode(std::move(R)));
         continue;
       }
       Session.setJobs(*Cfg.Jobs);
       JsonRef O = controlResponseJson(*Obj);
       O->set("jobs", JsonValue::number(static_cast<double>(Session.jobs())));
-      ++Answered;
-      Out << O->dump() << "\n";
-      continue;
+      AnswerNow({O->dump(), true});
     } else if (Obj->str("op") == "metrics") {
-      // Control line: the process-wide metric registry as JSON, after a
-      // flush so in-flight requests of this segment are counted. The
-      // registry's members (schema version first) are spliced into the
-      // response object, so clients key on response["schema"].
-      Flush();
+      // Control line: the process-wide metric registry as JSON, once
+      // every request before it is counted. The registry's members
+      // (schema version first) are spliced into the response object, so
+      // clients key on response["schema"].
+      Run.drain();
       JsonRef O = controlResponseJson(*Obj);
       JsonRef M = MetricRegistry::global().toJson(
-          /*IncludeVolatile=*/!StableOutput);
+          /*IncludeVolatile=*/!Opts.Stable);
       for (const auto &[K, V] : M->members())
         O->set(K, V);
-      ++Answered;
-      Out << O->dump() << "\n";
-      continue;
+      AnswerNow({O->dump(), true});
     } else {
       AnalysisRequest Req;
-      Item It;
-      if (!requestFromJson(*Obj, Req, Error)) {
-        It.Resp.Id = Obj->str("id");
-        It.Resp.Ok = false;
-        It.Resp.Error = Error;
-        It.Resp.ErrorLine = LineNo;
+      if (requestFromJson(*Obj, Req, Error)) {
+        Run.solve(Run.reserve(), std::move(Req));
       } else {
-        It.ReqIdx = SegReqs.size();
-        SegReqs.push_back(std::move(Req));
+        AnalysisResponse R;
+        R.Id = Obj->str("id");
+        R.Error = Error;
+        R.ErrorLine = LineNo;
+        AnswerNow(Encode(std::move(R)));
       }
-      SegItems.push_back(std::move(It));
     }
-    if (Session.jobs() <= 1 || SegItems.size() >= MaxSegment)
-      Flush();
   }
-  Flush();
+  Run.finish();
+  In.tie(Tied);
   if (Failed)
     *Failed = Errors;
   return Answered;

@@ -18,25 +18,28 @@
 ///    directions already asked separately) are answered from the shared
 ///    sharded result cache, across all workers.
 ///
-/// When the session is configured with jobs > 1, runBatch dispatches
-/// requests over the session's WorkerPool, one AnalysisContext per
-/// worker. Responses always come back in input order, and the semantic
-/// payload of every response (verdict, model, lean size) is
-/// deterministic — independent of the worker count and of the dispatch
-/// interleaving — because every context derives the same canonical
-/// problems and the solver itself is deterministic. The `cache`,
-/// `time_ms`, `iterations` and `iterations_replayed` fields describe
-/// *execution* (who hit the shared cache, how long the winning run
-/// took, how much of the fixpoint was replayed) and may differ between
-/// a parallel and a serial cold run; textually identical requests are
-/// deduplicated before dispatch and reported exactly as a serial run
-/// would (first one solves, the rest are cache hits). On a warm session
-/// every field, timing included, is byte-identical at any job count.
+/// Every batch runs on the session's worker pool (service/Session.h),
+/// one AnalysisContext per worker, at any job count. Responses always
+/// come back in input order, and the semantic payload of every response
+/// (verdict, model, lean size) is deterministic — independent of the
+/// worker count and of the dispatch interleaving — because every
+/// context derives the same canonical problems and the solver itself is
+/// deterministic. The `cache`, `time_ms`, `iterations` and
+/// `iterations_replayed` fields describe *execution* (who hit the shared
+/// cache, how long the winning run took, how much of the fixpoint was
+/// replayed) and may differ between a parallel and a serial cold run. A
+/// request textually identical to one still in flight waits for it and
+/// then hits the result cache, so duplicates are reported exactly as a
+/// serial run reports them (first one solves, the rest are cache hits).
+/// On a warm session every field, timing included, is byte-identical at
+/// any job count.
 ///
 /// The JSON-lines front end maps one request object per input line to
-/// one response object per output line; see README.md for the schema. A
-/// control line {"op":"config","jobs":N} switches the worker count
-/// mid-stream.
+/// one response object per output line; see README.md for the schema.
+/// Each answer is written, and the stream flushed, as soon as every line
+/// before it is answered, so a client that waits for one answer before
+/// sending the next line works at any job count. A control line
+/// {"op":"config","jobs":N} switches the worker count mid-stream.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,14 +62,14 @@ namespace xsa {
 /// requests come back with Ok == false and an Error.
 AnalysisResponse runRequest(AnalysisContext &Ctx, const AnalysisRequest &Req);
 
-/// Convenience: answers against the session's main (serial) context.
+/// Convenience: answers against the session's main context on the
+/// calling thread (the serial API; see service/Session.h).
 AnalysisResponse runRequest(AnalysisSession &Session,
                             const AnalysisRequest &Req);
 
-/// Answers a whole batch, in input order. With Session.jobs() > 1 the
-/// independent requests are dispatched across the session's worker pool
-/// (see the file comment for the determinism guarantee); with jobs() == 1
-/// they run serially on the main context.
+/// Answers a whole batch on the session's workers, in input order (see
+/// the file comment for the determinism guarantee). The workers are idle
+/// again when it returns.
 std::vector<AnalysisResponse> runBatch(AnalysisSession &Session,
                                        const std::vector<AnalysisRequest> &Reqs);
 
@@ -137,10 +140,7 @@ JsonRef configErrorJson(const JsonValue &Obj, const std::string &Code,
                         const std::string &Message, const std::string &Key,
                         const std::string &Value = "", size_t Line = 0);
 
-/// Knobs of the JSON-lines stream driver beyond the original positional
-/// parameters. Defaults reproduce the historical behaviour (apart from
-/// the line-length bound, which turns a pathological input line into a
-/// structured bad_request instead of unbounded buffering).
+/// Knobs of the JSON-lines stream driver.
 struct BatchStreamOptions {
   /// Deterministic response encoding (see responseToJson).
   bool Stable = false;
@@ -149,35 +149,28 @@ struct BatchStreamOptions {
   /// with the line number. 0 means unbounded.
   size_t MaxLineBytes = size_t(1) << 20;
   /// When non-null and set (e.g. by a SIGINT/SIGTERM handler), the
-  /// driver stops reading input at the next line boundary, flushes the
-  /// buffered segment — every request already read is still answered —
-  /// and returns. The caller's normal exit path (cache save, stats)
-  /// then runs as usual: an interrupted batch drains, it does not abort.
+  /// driver stops reading input at the next line boundary, answers every
+  /// line already read, and returns. The caller's normal exit path
+  /// (cache save, stats) then runs as usual: an interrupted batch
+  /// drains, it does not abort.
   const std::atomic<bool> *Stop = nullptr;
 };
 
 /// JSON-lines driver: reads one request object per non-empty line of
 /// \p In, writes one response object per line to \p Out (in input
-/// order). Unparseable lines produce an {"ok":false} response line, not
-/// a stop. A {"op":"config","jobs":N} line answers {"ok":true,"jobs":N}
-/// and applies to all subsequent requests. With jobs == 1 each response
-/// is written as soon as its line is read; with jobs > 1 responses are
-/// emitted per dispatched segment (at EOF, at a config line, or every
-/// 4096 requests), so a pipelined client that needs a response per
-/// request should stay at jobs == 1. Returns the number of requests
-/// answered successfully; \p Failed (when non-null) receives the number
-/// that were not (an empty batch is 0/0; config lines count as
-/// answered). \p StableOutput selects the deterministic response
-/// encoding (see responseToJson).
+/// order), each as soon as every line before it is answered. Requests
+/// run on the session's workers; at most 4,096 answers wait for an
+/// earlier one, and reading pauses while that many do. Unparseable lines
+/// produce an {"ok":false} response line, not a stop. A
+/// {"op":"config","jobs":N} line answers {"ok":true,"jobs":N} once every
+/// line before it is answered, and applies to all subsequent requests;
+/// an {"op":"metrics"} line waits the same way. Returns the number of
+/// lines answered successfully; \p Failed (when non-null) receives the
+/// number that were not (an empty batch is 0/0; config lines count as
+/// answered).
 size_t runBatchJsonLines(AnalysisSession &Session, std::istream &In,
                          std::ostream &Out, size_t *Failed = nullptr,
-                         bool StableOutput = false);
-
-/// Full-options form: line-length bound and cooperative stop flag on top
-/// of the stable switch. The positional overload forwards here.
-size_t runBatchJsonLines(AnalysisSession &Session, std::istream &In,
-                         std::ostream &Out, size_t *Failed,
-                         const BatchStreamOptions &Opts);
+                         const BatchStreamOptions &Opts = {});
 
 } // namespace xsa
 

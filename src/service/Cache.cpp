@@ -1,54 +1,10 @@
-//===- Cache.cpp - LRU semantic result caches ------------------------------===//
+//===- Cache.cpp - LRU semantic result cache -------------------------------===//
 
 #include "service/Cache.h"
 
 #include "obs/Trace.h"
 
 using namespace xsa;
-
-//===----------------------------------------------------------------------===//
-// LruResultCache
-//===----------------------------------------------------------------------===//
-
-const SolverResult *LruResultCache::lookup(Formula Canonical,
-                                           uint32_t OptsKey) {
-  auto It = Entries.find({Canonical, OptsKey});
-  if (It == Entries.end()) {
-    ++Stats.Misses;
-    return nullptr;
-  }
-  ++Stats.Hits;
-  Lru.splice(Lru.begin(), Lru, It->second);
-  return &It->second->Result;
-}
-
-void LruResultCache::store(Formula Canonical, uint32_t OptsKey,
-                           const SolverResult &R) {
-  if (Capacity == 0)
-    return;
-  Key K{Canonical, OptsKey};
-  auto It = Entries.find(K);
-  if (It != Entries.end()) {
-    It->second->Result = R;
-    Lru.splice(Lru.begin(), Lru, It->second);
-    return;
-  }
-  while (Entries.size() >= Capacity) {
-    Entries.erase(Lru.back().K);
-    Lru.pop_back();
-    ++Stats.Evictions;
-  }
-  Lru.push_front({K, R});
-  Entries.emplace(K, Lru.begin());
-  ++Stats.Insertions;
-  Stats.Size = Entries.size();
-}
-
-void LruResultCache::clear() {
-  Lru.clear();
-  Entries.clear();
-  Stats.Size = 0;
-}
 
 //===----------------------------------------------------------------------===//
 // ShardedResultCache

@@ -1,35 +1,28 @@
-//===- Cache.h - LRU semantic result caches ----------------------*- C++ -*-===//
+//===- Cache.h - LRU semantic result cache -----------------------*- C++ -*-===//
 //
 // Part of the xsa project (PLDI 2007 XPath/type analysis reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
-/// \file
-/// Semantic result caches for the service layer, in two flavours:
+/// The semantic result cache of the service layer: the thread-safe
+/// shared front of an AnalysisSession. Worker threads each own a
+/// FormulaFactory, so formula pointers cannot cross threads; entries are
+/// instead keyed on the *canonical formula text* (FormulaFactory::toString
+/// of canonicalize), which is factory-independent: canonicalize renames
+/// every binder to a name derived from its binding position, so
+/// α-equivalent formulas print identically no matter which worker built
+/// them. The table is split into power-of-two shards, each an
+/// independently locked LRU, so concurrent workers only contend when they
+/// hash to the same shard. Counters are relaxed atomics — they are
+/// independent monotonic tallies with no ordering relation to the cached
+/// data, and AnalysisSession::quiesce provides the happens-before edge
+/// any reader of a final snapshot needs.
 ///
-///  * LruResultCache — the single-threaded implementation of the solver's
-///    ResultCache interface. Entries are keyed on (canonical formula,
-///    solver-options fingerprint); because canonical formulas are interned
-///    in one FormulaFactory, key comparison is pointer equality and
-///    α-equivalent queries share an entry.
-///
-///  * ShardedResultCache — the thread-safe shared front of a parallel
-///    AnalysisSession. Worker threads each own a FormulaFactory, so
-///    formula pointers cannot cross threads; entries are instead keyed on
-///    the *canonical formula text* (FormulaFactory::toString of
-///    canonicalize), which is factory-independent: canonicalize renames
-///    every binder to a name derived from its binding position, so
-///    α-equivalent formulas print identically no matter which worker
-///    built them. The table is split into power-of-two shards, each an
-///    independently locked LRU, so concurrent workers only contend when
-///    they hash to the same shard. Counters are relaxed atomics — they
-///    are independent monotonic tallies with no ordering relation to the
-///    cached data, and the batch dispatcher's join provides the
-///    happens-before edge any reader of a final snapshot needs.
-///
-/// Both memoize full SolverResults — satisfiability verdict, extracted
+/// It memoizes full SolverResults — satisfiability verdict, extracted
 /// model tree, and the stats of the run that produced the entry — and
-/// keep hit/miss/eviction counters for SessionStats.
+/// keeps hit/miss/eviction counters for SessionStats. Each context
+/// bridges it to the solver's pointer-keyed ResultCache interface (see
+/// Context.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,40 +50,6 @@ struct CacheStats {
   size_t Insertions = 0;
   size_t Evictions = 0;
   size_t Size = 0;
-};
-
-class LruResultCache : public ResultCache {
-public:
-  /// \p Capacity 0 disables caching entirely (every lookup misses and
-  /// nothing is stored).
-  explicit LruResultCache(size_t Capacity = 1024) : Capacity(Capacity) {}
-
-  const SolverResult *lookup(Formula Canonical, uint32_t OptsKey) override;
-  void store(Formula Canonical, uint32_t OptsKey,
-             const SolverResult &R) override;
-
-  const CacheStats &stats() const { return Stats; }
-  size_t capacity() const { return Capacity; }
-  size_t size() const { return Entries.size(); }
-  void clear();
-
-private:
-  using Key = std::pair<Formula, uint32_t>;
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      return K.first->hash() * 31 + K.second;
-    }
-  };
-  struct Entry {
-    Key K;
-    SolverResult Result;
-  };
-
-  size_t Capacity;
-  /// Most-recently-used first.
-  std::list<Entry> Lru;
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> Entries;
-  CacheStats Stats;
 };
 
 /// Thread-safe sharded LRU keyed on canonical formula text + options

@@ -32,9 +32,9 @@
 /// so the only requirement is freedom from lost updates, which relaxed
 /// fetch_add provides. Readers that need a *consistent* snapshot (e.g.
 /// asserting exact totals after a batch) get it from the happens-before
-/// edge of runBatch's barrier (WorkerPool::parallelFor returns only
-/// after joining all workers under a mutex), not from the counters
-/// themselves.
+/// edge of AnalysisSession::quiesce (it returns only once every worker
+/// has finished its work and said so under the session mutex), not from
+/// the counters themselves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,9 +87,10 @@ struct AtomicSessionStats {
 
 /// A single-threaded solver context: factory, parser/DTD memos, Analyzer
 /// and raw solver, wired through the session's shared cache, fixpoint
-/// store and stats. AnalysisSession owns one context per worker (plus
-/// one for the serial API); it is also usable standalone with every
-/// shared front null, which runs uncached and unshared.
+/// store and stats. AnalysisSession owns one context per worker, the
+/// first of which also serves the serial API; it is also usable
+/// standalone with every shared front null, which runs uncached and
+/// unshared.
 class AnalysisContext {
 public:
   /// Every shared-front pointer may be null (uncached / untallied

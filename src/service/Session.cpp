@@ -2,6 +2,7 @@
 
 #include "service/Session.h"
 
+#include "obs/Trace.h"
 #include "service/Json.h"
 #include "tree/Xml.h"
 
@@ -14,6 +15,10 @@
 using namespace xsa;
 
 namespace {
+
+/// The result cache every session gets: 1,024 entries in 8 shards.
+constexpr size_t CacheCapacity = 1024;
+constexpr size_t CacheShards = 8;
 
 size_t resolveJobs(size_t Jobs) {
   if (Jobs == 0) {
@@ -29,88 +34,155 @@ size_t resolveJobs(size_t Jobs) {
 
 } // namespace
 
-AnalysisSession::AnalysisSession(SessionOptions SOpts)
-    : Opts(SOpts), Cache(SOpts.CacheCapacity, SOpts.CacheShards),
-      Fixpoints(SharedFixpointStore::DefaultNodeBudget, SOpts.CacheShards),
-      Main(SOpts.Solver, &Cache, &Counters, &Fixpoints) {
-  Opts.Jobs = resolveJobs(Opts.Jobs);
+AnalysisSession::AnalysisSession(SessionOptions Opts)
+    : Cache(CacheCapacity, CacheShards),
+      Fixpoints(SharedFixpointStore::DefaultNodeBudget, CacheShards),
+      Jobs(resolveJobs(Opts.Jobs)) {
+  Contexts.push_back(std::make_unique<AnalysisContext>(
+      SolverOptions{}, &Cache, &Counters, &Fixpoints));
 }
 
-AnalysisSession::AnalysisSession(SolverOptions Opts, size_t CacheCapacity)
-    : AnalysisSession(SessionOptions{Opts, CacheCapacity,
-                                     /*CacheShards=*/8, /*Jobs=*/1}) {}
-
-AnalysisResult AnalysisSession::emptiness(const ExprRef &E, Formula Chi) {
-  return analyzer().emptiness(E, Chi);
-}
-
-AnalysisResult AnalysisSession::containment(const ExprRef &E1, Formula Chi1,
-                                            const ExprRef &E2, Formula Chi2) {
-  return analyzer().containment(E1, Chi1, E2, Chi2);
-}
-
-AnalysisResult AnalysisSession::overlap(const ExprRef &E1, Formula Chi1,
-                                        const ExprRef &E2, Formula Chi2) {
-  return analyzer().overlap(E1, Chi1, E2, Chi2);
-}
-
-AnalysisResult AnalysisSession::coverage(const ExprRef &E, Formula Chi,
-                                         const std::vector<ExprRef> &Others,
-                                         const std::vector<Formula> &OtherChis) {
-  return analyzer().coverage(E, Chi, Others, OtherChis);
-}
-
-AnalysisResult AnalysisSession::equivalence(const ExprRef &E1, Formula Chi1,
-                                            const ExprRef &E2, Formula Chi2) {
-  return analyzer().equivalence(E1, Chi1, E2, Chi2);
-}
-
-AnalysisResult AnalysisSession::staticTypeCheck(const ExprRef &E, Formula ChiIn,
-                                                Formula OutType) {
-  return analyzer().staticTypeCheck(E, ChiIn, OutType);
+AnalysisSession::~AnalysisSession() {
+  std::vector<std::thread> All;
+  {
+    std::lock_guard<std::mutex> L(M);
+    Closed = true;
+    All.swap(Threads);
+  }
+  WorkCv.notify_all();
+  for (std::thread &T : All)
+    T.join();
 }
 
 SolverResult AnalysisSession::satisfiable(Formula Psi) {
-  return Main.satisfiable(Psi);
-}
-
-ExprRef AnalysisSession::query(const std::string &XPath, std::string &Error) {
-  return Main.query(XPath, Error);
+  return mainContext().satisfiable(Psi);
 }
 
 Formula AnalysisSession::typeFormula(const std::string &Name,
                                      std::string &Error) {
-  return Main.typeFormula(Name, Error);
+  return mainContext().typeFormula(Name, Error);
 }
 
 Formula AnalysisSession::typeContext(const std::string &Name,
                                      std::string &Error) {
-  return Main.typeContext(Name, Error);
+  return mainContext().typeContext(Name, Error);
 }
 
-void AnalysisSession::setJobs(size_t Jobs) {
-  Jobs = resolveJobs(Jobs);
-  if (Jobs == Opts.Jobs)
-    return;
-  Opts.Jobs = Jobs;
-  // Resize lazily: the pool is rebuilt by the next pool() call. Worker
-  // contexts are retained — shrinking and re-growing keeps them warm.
-  if (Pool && Pool->threads() != Jobs)
-    Pool.reset();
+//===----------------------------------------------------------------------===//
+// Worker pool
+//===----------------------------------------------------------------------===//
+
+bool AnalysisSession::runsLater(const Task &A, const Task &B) {
+  if (A.Priority != B.Priority)
+    return A.Priority < B.Priority;
+  return A.Seq > B.Seq;
 }
 
-WorkerPool &AnalysisSession::pool() {
-  if (!Pool)
-    Pool = std::make_unique<WorkerPool>(Opts.Jobs);
-  workerContext(Opts.Jobs - 1);
-  return *Pool;
+size_t AnalysisSession::jobs() const {
+  std::lock_guard<std::mutex> L(M);
+  return Jobs;
 }
 
-AnalysisContext &AnalysisSession::workerContext(size_t Worker) {
-  while (Workers.size() <= Worker)
-    Workers.push_back(std::make_unique<AnalysisContext>(
-        Opts.Solver, &Cache, &Counters, &Fixpoints));
-  return *Workers[Worker];
+void AnalysisSession::setJobs(size_t N) {
+  N = resolveJobs(N);
+  quiesce();
+  std::vector<std::thread> Retired;
+  {
+    std::lock_guard<std::mutex> L(M);
+    Jobs = N;
+    if (!Threads.empty()) {
+      while (Threads.size() > Jobs) {
+        Retired.push_back(std::move(Threads.back()));
+        Threads.pop_back();
+      }
+      growLocked();
+    }
+  }
+  // Retired workers see Id >= Jobs and return; their contexts stay.
+  WorkCv.notify_all();
+  for (std::thread &T : Retired)
+    T.join();
+}
+
+void AnalysisSession::growLocked() {
+  while (Threads.size() < Jobs) {
+    size_t Id = Threads.size();
+    if (Contexts.size() <= Id)
+      Contexts.push_back(std::make_unique<AnalysisContext>(
+          SolverOptions{}, &Cache, &Counters, &Fixpoints));
+    Threads.emplace_back(
+        [this, Id, &Ctx = *Contexts[Id]] { workerMain(Id, Ctx); });
+  }
+}
+
+AnalysisSession::Admission AnalysisSession::submit(Work W, int Priority,
+                                                   size_t Limit) {
+  // The queue-wait stamp is 0 when tracing is off, keeping the disabled
+  // path free of clock reads.
+  uint64_t Stamp = Tracer::global().enabled() ? Tracer::nowNs() : 0;
+  {
+    std::lock_guard<std::mutex> L(M);
+    if (Closed)
+      return Admission::Closed;
+    if (Queue.size() >= Limit)
+      return Admission::Full;
+    if (Threads.empty())
+      growLocked();
+    Queue.push_back({std::move(W), Priority, NextSeq++, Stamp});
+    std::push_heap(Queue.begin(), Queue.end(), runsLater);
+  }
+  WorkCv.notify_one();
+  return Admission::Queued;
+}
+
+void AnalysisSession::close() {
+  {
+    std::lock_guard<std::mutex> L(M);
+    Closed = true;
+  }
+  WorkCv.notify_all();
+}
+
+void AnalysisSession::quiesce() {
+  std::unique_lock<std::mutex> L(M);
+  IdleCv.wait(L, [&] { return Queue.empty() && Running == 0; });
+}
+
+size_t AnalysisSession::queued() const {
+  std::lock_guard<std::mutex> L(M);
+  return Queue.size();
+}
+
+void AnalysisSession::debugPause(bool P) {
+  {
+    std::lock_guard<std::mutex> L(M);
+    Paused = P;
+  }
+  WorkCv.notify_all();
+}
+
+void AnalysisSession::workerMain(size_t Id, AnalysisContext &Ctx) {
+  std::unique_lock<std::mutex> L(M);
+  for (;;) {
+    WorkCv.wait(L, [&] {
+      return Id >= Jobs || Closed || (!Paused && !Queue.empty());
+    });
+    // Retired by setJobs, or closed with nothing left to run.
+    if (Id >= Jobs || Queue.empty())
+      return;
+    std::pop_heap(Queue.begin(), Queue.end(), runsLater);
+    Task T = std::move(Queue.back());
+    Queue.pop_back();
+    ++Running;
+    L.unlock();
+    if (T.EnqueueNs)
+      Tracer::global().recordSpanFrom("pool.queue_wait", T.EnqueueNs);
+    T.W(Ctx);
+    T.W = nullptr; // captured state dies outside the lock
+    L.lock();
+    if (--Running == 0 && Queue.empty())
+      IdleCv.notify_all();
+  }
 }
 
 //===----------------------------------------------------------------------===//

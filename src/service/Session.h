@@ -5,19 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A long-lived front end to the decision procedures, split for parallel
-/// dispatch into a thread-safe shared front and per-worker solver
-/// contexts:
+/// A long-lived front end to the decision procedures: a thread-safe
+/// shared front, per-worker solver contexts, and the one worker pool
+/// that answers every batch and every xsolved request:
 ///
-///  * the shared front (this class) owns a ShardedResultCache of solver
-///    results keyed on canonical formula text + options fingerprint, a
+///  * the shared front owns a ShardedResultCache of solver results keyed
+///    on canonical formula text + options fingerprint, a
 ///    SharedFixpointStore of iterate sequences keyed on lean signature,
-///    an AtomicSessionStats bundle, and the WorkerPool runBatch
-///    dispatches over;
+///    and an AtomicSessionStats bundle;
 ///  * each worker owns an AnalysisContext (see Context.h) — its own
 ///    FormulaFactory, parser memo, DTD memo, Analyzer and BddSolver —
 ///    because a context is single-threaded by design: the session
-///    parallelizes across solver instances.
+///    parallelizes across solver instances;
+///  * jobs() worker threads pull submitted work from one priority queue
+///    (higher priority first, FIFO within a priority); thread W runs
+///    every item it takes on context W. The threads start on the first
+///    submit, so a session that only answers serial calls starts none.
 ///
 /// Repeated or α-equivalent queries — the common case in query-optimizer
 /// and schema-audit workloads — are answered from the shared cache
@@ -28,11 +31,12 @@
 /// (see solver/Pipeline.h), so responses are byte-identical to an
 /// unshared run's at any job count — only the work changes.
 ///
-/// The serial convenience API below (§8 decision problems, query/DTD
-/// resolution) routes everything through one distinguished "main"
-/// context and is NOT thread-safe; concurrency is obtained by handing
-/// whole batches to runBatch (service/Batch.h), which dispatches across
-/// the worker contexts. One-off callers can keep constructing Analyzer
+/// The serial API below (mainContext, analyzer, factory, satisfiable,
+/// typeFormula, typeContext) runs on worker 0's context on the calling
+/// thread and is NOT thread-safe: it must not run while the session has
+/// work queued or running. Concurrency comes from submitting work —
+/// runBatch and runBatchJsonLines (service/Batch.h) and xsolved's
+/// admissions do. One-off callers can keep constructing Analyzer
 /// directly (they simply run uncached).
 ///
 //===----------------------------------------------------------------------===//
@@ -44,11 +48,16 @@
 #include "service/Cache.h"
 #include "service/Context.h"
 #include "service/FixpointStore.h"
-#include "support/WorkerPool.h"
 #include "xtype/Dtd.h"
 
+#include <condition_variable>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace xsa {
@@ -81,62 +90,35 @@ struct SessionStats {
   size_t FixpointIterationsReplayed = 0;
 };
 
-/// Knobs of an AnalysisSession. Solver options are the per-context
-/// baseline; the rest configure the shared front.
+/// Knobs of an AnalysisSession. Every context solves under default
+/// SolverOptions, and the result cache holds 1,024 entries in 8 shards.
 struct SessionOptions {
-  SolverOptions Solver;
-  /// Total result-cache capacity (0 disables caching).
-  size_t CacheCapacity = 1024;
-  /// Requested shard count (rounded to a power of two, clamped; see
-  /// ShardedResultCache).
-  size_t CacheShards = 8;
-  /// Worker count: runBatch's pool threads (1 = serial dispatch on the
-  /// main context) and xsolved's worker threads; 0 = hardware
-  /// concurrency.
+  /// Worker threads, each on its own context; 0 = hardware concurrency.
   size_t Jobs = 1;
 };
 
 class AnalysisSession {
 public:
-  explicit AnalysisSession(SessionOptions Opts);
-  /// Back-compatible convenience form.
-  explicit AnalysisSession(SolverOptions Opts = {},
-                           size_t CacheCapacity = 1024);
+  explicit AnalysisSession(SessionOptions Opts = {});
+  /// Closes the session, lets queued work finish, and joins the workers.
+  ~AnalysisSession();
   AnalysisSession(const AnalysisSession &) = delete;
   AnalysisSession &operator=(const AnalysisSession &) = delete;
 
-  FormulaFactory &factory() { return Main.factory(); }
+  //===--------------------------------------------------------------------===//
+  // Serial API (worker 0's context; see the file comment)
+  //===--------------------------------------------------------------------===//
 
-  /// The main context's Analyzer: every decision problem routed through
-  /// it consults the session cache. Callers may use it directly for the
-  /// full §8 interface. Serial API — see the file comment.
-  Analyzer &analyzer() { return Main.analyzer(); }
+  AnalysisContext &mainContext() { return *Contexts.front(); }
+  FormulaFactory &factory() { return mainContext().factory(); }
 
-  /// The distinguished serial context behind the convenience API.
-  AnalysisContext &mainContext() { return Main; }
-
-  /// §8 decision problems (thin forwards to analyzer(), kept here so
-  /// serial callers and the CLI depend only on the session).
-  AnalysisResult emptiness(const ExprRef &E, Formula Chi);
-  AnalysisResult containment(const ExprRef &E1, Formula Chi1,
-                             const ExprRef &E2, Formula Chi2);
-  AnalysisResult overlap(const ExprRef &E1, Formula Chi1, const ExprRef &E2,
-                         Formula Chi2);
-  AnalysisResult coverage(const ExprRef &E, Formula Chi,
-                          const std::vector<ExprRef> &Others,
-                          const std::vector<Formula> &OtherChis);
-  AnalysisResult equivalence(const ExprRef &E1, Formula Chi1,
-                             const ExprRef &E2, Formula Chi2);
-  AnalysisResult staticTypeCheck(const ExprRef &E, Formula ChiIn,
-                                 Formula OutType);
+  /// The main context's Analyzer: every §8 decision problem routed
+  /// through it consults the session cache.
+  Analyzer &analyzer() { return mainContext().analyzer(); }
 
   /// Cached raw satisfiability under the session options (no single-root
   /// restriction, matching a bare BddSolver).
   SolverResult satisfiable(Formula Psi);
-
-  /// Parses an XPath query, memoized on the source string (main
-  /// context). Returns null and sets \p Error on a parse failure.
-  ExprRef query(const std::string &XPath, std::string &Error);
 
   /// Loads and compiles a DTD (main context); see
   /// AnalysisContext::typeFormula.
@@ -144,30 +126,44 @@ public:
   Formula typeContext(const std::string &Name, std::string &Error);
 
   //===--------------------------------------------------------------------===//
-  // Parallel dispatch (runBatch and xsolved's workers)
+  // Worker pool
   //===--------------------------------------------------------------------===//
 
   /// Upper bound on jobs: each job costs a thread plus a full solver
   /// context, so requests beyond this are clamped rather than honoured.
   static constexpr size_t MaxJobs = 256;
+  static constexpr size_t NoLimit = std::numeric_limits<size_t>::max();
 
   /// Effective worker count (≥ 1, ≤ MaxJobs).
-  size_t jobs() const { return Opts.Jobs; }
+  size_t jobs() const;
   /// Changes the worker count (0 = hardware concurrency; clamped to
-  /// MaxJobs). Takes effect on the next batch; existing worker contexts
-  /// are kept warm, the pool is resized lazily. Not thread-safe against
-  /// a running batch.
+  /// MaxJobs): quiesces, then retires or starts threads. Every context
+  /// stays warm, so shrinking and growing again keeps each worker's
+  /// memos. Must not race submit() from another thread.
   void setJobs(size_t Jobs);
 
-  /// runBatch's pool, sized to jobs() threads, with every worker's
-  /// context created. Lazily constructed on first use so jobs=1
-  /// sessions never spawn a thread.
-  WorkerPool &pool();
-  /// Worker \p Worker's warm context, created on first use and kept
-  /// across setJobs. Creation is not thread-safe: fetch each worker's
-  /// context on one thread before the workers start (pool() does this
-  /// for runBatch). Each context must be used by one thread at a time.
-  AnalysisContext &workerContext(size_t Worker);
+  /// A unit of work; it runs on a worker thread with that worker's
+  /// context and must not throw.
+  using Work = std::function<void(AnalysisContext &)>;
+  enum class Admission { Queued, Full, Closed };
+
+  /// Queues \p W at \p Priority (higher runs first; FIFO within a
+  /// priority). Full when \p Limit items are already waiting, Closed
+  /// after close(); \p W is dropped unrun in both cases. The first
+  /// queued item starts the worker threads.
+  Admission submit(Work W, int Priority = 0, size_t Limit = NoLimit);
+  /// Refuses every later submit. Work already queued still runs, even
+  /// while paused.
+  void close();
+  /// Returns once nothing is queued or running. Everything the finished
+  /// work did happens-before the return. Blocks forever while paused
+  /// with work queued; never call it from a worker.
+  void quiesce();
+  /// Items waiting for a worker.
+  size_t queued() const;
+  /// Test hook: while paused the workers take nothing, so the queue
+  /// fills deterministically. close() overrides the pause.
+  void debugPause(bool Paused);
 
   //===--------------------------------------------------------------------===//
   // Persistent cache (warm-up across processes)
@@ -199,13 +195,36 @@ public:
   SessionStats stats() const;
 
 private:
-  SessionOptions Opts;
+  struct Task {
+    Work W;
+    int Priority = 0;
+    uint64_t Seq = 0;       ///< admission order
+    uint64_t EnqueueNs = 0; ///< tracer stamp at submit; 0 = tracing off
+  };
+  /// Heap order of Queue: the top is the highest priority, then the
+  /// earliest admitted.
+  static bool runsLater(const Task &A, const Task &B);
+
+  /// Starts threads up to Jobs, creating their contexts. Needs M.
+  void growLocked();
+  void workerMain(size_t Id, AnalysisContext &Ctx);
+
   ShardedResultCache Cache;
   SharedFixpointStore Fixpoints;
   AtomicSessionStats Counters;
-  AnalysisContext Main;
-  std::vector<std::unique_ptr<AnalysisContext>> Workers;
-  std::unique_ptr<WorkerPool> Pool;
+  /// Context W belongs to worker W; the front one also serves the serial
+  /// API. Grown under M, never shrunk.
+  std::vector<std::unique_ptr<AnalysisContext>> Contexts;
+
+  mutable std::mutex M;
+  std::condition_variable WorkCv; ///< workers wait for work
+  std::condition_variable IdleCv; ///< quiesce() waits for idle
+  size_t Jobs = 1;                ///< guarded by M
+  std::vector<Task> Queue;        ///< heap by runsLater; guarded by M
+  uint64_t NextSeq = 0;           ///< guarded by M
+  size_t Running = 0;             ///< items on a worker; guarded by M
+  bool Paused = false, Closed = false; ///< guarded by M
+  std::vector<std::thread> Threads; ///< worker W is Threads[W]; guarded by M
 };
 
 } // namespace xsa

@@ -320,5 +320,22 @@ private:
 bool xsa::parseDtd(std::string_view Input, Dtd &D, std::string &Error) {
   Error.clear();
   DtdParser P(Input, D, Error);
-  return P.run();
+  if (!P.run())
+    return false;
+  // A type needs a root, and every element a content model names needs a
+  // model of its own. Declarations may come in any order, so this is
+  // checked once the whole DTD is read.
+  if (D.elements().empty()) {
+    Error = "dtd error: no element is declared";
+    return false;
+  }
+  for (Symbol E : D.elements())
+    for (Symbol Child : contentSymbols(D.content(E)))
+      if (!D.isDeclared(Child)) {
+        Error = "dtd error: element '" + symbolName(Child) +
+                "' is used in the content model of '" + symbolName(E) +
+                "' but never declared";
+        return false;
+      }
+  return true;
 }

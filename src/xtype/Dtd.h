@@ -55,7 +55,9 @@ private:
   Symbol Root = ~0u;
 };
 
-/// Parses DTD text into \p D. Returns false and fills \p Error on failure.
+/// Parses DTD text into \p D. Returns false and fills \p Error on failure,
+/// including a DTD that declares no element and one whose content models
+/// name an element it never declares (the error names that element).
 bool parseDtd(std::string_view Input, Dtd &D, std::string &Error);
 
 } // namespace xsa

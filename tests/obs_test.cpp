@@ -5,8 +5,9 @@
 // math and snapshot deltas, Prometheus text and JSON export shape,
 // volatile-metric exclusion) and the span tracer (disabled fast path
 // records nothing, parent linkage and nesting, correctness across
-// WorkerPool threads, stage accumulation, Chrome trace-event export
-// parsed back through the project's own JSON parser). The batch
+// threads, the session's per-job queue-wait spans, stage accumulation,
+// Chrome trace-event export parsed back through the project's own JSON
+// parser). The batch
 // protocol surface — {"op":"metrics"} schema field, unknown-config-key
 // rejection — rides on the same fixtures.
 //
@@ -23,7 +24,6 @@
 #include "service/Batch.h"
 #include "service/Json.h"
 #include "service/Session.h"
-#include "support/WorkerPool.h"
 
 #include <gtest/gtest.h>
 
@@ -352,19 +352,24 @@ TEST(Tracer, NestingLinksParents) {
   EXPECT_GE(Events[InnerId].StartNs, Events[OuterId].StartNs);
 }
 
-TEST(Tracer, SpansNestCorrectlyAcrossWorkerPoolThreads) {
+TEST(Tracer, SpansNestCorrectlyAcrossThreads) {
   Tracer &T = Tracer::global();
-  WorkerPool Pool(4);
   T.start();
-  constexpr size_t N = 64;
-  Pool.parallelFor(N, [](size_t Index, size_t) {
-    Span Task("task");
-    Task.arg("index", static_cast<double>(Index));
-    Span Child("task.child");
-  });
+  constexpr size_t N = 64, Threads = 4;
+  std::vector<std::thread> Ts;
+  for (size_t Id = 0; Id < Threads; ++Id)
+    Ts.emplace_back([Id] {
+      for (size_t Index = Id; Index < N; Index += Threads) {
+        Span Task("task");
+        Task.arg("index", static_cast<double>(Index));
+        Span Child("task.child");
+      }
+    });
+  for (std::thread &Th : Ts)
+    Th.join();
   T.stop();
 
-  // The pool barrier is the happens-before edge: all worker buffers are
+  // The joins are the happens-before edge: all thread buffers are
   // readable now. Every child's parent must be a task span on the SAME
   // thread, and ids must be globally unique.
   auto Events = eventsById();
@@ -384,12 +389,35 @@ TEST(Tracer, SpansNestCorrectlyAcrossWorkerPoolThreads) {
   }
   EXPECT_EQ(Tasks, N);
   EXPECT_EQ(Children, N);
-  // Queue-wait intervals were recorded by the workers that woke.
-  size_t QueueWaits = 0;
+}
+
+TEST(Tracer, SessionRecordsQueueWaitPerJob) {
+  // A traced batch on the session's workers: each job's wait in the
+  // queue is a pool.queue_wait span, recorded by the worker that took it
+  // and readable once runBatch has returned (it ends quiescent).
+  SessionOptions Opts;
+  Opts.Jobs = 4;
+  AnalysisSession Session(Opts);
+  std::vector<AnalysisRequest> Reqs;
+  for (size_t I = 0; I < 8; ++I) {
+    AnalysisRequest R;
+    R.Id = "q" + std::to_string(I);
+    R.Kind = RequestKind::Emptiness;
+    R.Query1 = "/r" + std::to_string(I) + "/x";
+    Reqs.push_back(R);
+  }
+  Tracer &T = Tracer::global();
+  T.start();
+  std::vector<AnalysisResponse> Resps = runBatch(Session, Reqs);
+  T.stop();
+  ASSERT_EQ(Resps.size(), Reqs.size());
+  size_t QueueWaits = 0, Requests = 0;
   T.forEachEvent([&](const Tracer::Event &E) {
     QueueWaits += std::string(E.Name) == "pool.queue_wait";
+    Requests += std::string(E.Name) == "request";
   });
-  EXPECT_GT(QueueWaits, 0u);
+  EXPECT_EQ(QueueWaits, Reqs.size());
+  EXPECT_EQ(Requests, Reqs.size());
 }
 
 TEST(Tracer, StageScopeAccumulatesByName) {
@@ -463,7 +491,9 @@ std::string runLines(AnalysisSession &Session, const std::string &Input,
                      bool Stable = false) {
   std::istringstream In(Input);
   std::ostringstream Out;
-  runBatchJsonLines(Session, In, Out, nullptr, Stable);
+  BatchStreamOptions Opts;
+  Opts.Stable = Stable;
+  runBatchJsonLines(Session, In, Out, nullptr, Opts);
   return Out.str();
 }
 

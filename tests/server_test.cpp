@@ -8,7 +8,7 @@
 // byte-identical to a serial `xsolve batch --stable` run of the same
 // lines. Admission control (overloaded), deadlines (deadline_exceeded)
 // and graceful drain (draining) are exercised deterministically through
-// the debugPauseDispatch test hook.
+// the session's debugPause test hook.
 //
 //===----------------------------------------------------------------------===//
 
@@ -74,7 +74,9 @@ std::string serialReference(const std::vector<std::string> &Lines) {
   std::istringstream In(Input);
   std::ostringstream Out;
   AnalysisSession Session;
-  runBatchJsonLines(Session, In, Out, nullptr, /*StableOutput=*/true);
+  BatchStreamOptions Opts;
+  Opts.Stable = true;
+  runBatchJsonLines(Session, In, Out, nullptr, Opts);
   return Out.str();
 }
 
@@ -223,12 +225,12 @@ TEST(Server, OutboundOverflowDropsOnlyTheGuiltyConnection) {
 
 TEST(Server, DeadlineExpiredInQueueIsRejectedStructurally) {
   ServerFixture F(stableServerOptions(1));
-  F.Server.debugPauseDispatch(true);
+  F.Server.session().debugPause(true);
   LineClient C = F.connect();
   ASSERT_TRUE(C.sendLine("{\"id\":\"d\",\"op\":\"contains\",\"e1\":\"/a/b\","
                          "\"e2\":\"//b\",\"deadline_ms\":1}"));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  F.Server.debugPauseDispatch(false);
+  F.Server.session().debugPause(false);
   std::string Resp;
   ASSERT_TRUE(C.recvLine(Resp));
   std::string Error;
@@ -279,7 +281,7 @@ TEST(Server, FullQueueRejectsWithOverloaded) {
   ServerOptions Opts = stableServerOptions(1);
   Opts.QueueLimit = 3;
   ServerFixture F(Opts);
-  F.Server.debugPauseDispatch(true);
+  F.Server.session().debugPause(true);
   LineClient C = F.connect();
   // 8 requests into a paused server with a queue bound of 3: the first
   // 3 are admitted, the next 5 must be rejected immediately — the
@@ -296,7 +298,7 @@ TEST(Server, FullQueueRejectsWithOverloaded) {
   auto Ns = F.Server.namespaceState("default");
   for (int I = 0; I < 500 && Ns->Rejections.load() < 5; ++I)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  F.Server.debugPauseDispatch(false);
+  F.Server.session().debugPause(false);
   size_t Overloaded = 0, Answered = 0;
   for (size_t I = 0; I < Lines.size(); ++I) {
     std::string Resp;
@@ -317,7 +319,7 @@ TEST(Server, FullQueueRejectsWithOverloaded) {
 
 TEST(Server, HigherPriorityJobsDispatchFirst) {
   ServerFixture F(stableServerOptions(1));
-  F.Server.debugPauseDispatch(true);
+  F.Server.session().debugPause(true);
   LineClient C = F.connect();
   // Admitted while paused: a low-priority pair then a high-priority
   // request. On resume the high-priority one must solve first — its
@@ -331,7 +333,7 @@ TEST(Server, HigherPriorityJobsDispatchFirst) {
   // Give the reader time to admit both before resuming, so the
   // priority queue actually holds the pair at once.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  F.Server.debugPauseDispatch(false);
+  F.Server.session().debugPause(false);
   std::string R1, R2;
   ASSERT_TRUE(C.recvLine(R1));
   ASSERT_TRUE(C.recvLine(R2));
@@ -347,7 +349,7 @@ TEST(Server, FastRequestIsNotHeldBehindASlowOne) {
   // problem of a few milliseconds on B. Each worker finishes its own
   // request, so B's answer arrives while A's solve is still running.
   ServerFixture F(stableServerOptions(2));
-  F.Server.debugPauseDispatch(true);
+  F.Server.session().debugPause(true);
   auto Ns = F.Server.namespaceState("default");
   LineClient A = F.connect();
   LineClient B = F.connect();
@@ -361,7 +363,7 @@ TEST(Server, FastRequestIsNotHeldBehindASlowOne) {
                          "\"e1\":\"/f1/x\",\"e2\":\"//x\"}"));
   for (int I = 0; I < 500 && Ns->Requests.load() < 2; ++I)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  F.Server.debugPauseDispatch(false);
+  F.Server.session().debugPause(false);
 
   std::string Resp;
   ASSERT_TRUE(B.recvLine(Resp));
@@ -467,6 +469,35 @@ TEST(Server, ProtocolHardeningMatchesBatchDriver) {
   ASSERT_TRUE(C.sendLine("{\"id\":\"after\",\"op\":\"ping\"}"));
   ASSERT_TRUE(C.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos);
+}
+
+TEST(Server, UndeclaredDtdElementIsAnsweredAndTheServerGoesOn) {
+  // A DTD naming an element it never declares is a bad request, not a
+  // crash: xsolved answers it and then the next request on a fresh
+  // connection.
+  std::string Dtd = ::testing::TempDir() + "/xsolved_undeclared.dtd";
+  std::ofstream(Dtd) << "<!ELEMENT a (b)>\n";
+  ServerFixture F(stableServerOptions(2));
+  LineClient C = F.connect();
+  ASSERT_TRUE(C.sendLine("{\"id\":\"bad\",\"op\":\"empty\",\"e1\":\"/a\","
+                         "\"dtd\":\"" + Dtd + "\"}"));
+  std::string Resp;
+  ASSERT_TRUE(C.recvLine(Resp));
+  std::string Error;
+  JsonRef R = parseJson(Resp, Error);
+  ASSERT_NE(R, nullptr) << Error;
+  EXPECT_EQ(R->str("id"), "bad");
+  EXPECT_FALSE(R->get("ok")->asBool());
+  EXPECT_EQ(R->get("error")->str("code"), "bad_request");
+  EXPECT_NE(R->get("error")->str("message").find("'b'"), std::string::npos)
+      << Resp;
+  LineClient Next = F.connect();
+  ASSERT_TRUE(Next.sendLine("{\"id\":\"next\",\"op\":\"contains\","
+                            "\"e1\":\"/a/b\",\"e2\":\"//b\"}"));
+  ASSERT_TRUE(Next.recvLine(Resp));
+  EXPECT_NE(Resp.find("\"id\":\"next\",\"ok\":true"), std::string::npos)
+      << Resp;
+  std::remove(Dtd.c_str());
 }
 
 TEST(Server, NamespacesIsolateAccountingNotResults) {
@@ -744,12 +775,12 @@ TEST(Server, DeadlineMissIsCapturedInSlowlog) {
   Opts.DefaultStable = false;
   Opts.SlowThresholdMs = 1e9; // only tail events (errors) qualify
   ServerFixture F(Opts);
-  F.Server.debugPauseDispatch(true);
+  F.Server.session().debugPause(true);
   LineClient C = F.connect();
   ASSERT_TRUE(C.sendLine("{\"id\":\"dl\",\"op\":\"contains\",\"e1\":\"/dl1/x\","
                          "\"e2\":\"//x\",\"deadline_ms\":1}"));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  F.Server.debugPauseDispatch(false);
+  F.Server.session().debugPause(false);
   std::string Resp;
   ASSERT_TRUE(C.recvLine(Resp));
   EXPECT_NE(Resp.find("\"code\":\"deadline_exceeded\""), std::string::npos);

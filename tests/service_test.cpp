@@ -1,17 +1,19 @@
 //===- service_test.cpp - Analysis service subsystem ----------------------===//
 //
 // Tests the session layer: canonical (α-invariant) formula hashing, the
-// LRU semantic result cache (hits on structurally identical queries,
-// misses after eviction), batch deduplication of repeated operands and
-// shared DTD contexts, the stats counters, and the JSON-lines batch
-// protocol — including the acceptance scenario that a repeated-query
-// batch reports cache hits with results identical to a cold run.
+// session's semantic result cache (hits on structurally identical
+// queries), batch deduplication of repeated operands and shared DTD
+// contexts, the stats counters, and the JSON-lines batch protocol —
+// including the acceptance scenario that a repeated-query batch reports
+// cache hits with results identical to a cold run.
 //
-// The parallel engine is covered too: the WorkerPool, the sharded
-// thread-safe result cache (including a single-shard stress test meant
-// to run under TSan), determinism of multi-worker batches — a warm
-// N-thread batch must produce byte-identical JSON to the 1-thread run,
-// and cold runs must agree on every deterministic field — and the
+// The parallel engine is covered too: the session's worker pool
+// (priority order, admission limit, close, quiesce, resizing with warm
+// contexts), a stream that answers each line before the next is read,
+// the sharded thread-safe result cache (including a single-shard stress
+// test meant to run under TSan), determinism of multi-worker batches — a
+// warm N-thread batch must produce byte-identical JSON to the 1-thread
+// run, and cold runs must agree on every deterministic field — and the
 // persistent cache warm-up across sessions.
 //
 //===----------------------------------------------------------------------===//
@@ -20,7 +22,6 @@
 #include "service/Batch.h"
 #include "service/Cache.h"
 #include "service/Session.h"
-#include "support/WorkerPool.h"
 
 #include "logic/Parser.h"
 #include "xpath/Compile.h"
@@ -28,10 +29,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <mutex>
 #include <sstream>
+#include <streambuf>
+#include <thread>
 
 using namespace xsa;
 
@@ -94,51 +102,6 @@ TEST(Canonicalize, RepeatedXPathCompilationsCanonicalizeEqual) {
 }
 
 //===----------------------------------------------------------------------===//
-// LRU cache
-//===----------------------------------------------------------------------===//
-
-TEST(LruResultCache, HitMissEvictAndCounters) {
-  FormulaFactory FF;
-  Formula A = FF.prop("a");
-  Formula B = FF.prop("b");
-  Formula C = FF.prop("c");
-  SolverResult R;
-  R.Satisfiable = true;
-
-  LruResultCache Cache(/*Capacity=*/2);
-  EXPECT_EQ(Cache.lookup(A, 0), nullptr);
-  Cache.store(A, 0, R);
-  Cache.store(B, 0, R);
-  ASSERT_NE(Cache.lookup(A, 0), nullptr); // A is now most recent
-  Cache.store(C, 0, R);                   // evicts B (least recent)
-  EXPECT_EQ(Cache.lookup(B, 0), nullptr);
-  EXPECT_NE(Cache.lookup(A, 0), nullptr);
-  EXPECT_NE(Cache.lookup(C, 0), nullptr);
-
-  const CacheStats &S = Cache.stats();
-  EXPECT_EQ(S.Hits, 3u);
-  EXPECT_EQ(S.Misses, 2u);
-  EXPECT_EQ(S.Insertions, 3u);
-  EXPECT_EQ(S.Evictions, 1u);
-  EXPECT_EQ(Cache.size(), 2u);
-}
-
-TEST(LruResultCache, OptionsFingerprintSeparatesEntries) {
-  FormulaFactory FF;
-  Formula A = FF.prop("a");
-  SolverResult Yes, No;
-  Yes.Satisfiable = true;
-  No.Satisfiable = false;
-  LruResultCache Cache(8);
-  Cache.store(A, 1, Yes);
-  Cache.store(A, 2, No);
-  ASSERT_NE(Cache.lookup(A, 1), nullptr);
-  EXPECT_TRUE(Cache.lookup(A, 1)->Satisfiable);
-  ASSERT_NE(Cache.lookup(A, 2), nullptr);
-  EXPECT_FALSE(Cache.lookup(A, 2)->Satisfiable);
-}
-
-//===----------------------------------------------------------------------===//
 // Session cache behaviour
 //===----------------------------------------------------------------------===//
 
@@ -148,13 +111,14 @@ TEST(AnalysisSession, CacheHitOnStructurallyIdenticalQueries) {
   ExprRef E2 = xp("//b");
   Formula Top = Session.factory().trueF();
 
-  AnalysisResult Cold = Session.containment(E1, Top, E2, Top);
+  Analyzer &An = Session.analyzer();
+  AnalysisResult Cold = An.containment(E1, Top, E2, Top);
   EXPECT_TRUE(Cold.Holds);
   EXPECT_FALSE(Cold.FromCache);
 
   // Same operands again — even via freshly parsed (structurally
   // identical) expressions.
-  AnalysisResult Warm = Session.containment(xp("/a/b"), Top, xp("//b"), Top);
+  AnalysisResult Warm = An.containment(xp("/a/b"), Top, xp("//b"), Top);
   EXPECT_TRUE(Warm.FromCache);
   EXPECT_EQ(Warm.Holds, Cold.Holds);
 
@@ -162,23 +126,6 @@ TEST(AnalysisSession, CacheHitOnStructurallyIdenticalQueries) {
   EXPECT_EQ(S.Cache.Hits, 1u);
   EXPECT_EQ(S.Cache.Misses, 1u);
   EXPECT_EQ(S.Solves, 1u);
-}
-
-TEST(AnalysisSession, MissAfterEviction) {
-  // Capacity 1: solving A, then B, then A again must re-solve A.
-  AnalysisSession Session(SolverOptions{}, /*CacheCapacity=*/1);
-  Formula A = parse(Session.factory(), "<1>a");
-  Formula B = parse(Session.factory(), "<1>b");
-
-  EXPECT_FALSE(Session.satisfiable(A).FromCache);
-  EXPECT_TRUE(Session.satisfiable(A).FromCache);
-  EXPECT_FALSE(Session.satisfiable(B).FromCache); // evicts A
-  EXPECT_FALSE(Session.satisfiable(A).FromCache); // miss again
-
-  SessionStats S = Session.stats();
-  EXPECT_GE(S.Cache.Evictions, 1u);
-  EXPECT_EQ(S.Cache.Hits, 1u);
-  EXPECT_EQ(S.Solves, 3u);
 }
 
 TEST(AnalysisSession, RawAndAnalyzerOptionsDoNotCrossContaminate) {
@@ -193,10 +140,11 @@ TEST(AnalysisSession, RawAndAnalyzerOptionsDoNotCrossContaminate) {
 
 TEST(AnalysisSession, QueryAndDtdMemoization) {
   AnalysisSession Session;
+  AnalysisContext &Ctx = Session.mainContext();
   std::string Err;
-  ExprRef E1 = Session.query("//b", Err);
+  ExprRef E1 = Ctx.query("//b", Err);
   ASSERT_NE(E1, nullptr);
-  ExprRef E2 = Session.query("//b", Err);
+  ExprRef E2 = Ctx.query("//b", Err);
   EXPECT_EQ(E1.get(), E2.get()) << "memoized parse returns the same AST";
 
   Formula T1 = Session.typeContext("wikipedia", Err);
@@ -211,10 +159,10 @@ TEST(AnalysisSession, QueryAndDtdMemoization) {
   EXPECT_EQ(S.DtdCacheHits, 1u);
 
   // Parse failures are memoized too, with the error preserved.
-  EXPECT_EQ(Session.query("///", Err), nullptr);
+  EXPECT_EQ(Ctx.query("///", Err), nullptr);
   EXPECT_FALSE(Err.empty());
   std::string Err2;
-  EXPECT_EQ(Session.query("///", Err2), nullptr);
+  EXPECT_EQ(Ctx.query("///", Err2), nullptr);
   EXPECT_EQ(Err, Err2);
 }
 
@@ -405,7 +353,9 @@ std::string runLinesRaw(AnalysisSession &Session, const std::string &Input,
                         bool Stable = false) {
   std::istringstream In(Input);
   std::ostringstream Out;
-  runBatchJsonLines(Session, In, Out, nullptr, Stable);
+  BatchStreamOptions Opts;
+  Opts.Stable = Stable;
+  runBatchJsonLines(Session, In, Out, nullptr, Opts);
   return Out.str();
 }
 
@@ -497,58 +447,292 @@ TEST(BatchJsonLines, MalformedLinesDoNotAbortTheBatch) {
   EXPECT_EQ(Resps[2]->str("id"), "bad");
 }
 
+/// A client that sends one line and waits for its answer before sending
+/// the next, as a pair of streams: the input hands out a line, then
+/// blocks until the output has received one answer line per line handed
+/// out. A watchdog ends the input instead if an answer takes over 10 s.
+class LockstepClient {
+public:
+  explicit LockstepClient(std::vector<std::string> Lines)
+      : InBuf(*this, std::move(Lines)), OutBuf(*this), In(&InBuf),
+        Out(&OutBuf) {}
+
+  std::istream &in() { return In; }
+  std::ostream &out() { return Out; }
+  bool timedOut() const { return TimedOut; }
+  std::string written() {
+    std::lock_guard<std::mutex> L(Mu);
+    return Text;
+  }
+
+private:
+  struct Input : std::streambuf {
+    Input(LockstepClient &C, std::vector<std::string> Lines)
+        : C(C), Lines(std::move(Lines)) {}
+    int_type underflow() override {
+      if (Next == Lines.size())
+        return traits_type::eof();
+      std::unique_lock<std::mutex> L(C.Mu);
+      if (!C.Cv.wait_for(L, std::chrono::seconds(10),
+                         [&] { return C.Answers >= Next; })) {
+        C.TimedOut = true;
+        return traits_type::eof();
+      }
+      Cur = Lines[Next++] + "\n";
+      setg(Cur.data(), Cur.data(), Cur.data() + Cur.size());
+      return traits_type::to_int_type(Cur[0]);
+    }
+    LockstepClient &C;
+    std::vector<std::string> Lines;
+    size_t Next = 0;
+    std::string Cur;
+  };
+  struct Output : std::streambuf {
+    explicit Output(LockstepClient &C) : C(C) {}
+    int_type overflow(int_type Ch) override {
+      if (traits_type::eq_int_type(Ch, traits_type::eof()))
+        return traits_type::not_eof(Ch);
+      std::lock_guard<std::mutex> L(C.Mu);
+      C.Text += traits_type::to_char_type(Ch);
+      if (Ch == '\n') {
+        ++C.Answers;
+        C.Cv.notify_all();
+      }
+      return Ch;
+    }
+    LockstepClient &C;
+  };
+
+  std::mutex Mu;
+  std::condition_variable Cv;
+  size_t Answers = 0; ///< guarded by Mu
+  std::string Text;   ///< guarded by Mu
+  bool TimedOut = false;
+  Input InBuf;
+  Output OutBuf;
+  std::istream In;
+  std::ostream Out;
+};
+
+TEST(BatchJsonLines, AnswersEachLineBeforeTheNextIsRead) {
+  // An interactive client waits for each answer before it sends the next
+  // line; the stream must answer it at any job count.
+  for (size_t Jobs : {1, 4}) {
+    SCOPED_TRACE(Jobs);
+    LockstepClient Client({
+        R"({"id":"q1","op":"contains","e1":"/a/b","e2":"//b"})",
+        "not json",
+        R"({"id":"q2","op":"contains","e1":"/a/b","e2":"//b"})",
+        R"({"id":"cfg","op":"config","jobs":2})",
+        R"({"id":"q3","op":"empty","e1":"a/b[parent::c]"})",
+    });
+    SessionOptions Opts;
+    Opts.Jobs = Jobs;
+    AnalysisSession Session(Opts);
+    size_t Failed = 0;
+    size_t Answered =
+        runBatchJsonLines(Session, Client.in(), Client.out(), &Failed);
+    EXPECT_FALSE(Client.timedOut()) << "a line went unanswered until the "
+                                       "next one was sent";
+    EXPECT_EQ(Answered, 4u);
+    EXPECT_EQ(Failed, 1u);
+    std::istringstream Lines(Client.written());
+    std::vector<std::string> Ids;
+    for (std::string Line; std::getline(Lines, Line);) {
+      std::string Err;
+      JsonRef R = parseJson(Line, Err);
+      ASSERT_NE(R, nullptr) << Err;
+      Ids.push_back(R->str("id"));
+    }
+    EXPECT_EQ(Ids, (std::vector<std::string>{"q1", "", "q2", "cfg", "q3"}));
+  }
+}
+
+TEST(BatchJsonLines, UndeclaredDtdElementsAreBadRequests) {
+  // A DTD whose content model names an element it never declares, or
+  // that declares no element at all, is rejected when it loads: the
+  // request answers bad_request naming the element, and the stream goes
+  // on at any job count.
+  std::string Dir = testing::TempDir();
+  auto Write = [&](const std::string &Name, const std::string &Text) {
+    std::ofstream(Dir + Name) << Text;
+    return Dir + Name;
+  };
+  std::string Child = Write("xsa_undeclared_child.dtd", "<!ELEMENT a (b)>\n");
+  std::string Mixed =
+      Write("xsa_undeclared_mixed.dtd", "<!ELEMENT a (#PCDATA|zz)*>\n");
+  std::string None = Write("xsa_no_element.dtd", "<!-- nothing -->\n");
+  std::string Input =
+      R"({"id":"child","op":"empty","e1":"/a","dtd":")" + Child + "\"}\n" +
+      R"({"id":"mixed","op":"empty","e1":"/a","dtd":")" + Mixed + "\"}\n" +
+      R"({"id":"none","op":"empty","e1":"/a","dtd":")" + None + "\"}\n" +
+      R"({"id":"after","op":"empty","e1":"//b"})" "\n";
+  for (size_t Jobs : {1, 4}) {
+    SCOPED_TRACE(Jobs);
+    SessionOptions Opts;
+    Opts.Jobs = Jobs;
+    AnalysisSession Session(Opts);
+    std::vector<JsonRef> Resps = runLines(Session, Input);
+    ASSERT_EQ(Resps.size(), 4u);
+    const char *Named[] = {"'b'", "'zz'", "no element"};
+    for (size_t I = 0; I < 3; ++I) {
+      SCOPED_TRACE(Resps[I]->dump());
+      EXPECT_FALSE(Resps[I]->get("ok")->asBool());
+      JsonRef E = Resps[I]->get("error");
+      EXPECT_EQ(E->str("code"), "bad_request");
+      EXPECT_NE(E->str("message").find(Named[I]), std::string::npos);
+    }
+    EXPECT_EQ(Resps[3]->str("id"), "after");
+    EXPECT_TRUE(Resps[3]->get("ok")->asBool());
+  }
+  for (const std::string &Path : {Child, Mixed, None})
+    std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
-// WorkerPool
+// Session worker pool
 //===----------------------------------------------------------------------===//
 
-TEST(WorkerPool, EveryIndexRunsExactlyOnceWithValidWorkerIds) {
-  WorkerPool Pool(4);
-  EXPECT_EQ(Pool.threads(), 4u);
-  constexpr size_t N = 1000;
-  std::vector<std::atomic<int>> Counts(N);
-  std::atomic<bool> BadWorker{false};
-  Pool.parallelFor(N, [&](size_t I, size_t W) {
-    Counts[I].fetch_add(1);
-    if (W >= 4)
-      BadWorker = true;
+using Admission = AnalysisSession::Admission;
+
+TEST(SessionPool, HigherPriorityFirstThenFifo) {
+  AnalysisSession Session; // one worker: the run order is the pop order
+  Session.debugPause(true);
+  std::vector<int> Order; // written by the worker, read after quiesce()
+  for (auto [Tag, Priority] :
+       {std::pair{1, 0}, {2, 5}, {3, 0}, {4, 5}, {5, -1}}) {
+    auto Record = [&Order, Tag = Tag](AnalysisContext &) {
+      Order.push_back(Tag);
+    };
+    ASSERT_EQ(Session.submit(Record, Priority), Admission::Queued);
+  }
+  EXPECT_EQ(Session.queued(), 5u);
+  EXPECT_TRUE(Order.empty());
+  Session.debugPause(false);
+  Session.quiesce();
+  EXPECT_EQ(Order, (std::vector<int>{2, 4, 1, 3, 5}));
+  EXPECT_EQ(Session.queued(), 0u);
+}
+
+TEST(SessionPool, FullAtTheCallersLimit) {
+  AnalysisSession Session;
+  Session.debugPause(true);
+  std::atomic<int> Ran{0};
+  auto Count = [&Ran](AnalysisContext &) { Ran.fetch_add(1); };
+  EXPECT_EQ(Session.submit(Count, 0, 2), Admission::Queued);
+  EXPECT_EQ(Session.submit(Count, 0, 2), Admission::Queued);
+  EXPECT_EQ(Session.submit(Count, 0, 2), Admission::Full);
+  EXPECT_EQ(Session.submit(Count, 9, 2), Admission::Full)
+      << "priority does not bypass the limit";
+  EXPECT_EQ(Session.submit(Count, 0, 3), Admission::Queued);
+  EXPECT_EQ(Session.queued(), 3u);
+  Session.debugPause(false);
+  Session.quiesce();
+  EXPECT_EQ(Ran.load(), 3) << "refused work is dropped unrun";
+}
+
+TEST(SessionPool, CloseRefusesNewWorkAndRunsQueuedWorkUnderThePause) {
+  SessionOptions Opts;
+  Opts.Jobs = 2;
+  AnalysisSession Session(Opts);
+  Session.debugPause(true);
+  std::atomic<int> Ran{0};
+  auto Count = [&Ran](AnalysisContext &) { Ran.fetch_add(1); };
+  for (int I = 0; I < 3; ++I)
+    ASSERT_EQ(Session.submit(Count), Admission::Queued);
+  Session.close();
+  EXPECT_EQ(Session.submit(Count), Admission::Closed);
+  Session.quiesce(); // still paused: close() overrides the pause
+  EXPECT_EQ(Ran.load(), 3);
+  EXPECT_EQ(Session.submit(Count), Admission::Closed);
+  EXPECT_EQ(Ran.load(), 3);
+}
+
+TEST(SessionPool, QuiesceWaitsForQueuedAndRunningWork) {
+  AnalysisSession Idle;
+  Idle.quiesce(); // no thread was ever started: returns at once
+
+  SessionOptions Opts;
+  Opts.Jobs = 2;
+  AnalysisSession Session(Opts);
+  std::atomic<bool> Release{false};
+  std::atomic<int> Done{0};
+  auto WaitForRelease = [&](AnalysisContext &) {
+    auto Watchdog = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!Release.load() && std::chrono::steady_clock::now() < Watchdog)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    Done.fetch_add(1);
+  };
+  for (int I = 0; I < 5; ++I)
+    ASSERT_EQ(Session.submit(WaitForRelease), Admission::Queued);
+  std::thread Releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    Release.store(true);
   });
-  for (size_t I = 0; I < N; ++I)
-    EXPECT_EQ(Counts[I].load(), 1) << "index " << I;
-  EXPECT_FALSE(BadWorker.load());
+  Session.quiesce();
+  EXPECT_EQ(Done.load(), 5);
+  EXPECT_EQ(Session.queued(), 0u);
+  Releaser.join();
 }
 
-TEST(WorkerPool, ReusableAndRobustToSmallRanges) {
-  WorkerPool Pool(3);
-  std::atomic<size_t> Total{0};
-  Pool.parallelFor(0, [&](size_t, size_t) { Total += 1; });
-  EXPECT_EQ(Total.load(), 0u);
-  // Fewer items than workers, repeated to exercise the wake/finish
-  // handshake across tasks.
-  for (int Round = 0; Round < 10; ++Round)
-    Pool.parallelFor(2, [&](size_t, size_t) { Total += 1; });
-  EXPECT_EQ(Total.load(), 20u);
-}
+TEST(SessionPool, SetJobsDownAndUpKeepsWorkerContextsWarm) {
+  SessionOptions Opts;
+  Opts.Jobs = 2;
+  AnalysisSession Session(Opts);
+  // Two items that each wait for the other run on different workers;
+  // each loads the wikipedia DTD on its worker's context.
+  auto LoadOnBothWorkers = [&Session] {
+    std::mutex Mu;
+    std::condition_variable Cv;
+    int Arrived = 0;
+    std::vector<AnalysisContext *> Seen;
+    auto Load = [&](AnalysisContext &Ctx) {
+      std::string Err;
+      EXPECT_NE(Ctx.typeContext("wikipedia", Err), nullptr) << Err;
+      std::unique_lock<std::mutex> L(Mu);
+      Seen.push_back(&Ctx);
+      ++Arrived;
+      Cv.notify_all();
+      Cv.wait_for(L, std::chrono::seconds(10), [&] { return Arrived == 2; });
+    };
+    for (int I = 0; I < 2; ++I)
+      EXPECT_EQ(Session.submit(Load), Admission::Queued);
+    Session.quiesce();
+    std::sort(Seen.begin(), Seen.end());
+    return Seen;
+  };
+  std::vector<AnalysisContext *> First = LoadOnBothWorkers();
+  ASSERT_EQ(First.size(), 2u);
+  EXPECT_NE(First[0], First[1]);
+  EXPECT_EQ(Session.stats().DtdCompilations, 2u) << "one per worker";
 
-TEST(WorkerPool, FirstExceptionPropagatesAfterTheBarrier) {
-  WorkerPool Pool(2);
-  std::atomic<size_t> Ran{0};
-  EXPECT_THROW(Pool.parallelFor(100,
-                                [&](size_t I, size_t) {
-                                  Ran += 1;
-                                  if (I == 42)
-                                    throw std::runtime_error("boom");
-                                }),
-               std::runtime_error);
-  // The barrier still completed every index despite the throw.
-  EXPECT_EQ(Ran.load(), 100u);
-  // And the pool stays usable.
-  Pool.parallelFor(5, [&](size_t, size_t) { Ran += 1; });
-  EXPECT_EQ(Ran.load(), 105u);
+  Session.setJobs(1);
+  EXPECT_EQ(Session.jobs(), 1u);
+  Session.setJobs(2);
+  EXPECT_EQ(Session.jobs(), 2u);
+  EXPECT_EQ(LoadOnBothWorkers(), First) << "the same two contexts serve";
+  SessionStats S = Session.stats();
+  EXPECT_EQ(S.DtdCompilations, 2u) << "no worker compiled the DTD again";
+  EXPECT_EQ(S.DtdCacheHits, 2u);
 }
 
 //===----------------------------------------------------------------------===//
 // ShardedResultCache
 //===----------------------------------------------------------------------===//
+
+/// Runs Fn(I, T) for every I in [0, N) on \p Threads plain threads;
+/// thread T takes the indices congruent to T modulo \p Threads.
+void onThreads(size_t Threads, size_t N,
+               const std::function<void(size_t I, size_t T)> &Fn) {
+  std::vector<std::thread> Ts;
+  for (size_t T = 0; T < Threads; ++T)
+    Ts.emplace_back([&, T] {
+      for (size_t I = T; I < N; I += Threads)
+        Fn(I, T);
+    });
+  for (std::thread &T : Ts)
+    T.join();
+}
 
 TEST(ShardedResultCache, HitMissEvictAndCounters) {
   ShardedResultCache Cache(/*Capacity=*/2, /*Shards=*/1);
@@ -604,9 +788,8 @@ TEST(ShardedResultCache, SingleShardStressUnderContention) {
   ShardedResultCache Cache(Capacity, /*Shards=*/1);
   ASSERT_EQ(Cache.numShards(), 1u);
 
-  WorkerPool Pool(8);
   std::atomic<size_t> BadValues{0};
-  Pool.parallelFor(Ops, [&](size_t I, size_t) {
+  onThreads(8, Ops, [&](size_t I, size_t) {
     std::string Key = "key" + std::to_string(I % KeyRange);
     SolverResult Out;
     if (Cache.lookup(Key, 7, Out)) {
@@ -644,11 +827,10 @@ TEST(ShardedResultCache, ForEachEntryUnderConcurrentStores) {
     R.Stats.Iterations = I;
     Cache.store("stable" + std::to_string(I), 1, R);
   }
-  WorkerPool Pool(8);
   std::atomic<size_t> Bad{0};
-  Pool.parallelFor(Ops, [&](size_t I, size_t W) {
-    if (W == 0) {
-      // One worker repeatedly walks while the others store.
+  onThreads(8, Ops, [&](size_t I, size_t T) {
+    if (T == 0) {
+      // One thread repeatedly walks while the others store.
       size_t StableSeen = 0;
       Cache.forEachEntry([&](const std::string &Key, uint32_t OptsKey,
                              const SolverResult &R) {
@@ -691,9 +873,8 @@ TEST(SharedFixpointStore, BudgetHoldsUnderConcurrentPublishes) {
   const size_t Budget = 8 * 4 * Cost;
   SharedFixpointStore Store(Budget, 8);
   ASSERT_EQ(Store.numShards(), 8u);
-  WorkerPool Pool(4);
   std::atomic<size_t> Bad{0};
-  Pool.parallelFor(4000, [&](size_t I, size_t) {
+  onThreads(4, 4000, [&](size_t I, size_t) {
     Store.publish(Sig(I), 0, Seed(I / 100 % 2 == 1));
     if (auto Got = Store.lookup(Sig(I * 7), 0))
       if (Got->Snapshots.size() != 2 || Got->Snapshots[1].nodeCount() != 3)
@@ -710,8 +891,7 @@ TEST(SharedFixpointStore, BudgetHoldsUnderConcurrentPublishes) {
 
 TEST(ShardedResultCache, MultiShardConcurrentMixedUse) {
   ShardedResultCache Cache(256, 8);
-  WorkerPool Pool(4);
-  Pool.parallelFor(4000, [&](size_t I, size_t) {
+  onThreads(4, 4000, [&](size_t I, size_t) {
     std::string Key = "q" + std::to_string(I % 100);
     SolverResult Out;
     if (!Cache.lookup(Key, 0, Out)) {

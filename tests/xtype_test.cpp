@@ -83,6 +83,41 @@ TEST(Dtd, ParseErrors) {
   EXPECT_FALSE(parseDtd("<!ELEMENT a ANY>", D3, Err));
 }
 
+TEST(Dtd, UndeclaredElementsAndEmptyDtdsAreRejected) {
+  // Binarization needs a model for the root and for every element a
+  // content model names; the parser checks both once the whole DTD is
+  // read, and names the offending element.
+  std::string Err;
+  const char *Undeclared[][2] = {
+      {"<!ELEMENT a (b)>", "element 'b'"},
+      {"<!ELEMENT a (#PCDATA|b)*>", "element 'b'"},
+      {"<!ELEMENT b EMPTY>\n<!ELEMENT a (c?, b)>", "element 'c'"}};
+  for (auto [Src, Named] : Undeclared) {
+    SCOPED_TRACE(Src);
+    Dtd D;
+    EXPECT_FALSE(parseDtd(Src, D, Err));
+    EXPECT_NE(Err.find(Named), std::string::npos) << Err;
+    EXPECT_NE(Err.find("never declared"), std::string::npos) << Err;
+  }
+  for (const char *Src : {"", "<!-- no declarations -->",
+                          "<!ATTLIST a id CDATA #IMPLIED>"}) {
+    SCOPED_TRACE(Src);
+    Dtd D;
+    EXPECT_FALSE(parseDtd(Src, D, Err));
+    EXPECT_NE(Err.find("no element"), std::string::npos) << Err;
+  }
+  // Declarations may come in any order: a forward reference parses,
+  // the first declared element stays the root, and the type compiles.
+  Dtd D;
+  ASSERT_TRUE(parseDtd("<!ELEMENT a (b, c*)>\n<!ELEMENT b (#PCDATA)>\n"
+                       "<!ELEMENT c EMPTY>",
+                       D, Err))
+      << Err;
+  EXPECT_EQ(symbolName(D.root()), "a");
+  FormulaFactory FF;
+  EXPECT_NE(compileDtd(FF, D), nullptr);
+}
+
 TEST(Dtd, EntityExpansion) {
   Dtd D;
   std::string Err;
