@@ -80,7 +80,7 @@ struct RunOutcome {
 /// Stats carries the cold iteration total.
 RunOutcome runUnshared(const std::string &Input) {
   RunOutcome Out;
-  AnalysisContext Ctx{SolverOptions{}};
+  AnalysisContext Ctx;
   std::istringstream In(Input);
   std::string Line;
   xsa_bench::LatencyProbe Probe(xsa_bench::requestLatencyHistogram());

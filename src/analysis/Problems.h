@@ -47,7 +47,7 @@ struct AnalysisResult {
   NodeId Target = InvalidNodeId;
   SolverStats Stats;
   /// True when the underlying satisfiability query (both directions, for
-  /// equivalence) was served from a ResultCache (see SolverOptions).
+  /// equivalence) was served from the result cache (SolverOptions::Cache).
   bool FromCache = false;
 };
 

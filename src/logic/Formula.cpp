@@ -587,3 +587,16 @@ std::string FormulaFactory::toString(Formula F) {
   print(F, 0, OS);
   return OS.str();
 }
+
+std::shared_ptr<const std::string> FormulaFactory::canonicalText(Formula F) {
+  // Formulas are never freed, so a canonical pointer stays a valid key.
+  Formula Canonical = canonicalize(F);
+  auto It = CanonTextMemo.find(Canonical);
+  if (It != CanonTextMemo.end())
+    return It->second;
+  if (CanonTextMemo.size() >= MaxCanonTextMemo)
+    CanonTextMemo.clear();
+  auto Text = std::make_shared<const std::string>(toString(Canonical));
+  CanonTextMemo.emplace(Canonical, Text);
+  return Text;
+}

@@ -207,6 +207,11 @@ public:
   /// Pretty-prints in the textual syntax understood by parseFormula.
   std::string toString(Formula F);
 
+  /// toString(canonicalize(F)), memoized on the canonical formula: the
+  /// result cache's key text, equal for α-equivalent formulas. Shared,
+  /// so a text the caller holds outlives a flush of the memo.
+  std::shared_ptr<const std::string> canonicalText(Formula F);
+
   /// Number of distinct nodes created so far.
   size_t numNodes() const { return Arena.size(); }
 
@@ -233,6 +238,12 @@ private:
   std::unordered_set<const FormulaNode *, NodeHash, NodeEq> Unique;
   std::unordered_map<Formula, Formula> UnfoldMemo;
   std::unordered_map<Formula, Formula> CanonMemo;
+  /// Canonical texts run to KBs for DTD-constrained formulas, so this
+  /// memo is bounded: past MaxCanonTextMemo entries it is dropped whole
+  /// (the next request re-prints once) rather than LRU-tracked.
+  static constexpr size_t MaxCanonTextMemo = 4096;
+  std::unordered_map<Formula, std::shared_ptr<const std::string>>
+      CanonTextMemo;
   unsigned FreshCounter = 0;
 
   Formula TrueF = nullptr;

@@ -107,7 +107,7 @@ public:
   /// solver's §7.1 iterate sequence, which addresses propositions only
   /// through lean indices, is bit-for-bit the same for both. This is
   /// the sharing key of the cross-request fixpoint store
-  /// (service/FixpointStore.h).
+  /// (SharedFixpointStore, solver/BddSolver.h).
   std::string signature(FormulaFactory &FF) const;
 
 private:

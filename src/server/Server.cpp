@@ -478,6 +478,8 @@ XsolvedServer::namespaceState(const std::string &Name) {
   auto It = Namespaces.find(Name);
   if (It != Namespaces.end())
     return It->second;
+  if (Namespaces.size() >= MaxNamespaces)
+    return nullptr;
   auto Ns = std::make_shared<NamespaceState>(Name);
   Namespaces.emplace(Name, Ns);
   return Ns;
@@ -753,59 +755,47 @@ void XsolvedServer::handleLine(const std::shared_ptr<Connection> &ConnPtr,
                                const std::string &Line, size_t LineNo,
                                bool Truncated) {
   Connection &Conn = *ConnPtr;
-  if (Truncated) {
-    uint64_t Seq = Conn.NextSeq++;
-    AnalysisResponse R;
-    R.Ok = false;
-    R.Error =
-        "input line exceeds " + std::to_string(Opts.MaxLineBytes) + " bytes";
-    R.ErrorLine = LineNo;
-    R.ErrorByte = static_cast<long>(Opts.MaxLineBytes);
-    deliver(Conn, Seq,
-            responseToJson(R, /*IncludeVolatile=*/!Conn.Stable)->dump());
-    return;
-  }
-  size_t First = Line.find_first_not_of(" \t\r");
-  if (First == std::string::npos || Line[First] == '#')
+  InputLine L = decodeInputLine(Line, LineNo, Truncated, Opts.MaxLineBytes,
+                                Conn.Stable,
+                                {"config", "metrics", "stats", "status",
+                                 "slowlog", "log", "ping", "drain"});
+  if (L.K == InputLine::Kind::Skip)
     return; // blank/comment lines get no response and no seq
-  std::string Error;
-  size_t ErrByte = 0;
-  JsonRef Obj = parseJson(Line, Error, &ErrByte);
   uint64_t Seq = Conn.NextSeq++;
-  if (!Obj) {
-    AnalysisResponse R;
-    R.Ok = false;
-    R.Error = "bad JSON: " + Error;
-    R.ErrorLine = LineNo;
-    R.ErrorByte = static_cast<long>(ErrByte);
-    deliver(Conn, Seq,
-            responseToJson(R, /*IncludeVolatile=*/!Conn.Stable)->dump());
+  if (L.K == InputLine::Kind::Answer) {
+    if (L.Obj) // an object that is no request
+      Conn.Ns->Errors.fetch_add(1, std::memory_order_relaxed);
+    deliver(Conn, Seq, std::move(L.Answer));
     return;
   }
-  std::string Op = Obj->str("op");
+  if (L.K == InputLine::Kind::Request) {
+    admit(ConnPtr, Seq, *L.Obj, std::move(L.Req));
+    return;
+  }
+  const JsonValue &Obj = *L.Obj;
+  std::string Op = Obj.str("op");
   if (Op == "config") {
-    handleConfig(Conn, Seq, *Obj);
+    handleConfig(Conn, Seq, Obj);
   } else if (Op == "metrics") {
-    handleMetrics(Conn, Seq, *Obj);
+    handleMetrics(Conn, Seq, Obj);
   } else if (Op == "stats") {
-    handleStats(Conn, Seq, *Obj);
+    handleStats(Conn, Seq, Obj);
   } else if (Op == "status") {
-    handleStatus(Conn, Seq, *Obj);
+    handleStatus(Conn, Seq, Obj);
   } else if (Op == "slowlog") {
-    handleSlowlog(Conn, Seq, *Obj);
+    handleSlowlog(Conn, Seq, Obj);
   } else if (Op == "log") {
-    handleLog(Conn, Seq, *Obj);
+    handleLog(Conn, Seq, Obj);
   } else if (Op == "ping") {
-    JsonRef O = controlResponseJson(*Obj);
+    JsonRef O = controlResponseJson(Obj);
     O->set("op", JsonValue::string("ping"));
     deliver(Conn, Seq, O->dump());
-  } else if (Op == "drain") {
-    JsonRef O = controlResponseJson(*Obj);
+  } else {
+    // drain, the last op of the control set
+    JsonRef O = controlResponseJson(Obj);
     O->set("draining", JsonValue::boolean(true));
     deliver(Conn, Seq, O->dump());
     requestDrain();
-  } else {
-    admit(ConnPtr, Seq, *Obj, LineNo);
   }
 }
 
@@ -821,13 +811,18 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
                             "shared by every client)",
                             "jobs")
           : decodeConfigLine(Obj, {"ns", "stable"}, Cfg);
+  std::shared_ptr<NamespaceState> Ns = Conn.Ns;
+  if (!Err && Cfg.Ns && !(Ns = namespaceState(*Cfg.Ns)))
+    Err = configErrorJson(Obj, "invalid_config_value",
+                          "at most " + std::to_string(MaxNamespaces) +
+                              " namespaces may exist",
+                          "ns", Obj.get("ns")->dump());
   if (Err) {
     Conn.Ns->Errors.fetch_add(1, std::memory_order_relaxed);
     deliver(Conn, Seq, Err->dump());
     return;
   }
-  if (Cfg.Ns)
-    Conn.Ns = namespaceState(*Cfg.Ns);
+  Conn.Ns = std::move(Ns);
   if (Cfg.Stable)
     Conn.Stable = *Cfg.Stable;
 
@@ -975,22 +970,9 @@ JsonRef XsolvedServer::logJson(size_t MaxRecords) {
 }
 
 void XsolvedServer::admit(const std::shared_ptr<Connection> &ConnPtr,
-                          uint64_t Seq, const JsonValue &Obj, size_t LineNo) {
+                          uint64_t Seq, const JsonValue &Obj,
+                          AnalysisRequest Req) {
   Connection &Conn = *ConnPtr;
-  AnalysisRequest Req;
-  std::string Error;
-  if (!requestFromJson(Obj, Req, Error)) {
-    AnalysisResponse R;
-    R.Id = Obj.str("id");
-    R.Ok = false;
-    R.Error = Error;
-    R.ErrorLine = LineNo;
-    Conn.Ns->Errors.fetch_add(1, std::memory_order_relaxed);
-    deliver(Conn, Seq,
-            responseToJson(R, /*IncludeVolatile=*/!Conn.Stable)->dump());
-    return;
-  }
-
   auto JP = std::make_shared<Job>();
   Job &J = *JP;
   J.Conn = ConnPtr;

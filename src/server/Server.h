@@ -193,7 +193,12 @@ public:
   /// tests); a drain overrides the pause.
   AnalysisSession &session() { return *Sess; }
 
-  /// Looks up (or creates) a namespace. Exposed for tests.
+  /// Most namespaces a server holds, "default" included: each keeps its
+  /// counters and its metrics series for the server's whole life.
+  static constexpr size_t MaxNamespaces = 256;
+
+  /// The namespace \p Name, created on first use; null when it does not
+  /// exist and MaxNamespaces already do. Exposed for tests.
   std::shared_ptr<NamespaceState> namespaceState(const std::string &Name);
 
 private:
@@ -214,7 +219,7 @@ private:
   void handleSlowlog(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
   void handleLog(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
   void admit(const std::shared_ptr<Connection> &ConnPtr, uint64_t Seq,
-             const JsonValue &Obj, size_t LineNo);
+             const JsonValue &Obj, AnalysisRequest Req);
   void finish(const Job &J, const AnalysisResponse &R, double WaitMs);
   void deliver(Connection &Conn, uint64_t Seq, std::string Line);
   /// HTTP/1.1 side of the listener, entered when a connection's first

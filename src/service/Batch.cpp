@@ -651,8 +651,11 @@ JsonRef xsa::decodeConfigLine(const JsonValue &Obj,
                     "jobs must be a non-negative integer");
       Out.Jobs = static_cast<size_t>(N);
     } else if (K == "ns") {
-      if (V->type() != JsonValue::Type::String || V->asString().empty())
-        return Fail("invalid_config_value", "ns must be a non-empty string");
+      if (V->type() != JsonValue::Type::String || V->asString().empty() ||
+          V->asString().size() > MaxNamespaceBytes)
+        return Fail("invalid_config_value",
+                    "ns must be a non-empty string of at most " +
+                        std::to_string(MaxNamespaceBytes) + " bytes");
       Out.Ns = V->asString();
     } else if (V->type() != JsonValue::Type::Bool) {
       return Fail("invalid_config_value", K + " must be a boolean");
@@ -739,6 +742,46 @@ bool readLineBounded(std::istream &In, std::string &Line, size_t MaxBytes,
 
 } // namespace
 
+InputLine xsa::decodeInputLine(
+    const std::string &Line, size_t LineNo, bool Truncated,
+    size_t MaxLineBytes, bool Stable,
+    std::initializer_list<std::string_view> ControlOps) {
+  InputLine L;
+  auto Answer = [&](std::string Error, long Byte = -1) {
+    AnalysisResponse R;
+    R.Id = L.Obj ? L.Obj->str("id") : "";
+    R.Error = std::move(Error);
+    R.ErrorLine = LineNo;
+    R.ErrorByte = Byte;
+    L.K = InputLine::Kind::Answer;
+    L.Answer = responseToJson(R, /*IncludeVolatile=*/!Stable)->dump();
+    return std::move(L);
+  };
+  if (Truncated)
+    return Answer("input line exceeds " + std::to_string(MaxLineBytes) +
+                      " bytes",
+                  static_cast<long>(MaxLineBytes));
+  // Skip blank lines and #-comments so hand-written batch files can be
+  // annotated.
+  size_t First = Line.find_first_not_of(" \t\r");
+  if (First == std::string::npos || Line[First] == '#')
+    return L;
+  std::string Error;
+  size_t ErrByte = 0;
+  L.Obj = parseJson(Line, Error, &ErrByte);
+  if (!L.Obj)
+    return Answer("bad JSON: " + Error, static_cast<long>(ErrByte));
+  if (std::find(ControlOps.begin(), ControlOps.end(), L.Obj->str("op")) !=
+      ControlOps.end()) {
+    L.K = InputLine::Kind::Control;
+    return L;
+  }
+  if (!requestFromJson(*L.Obj, L.Req, Error))
+    return Answer(Error);
+  L.K = InputLine::Kind::Request;
+  return L;
+}
+
 size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
                               std::ostream &Out, size_t *Failed,
                               const BatchStreamOptions &Opts) {
@@ -769,74 +812,52 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
   bool Truncated = false;
   while (!(Opts.Stop && Opts.Stop->load(std::memory_order_relaxed)) &&
          readLineBounded(In, Line, Opts.MaxLineBytes, Truncated)) {
-    ++LineNo;
-    if (Truncated) {
-      AnalysisResponse R;
-      R.Error = "input line exceeds " + std::to_string(Opts.MaxLineBytes) +
-                " bytes";
-      R.ErrorLine = LineNo;
-      R.ErrorByte = static_cast<long>(Opts.MaxLineBytes);
-      AnswerNow(Encode(std::move(R)));
+    InputLine L = decodeInputLine(Line, ++LineNo, Truncated,
+                                  Opts.MaxLineBytes, Opts.Stable,
+                                  {"config", "metrics"});
+    if (L.K == InputLine::Kind::Skip)
+      continue;
+    if (L.K == InputLine::Kind::Answer) {
+      AnswerNow({std::move(L.Answer), false});
       continue;
     }
-    // Skip blank lines and #-comments so hand-written batch files can be
-    // annotated.
-    size_t First = Line.find_first_not_of(" \t\r");
-    if (First == std::string::npos || Line[First] == '#')
+    if (L.K == InputLine::Kind::Request) {
+      Run.solve(Run.reserve(), std::move(L.Req));
       continue;
-    std::string Error;
-    size_t ErrByte = 0;
-    JsonRef Obj = parseJson(Line, Error, &ErrByte);
-    if (!Obj) {
-      AnalysisResponse R;
-      R.Error = "bad JSON: " + Error;
-      R.ErrorLine = LineNo;
-      R.ErrorByte = static_cast<long>(ErrByte);
-      AnswerNow(Encode(std::move(R)));
-    } else if (Obj->str("op") == "config") {
-      // Control line: answered after every line before it, applied to
-      // everything after it.
-      Run.drain();
+    }
+    // Control line: answered after every line before it, applied to
+    // everything after it.
+    Run.drain();
+    const JsonValue &Obj = *L.Obj;
+    if (Obj.str("op") == "config") {
       ConfigLine Cfg;
-      if (JsonRef Err = decodeConfigLine(*Obj, {"jobs"}, Cfg, LineNo)) {
+      if (JsonRef Err = decodeConfigLine(Obj, {"jobs"}, Cfg, LineNo)) {
         AnswerNow({Err->dump(), false});
         continue;
       }
       if (!Cfg.Jobs) {
         AnalysisResponse R;
-        R.Id = Obj->str("id");
+        R.Id = Obj.str("id");
         R.ErrorLine = LineNo;
         R.Error = "config needs 'jobs' (a non-negative integer)";
         AnswerNow(Encode(std::move(R)));
         continue;
       }
       Session.setJobs(*Cfg.Jobs);
-      JsonRef O = controlResponseJson(*Obj);
+      JsonRef O = controlResponseJson(Obj);
       O->set("jobs", JsonValue::number(static_cast<double>(Session.jobs())));
       AnswerNow({O->dump(), true});
-    } else if (Obj->str("op") == "metrics") {
-      // Control line: the process-wide metric registry as JSON, once
+    } else {
+      // {"op":"metrics"}: the process-wide metric registry as JSON, once
       // every request before it is counted. The registry's members
       // (schema version first) are spliced into the response object, so
       // clients key on response["schema"].
-      Run.drain();
-      JsonRef O = controlResponseJson(*Obj);
+      JsonRef O = controlResponseJson(Obj);
       JsonRef M = MetricRegistry::global().toJson(
           /*IncludeVolatile=*/!Opts.Stable);
       for (const auto &[K, V] : M->members())
         O->set(K, V);
       AnswerNow({O->dump(), true});
-    } else {
-      AnalysisRequest Req;
-      if (requestFromJson(*Obj, Req, Error)) {
-        Run.solve(Run.reserve(), std::move(Req));
-      } else {
-        AnalysisResponse R;
-        R.Id = Obj->str("id");
-        R.Error = Error;
-        R.ErrorLine = LineNo;
-        AnswerNow(Encode(std::move(R)));
-      }
     }
   }
   Run.finish();

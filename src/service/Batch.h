@@ -54,6 +54,7 @@
 #include <initializer_list>
 #include <iosfwd>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 namespace xsa {
@@ -112,6 +113,10 @@ JsonRef errorObjectJson(const std::string &Code, const std::string &Message,
 /// \p Req has none); the op appends its own fields.
 JsonRef controlResponseJson(const JsonValue &Req, bool Ok = true);
 
+/// Longest accepted namespace name, in bytes: xsolved keeps every
+/// namespace, and its metrics series, for its whole life.
+constexpr size_t MaxNamespaceBytes = 128;
+
 /// The settings one {"op":"config"} line carries; keys the line leaves
 /// out stay unset.
 struct ConfigLine {
@@ -123,7 +128,8 @@ struct ConfigLine {
 /// Decodes a {"op":"config"} line for `xsolve batch` and xsolved alike.
 /// \p Keys names the config keys the caller accepts (a subset of jobs,
 /// stable and ns) besides "op" and "id". jobs must be an integer in
-/// [0, 2^64), stable a boolean, ns a non-empty string. Returns null with
+/// [0, 2^64), stable a boolean, ns a non-empty string of at most
+/// MaxNamespaceBytes bytes. Returns null with
 /// \p Out filled when the whole line is valid; otherwise the ok=false
 /// response to send (see configErrorJson), with code unknown_config_key
 /// or invalid_config_value and the offending key and value, so a
@@ -155,6 +161,34 @@ struct BatchStreamOptions {
   /// drains, it does not abort.
   const std::atomic<bool> *Stop = nullptr;
 };
+
+/// One input line of a JSON-lines front end (`xsolve batch`, xsolved),
+/// decoded by decodeInputLine.
+struct InputLine {
+  enum class Kind {
+    Skip,    ///< blank or #-comment: no answer
+    Answer,  ///< a protocol error; Answer holds the response line
+    Control, ///< an op of the caller's control set; Obj holds the line
+    Request, ///< an analysis request: Req, decoded from Obj
+  };
+  Kind K = Kind::Skip;
+  /// Set for Control and Request, and for an Answer to an object that
+  /// did not decode as a request.
+  JsonRef Obj;
+  AnalysisRequest Req;
+  std::string Answer;
+};
+
+/// Decodes line \p LineNo (1-based) of a JSON-lines stream; \p Truncated
+/// marks a line cut at \p MaxLineBytes. Objects whose op is in
+/// \p ControlOps are left to the caller; every other object is decoded
+/// as a request. The protocol errors — an over-long line, bad JSON (with
+/// line and byte), an undecodable request (with its id and line) — come
+/// back encoded as responseToJson encodes them, volatile fields left out
+/// when \p Stable.
+InputLine decodeInputLine(const std::string &Line, size_t LineNo,
+                          bool Truncated, size_t MaxLineBytes, bool Stable,
+                          std::initializer_list<std::string_view> ControlOps);
 
 /// JSON-lines driver: reads one request object per non-empty line of
 /// \p In, writes one response object per line to \p Out (in input

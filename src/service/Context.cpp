@@ -15,50 +15,15 @@
 
 using namespace xsa;
 
-const std::string &
-AnalysisContext::SharedCacheAdapter::textFor(Formula Canonical) {
-  auto It = TextMemo.find(Canonical);
-  if (It != TextMemo.end())
-    return It->second;
-  if (TextMemo.size() >= MaxTextMemo)
-    TextMemo.clear();
-  return TextMemo.emplace(Canonical, FF.toString(Canonical)).first->second;
-}
-
-const SolverResult *
-AnalysisContext::SharedCacheAdapter::lookup(Formula Canonical,
-                                            uint32_t OptsKey) {
-  if (!Shared.lookup(textFor(Canonical), OptsKey, Hit))
-    return nullptr;
-  return &Hit;
-}
-
-void AnalysisContext::SharedCacheAdapter::store(Formula Canonical,
-                                                uint32_t OptsKey,
-                                                const SolverResult &R) {
-  Shared.store(textFor(Canonical), OptsKey, R);
-}
-
-// The Analyzer forces RequireSingleRoot for the XPath decision problems;
-// the raw solver keeps the caller's setting. The two run under different
-// option fingerprints, so cache entries never cross.
-AnalysisContext::AnalysisContext(const SolverOptions &BaseOpts,
-                                 ShardedResultCache *SharedCache,
-                                 AtomicSessionStats *SharedStats,
-                                 SharedFixpointStore *SharedFixpoints)
-    : Stats(SharedStats),
-      CacheAdapter(SharedCache
-                       ? std::make_unique<SharedCacheAdapter>(FF, *SharedCache)
-                       : nullptr),
-      Fixpoints(SharedFixpoints),
-      An(FF, wiredOptions(BaseOpts)), RawSolver(FF, wiredOptions(BaseOpts)) {}
-
-SolverOptions AnalysisContext::wiredOptions(SolverOptions Opts) {
-  Opts.Cache = CacheAdapter.get();
+/// Default options with the shared fronts wired in; each may be null.
+static SolverOptions wiredOptions(ShardedResultCache *Cache,
+                                  AtomicSessionStats *Stats,
+                                  SharedFixpointStore *Fixpoints) {
+  SolverOptions Opts;
+  Opts.Cache = Cache;
   Opts.Fixpoints = Fixpoints;
-  Opts.StatsHook = nullptr;
   if (Stats)
-    Opts.StatsHook = [this](const SolverStats &S) {
+    Opts.StatsHook = [Stats](const SolverStats &S) {
       // Relaxed tallies; see the memory-order note in the header.
       Stats->Solves.fetch_add(1, std::memory_order_relaxed);
       Stats->SolverIterations.fetch_add(S.Iterations,
@@ -72,6 +37,17 @@ SolverOptions AnalysisContext::wiredOptions(SolverOptions Opts) {
       }
     };
   return Opts;
+}
+
+// The Analyzer forces RequireSingleRoot for the XPath decision problems;
+// the raw solver keeps the default. The two run under different option
+// fingerprints, so cache entries never cross.
+AnalysisContext::AnalysisContext(ShardedResultCache *SharedCache,
+                                 AtomicSessionStats *SharedStats,
+                                 SharedFixpointStore *SharedFixpoints)
+    : Stats(SharedStats),
+      An(FF, wiredOptions(SharedCache, SharedStats, SharedFixpoints)),
+      RawSolver(FF, wiredOptions(SharedCache, SharedStats, SharedFixpoints)) {
 }
 
 SolverResult AnalysisContext::satisfiable(Formula Psi) {

@@ -18,13 +18,18 @@
 /// construction:
 ///
 ///  * a ShardedResultCache of solver results, keyed on canonical formula
-///    text (factory-independent, see Cache.h) — this is how a worker
-///    benefits from fixpoints another worker already ran;
+///    text (factory-independent, see solver/BddSolver.h) — this is how a
+///    worker benefits from fixpoints another worker already ran; every
+///    solver of the context probes and fills it directly, with the key
+///    text memoized by the context's FormulaFactory;
 ///  * a SharedFixpointStore of iterate sequences, keyed on lean
 ///    signature, which every solver run seeds from and publishes to —
 ///    this is how a worker benefits from another's run on a relabeled
 ///    query;
 ///  * an AtomicSessionStats bundle that all contexts tally into.
+///
+/// Every context solves under default SolverOptions with these fronts
+/// wired in.
 ///
 /// Memory order: every AtomicSessionStats member is a relaxed atomic.
 /// The counters are independent monotonic tallies — nothing reads one to
@@ -43,8 +48,6 @@
 
 #include "analysis/Problems.h"
 #include "rewrite/Rewriter.h"
-#include "service/Cache.h"
-#include "service/FixpointStore.h"
 #include "xtype/Dtd.h"
 
 #include <atomic>
@@ -95,8 +98,7 @@ class AnalysisContext {
 public:
   /// Every shared-front pointer may be null (uncached / untallied
   /// standalone use); when set they must outlive the context.
-  explicit AnalysisContext(const SolverOptions &BaseOpts,
-                           ShardedResultCache *SharedCache = nullptr,
+  explicit AnalysisContext(ShardedResultCache *SharedCache = nullptr,
                            AtomicSessionStats *SharedStats = nullptr,
                            SharedFixpointStore *SharedFixpoints = nullptr);
   AnalysisContext(const AnalysisContext &) = delete;
@@ -143,45 +145,8 @@ public:
                                                  const std::string &Dtd);
 
 private:
-  /// Bridges the solver's pointer-keyed ResultCache interface to the
-  /// session's text-keyed ShardedResultCache. The canonical text of each
-  /// canonical formula is memoized (the solver canonicalizes before every
-  /// lookup, so warm requests would otherwise re-print per call). Holds
-  /// the copied-out result of the latest hit, satisfying the interface's
-  /// "valid until the next call" contract; one adapter exists per
-  /// context, so the buffer is single-threaded like everything else here.
-  class SharedCacheAdapter : public ResultCache {
-  public:
-    SharedCacheAdapter(FormulaFactory &FF, ShardedResultCache &Shared)
-        : FF(FF), Shared(Shared) {}
-    const SolverResult *lookup(Formula Canonical, uint32_t OptsKey) override;
-    void store(Formula Canonical, uint32_t OptsKey,
-               const SolverResult &R) override;
-
-  private:
-    const std::string &textFor(Formula Canonical);
-
-    /// Canonical texts are KBs for DTD-constrained formulas; an
-    /// unbounded memo would outlive the LRU-bounded entries it keys.
-    /// Past this many entries the memo is dropped wholesale (the next
-    /// warm request just re-prints once) rather than LRU-tracked.
-    static constexpr size_t MaxTextMemo = 4096;
-
-    FormulaFactory &FF;
-    ShardedResultCache &Shared;
-    std::unordered_map<Formula, std::string> TextMemo;
-    SolverResult Hit;
-  };
-
-  /// \p BaseOpts with the cache adapter, the fixpoint store and the
-  /// stats hook wired in. Called from the member-initializer list, so it
-  /// may read only the members declared above An.
-  SolverOptions wiredOptions(SolverOptions Opts);
-
   FormulaFactory FF;
-  AtomicSessionStats *Stats;                        ///< may be null
-  std::unique_ptr<SharedCacheAdapter> CacheAdapter; ///< may be null
-  SharedFixpointStore *Fixpoints;                   ///< may be null
+  AtomicSessionStats *Stats; ///< may be null
   Analyzer An;
   BddSolver RawSolver;
 

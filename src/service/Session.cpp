@@ -38,8 +38,8 @@ AnalysisSession::AnalysisSession(SessionOptions Opts)
     : Cache(CacheCapacity, CacheShards),
       Fixpoints(SharedFixpointStore::DefaultNodeBudget, CacheShards),
       Jobs(resolveJobs(Opts.Jobs)) {
-  Contexts.push_back(std::make_unique<AnalysisContext>(
-      SolverOptions{}, &Cache, &Counters, &Fixpoints));
+  Contexts.push_back(
+      std::make_unique<AnalysisContext>(&Cache, &Counters, &Fixpoints));
 }
 
 AnalysisSession::~AnalysisSession() {
@@ -108,8 +108,8 @@ void AnalysisSession::growLocked() {
   while (Threads.size() < Jobs) {
     size_t Id = Threads.size();
     if (Contexts.size() <= Id)
-      Contexts.push_back(std::make_unique<AnalysisContext>(
-          SolverOptions{}, &Cache, &Counters, &Fixpoints));
+      Contexts.push_back(
+          std::make_unique<AnalysisContext>(&Cache, &Counters, &Fixpoints));
     Threads.emplace_back(
         [this, Id, &Ctx = *Contexts[Id]] { workerMain(Id, Ctx); });
   }
@@ -305,7 +305,8 @@ bool AnalysisSession::loadCache(const std::string &Path, std::string &Error) {
         continue; // corrupt model: drop the entry rather than lie
       R.Model = std::move(Doc);
     }
-    Cache.store(Key, OptsKey, R);
+    Cache.publish(Key, OptsKey,
+                  std::make_shared<const SolverResult>(std::move(R)));
   }
   if (!SawHeader) {
     Error = Path + " is not an xsa cache file";

@@ -11,8 +11,9 @@
 ///
 ///  * the shared front owns a ShardedResultCache of solver results keyed
 ///    on canonical formula text + options fingerprint, a
-///    SharedFixpointStore of iterate sequences keyed on lean signature,
-///    and an AtomicSessionStats bundle;
+///    SharedFixpointStore of iterate sequences keyed on lean signature
+///    (both one ShardedLru each, see solver/BddSolver.h, which every
+///    context's solvers call directly), and an AtomicSessionStats bundle;
 ///  * each worker owns an AnalysisContext (see Context.h) — its own
 ///    FormulaFactory, parser memo, DTD memo, Analyzer and BddSolver —
 ///    because a context is single-threaded by design: the session
@@ -45,9 +46,7 @@
 #define XSA_SERVICE_SESSION_H
 
 #include "analysis/Problems.h"
-#include "service/Cache.h"
 #include "service/Context.h"
-#include "service/FixpointStore.h"
 #include "xtype/Dtd.h"
 
 #include <condition_variable>
@@ -184,7 +183,7 @@ public:
   /// parse or carry an out-of-range number are skipped; returns
   /// false and sets \p Error only when the file is unreadable, not a
   /// cache file, or of an unsupported version. Safe to call on a warm
-  /// session; existing entries are refreshed.
+  /// session; existing entries are kept.
   bool loadCache(const std::string &Path, std::string &Error);
 
   /// The shared result cache (exposed for tests and tooling).

@@ -68,6 +68,30 @@ uint32_t xsa::fixpointOptionsKey(const SolverOptions &Opts) {
   return Opts.EarlyQuantification;
 }
 
+/// Bytes an entry holds besides its key's text and its snapshots: the
+/// entry in its list node, the index node, and the make_shared block that
+/// owns the sequence, allocator headers included (about 200), rounded up.
+static constexpr size_t EntryOverheadBytes = 256;
+
+size_t SharedFixpointStore::cost(std::string_view LeanSig,
+                                 const FixpointSeedData &Data) {
+  size_t Bytes = EntryOverheadBytes + LeanSig.size();
+  for (const BddSnapshot &S : Data.Snapshots)
+    Bytes += sizeof(BddSnapshot) + S.nodeCount() * sizeof(BddSnapshot::Node);
+  return (Bytes + sizeof(BddSnapshot::Node) - 1) / sizeof(BddSnapshot::Node);
+}
+
+bool SharedFixpointStore::improves(const FixpointSeedData *Held,
+                                   const FixpointSeedData &Offer) {
+  if (Offer.Snapshots.empty())
+    return false;
+  if (!Held)
+    return true;
+  return (Offer.Converged && !Held->Converged) ||
+         (Offer.Converged == Held->Converged &&
+          Offer.Snapshots.size() > Held->Snapshots.size());
+}
+
 namespace {
 
 /// Exports a finished run's iterate sequence over lean-member indices.
@@ -136,11 +160,12 @@ SolverResult BddSolver::solve(Formula Psi) {
   auto Start = std::chrono::steady_clock::now();
   assert(FF.isClosed(Psi) && "solver input must be closed");
   assert(isCycleFree(Psi) && "solver input must be cycle free");
-  Formula Canonical = nullptr;
+  // Shared, so a memo flush before the publish below cannot free it.
+  std::shared_ptr<const std::string> Key;
   if (Opts.Cache) {
-    Canonical = FF.canonicalize(Psi);
-    if (const SolverResult *Hit =
-            Opts.Cache->lookup(Canonical, solverOptionsKey(Opts))) {
+    Key = FF.canonicalText(Psi);
+    if (std::shared_ptr<const SolverResult> Hit =
+            Opts.Cache->lookup(*Key, solverOptionsKey(Opts))) {
       SolverResult R = *Hit;
       R.FromCache = true;
       return R;
@@ -219,6 +244,7 @@ SolverResult BddSolver::solve(Formula Psi) {
   if (Opts.StatsHook)
     Opts.StatsHook(Result.Stats);
   if (Opts.Cache)
-    Opts.Cache->store(Canonical, solverOptionsKey(Opts), Result);
+    Opts.Cache->publish(*Key, solverOptionsKey(Opts),
+                        std::make_shared<const SolverResult>(Result));
   return Result;
 }

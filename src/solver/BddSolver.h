@@ -42,6 +42,7 @@
 #include "bdd/Snapshot.h"
 #include "logic/Formula.h"
 #include "logic/Lean.h"
+#include "support/ShardedLru.h"
 #include "tree/Document.h"
 
 #include <cstdint>
@@ -49,28 +50,14 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace xsa {
 
-struct SolverResult;
 struct SolverStats;
-
-/// Semantic result cache consulted by BddSolver::solve when installed in
-/// SolverOptions. Keys are canonical formulas (FormulaFactory::
-/// canonicalize), so α-equivalent queries share an entry, plus the
-/// fingerprint of the solver options the entry was produced under
-/// (different options can change both the result and the model).
-/// Implementations live above the solver (see src/service/Cache.h).
-class ResultCache {
-public:
-  virtual ~ResultCache() = default;
-  /// The cached result for \p Canonical under options \p OptsKey, or
-  /// nullptr on a miss. The pointer is only valid until the next call.
-  virtual const SolverResult *lookup(Formula Canonical, uint32_t OptsKey) = 0;
-  virtual void store(Formula Canonical, uint32_t OptsKey,
-                     const SolverResult &R) = 0;
-};
+class ShardedResultCache;
+class SharedFixpointStore;
 
 /// One lean's canonical iterate sequence T^1, T^2, ..., exported as
 /// portable snapshots over lean-member indices. The §7.1 update operator
@@ -89,26 +76,6 @@ struct FixpointSeedData {
   /// True when the sequence ran to Upd's fixpoint (the lfp was reached);
   /// false for the prefix of an early-terminated satisfiable run.
   bool Converged = false;
-};
-
-/// Cross-request fixpoint store consulted by the solver when installed
-/// in SolverOptions. Keys are (lean signature, options fingerprint):
-/// factory-independent like the result-cache keys, so any worker's run
-/// can seed any other's. The implementation lives above the solver
-/// (service/FixpointStore.h) and must be safe to call from whatever
-/// thread solve() runs on.
-class FixpointCache {
-public:
-  virtual ~FixpointCache() = default;
-  /// The best stored sequence for the key, or null. Shared ownership:
-  /// entries are immutable once published.
-  virtual std::shared_ptr<const FixpointSeedData>
-  lookup(const std::string &LeanSig, uint32_t OptsKey) = 0;
-  /// Offers a sequence; the store keeps it only if it improves on what
-  /// it has (converged beats prefix, longer prefix beats shorter).
-  /// Returns true when the offer was kept.
-  virtual bool publish(const std::string &LeanSig, uint32_t OptsKey,
-                       std::shared_ptr<const FixpointSeedData> Data) = 0;
 };
 
 struct SolverOptions {
@@ -134,14 +101,12 @@ struct SolverOptions {
   /// (Fig. 8) lets a top-level node to the left of the mark pose as
   /// "the root". The Analyzer turns this on.
   bool RequireSingleRoot = false;
-  /// Optional semantic result cache, not owned. When set, solve()
-  /// canonicalizes its input, returns a stored result on a hit (with
-  /// FromCache set) and stores the result of every actual run. The
-  /// solver calls it from whatever thread solve() runs on; when solver
-  /// instances on different threads share underlying storage (the
-  /// parallel session does, through per-context adapters), that storage
-  /// must be thread-safe — see service/Cache.h.
-  ResultCache *Cache = nullptr;
+  /// Optional semantic result cache, not owned. When set, solve() looks
+  /// up its input's canonical text (FormulaFactory::canonicalText),
+  /// returns a copy of a stored result on a hit (with FromCache set) and
+  /// publishes the result of every actual run. The store is
+  /// thread-safe, so solvers on different threads may share one.
+  ShardedResultCache *Cache = nullptr;
   /// Optional observer invoked with the stats of every *actual* solver
   /// run (cache hits do not fire it). Lets a long-lived session
   /// aggregate cumulative solver work without wrapping every call site.
@@ -150,14 +115,15 @@ struct SolverOptions {
   /// uses relaxed counters; see service/Context.h for the memory-order
   /// discussion).
   std::function<void(const SolverStats &)> StatsHook;
-  /// Optional cross-request fixpoint store, not owned. When set, every
-  /// actual run looks up its lean signature, replays a stored iterate
-  /// prefix instead of recomputing it, and publishes its own sequence
-  /// back at the end; when null (a bare solver or Analyzer) the run is
-  /// unshared. Replay never changes the result — verdict, model, and the
-  /// Iterations stat are those of a cold run — so, like Cache and
-  /// StatsHook, Fixpoints is excluded from the options fingerprint.
-  FixpointCache *Fixpoints = nullptr;
+  /// Optional cross-request fixpoint store, not owned and thread-safe
+  /// like Cache. When set, every actual run looks up its lean signature,
+  /// replays a stored iterate prefix instead of recomputing it, and
+  /// publishes its own sequence back at the end; when null (a bare
+  /// solver or Analyzer) the run is unshared. Replay never changes the
+  /// result — verdict, model, and the Iterations stat are those of a
+  /// cold run — so, like Cache and StatsHook, Fixpoints is excluded from
+  /// the options fingerprint.
+  SharedFixpointStore *Fixpoints = nullptr;
 };
 
 /// Fingerprint of the semantically relevant option bits, used to key
@@ -194,9 +160,77 @@ struct SolverResult {
   /// A satisfying tree (hedge) with the start mark set, when requested.
   std::optional<Document> Model;
   SolverStats Stats;
-  /// True when this result was served from a ResultCache; Stats then
+  /// True when this result was served from the result cache; Stats then
   /// describe the original run that produced the entry.
   bool FromCache = false;
+};
+
+/// The semantic result cache: full SolverResults (verdict, model, and
+/// the stats of the run that produced the entry), one cost unit each.
+/// Worker threads each own a FormulaFactory, so formula pointers cannot
+/// cross threads; entries are keyed on the canonical formula text
+/// instead (FormulaFactory::canonicalText), which is factory-independent:
+/// α-equivalent formulas print identically no matter which worker built
+/// them. The options fingerprint (solverOptionsKey) completes the key,
+/// because different options can change both the result and the model.
+class ShardedResultCache
+    : public ShardedLru<ShardedResultCache, SolverResult> {
+public:
+  /// \p Capacity entries in all (0 disables caching) over \p Shards
+  /// shards, as ShardedLru rounds them.
+  explicit ShardedResultCache(size_t Capacity = 1024, size_t Shards = 8)
+      : ShardedLru(Capacity, Shards) {}
+
+  static constexpr const char *ProbeSpan = "cache.probe";
+  static constexpr const char *PublishSpan = "cache.publish";
+  static size_t cost(std::string_view, const SolverResult &) { return 1; }
+  /// An offer never improves on a held entry: the solver is
+  /// deterministic, so a racing duplicate carries the same verdict and
+  /// model, and only its volatile TimeMs could differ.
+  static bool improves(const SolverResult *Held, const SolverResult &) {
+    return !Held;
+  }
+  static void traceHit(Span &, const SolverResult &) {}
+};
+
+/// The cross-request fixpoint store: canonical iterate sequences keyed
+/// on (lean signature, fixpointOptionsKey), factory-independent like the
+/// result-cache keys, so any worker's run can seed any other's. Sharing
+/// is sound and output-invisible because Upd is a function of the lean
+/// alone (see FixpointSeedData, solver/Pipeline.h and DESIGN.md).
+/// Sequences live in memory only; the persistent cache file carries
+/// results. Sharing across different variable orders (re-basing a table
+/// onto another lean permutation) is a known follow-on; until then
+/// distinct signatures simply never meet.
+class SharedFixpointStore
+    : public ShardedLru<SharedFixpointStore, FixpointSeedData> {
+public:
+  /// The budget every session's store gets: 2^23 node units, about
+  /// 100 MB, enough to keep all 14 paper-corpus sequences at once.
+  static constexpr size_t DefaultNodeBudget = size_t(1) << 23;
+
+  /// \p NodeBudget node units in all over \p Shards shards, as
+  /// ShardedLru rounds them.
+  explicit SharedFixpointStore(size_t NodeBudget = DefaultNodeBudget,
+                               size_t Shards = 8)
+      : ShardedLru(NodeBudget, Shards) {}
+
+  static constexpr const char *ProbeSpan = "fixstore.probe";
+  static constexpr const char *PublishSpan = "fixstore.publish";
+  /// What an entry costs, in snapshot-node units (12 bytes): everything
+  /// it holds — its snapshots' node tables and headers, its key's text
+  /// and a fixed per-entry overhead — divided by a node's size, rounded
+  /// up. So neither sequences of constant sets nor long keys come free.
+  static size_t cost(std::string_view LeanSig, const FixpointSeedData &Data);
+  /// A non-empty sequence improves on nothing; on a held one when it is
+  /// converged and the held one is not, or longer at equal convergence.
+  /// Racing publishers therefore converge to the best sequence whatever
+  /// the interleaving.
+  static bool improves(const FixpointSeedData *Held,
+                       const FixpointSeedData &Offer);
+  static void traceHit(Span &Probe, const FixpointSeedData &Hit) {
+    Probe.arg("snapshots", static_cast<double>(Hit.Snapshots.size()));
+  }
 };
 
 /// Decides the satisfiability of closed cycle-free Lµ formulas over

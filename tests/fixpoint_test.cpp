@@ -13,7 +13,6 @@
 
 #include "logic/Lean.h"
 #include "logic/Parser.h"
-#include "service/FixpointStore.h"
 #include "solver/BddSolver.h"
 #include "solver/Pipeline.h"
 #include "tree/Xml.h"
@@ -179,6 +178,7 @@ TEST(SharedFixpointStore, CapacityEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(Grow.publish("p", 0, makeSeed(1, false, 3)));
   EXPECT_TRUE(Grow.publish("p", 0, makeSeed(2, false, 3)));
   EXPECT_EQ(Grow.stats().Evictions, 0u);
+  EXPECT_EQ(Grow.stats().Insertions, 2u) << "a replacement is an insertion";
   EXPECT_EQ(Grow.size(), 1u);
 }
 
@@ -219,7 +219,7 @@ TEST(SharedFixpointStore, NodeBudgetDropsOversizedEntries) {
 //===----------------------------------------------------------------------===//
 
 /// Solves \p Text in a fresh factory with \p Store installed (or not).
-SolverResult solveWith(const std::string &Text, FixpointCache *Store,
+SolverResult solveWith(const std::string &Text, SharedFixpointStore *Store,
                        bool EarlyQuantification = true) {
   FormulaFactory FF;
   std::string Err;

@@ -632,6 +632,51 @@ TEST(Server, RejectedConfigAppliesNothing) {
   EXPECT_EQ(Resp.find("team-b"), std::string::npos) << Resp;
 }
 
+TEST(Server, NamespaceNamesAndCountAreBounded) {
+  // Namespaces live as long as the server, each with a metrics series,
+  // so one client must not be able to grow them without bound.
+  ServerFixture F(stableServerOptions(1));
+  LineClient C = F.connect();
+  std::string Resp, Error;
+  auto Config = [&](const std::string &Ns) {
+    EXPECT_TRUE(C.sendLine("{\"op\":\"config\",\"ns\":\"" + Ns + "\"}"));
+    EXPECT_TRUE(C.recvLine(Resp));
+    JsonRef R = parseJson(Resp, Error);
+    EXPECT_NE(R, nullptr) << Error;
+    return R ? R : JsonValue::object();
+  };
+  auto ExpectRefused = [&](const JsonRef &R) {
+    EXPECT_FALSE(R->get("ok")->asBool()) << Resp;
+    EXPECT_EQ(R->get("error")->str("code"), "invalid_config_value") << Resp;
+    EXPECT_EQ(R->get("error")->str("key"), "ns") << Resp;
+  };
+
+  ExpectRefused(Config(std::string(MaxNamespaceBytes + 1, 'n')));
+  EXPECT_TRUE(Config(std::string(MaxNamespaceBytes, 'n'))->get("ok")->asBool())
+      << Resp;
+
+  // "default" and the long name exist; fill up to the cap.
+  for (size_t I = 2; I < XsolvedServer::MaxNamespaces; ++I)
+    ASSERT_TRUE(Config("ns" + std::to_string(I))->get("ok")->asBool())
+        << Resp;
+  ExpectRefused(Config("one-too-many"));
+  EXPECT_EQ(F.Server.namespaceState("one-too-many"), nullptr)
+      << "a refused line creates no namespace";
+
+  // Switching to an existing namespace still works at the cap.
+  JsonRef R = Config("ns7");
+  EXPECT_TRUE(R->get("ok")->asBool()) << Resp;
+  EXPECT_EQ(R->str("ns"), "ns7");
+
+  ASSERT_TRUE(C.sendLine("{\"id\":\"s\",\"op\":\"status\"}"));
+  ASSERT_TRUE(C.recvLine(Resp));
+  R = parseJson(Resp, Error);
+  ASSERT_NE(R, nullptr) << Error;
+  EXPECT_TRUE(R->get("ok")->asBool());
+  EXPECT_EQ(R->get("status")->get("namespaces")->members().size(),
+            XsolvedServer::MaxNamespaces);
+}
+
 //===----------------------------------------------------------------------===//
 // Observability: request ids, slowlog, status, HTTP endpoints
 //===----------------------------------------------------------------------===//

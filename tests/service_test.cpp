@@ -20,7 +20,6 @@
 
 #include "obs/Trace.h"
 #include "service/Batch.h"
-#include "service/Cache.h"
 #include "service/Session.h"
 
 #include "logic/Parser.h"
@@ -87,6 +86,24 @@ TEST(Canonicalize, NestedBindersAndFreeVariables) {
   // A free variable is left untouched.
   Formula Free = FF.var("Z");
   EXPECT_EQ(FF.canonicalize(Free), Free);
+}
+
+TEST(Canonicalize, CanonicalTextIsMemoizedAndSurvivesAFlush) {
+  FormulaFactory FF;
+  Formula A = parse(FF, "let $X = a | <1>$X in $X");
+  Formula B = parse(FF, "let $Y = a | <1>$Y in $Y");
+  std::shared_ptr<const std::string> Text = FF.canonicalText(A);
+  EXPECT_EQ(*Text, FF.toString(FF.canonicalize(A)));
+  EXPECT_EQ(*FF.canonicalText(B), *Text) << "α-variants share one text";
+  EXPECT_EQ(FF.canonicalText(B), Text) << "served from the memo";
+  // Past 4,096 texts the memo is dropped whole; a held text outlives the
+  // drop, and the text printed anew is the same.
+  for (int I = 0; I < 5000; ++I)
+    FF.canonicalText(FF.prop("p" + std::to_string(I)));
+  EXPECT_EQ(*Text, FF.toString(FF.canonicalize(A)));
+  std::shared_ptr<const std::string> Again = FF.canonicalText(B);
+  EXPECT_NE(Again, Text) << "printed again after the flush";
+  EXPECT_EQ(*Again, *Text);
 }
 
 TEST(Canonicalize, RepeatedXPathCompilationsCanonicalizeEqual) {
@@ -734,20 +751,26 @@ void onThreads(size_t Threads, size_t N,
     T.join();
 }
 
+/// A result whose payload is \p Iterations (and \p Sat).
+std::shared_ptr<const SolverResult> result(size_t Iterations,
+                                           bool Sat = false) {
+  auto R = std::make_shared<SolverResult>();
+  R->Satisfiable = Sat;
+  R->Stats.Iterations = Iterations;
+  return R;
+}
+
 TEST(ShardedResultCache, HitMissEvictAndCounters) {
   ShardedResultCache Cache(/*Capacity=*/2, /*Shards=*/1);
   ASSERT_EQ(Cache.numShards(), 1u);
-  SolverResult R;
-  R.Satisfiable = true;
-  SolverResult Out;
-  EXPECT_FALSE(Cache.lookup("a", 0, Out));
-  Cache.store("a", 0, R);
-  Cache.store("b", 0, R);
-  EXPECT_TRUE(Cache.lookup("a", 0, Out)); // a is now most recent
-  Cache.store("c", 0, R);                 // evicts b (least recent)
-  EXPECT_FALSE(Cache.lookup("b", 0, Out));
-  EXPECT_TRUE(Cache.lookup("a", 0, Out));
-  EXPECT_TRUE(Cache.lookup("c", 0, Out));
+  EXPECT_EQ(Cache.lookup("a", 0), nullptr);
+  Cache.publish("a", 0, result(0, true));
+  Cache.publish("b", 0, result(0, true));
+  EXPECT_NE(Cache.lookup("a", 0), nullptr); // a is now most recent
+  Cache.publish("c", 0, result(0, true));   // evicts b (least recent)
+  EXPECT_EQ(Cache.lookup("b", 0), nullptr);
+  EXPECT_NE(Cache.lookup("a", 0), nullptr);
+  EXPECT_NE(Cache.lookup("c", 0), nullptr);
 
   CacheStats S = Cache.stats();
   EXPECT_EQ(S.Hits, 3u);
@@ -759,15 +782,13 @@ TEST(ShardedResultCache, HitMissEvictAndCounters) {
 
 TEST(ShardedResultCache, OptionsFingerprintSeparatesEntries) {
   ShardedResultCache Cache(8, 4);
-  SolverResult Yes, No, Out;
-  Yes.Satisfiable = true;
-  No.Satisfiable = false;
-  Cache.store("k", 1, Yes);
-  Cache.store("k", 2, No);
-  ASSERT_TRUE(Cache.lookup("k", 1, Out));
-  EXPECT_TRUE(Out.Satisfiable);
-  ASSERT_TRUE(Cache.lookup("k", 2, Out));
-  EXPECT_FALSE(Out.Satisfiable);
+  Cache.publish("k", 1, result(0, true));
+  Cache.publish("k", 2, result(0, false));
+  auto Yes = Cache.lookup("k", 1), No = Cache.lookup("k", 2);
+  ASSERT_NE(Yes, nullptr);
+  EXPECT_TRUE(Yes->Satisfiable);
+  ASSERT_NE(No, nullptr);
+  EXPECT_FALSE(No->Satisfiable);
 }
 
 TEST(ShardedResultCache, ShardCountClampsToCapacity) {
@@ -776,6 +797,53 @@ TEST(ShardedResultCache, ShardCountClampsToCapacity) {
   EXPECT_EQ(ShardedResultCache(1024, 8).numShards(), 8u);
   EXPECT_EQ(ShardedResultCache(1024, 5).numShards(), 4u);
   EXPECT_EQ(ShardedResultCache(0, 8).numShards(), 1u);
+  ShardedResultCache Off(0, 8);
+  EXPECT_FALSE(Off.publish("k", 0, result(1)))
+      << "capacity 0 disables the cache";
+  EXPECT_EQ(Off.size(), 0u);
+}
+
+TEST(ShardedResultCache, HeldHitSurvivesEviction) {
+  // lookup hands out the entry itself: a hit held across the eviction
+  // of its entry stays intact.
+  ShardedResultCache Cache(/*Capacity=*/1, /*Shards=*/1);
+  auto Stored = std::make_shared<SolverResult>();
+  Stored->Satisfiable = true;
+  Stored->Stats.Iterations = 7;
+  Stored->Model = Document();
+  Stored->Model->addNode("m", InvalidNodeId);
+  Cache.publish("a", 0, Stored);
+  Stored.reset();
+  std::shared_ptr<const SolverResult> Hit = Cache.lookup("a", 0);
+  ASSERT_NE(Hit, nullptr);
+  Cache.publish("b", 0, result(1)); // evicts a
+  EXPECT_EQ(Cache.lookup("a", 0), nullptr);
+  EXPECT_EQ(Cache.stats().Evictions, 1u);
+  EXPECT_TRUE(Hit->Satisfiable);
+  EXPECT_EQ(Hit->Stats.Iterations, 7u);
+  ASSERT_TRUE(Hit->Model.has_value());
+  ASSERT_EQ(Hit->Model->size(), 1u);
+  EXPECT_EQ(Hit->Model->labelName(0), "m");
+}
+
+TEST(ShardedResultCache, SecondStoreOfAHeldKeyKeepsTheEntry) {
+  // A result offer never improves on a held one: the first entry stays,
+  // and the refused offer neither counts as an insertion nor touches
+  // the LRU order.
+  ShardedResultCache Cache(/*Capacity=*/2, /*Shards=*/1);
+  EXPECT_TRUE(Cache.publish("a", 0, result(1)));
+  EXPECT_TRUE(Cache.publish("b", 0, result(2)));
+  EXPECT_FALSE(Cache.publish("a", 0, result(99)));
+  auto Held = Cache.lookup("a", 0);
+  ASSERT_NE(Held, nullptr);
+  EXPECT_EQ(Held->Stats.Iterations, 1u);
+  EXPECT_EQ(Cache.stats().Insertions, 2u);
+  EXPECT_EQ(Cache.size(), 2u);
+  // The lookup, not the refused offer, made a most recent: c evicts b.
+  EXPECT_FALSE(Cache.publish("b", 0, result(98)));
+  EXPECT_TRUE(Cache.publish("c", 0, result(3)));
+  EXPECT_EQ(Cache.lookup("b", 0), nullptr);
+  EXPECT_NE(Cache.lookup("a", 0), nullptr);
 }
 
 // The TSan target of the suite: many threads hammering one shard (one
@@ -791,16 +859,12 @@ TEST(ShardedResultCache, SingleShardStressUnderContention) {
   std::atomic<size_t> BadValues{0};
   onThreads(8, Ops, [&](size_t I, size_t) {
     std::string Key = "key" + std::to_string(I % KeyRange);
-    SolverResult Out;
-    if (Cache.lookup(Key, 7, Out)) {
+    if (auto Out = Cache.lookup(Key, 7)) {
       // An entry must round-trip the value stored for its key.
-      if (Out.Stats.Iterations != I % KeyRange)
+      if (Out->Stats.Iterations != I % KeyRange)
         BadValues.fetch_add(1);
     } else {
-      SolverResult R;
-      R.Satisfiable = true;
-      R.Stats.Iterations = I % KeyRange;
-      Cache.store(Key, 7, R);
+      Cache.publish(Key, 7, result(I % KeyRange, true));
     }
   });
   EXPECT_EQ(BadValues.load(), 0u);
@@ -821,12 +885,8 @@ TEST(ShardedResultCache, ForEachEntryUnderConcurrentStores) {
   // Pre-populate a stable set that eviction cannot touch (capacity is
   // larger than everything the test inserts).
   constexpr size_t Stable = 64, Churn = 256, Ops = 4000;
-  for (size_t I = 0; I < Stable; ++I) {
-    SolverResult R;
-    R.Satisfiable = true;
-    R.Stats.Iterations = I;
-    Cache.store("stable" + std::to_string(I), 1, R);
-  }
+  for (size_t I = 0; I < Stable; ++I)
+    Cache.publish("stable" + std::to_string(I), 1, result(I, true));
   std::atomic<size_t> Bad{0};
   onThreads(8, Ops, [&](size_t I, size_t T) {
     if (T == 0) {
@@ -846,9 +906,7 @@ TEST(ShardedResultCache, ForEachEntryUnderConcurrentStores) {
       if (StableSeen != Stable)
         Bad.fetch_add(1);
     } else {
-      SolverResult R;
-      R.Stats.Iterations = I % Churn;
-      Cache.store("churn" + std::to_string(I % Churn), 2, R);
+      Cache.publish("churn" + std::to_string(I % Churn), 2, result(I % Churn));
     }
   });
   EXPECT_EQ(Bad.load(), 0u);
@@ -893,14 +951,10 @@ TEST(ShardedResultCache, MultiShardConcurrentMixedUse) {
   ShardedResultCache Cache(256, 8);
   onThreads(4, 4000, [&](size_t I, size_t) {
     std::string Key = "q" + std::to_string(I % 100);
-    SolverResult Out;
-    if (!Cache.lookup(Key, 0, Out)) {
-      SolverResult R;
-      R.Stats.Iterations = I % 100;
-      Cache.store(Key, 0, R);
-    } else {
-      EXPECT_EQ(Out.Stats.Iterations, I % 100);
-    }
+    if (auto Out = Cache.lookup(Key, 0))
+      EXPECT_EQ(Out->Stats.Iterations, I % 100);
+    else
+      Cache.publish(Key, 0, result(I % 100));
   });
   CacheStats S = Cache.stats();
   EXPECT_EQ(S.Hits + S.Misses, 4000u);
@@ -1187,7 +1241,7 @@ std::string nearDuplicateInput(size_t Groups, size_t Offset = 0) {
 /// as --stable encodes it. \p Iterations receives the cold iteration
 /// total.
 std::string unsharedReference(const std::string &Input, size_t &Iterations) {
-  AnalysisContext Ctx{SolverOptions{}};
+  AnalysisContext Ctx;
   std::istringstream In(Input);
   std::string Line, Out;
   Iterations = 0;
@@ -1297,10 +1351,10 @@ TEST(PersistentCache, OutOfRangeNumbersDropOnlyTheirEntry) {
   std::string Error;
   ASSERT_TRUE(S.loadCache(Path, Error)) << Error;
   EXPECT_EQ(S.resultCache().size(), 1u);
-  SolverResult R;
-  ASSERT_TRUE(S.resultCache().lookup("good", 0, R));
-  EXPECT_EQ(R.Stats.LeanSize, 4u);
-  EXPECT_EQ(R.Stats.Iterations, 2u);
+  auto R = S.resultCache().lookup("good", 0);
+  ASSERT_NE(R, nullptr);
+  EXPECT_EQ(R->Stats.LeanSize, 4u);
+  EXPECT_EQ(R->Stats.Iterations, 2u);
   std::remove(Path.c_str());
 }
 
