@@ -124,25 +124,6 @@ bool readFile(const std::string &Path, std::string &Out) {
   return true;
 }
 
-const Dtd *loadDtd(const std::string &Arg, Dtd &Storage) {
-  if (Arg == "wikipedia")
-    return &wikipediaDtd();
-  if (Arg == "smil")
-    return &smil10Dtd();
-  if (Arg == "xhtml")
-    return &xhtml10StrictDtd();
-  std::string Text, Error;
-  if (!readFile(Arg, Text)) {
-    std::fprintf(stderr, "error: cannot read DTD %s\n", Arg.c_str());
-    return nullptr;
-  }
-  if (!parseDtd(Text, Storage, Error)) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return nullptr;
-  }
-  return &Storage;
-}
-
 ExprRef parseQuery(const char *Src) {
   std::string Error;
   ExprRef E = parseXPath(Src, Error);
@@ -470,9 +451,11 @@ int main(int argc, char **argv) {
       return 1;
     }
     Dtd Storage;
-    const Dtd *D = loadDtd(argv[3], Storage);
-    if (!D)
+    const Dtd *D = loadDtd(argv[3], Storage, Error);
+    if (!D) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
+    }
     std::string Why;
     if (validate(Doc, *D, &Why)) {
       std::printf("valid\n");

@@ -3,8 +3,7 @@
 #include "bdd/Bdd.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 
 using namespace xsa;
@@ -85,25 +84,6 @@ Bdd Bdd::implies(const Bdd &O) const { return (!*this) | O; }
 
 Bdd Bdd::iff(const Bdd &O) const { return !(*this ^ O); }
 
-size_t Bdd::nodeCount() const {
-  if (!Mgr)
-    return 0;
-  std::unordered_set<uint32_t> Seen;
-  std::vector<uint32_t> Stack{Node};
-  size_t Internal = 0;
-  while (!Stack.empty()) {
-    uint32_t N = Stack.back();
-    Stack.pop_back();
-    if (!Seen.insert(N).second || N <= 1)
-      continue;
-    ++Internal;
-    BddManager::RawNode Nd = Mgr->rawNode(N);
-    Stack.push_back(Nd.Low);
-    Stack.push_back(Nd.High);
-  }
-  return Internal + 1; // all terminals count as one
-}
-
 //===----------------------------------------------------------------------===//
 // BddManager: public operations and structural algorithms
 //===----------------------------------------------------------------------===//
@@ -123,10 +103,6 @@ uint32_t BddManager::var2Node(unsigned Var) {
 Bdd BddManager::one() { return wrap(OneNode); }
 Bdd BddManager::zero() { return wrap(ZeroNode); }
 Bdd BddManager::var(unsigned Var) { return wrap(var2Node(Var)); }
-Bdd BddManager::nvar(unsigned Var) {
-  unsigned V = var2Node(Var);
-  return wrap(notRec(V));
-}
 
 Bdd BddManager::ite(const Bdd &F, const Bdd &G, const Bdd &H) {
   assert(F.manager() == this && G.manager() == this && H.manager() == this);
@@ -137,13 +113,7 @@ Bdd BddManager::ite(const Bdd &F, const Bdd &G, const Bdd &H) {
 Bdd BddManager::exists(const Bdd &F, const Bdd &Cube) {
   assert(F.manager() == this && Cube.manager() == this);
   maybeGc();
-  return wrap(existsRec(F.node(), Cube.node(), /*Universal=*/false));
-}
-
-Bdd BddManager::forall(const Bdd &F, const Bdd &Cube) {
-  assert(F.manager() == this && Cube.manager() == this);
-  maybeGc();
-  return wrap(existsRec(F.node(), Cube.node(), /*Universal=*/true));
+  return wrap(existsRec(F.node(), Cube.node()));
 }
 
 Bdd BddManager::andExists(const Bdd &F, const Bdd &G, const Bdd &Cube) {
@@ -161,22 +131,6 @@ Bdd BddManager::cube(const std::vector<unsigned> &Vars) {
     ensureVars(*It + 1);
     R = mk(*It, ZeroNode, R);
   }
-  return wrap(R);
-}
-
-Bdd BddManager::cofactor(const Bdd &F, unsigned Var, bool Val) {
-  assert(F.manager() == this);
-  maybeGc();
-  return wrap(cofactorRec(F.node(), Var, Val));
-}
-
-Bdd BddManager::restrict(
-    const Bdd &F, const std::vector<std::pair<unsigned, bool>> &Assignment) {
-  assert(F.manager() == this);
-  maybeGc();
-  uint32_t R = F.node();
-  for (const auto &[Var, Val] : Assignment)
-    R = cofactorRec(R, Var, Val);
   return wrap(R);
 }
 
@@ -225,39 +179,6 @@ bool BddManager::satOne(const Bdd &F, std::vector<bool> &Values,
   return true;
 }
 
-double BddManager::satCountRec(
-    uint32_t F, std::unordered_map<uint32_t, double> &Memo) const {
-  if (F == 0)
-    return 0.0;
-  if (F == 1)
-    return 1.0;
-  auto It = Memo.find(F);
-  if (It != Memo.end())
-    return It->second;
-  const RawNode Nd = rawNode(F);
-  auto VarOf = [&](uint32_t N) {
-    return N <= 1 ? NumVars : rawNode(N).Var;
-  };
-  double CL = satCountRec(Nd.Low, Memo) *
-              std::pow(2.0, double(VarOf(Nd.Low)) - Nd.Var - 1);
-  double CH = satCountRec(Nd.High, Memo) *
-              std::pow(2.0, double(VarOf(Nd.High)) - Nd.Var - 1);
-  double C = CL + CH;
-  Memo.emplace(F, C);
-  return C;
-}
-
-double BddManager::satCount(const Bdd &F, unsigned OverVars) {
-  assert(F.manager() == this);
-  assert(OverVars <= NumVars && "count domain exceeds variable universe");
-  // Counting is done over the full universe, then scaled down.
-  std::unordered_map<uint32_t, double> Memo;
-  uint32_t N = F.node();
-  double TopVar = N <= 1 ? NumVars : rawNode(N).Var;
-  double C = satCountRec(N, Memo) * std::pow(2.0, TopVar);
-  return C / std::pow(2.0, double(NumVars) - OverVars);
-}
-
 std::vector<unsigned> BddManager::support(const Bdd &F) {
   std::unordered_set<uint32_t> Seen;
   std::vector<uint32_t> Stack{F.node()};
@@ -277,35 +198,6 @@ std::vector<unsigned> BddManager::support(const Bdd &F) {
     if (InSupport[V])
       Result.push_back(V);
   return Result;
-}
-
-std::string BddManager::toDot(const Bdd &F,
-                              const std::vector<std::string> *VarNames) {
-  std::ostringstream OS;
-  OS << "digraph bdd {\n";
-  std::unordered_set<uint32_t> Seen;
-  std::vector<uint32_t> Stack{F.node()};
-  while (!Stack.empty()) {
-    uint32_t N = Stack.back();
-    Stack.pop_back();
-    if (!Seen.insert(N).second)
-      continue;
-    if (N <= 1) {
-      OS << "  n" << N << " [shape=box,label=\"" << N << "\"];\n";
-      continue;
-    }
-    const RawNode Nd = rawNode(N);
-    std::string Label = VarNames && Nd.Var < VarNames->size()
-                            ? (*VarNames)[Nd.Var]
-                            : "x" + std::to_string(Nd.Var);
-    OS << "  n" << N << " [label=\"" << Label << "\"];\n";
-    OS << "  n" << N << " -> n" << Nd.Low << " [style=dashed];\n";
-    OS << "  n" << N << " -> n" << Nd.High << ";\n";
-    Stack.push_back(Nd.Low);
-    Stack.push_back(Nd.High);
-  }
-  OS << "}\n";
-  return OS.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -398,7 +290,6 @@ void BddManager::markRecursive(uint32_t N) {
 }
 
 void BddManager::gc() {
-  ++GcRuns;
   // Mark phase: externally referenced nodes and the variable nodes are roots.
   for (uint32_t N = 2; N < Nodes.size(); ++N)
     if (Nodes[N].Var != TerminalVar && Nodes[N].Refs > 0)
@@ -453,13 +344,12 @@ void BddManager::clearCaches() {
 }
 
 namespace {
+// cacheSlot hashes the tag, so these values fix which entries collide:
+// renumbering them would change exact mk counts.
 constexpr uint8_t TagNot = 200;
 constexpr uint8_t TagIte = 201;
 constexpr uint8_t TagExists = 202;
-constexpr uint8_t TagForall = 203;
 constexpr uint8_t TagAndExists = 204;
-constexpr uint8_t TagCofactor0 = 205;
-constexpr uint8_t TagCofactor1 = 206;
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -576,7 +466,7 @@ uint32_t BddManager::iteRec(uint32_t F, uint32_t G, uint32_t H) {
   return R;
 }
 
-uint32_t BddManager::existsRec(uint32_t F, uint32_t Cube, bool Universal) {
+uint32_t BddManager::existsRec(uint32_t F, uint32_t Cube) {
   if (F <= 1)
     return F;
   // Skip quantified variables above F's top variable.
@@ -585,11 +475,10 @@ uint32_t BddManager::existsRec(uint32_t F, uint32_t Cube, bool Universal) {
     Cube = Nodes[Cube].High;
   if (Cube <= 1)
     return F;
-  uint8_t Tag = Universal ? TagForall : TagExists;
   {
     ++OpCacheLookups;
-    CacheEntry &E = cacheSlot(Tag, F, Cube, 0);
-    if (E.OpTag == Tag && E.A == F && E.B == Cube && E.C == 0) {
+    CacheEntry &E = cacheSlot(TagExists, F, Cube, 0);
+    if (E.OpTag == TagExists && E.A == F && E.B == Cube && E.C == 0) {
       ++OpCacheHits;
       return E.Result;
     }
@@ -598,21 +487,16 @@ uint32_t BddManager::existsRec(uint32_t F, uint32_t Cube, bool Universal) {
   uint32_t R;
   if (Nodes[Cube].Var == NF.Var) {
     uint32_t NextCube = Nodes[Cube].High;
-    uint32_t R0 = existsRec(NF.Low, NextCube, Universal);
-    // Short-circuit: OR with 1 (or AND with 0) is absorbing.
-    if (!Universal && R0 == 1)
+    uint32_t R0 = existsRec(NF.Low, NextCube);
+    // Short-circuit: OR with 1 is absorbing.
+    if (R0 == 1)
       R = 1;
-    else if (Universal && R0 == 0)
-      R = 0;
-    else {
-      uint32_t R1 = existsRec(NF.High, NextCube, Universal);
-      R = applyRec(Universal ? Op::And : Op::Or, R0, R1);
-    }
+    else
+      R = applyRec(Op::Or, R0, existsRec(NF.High, NextCube));
   } else {
-    R = mk(NF.Var, existsRec(NF.Low, Cube, Universal),
-           existsRec(NF.High, Cube, Universal));
+    R = mk(NF.Var, existsRec(NF.Low, Cube), existsRec(NF.High, Cube));
   }
-  cacheSlot(Tag, F, Cube, 0) = {F, Cube, 0, Tag, R};
+  cacheSlot(TagExists, F, Cube, 0) = {F, Cube, 0, TagExists, R};
   return R;
 }
 
@@ -620,9 +504,9 @@ uint32_t BddManager::andExistsRec(uint32_t F, uint32_t G, uint32_t Cube) {
   if (F == 0 || G == 0)
     return 0;
   if (F == 1)
-    return existsRec(G, Cube, false);
+    return existsRec(G, Cube);
   if (G == 1 || F == G)
-    return existsRec(F, Cube, false);
+    return existsRec(F, Cube);
   if (Cube <= 1)
     return applyRec(Op::And, F, G);
   if (F > G)
@@ -655,26 +539,5 @@ uint32_t BddManager::andExistsRec(uint32_t F, uint32_t G, uint32_t Cube) {
     R = mk(V, andExistsRec(F0, G0, Cube), andExistsRec(F1, G1, Cube));
   }
   cacheSlot(TagAndExists, F, G, Cube) = {F, G, Cube, TagAndExists, R};
-  return R;
-}
-
-uint32_t BddManager::cofactorRec(uint32_t F, uint32_t Var, bool Val) {
-  if (F <= 1 || Nodes[F].Var > Var)
-    return F;
-  const Node NF = Nodes[F];
-  if (NF.Var == Var)
-    return Val ? NF.High : NF.Low;
-  uint8_t Tag = Val ? TagCofactor1 : TagCofactor0;
-  {
-    ++OpCacheLookups;
-    CacheEntry &E = cacheSlot(Tag, F, Var, 0);
-    if (E.OpTag == Tag && E.A == F && E.B == Var && E.C == 0) {
-      ++OpCacheHits;
-      return E.Result;
-    }
-  }
-  uint32_t R = mk(NF.Var, cofactorRec(NF.Low, Var, Val),
-                  cofactorRec(NF.High, Var, Val));
-  cacheSlot(Tag, F, Var, 0) = {F, Var, 0, Tag, R};
   return R;
 }

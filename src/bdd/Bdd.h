@@ -16,8 +16,9 @@
 ///   * apply/ITE with operation caches;
 ///   * existential quantification and the combined relational product
 ///     (andExists) needed for the early-quantification scheme of §7.3;
-///   * cofactor/restrict, support, satisfying-assignment extraction and
-///     model counting (used by model reconstruction, §7.2);
+///   * variable renaming, support and satisfying-assignment extraction
+///     (used by the fixpoint's primed copies and model reconstruction,
+///     §7.2);
 ///   * deferred-reclamation mark-and-sweep garbage collection driven by
 ///     external reference counts on Bdd handles.
 ///
@@ -38,9 +39,8 @@
 #define XSA_BDD_BDD_H
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace xsa {
@@ -64,7 +64,6 @@ public:
 
   bool isOne() const;
   bool isZero() const;
-  bool isConst() const { return isOne() || isZero(); }
 
   BddManager *manager() const { return Mgr; }
   uint32_t node() const { return Node; }
@@ -86,9 +85,6 @@ public:
     return Mgr == O.Mgr && Node == O.Node;
   }
   bool operator!=(const Bdd &O) const { return !(*this == O); }
-
-  /// Number of nodes in this BDD (including constants).
-  size_t nodeCount() const;
 
 private:
   friend class BddManager;
@@ -119,8 +115,6 @@ public:
 
   /// The function of variable \p Var (positive literal).
   Bdd var(unsigned Var);
-  /// The negative literal of \p Var.
-  Bdd nvar(unsigned Var);
 
   /// Creates variables up to index \p NumVars - 1.
   void ensureVars(unsigned NumVars);
@@ -133,21 +127,12 @@ public:
   /// conjunction of variables) out of \p F.
   Bdd exists(const Bdd &F, const Bdd &Cube);
 
-  /// Universally quantifies the variables of \p Cube out of \p F.
-  Bdd forall(const Bdd &F, const Bdd &Cube);
-
   /// Relational product: exists(Cube, F & G) computed without building
   /// the full conjunction. This is the workhorse of §7.3.
   Bdd andExists(const Bdd &F, const Bdd &G, const Bdd &Cube);
 
   /// A positive cube over \p Vars (sorted or not).
   Bdd cube(const std::vector<unsigned> &Vars);
-
-  /// Cofactor of F with Var fixed to Val.
-  Bdd cofactor(const Bdd &F, unsigned Var, bool Val);
-
-  /// Generalized cofactor: fixes every (var, val) pair in \p Assignment.
-  Bdd restrict(const Bdd &F, const std::vector<std::pair<unsigned, bool>> &Assignment);
 
   /// Renames variables: node with variable v becomes variable VarMap[v].
   /// VarMap must be strictly increasing on the support of F (the variable
@@ -162,16 +147,12 @@ public:
   bool satOne(const Bdd &F, std::vector<bool> &Values,
               std::vector<bool> *DontCare = nullptr);
 
-  /// Number of satisfying assignments over \p OverVars variables.
-  double satCount(const Bdd &F, unsigned OverVars);
-
   /// The set of variables F depends on.
   std::vector<unsigned> support(const Bdd &F);
 
   /// Live node statistics (excluding dead-but-unswept nodes).
   size_t numNodes() const { return NodeCount; }
   size_t peakNodes() const { return PeakNodeCount; }
-  size_t gcRuns() const { return GcRuns; }
 
   /// Probe statistics for the hash-consing unique table (mk chain walks)
   /// and the operation cache. The solver samples these into
@@ -184,9 +165,6 @@ public:
   /// Forces a mark-and-sweep collection. Called automatically when the
   /// node store grows past an adaptive threshold.
   void gc();
-
-  /// Graphviz dump for debugging.
-  std::string toDot(const Bdd &F, const std::vector<std::string> *VarNames = nullptr);
 
   /// Structural view of one node, the currency of the structural
   /// algorithms and of snapshot export. Terminals report Var ==
@@ -231,9 +209,6 @@ private:
 
   uint32_t var2Node(unsigned Var);
 
-  double satCountRec(uint32_t F,
-                     std::unordered_map<uint32_t, double> &Memo) const;
-
   // Node management.
   uint32_t mk(uint32_t Var, uint32_t Low, uint32_t High);
   uint32_t allocNode();
@@ -244,9 +219,8 @@ private:
   uint32_t applyRec(Op O, uint32_t A, uint32_t B);
   uint32_t iteRec(uint32_t F, uint32_t G, uint32_t H);
   uint32_t notRec(uint32_t F);
-  uint32_t existsRec(uint32_t F, uint32_t Cube, bool Universal);
+  uint32_t existsRec(uint32_t F, uint32_t Cube);
   uint32_t andExistsRec(uint32_t F, uint32_t G, uint32_t Cube);
-  uint32_t cofactorRec(uint32_t F, uint32_t Var, bool Val);
 
   // Caches. Direct-mapped and lossy; entries store all operands so that a
   // hash collision can never produce a wrong result.
@@ -269,7 +243,6 @@ private:
   size_t NodeCount = 0;
   size_t PeakNodeCount = 0;
   size_t GcThreshold;
-  size_t GcRuns = 0;
   size_t UniqueLookups = 0;
   size_t UniqueHits = 0;
   size_t OpCacheLookups = 0;

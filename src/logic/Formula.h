@@ -200,10 +200,6 @@ public:
   /// and all of them canonicalize to one representative.
   Formula canonicalize(Formula F);
 
-  /// Hash of the canonical representative; equal for α-equivalent
-  /// formulas. Use canonicalize() itself as a map key for exactness.
-  size_t canonicalHash(Formula F) { return canonicalize(F)->hash(); }
-
   /// Pretty-prints in the textual syntax understood by parseFormula.
   std::string toString(Formula F);
 

@@ -106,14 +106,6 @@ Lean Lean::compute(FormulaFactory &FF, Formula Psi, LeanOrder Order) {
   return L;
 }
 
-std::vector<unsigned> Lean::existsOfProgram(Program A) const {
-  std::vector<unsigned> R;
-  for (unsigned I = 0; I < Members.size(); ++I)
-    if (Members[I]->is(FormulaKind::Exist) && Members[I]->program() == A)
-      R.push_back(I);
-  return R;
-}
-
 bool Lean::isValidType(const DynBitset &T) const {
   assert(T.size() == Members.size());
   // Modal consistency: ⟨a⟩φ ∈ t ⇒ ⟨a⟩⊤ ∈ t.
@@ -171,10 +163,6 @@ bool Lean::status(FormulaFactory &FF, Formula F, const DynBitset &T) const {
     return status(FF, FF.unfold(F), T);
   }
   return false;
-}
-
-std::string Lean::memberName(FormulaFactory &FF, unsigned I) const {
-  return FF.toString(Members[I]);
 }
 
 std::string Lean::signature(FormulaFactory &FF) const {

@@ -76,9 +76,6 @@ public:
     return It == ExistIdx.end() ? ~0u : It->second;
   }
 
-  /// Indices of all modal members ⟨a⟩φ with program \p A (including ⟨a⟩⊤).
-  std::vector<unsigned> existsOfProgram(Program A) const;
-
   /// True if bit \p I is a modal member (⟨a⟩φ for some a, including ⟨a⟩⊤).
   bool isExist(unsigned I) const {
     return Members[I]->is(FormulaKind::Exist);
@@ -91,9 +88,6 @@ public:
   /// ψ-type given as a bit vector over the lean. \p F must be built from
   /// lean members (any formula in cl*(ψ)).
   bool status(FormulaFactory &FF, Formula F, const DynBitset &T) const;
-
-  /// Human-readable description of lean member \p I.
-  std::string memberName(FormulaFactory &FF, unsigned I) const;
 
   /// Canonical lean signature: the ordered canonical texts of all lean
   /// members — binders renamed to their binding positions

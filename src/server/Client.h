@@ -33,7 +33,6 @@ public:
   /// False (with \p Error) when the connection cannot be established.
   bool connectTcp(const std::string &Host, int Port, std::string &Error);
   bool connectUnix(const std::string &Path, std::string &Error);
-  bool connected() const { return Fd >= 0; }
 
   /// Sends \p Line plus the terminating newline. False on a send error.
   bool sendLine(const std::string &Line);

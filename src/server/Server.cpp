@@ -1001,7 +1001,7 @@ void XsolvedServer::admit(const std::shared_ptr<Connection> &ConnPtr,
   NamespaceState &Ns = *J.Ns;
   AnalysisSession::Admission A = Sess->submit(
       [this, JP](AnalysisContext &Ctx) { runJob(*JP, Ctx); }, J.Priority,
-      Opts.QueueLimit);
+      Opts.QueueLimit, requestKey(J.Req));
   if (A == AnalysisSession::Admission::Queued) {
     queueDepthGauge().set(static_cast<double>(Sess->queued()));
     Ns.Requests.fetch_add(1, std::memory_order_relaxed);

@@ -8,8 +8,8 @@
 /// `xsolved`: a daemon wrapping ONE shared AnalysisSession behind
 /// JSON-lines over TCP and/or a unix-domain socket, so concurrent
 /// clients share the sharded result cache and the SharedFixpointStore —
-/// the second client's containment check is a cache hit even when the
-/// first client asked it.
+/// a containment check one client asked is a cache hit for the next,
+/// even when both ask it at the same moment.
 ///
 /// Concurrency model. The session's BDD machinery is single-threaded by
 /// design (see service/Session.h), so the server never runs a request on
@@ -26,7 +26,9 @@
 ///    answers a job whose deadline already expired with
 ///    "deadline_exceeded" without solving it, runs the rest, and does
 ///    the request's accounting, tail sampling and delivery itself — so
-///    a fast request never waits for a slow one to finish;
+///    a fast request never waits for a slow one to finish. Admissions
+///    carry their requestKey, so identical requests from any number of
+///    clients reach the fixpoint once (see AnalysisSession::submit);
 ///  * responses return to their connection through a per-connection
 ///    sequencer that restores request order, so every client observes
 ///    the same stream a serial `xsolve batch` would produce — with the

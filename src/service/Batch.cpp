@@ -20,7 +20,6 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <unordered_map>
 
 using namespace xsa;
 
@@ -121,9 +120,8 @@ void fillFromAnalysis(AnalysisResponse &R, const AnalysisResult &A,
 }
 
 /// Identity of a request up to textual equality of every field that can
-/// influence the answer (everything but Id). A request identical to one
-/// still in flight waits for it and then hits the result cache, exactly
-/// as in a serial run (see OrderedRun::solve).
+/// influence the answer (everything but Id, TraceId and the server's
+/// priority and deadline); requestKey hashes it.
 std::string requestSignature(const AnalysisRequest &Req) {
   // Fields are length-prefixed, so the signature is injective for
   // arbitrary field bytes — even malformed requests (whose text the
@@ -317,6 +315,11 @@ AnalysisResponse xsa::runRequest(AnalysisSession &Session,
   return runRequest(Session.mainContext(), Req);
 }
 
+uint64_t xsa::requestKey(const AnalysisRequest &Req) {
+  uint64_t H = std::hash<std::string>()(requestSignature(Req));
+  return H ? H : 1;
+}
+
 namespace {
 
 /// Most answers a batch holds back at once, waiting for an earlier line's
@@ -373,41 +376,19 @@ public:
   }
 
   /// Answers position \p Pos with \p Req's response, computed on a
-  /// worker. A request textually identical to one still in flight waits
-  /// for it, then runs on the same context and hits the result cache:
-  /// the first occurrence solves and the rest report a hit, as serially.
+  /// worker. The session runs a request identical to one still running
+  /// right after it, as a cache hit, as serially.
   void solve(size_t Pos, AnalysisRequest Req) {
-    std::string Sig = requestSignature(Req);
-    {
-      std::lock_guard<std::mutex> L(M);
-      auto [It, First] = InFlight.try_emplace(Sig);
-      if (!First) {
-        It->second.emplace_back(Pos, std::move(Req));
-        return;
-      }
-    }
+    uint64_t Key = requestKey(Req);
     // Kept for the answer to a refused job, once Req has moved into it.
     RequestKind Kind = Req.Kind;
     std::string Id = Req.Id;
-    auto Job = [this, Pos, Sig, Req = std::move(Req)](AnalysisContext &Ctx) {
-      Answer A = Encode(runRequest(Ctx, Req));
-      std::vector<std::pair<size_t, AnalysisRequest>> Waiting;
-      {
-        std::lock_guard<std::mutex> L(M);
-        auto It = InFlight.find(Sig);
-        Waiting = std::move(It->second);
-        InFlight.erase(It);
-      }
-      // Nothing of this run is touched after the last answer.
-      answer(Pos, std::move(A));
-      for (auto &[WaitPos, WaitReq] : Waiting)
-        answer(WaitPos, Encode(runRequest(Ctx, WaitReq)));
+    // Nothing of this run is touched after the answer.
+    auto Job = [this, Pos, Req = std::move(Req)](AnalysisContext &Ctx) {
+      answer(Pos, Encode(runRequest(Ctx, Req)));
     };
-    if (Session.submit(std::move(Job)) != AnalysisSession::Admission::Queued) {
-      {
-        std::lock_guard<std::mutex> L(M);
-        InFlight.erase(Sig);
-      }
+    if (Session.submit(std::move(Job), 0, AnalysisSession::NoLimit, Key) !=
+        AnalysisSession::Admission::Queued) {
       AnalysisResponse R;
       R.Kind = Kind;
       R.Id = std::move(Id);
@@ -440,11 +421,6 @@ private:
   std::deque<std::optional<Answer>> Slots;
   size_t Released = 0;
   bool Emitting = false;
-  /// Requests in flight by signature, with the identical ones that wait
-  /// for them.
-  std::unordered_map<std::string,
-                     std::vector<std::pair<size_t, AnalysisRequest>>>
-      InFlight;
 };
 
 } // namespace

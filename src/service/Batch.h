@@ -27,12 +27,13 @@
 /// deterministic. The `cache`, `time_ms`, `iterations` and
 /// `iterations_replayed` fields describe *execution* (who hit the shared
 /// cache, how long the winning run took, how much of the fixpoint was
-/// replayed) and may differ between a parallel and a serial cold run. A
-/// request textually identical to one still in flight waits for it and
-/// then hits the result cache, so duplicates are reported exactly as a
-/// serial run reports them (first one solves, the rest are cache hits).
-/// On a warm session every field, timing included, is byte-identical at
-/// any job count.
+/// replayed) and may differ between a parallel and a serial cold run.
+/// Requests are submitted under their requestKey, so the session's
+/// in-flight rule runs a request identical to one still running right
+/// after it, on the same worker, as a cache hit: duplicates are reported
+/// as serially (first one solves, the rest hit), here and across
+/// xsolved's clients. On a warm session every field, timing included, is
+/// byte-identical at any job count.
 ///
 /// The JSON-lines front end maps one request object per input line to
 /// one response object per output line; see README.md for the schema.
@@ -67,6 +68,11 @@ AnalysisResponse runRequest(AnalysisContext &Ctx, const AnalysisRequest &Req);
 /// calling thread (the serial API; see service/Session.h).
 AnalysisResponse runRequest(AnalysisSession &Session,
                             const AnalysisRequest &Req);
+
+/// The session queue key of \p Req (see AnalysisSession::submit): a
+/// nonzero 64-bit hash of the length-prefixed text of every field that
+/// can change the answer, so all but the id and the trace id.
+uint64_t requestKey(const AnalysisRequest &Req);
 
 /// Answers a whole batch on the session's workers, in input order (see
 /// the file comment for the determinism guarantee). The workers are idle

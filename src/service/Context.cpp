@@ -10,9 +10,6 @@
 #include "xtype/BuiltinDtds.h"
 #include "xtype/Compile.h"
 
-#include <fstream>
-#include <sstream>
-
 using namespace xsa;
 
 /// Default options with the shared fronts wired in; each may be null.
@@ -84,28 +81,8 @@ AnalysisContext::DtdEntry &AnalysisContext::loadDtd(const std::string &Name) {
   DtdEntry Entry;
   Span DtdSpan("parse.dtd");
   DtdSpan.arg("name", Name);
-  const Dtd *D = nullptr;
-  Dtd Parsed;
-  if (Name == "wikipedia") {
-    D = &wikipediaDtd();
-  } else if (Name == "smil") {
-    D = &smil10Dtd();
-  } else if (Name == "xhtml") {
-    D = &xhtml10StrictDtd();
-  } else {
-    std::ifstream In(Name);
-    if (!In) {
-      Entry.Error = "cannot read DTD " + Name;
-    } else {
-      std::ostringstream SS;
-      SS << In.rdbuf();
-      if (!parseDtd(SS.str(), Parsed, Entry.Error))
-        Parsed = Dtd();
-      else
-        D = &Parsed;
-    }
-  }
-  if (D) {
+  Dtd Storage;
+  if (const Dtd *D = xsa::loadDtd(Name, Storage, Entry.Error)) {
     Entry.Type = compileDtd(FF, *D);
     if (Stats)
       Stats->DtdCompilations.fetch_add(1, std::memory_order_relaxed);

@@ -110,13 +110,16 @@ void AnalysisSession::growLocked() {
     if (Contexts.size() <= Id)
       Contexts.push_back(
           std::make_unique<AnalysisContext>(&Cache, &Counters, &Fixpoints));
+    if (Slots.size() <= Id)
+      Slots.emplace_back();
     Threads.emplace_back(
         [this, Id, &Ctx = *Contexts[Id]] { workerMain(Id, Ctx); });
   }
 }
 
 AnalysisSession::Admission AnalysisSession::submit(Work W, int Priority,
-                                                   size_t Limit) {
+                                                   size_t Limit,
+                                                   uint64_t Key) {
   // The queue-wait stamp is 0 when tracing is off, keeping the disabled
   // path free of clock reads.
   uint64_t Stamp = Tracer::global().enabled() ? Tracer::nowNs() : 0;
@@ -124,11 +127,11 @@ AnalysisSession::Admission AnalysisSession::submit(Work W, int Priority,
     std::lock_guard<std::mutex> L(M);
     if (Closed)
       return Admission::Closed;
-    if (Queue.size() >= Limit)
+    if (Queue.size() + HandedOver >= Limit)
       return Admission::Full;
     if (Threads.empty())
       growLocked();
-    Queue.push_back({std::move(W), Priority, NextSeq++, Stamp});
+    Queue.push_back({std::move(W), Priority, NextSeq++, Stamp, Key});
     std::push_heap(Queue.begin(), Queue.end(), runsLater);
   }
   WorkCv.notify_one();
@@ -150,7 +153,7 @@ void AnalysisSession::quiesce() {
 
 size_t AnalysisSession::queued() const {
   std::lock_guard<std::mutex> L(M);
-  return Queue.size();
+  return Queue.size() + HandedOver;
 }
 
 void AnalysisSession::debugPause(bool P) {
@@ -173,13 +176,33 @@ void AnalysisSession::workerMain(size_t Id, AnalysisContext &Ctx) {
     std::pop_heap(Queue.begin(), Queue.end(), runsLater);
     Task T = std::move(Queue.back());
     Queue.pop_back();
+    // The in-flight rule: a worker running the same key takes the item.
+    auto Owner = std::find_if(Slots.begin(), Slots.end(),
+                              [&](const Slot &S) { return S.Key == T.Key; });
+    if (T.Key && Owner != Slots.end()) {
+      Owner->Handed.push_back(std::move(T));
+      ++HandedOver;
+      continue;
+    }
     ++Running;
-    L.unlock();
-    if (T.EnqueueNs)
-      Tracer::global().recordSpanFrom("pool.queue_wait", T.EnqueueNs);
-    T.W(Ctx);
-    T.W = nullptr; // captured state dies outside the lock
-    L.lock();
+    Slots[Id].Key = T.Key;
+    // Run T, then whatever was handed over meanwhile, before the key is
+    // cleared and this worker counts as idle.
+    for (;;) {
+      L.unlock();
+      if (T.EnqueueNs)
+        Tracer::global().recordSpanFrom("pool.queue_wait", T.EnqueueNs);
+      T.W(Ctx);
+      T.W = nullptr; // captured state dies outside the lock
+      L.lock();
+      std::deque<Task> &Handed = Slots[Id].Handed;
+      if (Handed.empty())
+        break;
+      T = std::move(Handed.front());
+      Handed.pop_front();
+      --HandedOver;
+    }
+    Slots[Id].Key = 0;
     if (--Running == 0 && Queue.empty())
       IdleCv.notify_all();
   }

@@ -22,6 +22,9 @@
 ///    (higher priority first, FIFO within a priority); thread W runs
 ///    every item it takes on context W. The threads start on the first
 ///    submit, so a session that only answers serial calls starts none.
+///    One in-flight rule serves both front ends: an item whose request
+///    key another worker is running goes to that worker, which runs it
+///    next on the same context, as a cache hit (see submit).
 ///
 /// Repeated or α-equivalent queries — the common case in query-optimizer
 /// and schema-audit workloads — are answered from the shared cache
@@ -51,6 +54,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -150,7 +154,14 @@ public:
   /// priority). Full when \p Limit items are already waiting, Closed
   /// after close(); \p W is dropped unrun in both cases. The first
   /// queued item starts the worker threads.
-  Admission submit(Work W, int Priority = 0, size_t Limit = NoLimit);
+  /// \p Key names the request \p W answers (requestKey, service/Batch.h);
+  /// 0 is none. A worker that pops \p W while another runs the same key
+  /// hands \p W to it: \p W runs right after that item, on its context,
+  /// having already won its place in priority order. It still runs \p W
+  /// itself, so a key collision only delays it. Handed-over items count
+  /// as waiting, toward \p Limit and queued().
+  Admission submit(Work W, int Priority = 0, size_t Limit = NoLimit,
+                   uint64_t Key = 0);
   /// Refuses every later submit. Work already queued still runs, even
   /// while paused.
   void close();
@@ -158,7 +169,7 @@ public:
   /// work did happens-before the return. Blocks forever while paused
   /// with work queued; never call it from a worker.
   void quiesce();
-  /// Items waiting for a worker.
+  /// Items waiting for a worker, handed-over ones included.
   size_t queued() const;
   /// Test hook: while paused the workers take nothing, so the queue
   /// fills deterministically. close() overrides the pause.
@@ -199,6 +210,13 @@ private:
     int Priority = 0;
     uint64_t Seq = 0;       ///< admission order
     uint64_t EnqueueNs = 0; ///< tracer stamp at submit; 0 = tracing off
+    uint64_t Key = 0;       ///< request key; 0 = none
+  };
+  /// What one worker runs: the key of its current item (0 when idle or
+  /// keyless) and the items of that key handed to it, in pop order.
+  struct Slot {
+    uint64_t Key = 0;
+    std::deque<Task> Handed;
   };
   /// Heap order of Queue: the top is the highest priority, then the
   /// earliest admitted.
@@ -220,8 +238,11 @@ private:
   std::condition_variable IdleCv; ///< quiesce() waits for idle
   size_t Jobs = 1;                ///< guarded by M
   std::vector<Task> Queue;        ///< heap by runsLater; guarded by M
+  /// Slot W belongs to worker W; grown with Threads. Guarded by M.
+  std::vector<Slot> Slots;
+  size_t HandedOver = 0;          ///< items in all Slots' Handed; guarded by M
   uint64_t NextSeq = 0;           ///< guarded by M
-  size_t Running = 0;             ///< items on a worker; guarded by M
+  size_t Running = 0;             ///< workers running items; guarded by M
   bool Paused = false, Closed = false; ///< guarded by M
   std::vector<std::thread> Threads; ///< worker W is Threads[W]; guarded by M
 };

@@ -67,13 +67,6 @@ NodeId Document::follow(NodeId N, int A) const {
   return InvalidNodeId;
 }
 
-std::vector<NodeId> Document::allNodes() const {
-  std::vector<NodeId> All(Nodes.size());
-  for (size_t I = 0; I < Nodes.size(); ++I)
-    All[I] = static_cast<NodeId>(I);
-  return All;
-}
-
 TreeRef Document::toTree(NodeId N) const {
   // Build the children list back to front to share cons cells.
   std::vector<NodeId> Children;

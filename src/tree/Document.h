@@ -95,9 +95,6 @@ public:
   void setMark(NodeId N) { Mark = N; }
   bool isMarked(NodeId N) const { return Mark == N; }
 
-  /// All node ids in document (pre)order.
-  std::vector<NodeId> allNodes() const;
-
   /// Converts the subtree rooted at \p N into the shared Tree structure.
   TreeRef toTree(NodeId N) const;
 

@@ -143,11 +143,6 @@ Formula compilePathBack(FormulaFactory &FF, const PathRef &Path, Formula Chi) {
 
 } // namespace
 
-Formula xsa::compileQualif(FormulaFactory &FF, const QualifRef &Q,
-                           Formula Chi) {
-  return compileQualifRec(FF, Q, Chi);
-}
-
 Formula xsa::compilePath(FormulaFactory &FF, const PathRef &Path,
                          Formula Chi) {
   switch (Path->K) {

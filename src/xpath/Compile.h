@@ -42,9 +42,6 @@ Formula compileXPath(FormulaFactory &FF, const ExprRef &E, Formula Chi);
 /// P→⟦p⟧χ (Fig. 8).
 Formula compilePath(FormulaFactory &FF, const PathRef &P, Formula Chi);
 
-/// Q←⟦q⟧χ (Fig. 10).
-Formula compileQualif(FormulaFactory &FF, const QualifRef &Q, Formula Chi);
-
 /// µZ.(¬⟨1̄⟩⊤ ∧ (¬⟨2̄⟩⊤ ∨ ⟨2̄⟩Z)): the focus is at the root. This is the
 /// restriction §5.2 recommends conjoining to a type formula when the
 /// type is used by an absolute XPath expression, so that the query's

@@ -2,12 +2,53 @@
 
 #include "xtype/BuiltinDtds.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace xsa;
 
 namespace {
+
+/// Reads the regular file \p Path whole into \p Text; see loadDtd.
+bool readDtdFile(const std::string &Path, std::string &Text,
+                 std::string &Error) {
+  auto Fail = [&](const std::string &Why) {
+    Error = "cannot read DTD " + Path + ": " + Why;
+    return false;
+  };
+  auto Errno = [] { return std::generic_category().message(errno); };
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  if (Fd < 0)
+    return Fail(Errno());
+  struct stat St;
+  bool Ok = true;
+  if (::fstat(Fd, &St) != 0)
+    Ok = Fail(Errno());
+  else if (!S_ISREG(St.st_mode))
+    Ok = Fail("not a regular file");
+  char Buf[1 << 16];
+  while (Ok) {
+    ssize_t N = ::read(Fd, Buf, sizeof Buf);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0)
+      Ok = Fail(Errno());
+    else if (N == 0)
+      break;
+    else if (Text.size() + static_cast<size_t>(N) > MaxDtdFileBytes)
+      Ok = Fail("larger than " + std::to_string(MaxDtdFileBytes) + " bytes");
+    else
+      Text.append(Buf, static_cast<size_t>(N));
+  }
+  ::close(Fd);
+  return Ok;
+}
 
 const Dtd &parseBuiltin(const char *Name, const char *Text, const char *Root) {
   auto *D = new Dtd(); // intentionally immortal (function-local static use)
@@ -186,4 +227,18 @@ const Dtd &xsa::xhtml10StrictDtd() {
   static const Dtd &D =
       parseBuiltin("xhtml-1.0-strict", Xhtml10StrictDtdText, "html");
   return D;
+}
+
+const Dtd *xsa::loadDtd(const std::string &Name, Dtd &Storage,
+                        std::string &Error) {
+  if (Name == "wikipedia")
+    return &wikipediaDtd();
+  if (Name == "smil")
+    return &smil10Dtd();
+  if (Name == "xhtml")
+    return &xhtml10StrictDtd();
+  std::string Text;
+  if (!readDtdFile(Name, Text, Error) || !parseDtd(Text, Storage, Error))
+    return nullptr;
+  return &Storage;
 }

@@ -5,7 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The three document types used in the paper:
+/// The three document types used in the paper, and the one loader that
+/// resolves a DTD name — builtin or file — for every front end.
+///
+/// The builtins:
 ///
 ///  * the Wikipedia DTD fragment of Figure 12 (verbatim);
 ///  * SMIL 1.0 (19 element symbols — Table 1), transcribed from the W3C
@@ -33,6 +36,19 @@ const Dtd &smil10Dtd();
 
 /// XHTML 1.0 Strict structure (root: html).
 const Dtd &xhtml10StrictDtd();
+
+/// Longest DTD file loadDtd reads, in bytes.
+constexpr size_t MaxDtdFileBytes = size_t(1) << 20;
+
+/// The DTD \p Name names: a builtin ("wikipedia", "smil", "xhtml"), or
+/// else a file path, parsed into \p Storage. Requests name paths on
+/// behalf of remote clients, so a file is opened non-blocking and read
+/// only when it is a regular file, and at most MaxDtdFileBytes of it,
+/// counted while reading: a FIFO or a device is refused at once instead
+/// of blocking the caller or reading without end. Returns null with
+/// \p Error naming the path and the reason when the file is refused,
+/// unreadable or not a valid DTD.
+const Dtd *loadDtd(const std::string &Name, Dtd &Storage, std::string &Error);
 
 } // namespace xsa
 

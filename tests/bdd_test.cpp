@@ -3,7 +3,7 @@
 // The symbolic solver (§7 of the paper) is only as correct as this
 // substrate, so we test it exhaustively against truth tables on small
 // variable counts, plus targeted tests for quantification, relational
-// products, restriction, model counting, extraction and GC.
+// products, renaming, extraction and GC.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,17 @@
 using namespace xsa;
 
 namespace {
+
+/// The value of \p F when variable V is bit V of \p Asg, read by walking
+/// the node structure: the truth-table oracle of the tests below.
+bool eval(const BddManager &M, const Bdd &F, unsigned Asg) {
+  uint32_t N = F.node();
+  while (N != BddManager::ZeroNode && N != BddManager::OneNode) {
+    BddManager::RawNode Nd = M.rawNode(N);
+    N = (Asg >> Nd.Var) & 1 ? Nd.High : Nd.Low;
+  }
+  return N == BddManager::OneNode;
+}
 
 TEST(Bdd, Constants) {
   BddManager M;
@@ -60,21 +71,22 @@ TEST(Bdd, NegationIsInvolutive) {
   EXPECT_EQ(!(!F), F);
 }
 
-TEST(Bdd, ExistsAndForall) {
+TEST(Bdd, Exists) {
   BddManager M(3);
   Bdd X = M.var(0), Y = M.var(1), Z = M.var(2);
   Bdd F = (X & Y) | (Z & !Y);
   Bdd CY = M.cube({1});
   // exists y. F = X | Z (y=1 gives X, y=0 gives Z)
   EXPECT_EQ(M.exists(F, CY), X | Z);
-  // forall y. F = X & Z
-  EXPECT_EQ(M.forall(F, CY), X & Z);
   // Quantifying a variable not in the support is the identity.
   Bdd C3 = M.cube({3});
   EXPECT_EQ(M.exists(F, C3), F);
   // Quantifying everything collapses to a constant.
   EXPECT_EQ(M.exists(F, M.cube({0, 1, 2})), M.one());
-  EXPECT_EQ(M.forall(F, M.cube({0, 1, 2})), M.zero());
+  // Quantification is idempotent and distributes over ∨.
+  Bdd G = Y.implies(Z);
+  EXPECT_EQ(M.exists(M.exists(F, CY), CY), M.exists(F, CY));
+  EXPECT_EQ(M.exists(F | G, CY), M.exists(F, CY) | M.exists(G, CY));
 }
 
 TEST(Bdd, AndExistsMatchesComposition) {
@@ -86,16 +98,6 @@ TEST(Bdd, AndExistsMatchesComposition) {
   EXPECT_EQ(M.andExists(F, G, C), M.exists(F & G, C));
 }
 
-TEST(Bdd, CofactorAndRestrict) {
-  BddManager M(3);
-  Bdd X = M.var(0), Y = M.var(1), Z = M.var(2);
-  Bdd F = (X & Y) | Z;
-  EXPECT_EQ(M.cofactor(F, 0, true), Y | Z);
-  EXPECT_EQ(M.cofactor(F, 0, false), Z);
-  EXPECT_EQ(M.restrict(F, {{0, true}, {1, true}}), M.one());
-  EXPECT_EQ(M.restrict(F, {{0, false}, {2, false}}), M.zero());
-}
-
 TEST(Bdd, SatOneFindsAModel) {
   BddManager M(4);
   Bdd F = (M.var(0) ^ M.var(1)) & M.var(3);
@@ -105,17 +107,6 @@ TEST(Bdd, SatOneFindsAModel) {
   EXPECT_TRUE(Values[3]);
   EXPECT_FALSE(M.satOne(M.zero(), Values));
   ASSERT_TRUE(M.satOne(M.one(), Values));
-}
-
-TEST(Bdd, SatCount) {
-  BddManager M(3);
-  Bdd X = M.var(0), Y = M.var(1);
-  EXPECT_DOUBLE_EQ(M.satCount(M.one(), 3), 8.0);
-  EXPECT_DOUBLE_EQ(M.satCount(M.zero(), 3), 0.0);
-  EXPECT_DOUBLE_EQ(M.satCount(X, 3), 4.0);
-  EXPECT_DOUBLE_EQ(M.satCount(X & Y, 3), 2.0);
-  EXPECT_DOUBLE_EQ(M.satCount(X ^ Y, 3), 4.0);
-  EXPECT_DOUBLE_EQ(M.satCount(X, 1), 1.0); // only x=1 over domain {x}
 }
 
 TEST(Bdd, Support) {
@@ -145,7 +136,8 @@ TEST(Bdd, GcKeepsLiveNodes) {
   EXPECT_LE(M.numNodes(), Before);
   // The kept function still works after collection.
   EXPECT_EQ(Keep & M.var(0), Keep);
-  EXPECT_EQ(M.cofactor(Keep, 0, true), M.var(1));
+  for (unsigned Asg = 0; Asg < 4; ++Asg)
+    EXPECT_EQ(eval(M, Keep, Asg), Asg == 3) << "assignment " << Asg;
 }
 
 TEST(Bdd, RemapVarsShiftsMonotonically) {
@@ -167,20 +159,6 @@ TEST(Bdd, RemapVarsShiftsMonotonically) {
   EXPECT_EQ(M.remapVars(M.one(), Map), M.one());
 }
 
-TEST(Bdd, QuantifierDuality) {
-  BddManager M(4);
-  Bdd F = (M.var(0) & M.var(1)) ^ (M.var(2) | M.var(3));
-  Bdd C = M.cube({1, 3});
-  // ∀x.F = ¬∃x.¬F.
-  EXPECT_EQ(M.forall(F, C), !M.exists(!F, C));
-  // Quantification is idempotent.
-  EXPECT_EQ(M.exists(M.exists(F, C), C), M.exists(F, C));
-  // ∃ distributes over ∨, ∀ over ∧.
-  Bdd G = M.var(1).implies(M.var(2));
-  EXPECT_EQ(M.exists(F | G, C), M.exists(F, C) | M.exists(G, C));
-  EXPECT_EQ(M.forall(F & G, C), M.forall(F, C) & M.forall(G, C));
-}
-
 TEST(Bdd, AndExistsOnDisjointSupports) {
   BddManager M(6);
   Bdd F = M.var(0) & M.var(1);
@@ -189,13 +167,6 @@ TEST(Bdd, AndExistsOnDisjointSupports) {
   EXPECT_EQ(M.andExists(F, G, M.cube({2, 3})), F & G);
   // Quantifying G's support out of F∧G leaves F scaled by SAT(G).
   EXPECT_EQ(M.andExists(F, G, M.cube({4, 5})), F);
-}
-
-TEST(Bdd, NodeCount) {
-  BddManager M(3);
-  EXPECT_EQ(M.one().nodeCount(), 1u);
-  EXPECT_EQ(M.var(0).nodeCount(), 2u);
-  EXPECT_GE((M.var(0) ^ M.var(1) ^ M.var(2)).nodeCount(), 4u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -263,17 +234,10 @@ TEST_P(BddRandomTest, AgreesWithTruthTable) {
       break;
     }
     }
-    // Verify against the truth table via restrict.
-    for (unsigned Asg = 0; Asg < 16; ++Asg) {
-      std::vector<std::pair<unsigned, bool>> Assignment;
-      for (unsigned V = 0; V < 4; ++V)
-        Assignment.push_back({V, ((Asg >> V) & 1) != 0});
-      bool Expected = (R.Table >> Asg) & 1;
-      Bdd Restricted = M.restrict(R.F, Assignment);
-      ASSERT_TRUE(Restricted.isConst());
-      ASSERT_EQ(Restricted.isOne(), Expected)
+    // Verify against the truth table.
+    for (unsigned Asg = 0; Asg < 16; ++Asg)
+      ASSERT_EQ(eval(M, R.F, Asg), ((R.Table >> Asg) & 1) != 0)
           << "step " << Step << " assignment " << Asg;
-    }
     Pool.push_back(R);
     if (Pool.size() > 40)
       Pool.erase(Pool.begin() + 6); // keep leaves
@@ -297,14 +261,8 @@ TEST(Snapshot, RoundTripsWithinAndAcrossManagers) {
   // A fresh manager rebuilds the same function over the same variables.
   BddManager M2;
   Bdd G = importSnapshot(M2, S);
-  for (unsigned Asg = 0; Asg < 64; ++Asg) {
-    std::vector<std::pair<unsigned, bool>> Assignment;
-    for (unsigned V = 0; V < 6; ++V)
-      Assignment.push_back({V, ((Asg >> V) & 1) != 0});
-    EXPECT_EQ(M2.restrict(G, Assignment).isOne(),
-              M.restrict(F, Assignment).isOne())
-        << "assignment " << Asg;
-  }
+  for (unsigned Asg = 0; Asg < 64; ++Asg)
+    EXPECT_EQ(eval(M2, G, Asg), eval(M, F, Asg)) << "assignment " << Asg;
 }
 
 TEST(Snapshot, ConstantsAndVarRemap) {

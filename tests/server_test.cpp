@@ -6,9 +6,10 @@
 // The load-bearing property is the shared-session determinism contract:
 // concurrent clients reading through one shared cache receive responses
 // byte-identical to a serial `xsolve batch --stable` run of the same
-// lines. Admission control (overloaded), deadlines (deadline_exceeded)
-// and graceful drain (draining) are exercised deterministically through
-// the session's debugPause test hook.
+// lines, and identical requests in flight reach the fixpoint once.
+// Admission control (overloaded), deadlines (deadline_exceeded), the
+// in-flight rule and graceful drain (draining) are exercised
+// deterministically through the session's debugPause test hook.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace xsa;
 
@@ -165,15 +170,41 @@ TEST(Server, ConcurrentClientsGetByteIdenticalResponses) {
   EXPECT_EQ(Got[0], Reference);
   EXPECT_EQ(Got[1], Reference);
 
-  // The shared cache was actually shared: the 24 lines contain 18
-  // well-formed requests, so two clients make 36 passes. Racing
-  // duplicates may both solve (both legitimately report miss — see the
-  // determinism guarantee), so the exact solve count varies, but well
-  // under one solve per pass, with the rest answered from the shared
-  // cache.
+  // The shared cache was actually shared: the 24 lines hold 18 distinct
+  // well-formed requests, and each reached the fixpoint once. A request
+  // identical to one in flight runs after it on the same worker (the
+  // session's in-flight rule), so the other client's copy is a hit.
   SessionStats S = F.Server.session().stats();
-  EXPECT_GT(S.Cache.Hits, 0u);
-  EXPECT_LT(S.Solves, 36u);
+  EXPECT_EQ(S.Solves, 18u);
+  EXPECT_EQ(S.Cache.Hits, 18u);
+}
+
+TEST(Server, IdenticalRequestsInFlightSolveOnce) {
+  // Two connections admit the same request while the session is paused;
+  // on resume both workers pop at once. The second finds the first's
+  // key running and hands its item over: one solve, one hit.
+  ServerFixture F(stableServerOptions(2));
+  F.Server.session().debugPause(true);
+  auto Ns = F.Server.namespaceState("default");
+  const std::string Line =
+      "{\"id\":\"dup\",\"op\":\"contains\",\"e1\":\"/a/b\",\"e2\":\"//b\"}";
+  LineClient A = F.connect();
+  LineClient B = F.connect();
+  ASSERT_TRUE(A.sendLine(Line));
+  ASSERT_TRUE(B.sendLine(Line));
+  for (int I = 0; I < 500 && Ns->Requests.load() < 2; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_EQ(Ns->Requests.load(), 2u);
+  F.Server.session().debugPause(false);
+  std::string RA, RB;
+  ASSERT_TRUE(A.recvLine(RA));
+  ASSERT_TRUE(B.recvLine(RB));
+  EXPECT_EQ(RA + "\n", serialReference({Line}));
+  EXPECT_EQ(RB, RA);
+  EXPECT_NE(RA.find("\"ok\":true,\"holds\":true"), std::string::npos) << RA;
+  SessionStats S = F.Server.session().stats();
+  EXPECT_EQ(S.Solves, 1u);
+  EXPECT_EQ(S.Cache.Hits, 1u);
 }
 
 TEST(Server, PipelinedFloodNeverBlocksTheServer) {
@@ -498,6 +529,54 @@ TEST(Server, UndeclaredDtdElementIsAnsweredAndTheServerGoesOn) {
   EXPECT_NE(Resp.find("\"id\":\"next\",\"ok\":true"), std::string::npos)
       << Resp;
   std::remove(Dtd.c_str());
+}
+
+TEST(Server, FifoNamedAsDtdIsRefusedAndTheServerGoesOn) {
+  // A request may name a FIFO that nothing ever writes to as its DTD.
+  // Opened blocking, it would hold the only worker forever; the loader
+  // refuses it at once, so both answers arrive well within the 10 s
+  // watchdog (polled, so a wedged server fails instead of hanging).
+  std::string Fifo = ::testing::TempDir() + "/xsolved_dtd.fifo";
+  std::remove(Fifo.c_str());
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0);
+  ServerFixture F(stableServerOptions(1));
+  LineClient C = F.connect();
+  ASSERT_TRUE(C.sendLine("{\"id\":\"fifo\",\"op\":\"empty\",\"e1\":\"/a\","
+                         "\"dtd\":\"" + Fifo + "\"}"));
+  ASSERT_TRUE(C.sendLine("{\"id\":\"next\",\"op\":\"contains\","
+                         "\"e1\":\"/a/b\",\"e2\":\"//b\"}"));
+  std::vector<std::string> Resps;
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (Resps.size() < 2 && std::chrono::steady_clock::now() < Deadline) {
+    std::string Resp;
+    bool Closed = false;
+    if (C.pollLine(Resp, Closed))
+      Resps.push_back(Resp);
+    else if (Closed)
+      break;
+    else
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (Resps.size() < 2) {
+    // Release a worker stuck opening the FIFO, so the fixture's drain
+    // returns and the failure is reported instead of hanging.
+    int W = ::open(Fifo.c_str(), O_WRONLY | O_NONBLOCK);
+    if (W >= 0)
+      ::close(W);
+  }
+  ASSERT_EQ(Resps.size(), 2u) << "no answer within 10 s";
+  std::string Error;
+  JsonRef R = parseJson(Resps[0], Error);
+  ASSERT_NE(R, nullptr) << Error;
+  EXPECT_EQ(R->str("id"), "fifo");
+  EXPECT_FALSE(R->get("ok")->asBool());
+  EXPECT_EQ(R->get("error")->str("code"), "bad_request");
+  EXPECT_NE(R->get("error")->str("message").find("not a regular file"),
+            std::string::npos)
+      << Resps[0];
+  EXPECT_NE(Resps[1].find("\"id\":\"next\",\"ok\":true"), std::string::npos)
+      << Resps[1];
+  std::remove(Fifo.c_str());
 }
 
 TEST(Server, NamespacesIsolateAccountingNotResults) {

@@ -9,7 +9,9 @@
 //
 // The parallel engine is covered too: the session's worker pool
 // (priority order, admission limit, close, quiesce, resizing with warm
-// contexts), a stream that answers each line before the next is read,
+// contexts, and the in-flight rule that hands an item to the worker
+// running its key), a stream that answers each line before the next is
+// read, DTD files read bounded (a FIFO and an oversized file refused),
 // the sharded thread-safe result cache (including a single-shard stress
 // test meant to run under TSan), determinism of multi-worker batches — a
 // warm N-thread batch must produce byte-identical JSON to the 1-thread
@@ -25,6 +27,7 @@
 #include "logic/Parser.h"
 #include "xpath/Compile.h"
 #include "xpath/Parser.h"
+#include "xtype/BuiltinDtds.h"
 
 #include <gtest/gtest.h>
 
@@ -39,6 +42,8 @@
 #include <sstream>
 #include <streambuf>
 #include <thread>
+
+#include <sys/stat.h>
 
 using namespace xsa;
 
@@ -68,7 +73,6 @@ TEST(Canonicalize, AlphaEquivalentFormulasShareOneNode) {
   Formula B = parse(FF, "let $Y = a | <1>$Y in $Y");
   EXPECT_NE(A, B) << "distinct binder names intern differently";
   EXPECT_EQ(FF.canonicalize(A), FF.canonicalize(B));
-  EXPECT_EQ(FF.canonicalHash(A), FF.canonicalHash(B));
 }
 
 TEST(Canonicalize, DistinctFormulasStayDistinct) {
@@ -606,6 +610,58 @@ TEST(BatchJsonLines, UndeclaredDtdElementsAreBadRequests) {
     std::remove(Path.c_str());
 }
 
+TEST(BatchJsonLines, DtdFilesAreReadBoundedAndRegularOnly) {
+  // A request may name any path as its DTD. A FIFO is refused at once —
+  // nothing ever writes to this one, so a blocking open would wedge the
+  // worker — and so is a file past MaxDtdFileBytes; both are ordinary
+  // bad_request answers naming the path, and the stream goes on.
+  std::string Dir = testing::TempDir();
+  std::string Fifo = Dir + "xsa_dtd_test.fifo";
+  std::remove(Fifo.c_str());
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0);
+  // Padded with a comment to exactly \p Bytes bytes.
+  auto Write = [&](const std::string &Name, size_t Bytes) {
+    std::string Text = "<!ELEMENT a EMPTY>\n<!--";
+    Text += std::string(Bytes - Text.size() - 4, 'x') + "-->\n";
+    std::ofstream(Dir + Name) << Text;
+    return Dir + Name;
+  };
+  std::string AtBound = Write("xsa_dtd_at_bound.dtd", MaxDtdFileBytes);
+  std::string Over = Write("xsa_dtd_over_bound.dtd", MaxDtdFileBytes + 1);
+  auto Line = [](const std::string &Id, const std::string &Dtd) {
+    return R"({"id":")" + Id + R"(","op":"empty","e1":"/a","dtd":")" + Dtd +
+           "\"}\n";
+  };
+  std::string Input = Line("fifo", Fifo) +
+                      R"({"id":"after","op":"empty","e1":"//b"})" "\n" +
+                      Line("over", Over) + Line("bound", AtBound) +
+                      Line("builtin", "wikipedia");
+  for (size_t Jobs : {1, 2}) {
+    SCOPED_TRACE(Jobs);
+    SessionOptions Opts;
+    Opts.Jobs = Jobs;
+    AnalysisSession Session(Opts);
+    std::vector<JsonRef> Resps = runLines(Session, Input);
+    ASSERT_EQ(Resps.size(), 5u);
+    const char *Ids[] = {"fifo", "after", "over", "bound", "builtin"};
+    const bool Ok[] = {false, true, false, true, true};
+    for (size_t I = 0; I < 5; ++I) {
+      SCOPED_TRACE(Resps[I]->dump());
+      EXPECT_EQ(Resps[I]->str("id"), Ids[I]);
+      EXPECT_EQ(Resps[I]->get("ok")->asBool(), Ok[I]);
+    }
+    JsonRef FifoError = Resps[0]->get("error");
+    EXPECT_EQ(FifoError->str("code"), "bad_request");
+    EXPECT_NE(FifoError->str("message").find(Fifo + ": not a regular file"),
+              std::string::npos);
+    EXPECT_NE(Resps[2]->get("error")->str("message").find(
+                  Over + ": larger than 1048576 bytes"),
+              std::string::npos);
+  }
+  for (const std::string &Path : {Fifo, AtBound, Over})
+    std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Session worker pool
 //===----------------------------------------------------------------------===//
@@ -690,6 +746,138 @@ TEST(SessionPool, QuiesceWaitsForQueuedAndRunningWork) {
   EXPECT_EQ(Done.load(), 5);
   EXPECT_EQ(Session.queued(), 0u);
   Releaser.join();
+}
+
+/// A one-shot latch. wait() gives up after 10 s, so a broken rule fails
+/// the test instead of hanging it.
+struct Latch {
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Open = false;
+  void open() {
+    std::lock_guard<std::mutex> L(Mu);
+    Open = true;
+    Cv.notify_all();
+  }
+  bool wait() {
+    std::unique_lock<std::mutex> L(Mu);
+    return Cv.wait_for(L, std::chrono::seconds(10), [&] { return Open; });
+  }
+};
+
+TEST(SessionPool, SameKeyRunsAfterTheRunningItemOnItsWorker) {
+  // Declared before the session, whose destructor joins the workers.
+  Latch AStarted, KeylessRan, Release;
+  std::atomic<int> Running{0}, MaxRunning{0};
+  std::atomic<bool> ADone{false}, BSawADone{false};
+  AnalysisContext *ACtx = nullptr, *BCtx = nullptr, *CCtx = nullptr;
+  SessionOptions Opts;
+  Opts.Jobs = 2;
+  AnalysisSession Session(Opts);
+  constexpr uint64_t Key = 7;
+  auto Enter = [&] {
+    int N = Running.fetch_add(1) + 1;
+    int Max = MaxRunning.load();
+    while (N > Max && !MaxRunning.compare_exchange_weak(Max, N)) {
+    }
+  };
+  auto A = [&](AnalysisContext &Ctx) {
+    Enter();
+    ACtx = &Ctx;
+    AStarted.open();
+    EXPECT_TRUE(Release.wait());
+    ADone.store(true);
+    Running.fetch_sub(1);
+  };
+  auto B = [&](AnalysisContext &Ctx) {
+    Enter();
+    BCtx = &Ctx;
+    BSawADone.store(ADone.load());
+    Running.fetch_sub(1);
+  };
+  auto C = [&](AnalysisContext &Ctx) {
+    CCtx = &Ctx;
+    KeylessRan.open();
+  };
+  ASSERT_EQ(Session.submit(A, 0, AnalysisSession::NoLimit, Key),
+            Admission::Queued);
+  ASSERT_TRUE(AStarted.wait());
+  // The idle worker pops B, finds its key running and hands it over;
+  // then it pops C, which has no key, and runs it.
+  ASSERT_EQ(Session.submit(B, 0, AnalysisSession::NoLimit, Key),
+            Admission::Queued);
+  ASSERT_EQ(Session.submit(C), Admission::Queued);
+  ASSERT_TRUE(KeylessRan.wait());
+  EXPECT_EQ(Session.queued(), 1u) << "the handed-over item still waits";
+  EXPECT_EQ(Session.submit([](AnalysisContext &) {}, 0, 1), Admission::Full)
+      << "and it counts toward the caller's limit";
+  Release.open();
+  Session.quiesce();
+  EXPECT_EQ(Session.queued(), 0u);
+  EXPECT_EQ(BCtx, ACtx) << "B ran on the worker that ran A";
+  EXPECT_NE(CCtx, ACtx);
+  EXPECT_TRUE(BSawADone.load()) << "B ran after A";
+  EXPECT_EQ(MaxRunning.load(), 1) << "never at the same time";
+}
+
+TEST(SessionPool, KeyZeroNeverWaits) {
+  Latch BRan;
+  std::atomic<bool> AWaitedForB{false};
+  SessionOptions Opts;
+  Opts.Jobs = 2;
+  AnalysisSession Session(Opts);
+  // A finishes only once B ran: with key 0 on both, B must run on the
+  // other worker while A is still running.
+  auto A = [&](AnalysisContext &) { AWaitedForB.store(BRan.wait()); };
+  auto B = [&](AnalysisContext &) { BRan.open(); };
+  ASSERT_EQ(Session.submit(A), Admission::Queued);
+  ASSERT_EQ(Session.submit(B), Admission::Queued);
+  Session.quiesce();
+  EXPECT_TRUE(AWaitedForB.load());
+}
+
+TEST(SessionPool, RequestsSharingAKeyEachGetTheirOwnAnswer) {
+  // A key collision: two different requests submitted under one key.
+  // The second is handed to the first's worker, yet answers itself.
+  Latch KeylessRan;
+  AnalysisResponse First, Second;
+  AnalysisContext *FirstCtx = nullptr, *SecondCtx = nullptr;
+  AnalysisRequest Holds, Fails;
+  Holds.Id = "holds";
+  Holds.Kind = Fails.Kind = RequestKind::Containment;
+  Holds.Query1 = "/a/b";
+  Holds.Query2 = "//b";
+  Fails.Id = "fails";
+  Fails.Query1 = "//b";
+  Fails.Query2 = "/a/b";
+  SessionOptions Opts;
+  Opts.Jobs = 2;
+  AnalysisSession Session(Opts);
+  constexpr uint64_t Key = 42;
+  auto RunFirst = [&](AnalysisContext &Ctx) {
+    EXPECT_TRUE(KeylessRan.wait()); // the second item has been popped
+    FirstCtx = &Ctx;
+    First = runRequest(Ctx, Holds);
+  };
+  auto RunSecond = [&](AnalysisContext &Ctx) {
+    SecondCtx = &Ctx;
+    Second = runRequest(Ctx, Fails);
+  };
+  ASSERT_EQ(Session.submit(RunFirst, 0, AnalysisSession::NoLimit, Key),
+            Admission::Queued);
+  ASSERT_EQ(Session.submit(RunSecond, 0, AnalysisSession::NoLimit, Key),
+            Admission::Queued);
+  ASSERT_EQ(Session.submit([&](AnalysisContext &) { KeylessRan.open(); }),
+            Admission::Queued);
+  Session.quiesce();
+  EXPECT_EQ(SecondCtx, FirstCtx) << "handed over";
+  ASSERT_TRUE(First.Ok) << First.Error;
+  ASSERT_TRUE(Second.Ok) << Second.Error;
+  EXPECT_EQ(First.Id, "holds");
+  EXPECT_TRUE(First.Holds);
+  EXPECT_EQ(Second.Id, "fails");
+  EXPECT_FALSE(Second.Holds);
+  EXPECT_EQ(Session.stats().Solves, 2u);
 }
 
 TEST(SessionPool, SetJobsDownAndUpKeepsWorkerContextsWarm) {
