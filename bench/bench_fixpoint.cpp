@@ -21,9 +21,11 @@
 //   * a store-warm batch of *unseen* same-shaped queries seeds every
 //     solver run, and matches its own unshared reference.
 //
-// A last, ungated row times one XHTML-scale single query
-// (xhtml-single-query) and records its BDD work: bdd_mk_calls and
-// bdd_peak_nodes.
+// Two last rows, gated in CI on their counts only, time one XHTML-scale
+// query each and record its BDD work (bdd_mk_calls and bdd_peak_nodes):
+// xhtml-single-query, a containment that holds, and xhtml-sat-extract,
+// one that does not (//p ⊆ //p[b]), whose time is mostly model
+// extraction.
 //
 // Results go to BENCH_fixpoint.json; every row carries name, wall_ms,
 // cache_hit_rate, solver_iterations, iterations_computed,
@@ -221,30 +223,38 @@ int main() {
   if (Warm.StableOut != runUnshared(Unseen).StableOut)
     Fail("warm-store output differs from the unshared reference");
 
-  // One XHTML-scale single query. Next to wall time the row records
-  // machine-independent counters, so rows from different hosts compare:
-  // bdd_mk_calls (the change in xsa_bdd_unique_lookups_total over the
-  // run) and bdd_peak_nodes (the run's peak live BDD nodes). The solver
-  // registered both series during the rows above.
-  const std::string XhtmlQuery =
-      "{\"id\":\"x1\",\"op\":\"contains\",\"e1\":\"/html//p\","
-      "\"e2\":\"//p\",\"dtd\":\"xhtml\"}\n";
+  // Two XHTML-scale single queries, each on a fresh session. Next to
+  // wall time each row records machine-independent counters, so rows from
+  // different hosts compare: bdd_mk_calls (the change in
+  // xsa_bdd_unique_lookups_total over the run) and bdd_peak_nodes (the
+  // run's peak live BDD nodes). The solver registered both series during
+  // the rows above. The first query holds (no model); the second does not,
+  // so its row also covers model extraction.
   Counter &MkCalls =
       MetricRegistry::global().counter("xsa_bdd_unique_lookups_total");
-  uint64_t MkBefore = MkCalls.value();
-  AnalysisSession XS;
-  RunOutcome X = runBatchOn(XS, XhtmlQuery);
-  double XMk = static_cast<double>(MkCalls.value() - MkBefore);
-  double XPeak = MetricRegistry::global().gauge("xsa_bdd_peak_nodes").value();
-  std::vector<std::pair<std::string, double>> XExtras = extras(X.Stats, X);
-  XExtras.push_back({"bdd_mk_calls", XMk});
-  XExtras.push_back({"bdd_peak_nodes", XPeak});
-  Json.record("xhtml-single-query", X.WallMs, xsa_bench::sessionHitRate(XS),
-              std::move(XExtras));
-  std::fprintf(stderr,
-               "bench_fixpoint: xhtml single query wall ms %.2f, "
-               "%.0f mk calls, %.0f peak nodes\n",
-               X.WallMs, XMk, XPeak);
+  auto XhtmlRow = [&](const char *Name, const std::string &Query) {
+    uint64_t MkBefore = MkCalls.value();
+    AnalysisSession XS;
+    RunOutcome X = runBatchOn(XS, Query);
+    double XMk = static_cast<double>(MkCalls.value() - MkBefore);
+    double XPeak =
+        MetricRegistry::global().gauge("xsa_bdd_peak_nodes").value();
+    std::vector<std::pair<std::string, double>> XExtras = extras(X.Stats, X);
+    XExtras.push_back({"bdd_mk_calls", XMk});
+    XExtras.push_back({"bdd_peak_nodes", XPeak});
+    Json.record(Name, X.WallMs, xsa_bench::sessionHitRate(XS),
+                std::move(XExtras));
+    std::fprintf(stderr,
+                 "bench_fixpoint: %s wall ms %.2f, %.0f mk calls, %.0f peak "
+                 "nodes\n",
+                 Name, X.WallMs, XMk, XPeak);
+  };
+  XhtmlRow("xhtml-single-query",
+           "{\"id\":\"x1\",\"op\":\"contains\",\"e1\":\"/html//p\","
+           "\"e2\":\"//p\",\"dtd\":\"xhtml\"}\n");
+  XhtmlRow("xhtml-sat-extract",
+           "{\"id\":\"x2\",\"op\":\"contains\",\"e1\":\"//p\","
+           "\"e2\":\"//p[b]\",\"dtd\":\"xhtml\"}\n");
 
   std::fprintf(stderr, "bench_fixpoint: %s\n", Ok ? "PASS" : "FAIL");
   return Ok ? 0 : 1;

@@ -16,7 +16,10 @@
 //   closed_disjoint_cold_jobsN
 //                       4 clients x 100 requests of their own, fresh
 //                       server: 400 distinct solves, so jobs=4 should
-//                       take well under half the jobs=1 wall time
+//                       take well under half the jobs=1 wall time. Run
+//                       three times per N, each on a fresh server,
+//                       alternating N = 1 and 4; the row is the median
+//                       run, with each run's wall as wall_ms_run1..3
 //   open_burst          one client floods 200 requests into paused
 //                       workers with a small admission bound, then the
 //                       workers resume — exercises the overloaded
@@ -131,12 +134,24 @@ double percentile(std::vector<double> &Sorted, double P) {
   return Sorted[Idx];
 }
 
+/// What one closed-loop pass measured.
+struct ClosedLoopPass {
+  double WallMs = 0;
+  double HitRate = 0;
+  size_t Clients = 0;
+  size_t Requests = 0;
+  size_t Failed = 0;
+  double P50Ms = 0;
+  double P99Ms = 0;
+  double Rps = 0;
+};
+
 /// One closed-loop pass: one client thread per entry of \p ClientLines,
 /// each running its own lines against the server, latencies merged
 /// across clients.
-void closedLoopRow(BenchJsonWriter &Out, const std::string &Name,
-                   XsolvedServer &Server,
-                   const std::vector<std::vector<std::string>> &ClientLines) {
+ClosedLoopPass
+runClosedLoopPass(XsolvedServer &Server,
+                  const std::vector<std::vector<std::string>> &ClientLines) {
   const size_t Clients = ClientLines.size();
   SessionStats Before = Server.session().stats();
   std::vector<ClientResult> Results(Clients);
@@ -148,37 +163,59 @@ void closedLoopRow(BenchJsonWriter &Out, const std::string &Name,
     });
   for (std::thread &T : Threads)
     T.join();
-  double WallMs = msSince(T0);
+  ClosedLoopPass P;
+  P.WallMs = msSince(T0);
+  P.Clients = Clients;
 
   std::vector<double> All;
-  size_t Ok = 0, Failed = 0;
+  size_t Ok = 0;
   for (const ClientResult &R : Results) {
     All.insert(All.end(), R.LatenciesMs.begin(), R.LatenciesMs.end());
     Ok += R.Ok;
-    Failed += R.Failed;
+    P.Failed += R.Failed;
   }
   std::sort(All.begin(), All.end());
+  P.Requests = Ok + P.Failed;
+  P.P50Ms = percentile(All, 0.5);
+  P.P99Ms = percentile(All, 0.99);
 
   // Hit rate of THIS pass, not of the session's whole life — the warm
   // row must report warm hits, not an average with its own cold pass.
   SessionStats After = Server.session().stats();
   size_t Hits = After.Cache.Hits - Before.Cache.Hits;
   size_t Lookups = Hits + (After.Cache.Misses - Before.Cache.Misses);
-  double HitRate = Lookups ? static_cast<double>(Hits) / Lookups : 0;
+  P.HitRate = Lookups ? static_cast<double>(Hits) / Lookups : 0;
+  P.Rps = P.WallMs > 0 ? 1000.0 * static_cast<double>(P.Requests) / P.WallMs
+                       : 0;
+  return P;
+}
 
-  double Rps = WallMs > 0 ? 1000.0 * static_cast<double>(Ok + Failed) / WallMs
-                          : 0;
-  Out.record(Name, WallMs, HitRate,
-             {{"clients", static_cast<double>(Clients)},
-              {"requests", static_cast<double>(Ok + Failed)},
-              {"failed", static_cast<double>(Failed)},
-              {"p50_ms", percentile(All, 0.5)},
-              {"p99_ms", percentile(All, 0.99)},
-              {"throughput_rps", Rps}});
-  std::printf("%-22s wall %8.1f ms  hit %.2f  p50 %6.2f ms  p99 %6.2f ms  "
+void printPass(const std::string &Name, const ClosedLoopPass &P) {
+  std::printf("%-26s wall %8.1f ms  hit %.2f  p50 %6.2f ms  p99 %6.2f ms  "
               "%7.0f req/s\n",
-              Name.c_str(), WallMs, HitRate, percentile(All, 0.5),
-              percentile(All, 0.99), Rps);
+              Name.c_str(), P.WallMs, P.HitRate, P.P50Ms, P.P99Ms, P.Rps);
+}
+
+void recordPass(BenchJsonWriter &Out, const std::string &Name,
+                const ClosedLoopPass &P,
+                std::vector<std::pair<std::string, double>> Extra = {}) {
+  std::vector<std::pair<std::string, double>> Fields = {
+      {"clients", static_cast<double>(P.Clients)},
+      {"requests", static_cast<double>(P.Requests)},
+      {"failed", static_cast<double>(P.Failed)},
+      {"p50_ms", P.P50Ms},
+      {"p99_ms", P.P99Ms},
+      {"throughput_rps", P.Rps}};
+  Fields.insert(Fields.end(), Extra.begin(), Extra.end());
+  Out.record(Name, P.WallMs, P.HitRate, std::move(Fields));
+}
+
+void closedLoopRow(BenchJsonWriter &Out, const std::string &Name,
+                   XsolvedServer &Server,
+                   const std::vector<std::vector<std::string>> &ClientLines) {
+  ClosedLoopPass P = runClosedLoopPass(Server, ClientLines);
+  recordPass(Out, Name, P);
+  printPass(Name, P);
 }
 
 /// Runs \p Rows against a fresh server with \p Jobs workers, then drains
@@ -351,6 +388,45 @@ void obsOverheadRow(BenchJsonWriter &Out) {
               "obs_overhead_warm", OnMs, OffMs, Pct);
 }
 
+/// The disjoint pass at jobs 1 and 4, run DisjointRuns times each on a
+/// fresh server, alternating the two so that a change in host load
+/// reaches both. Each closed_disjoint_cold_jobsN row is its median run
+/// (by wall time), with every run's wall time in run order as
+/// wall_ms_run1..N. False when a server does not start.
+bool disjointRows(BenchJsonWriter &Out,
+                  const std::vector<std::vector<std::string>> &Disjoint) {
+  constexpr size_t DisjointRuns = 3;
+  const size_t JobCounts[] = {1, 4};
+  std::vector<ClosedLoopPass> Runs[2];
+  for (size_t Run = 0; Run < DisjointRuns; ++Run)
+    for (size_t J = 0; J < 2; ++J) {
+      std::string Name = "closed_disjoint_cold_jobs" +
+                         std::to_string(JobCounts[J]) + " run " +
+                         std::to_string(Run + 1);
+      if (!withServer(JobCounts[J], [&](XsolvedServer &Server) {
+            Runs[J].push_back(runClosedLoopPass(Server, Disjoint));
+            printPass(Name, Runs[J].back());
+          }))
+        return false;
+    }
+  for (size_t J = 0; J < 2; ++J) {
+    std::vector<std::pair<std::string, double>> Walls;
+    for (size_t Run = 0; Run < DisjointRuns; ++Run)
+      Walls.push_back(
+          {"wall_ms_run" + std::to_string(Run + 1), Runs[J][Run].WallMs});
+    std::vector<ClosedLoopPass> ByWall = Runs[J];
+    std::sort(ByWall.begin(), ByWall.end(),
+              [](const ClosedLoopPass &A, const ClosedLoopPass &B) {
+                return A.WallMs < B.WallMs;
+              });
+    std::string Name =
+        "closed_disjoint_cold_jobs" + std::to_string(JobCounts[J]);
+    recordPass(Out, Name, ByWall[DisjointRuns / 2], std::move(Walls));
+    printPass(Name + " median", ByWall[DisjointRuns / 2]);
+  }
+  return true;
+}
+
 } // namespace
 
 int main() {
@@ -368,21 +444,15 @@ int main() {
 
   for (size_t Jobs : {size_t(1), size_t(4)}) {
     std::string Suffix = "_jobs" + std::to_string(Jobs);
-    bool Started =
-        withServer(Jobs,
-                   [&](XsolvedServer &Server) {
-                     closedLoopRow(Out, "closed_cold" + Suffix, Server,
-                                   Shared);
-                     closedLoopRow(Out, "closed_warm" + Suffix, Server,
-                                   Shared);
-                   }) &&
-        withServer(Jobs, [&](XsolvedServer &Server) {
-          closedLoopRow(Out, "closed_disjoint_cold" + Suffix, Server,
-                        Disjoint);
-        });
+    bool Started = withServer(Jobs, [&](XsolvedServer &Server) {
+      closedLoopRow(Out, "closed_cold" + Suffix, Server, Shared);
+      closedLoopRow(Out, "closed_warm" + Suffix, Server, Shared);
+    });
     if (!Started)
       return 1;
   }
+  if (!disjointRows(Out, Disjoint))
+    return 1;
 
   openBurstRow(Out);
   obsOverheadRow(Out);

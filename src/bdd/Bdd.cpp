@@ -3,8 +3,11 @@
 #include "bdd/Bdd.h"
 
 #include <algorithm>
+#include <new>
 #include <unordered_map>
 #include <unordered_set>
+
+#include <sys/mman.h>
 
 using namespace xsa;
 
@@ -207,7 +210,49 @@ std::vector<unsigned> BddManager::support(const Bdd &F) {
 static constexpr uint32_t InvalidNode = ~0u;
 static constexpr size_t CacheSize = 1u << 18; // direct-mapped entries
 
+static constexpr size_t HugePageBytes = size_t(2) << 20;
+
+/// The op cache's storage, lent to one manager at a time. The generation
+/// travels with the buffer, so it never meets a stamp it already issued,
+/// whichever thread it ends up on.
+struct BddManager::OpCacheBuffer {
+  uint32_t Generation = 0; // advanced before first use
+  CacheEntry Entries[CacheSize] = {};
+
+  // Lookups probe random slots of 5 MB, and on 4 KB pages most of them
+  // miss the TLB; on huge pages, where the OS offers them, the buffer
+  // takes three TLB entries.
+  static void *operator new(size_t Size) {
+    size_t Rounded = (Size + HugePageBytes - 1) & ~(HugePageBytes - 1);
+    void *P = ::operator new(Rounded, std::align_val_t(HugePageBytes));
+#ifdef MADV_HUGEPAGE
+    (void)madvise(P, Rounded, MADV_HUGEPAGE); // a hint; 4 KB pages work
+#endif
+    return P;
+  }
+  static void operator delete(void *P) {
+    ::operator delete(P, std::align_val_t(HugePageBytes));
+  }
+};
+
+std::unique_ptr<BddManager::OpCacheBuffer> &BddManager::spareCache() {
+  thread_local std::unique_ptr<OpCacheBuffer> Spare;
+  return Spare;
+}
+
+void BddManager::setSpareCacheGenerationForTest(uint32_t Generation) {
+  assert(Generation >= 1 && Generation <= MaxCacheGeneration);
+  std::unique_ptr<OpCacheBuffer> &Spare = spareCache();
+  if (!Spare)
+    Spare = std::make_unique<OpCacheBuffer>();
+  Spare->Generation = Generation;
+}
+
 BddManager::BddManager(unsigned InitialVars) {
+  OpCache = std::move(spareCache());
+  if (!OpCache)
+    OpCache = std::make_unique<OpCacheBuffer>();
+  clearCaches(); // no entry an earlier manager wrote can match
   Nodes.reserve(1 << 14);
   // Terminal nodes 0 (false) and 1 (true); permanently referenced.
   Nodes.push_back({TerminalVar, 0, 0, InvalidNode, 1, false});
@@ -216,8 +261,13 @@ BddManager::BddManager(unsigned InitialVars) {
   PeakNodeCount = 2;
   GcThreshold = 1u << 20;
   UniqueTable.assign(1u << 14, InvalidNode);
-  OpCache.resize(CacheSize);
   ensureVars(InitialVars);
+}
+
+BddManager::~BddManager() {
+  std::unique_ptr<OpCacheBuffer> &Spare = spareCache();
+  if (!Spare)
+    Spare = std::move(OpCache);
 }
 
 static inline size_t hash3(uint32_t A, uint32_t B, uint32_t C) {
@@ -336,11 +386,22 @@ void BddManager::maybeGc() {
 BddManager::CacheEntry &BddManager::cacheSlot(uint8_t OpTag, uint32_t A,
                                                uint32_t B, uint32_t C) {
   uint64_t H = hash3(A, B, C) * 0x2545f4914f6cdd1dull + OpTag;
-  return OpCache[H & (CacheSize - 1)];
+  return OpCache->Entries[H & (CacheSize - 1)];
+}
+
+uint32_t BddManager::stamp(uint8_t OpTag) const {
+  return OpCache->Generation << 8 | OpTag;
 }
 
 void BddManager::clearCaches() {
-  std::fill(OpCache.begin(), OpCache.end(), CacheEntry{});
+  // Once the 24-bit generation runs out, forget every stamp and restart,
+  // so no entry of the generation being reissued survives.
+  if (OpCache->Generation == MaxCacheGeneration) {
+    std::fill(std::begin(OpCache->Entries), std::end(OpCache->Entries),
+              CacheEntry{});
+    OpCache->Generation = 0;
+  }
+  ++OpCache->Generation;
 }
 
 namespace {
@@ -362,14 +423,14 @@ uint32_t BddManager::notRec(uint32_t F) {
   {
     ++OpCacheLookups;
     CacheEntry &E = cacheSlot(TagNot, F, 0, 0);
-    if (E.OpTag == TagNot && E.A == F && E.B == 0 && E.C == 0) {
+    if (E.Stamp == stamp(TagNot) && E.A == F && E.B == 0 && E.C == 0) {
       ++OpCacheHits;
       return E.Result;
     }
   }
   const Node Nd = Nodes[F];
   uint32_t R = mk(Nd.Var, notRec(Nd.Low), notRec(Nd.High));
-  cacheSlot(TagNot, F, 0, 0) = {F, 0, 0, TagNot, R};
+  cacheSlot(TagNot, F, 0, 0) = {F, 0, 0, stamp(TagNot), R};
   return R;
 }
 
@@ -415,7 +476,7 @@ uint32_t BddManager::applyRec(Op O, uint32_t A, uint32_t B) {
   {
     ++OpCacheLookups;
     CacheEntry &E = cacheSlot(Tag, A, B, 0);
-    if (E.OpTag == Tag && E.A == A && E.B == B && E.C == 0) {
+    if (E.Stamp == stamp(Tag) && E.A == A && E.B == B && E.C == 0) {
       ++OpCacheHits;
       return E.Result;
     }
@@ -429,7 +490,7 @@ uint32_t BddManager::applyRec(Op O, uint32_t A, uint32_t B) {
   uint32_t R0 = applyRec(O, A0, B0);
   uint32_t R1 = applyRec(O, A1, B1);
   uint32_t R = mk(V, R0, R1);
-  cacheSlot(Tag, A, B, 0) = {A, B, 0, Tag, R};
+  cacheSlot(Tag, A, B, 0) = {A, B, 0, stamp(Tag), R};
   return R;
 }
 
@@ -447,7 +508,7 @@ uint32_t BddManager::iteRec(uint32_t F, uint32_t G, uint32_t H) {
   {
     ++OpCacheLookups;
     CacheEntry &E = cacheSlot(TagIte, F, G, H);
-    if (E.OpTag == TagIte && E.A == F && E.B == G && E.C == H) {
+    if (E.Stamp == stamp(TagIte) && E.A == F && E.B == G && E.C == H) {
       ++OpCacheHits;
       return E.Result;
     }
@@ -462,7 +523,7 @@ uint32_t BddManager::iteRec(uint32_t F, uint32_t G, uint32_t H) {
   uint32_t G0 = NG.Var == V ? NG.Low : G, G1 = NG.Var == V ? NG.High : G;
   uint32_t H0 = NH.Var == V ? NH.Low : H, H1 = NH.Var == V ? NH.High : H;
   uint32_t R = mk(V, iteRec(F0, G0, H0), iteRec(F1, G1, H1));
-  cacheSlot(TagIte, F, G, H) = {F, G, H, TagIte, R};
+  cacheSlot(TagIte, F, G, H) = {F, G, H, stamp(TagIte), R};
   return R;
 }
 
@@ -478,7 +539,7 @@ uint32_t BddManager::existsRec(uint32_t F, uint32_t Cube) {
   {
     ++OpCacheLookups;
     CacheEntry &E = cacheSlot(TagExists, F, Cube, 0);
-    if (E.OpTag == TagExists && E.A == F && E.B == Cube && E.C == 0) {
+    if (E.Stamp == stamp(TagExists) && E.A == F && E.B == Cube && E.C == 0) {
       ++OpCacheHits;
       return E.Result;
     }
@@ -496,7 +557,7 @@ uint32_t BddManager::existsRec(uint32_t F, uint32_t Cube) {
   } else {
     R = mk(NF.Var, existsRec(NF.Low, Cube), existsRec(NF.High, Cube));
   }
-  cacheSlot(TagExists, F, Cube, 0) = {F, Cube, 0, TagExists, R};
+  cacheSlot(TagExists, F, Cube, 0) = {F, Cube, 0, stamp(TagExists), R};
   return R;
 }
 
@@ -520,7 +581,7 @@ uint32_t BddManager::andExistsRec(uint32_t F, uint32_t G, uint32_t Cube) {
   {
     ++OpCacheLookups;
     CacheEntry &E = cacheSlot(TagAndExists, F, G, Cube);
-    if (E.OpTag == TagAndExists && E.A == F && E.B == G && E.C == Cube) {
+    if (E.Stamp == stamp(TagAndExists) && E.A == F && E.B == G && E.C == Cube) {
       ++OpCacheHits;
       return E.Result;
     }
@@ -538,6 +599,6 @@ uint32_t BddManager::andExistsRec(uint32_t F, uint32_t G, uint32_t Cube) {
   } else {
     R = mk(V, andExistsRec(F0, G0, Cube), andExistsRec(F1, G1, Cube));
   }
-  cacheSlot(TagAndExists, F, G, Cube) = {F, G, Cube, TagAndExists, R};
+  cacheSlot(TagAndExists, F, G, Cube) = {F, G, Cube, stamp(TagAndExists), R};
   return R;
 }

@@ -41,6 +41,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace xsa {
@@ -94,17 +95,23 @@ private:
   uint32_t Node = 0;
 };
 
-/// The BDD manager. Owns a node store, a growable unique table, a
-/// direct-mapped operation cache and deferred mark-and-sweep GC driven by
-/// the external reference counts of Bdd handles. All Bdd handles belong to
-/// exactly one manager and mixing managers is a programming error
-/// (asserted). The solver owns one manager per run and calls it from one
-/// thread at a time.
+/// The BDD manager. Owns a node store, a growable unique table and
+/// deferred mark-and-sweep GC driven by the external reference counts of
+/// Bdd handles. All Bdd handles belong to exactly one manager and mixing
+/// managers is a programming error (asserted). The solver owns one manager
+/// per run and calls it from one thread at a time.
+///
+/// The direct-mapped operation cache is borrowed: each thread keeps one
+/// 5 MB buffer and lends it to each manager built there, so a solve does
+/// not allocate and fill one. A manager takes its thread's spare buffer,
+/// or allocates a zeroed one if there is none (a thread's first manager,
+/// or a second live one), and gives it back on destruction.
 class BddManager {
 public:
   /// \param InitialVars number of variables to pre-create (more can be
   ///        added with ensureVars / var).
   explicit BddManager(unsigned InitialVars = 0);
+  ~BddManager();
 
   BddManager(const BddManager &) = delete;
   BddManager &operator=(const BddManager &) = delete;
@@ -183,6 +190,15 @@ public:
   static constexpr uint32_t OneNode = 1;
   static constexpr uint32_t TerminalVar = ~0u;
 
+  /// The last op-cache generation before the 24-bit stamp field wraps.
+  static constexpr uint32_t MaxCacheGeneration = (1u << 24) - 1;
+
+  /// Test hook: sets the generation of this thread's spare op-cache
+  /// buffer, allocating the spare if the thread has none. The next manager
+  /// built on this thread takes that buffer and advances from
+  /// \p Generation, so a test reaches the wrap without 2^24 managers.
+  static void setSpareCacheGenerationForTest(uint32_t Generation);
+
 private:
   friend class Bdd;
 
@@ -222,17 +238,27 @@ private:
   uint32_t existsRec(uint32_t F, uint32_t Cube);
   uint32_t andExistsRec(uint32_t F, uint32_t G, uint32_t Cube);
 
-  // Caches. Direct-mapped and lossy; entries store all operands so that a
-  // hash collision can never produce a wrong result.
+  // The op cache. Direct-mapped and lossy; entries store all operands so
+  // that a hash collision can never produce a wrong result. Each entry
+  // carries the stamp Generation << 8 | OpTag (0: never written) and a
+  // lookup hits only on the current one. A new manager or a GC advances
+  // the buffer's generation, so earlier entries read as empty without a
+  // fill. cacheSlot hashes the plain tag, not the stamp, so slots, and
+  // with them collisions and exact counts, are those of a fresh cache.
   struct CacheEntry {
-    uint32_t A = ~0u;
-    uint32_t B = 0;
-    uint32_t C = 0;
-    uint8_t OpTag = 0;
-    uint32_t Result = 0;
+    uint32_t A;
+    uint32_t B;
+    uint32_t C;
+    uint32_t Stamp;
+    uint32_t Result;
   };
+  struct OpCacheBuffer; // the entries and their generation (Bdd.cpp)
   CacheEntry &cacheSlot(uint8_t OpTag, uint32_t A, uint32_t B, uint32_t C);
+  uint32_t stamp(uint8_t OpTag) const;
+  /// Empties the op cache by advancing its generation.
   void clearCaches();
+  /// This thread's spare buffer (a thread_local in Bdd.cpp).
+  static std::unique_ptr<OpCacheBuffer> &spareCache();
 
   unsigned NumVars = 0;
   std::vector<uint32_t> VarNodes; // cached single-variable nodes
@@ -248,7 +274,7 @@ private:
   size_t OpCacheLookups = 0;
   size_t OpCacheHits = 0;
 
-  std::vector<CacheEntry> OpCache;
+  std::unique_ptr<OpCacheBuffer> OpCache; // borrowed; see the class comment
 };
 
 } // namespace xsa

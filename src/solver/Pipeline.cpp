@@ -354,26 +354,34 @@ ModelExtractor::rebuildNode(const DynBitset &T, int MaxSnapshot) {
   for (Program A : {Program::Child, Program::Sibling}) {
     if (!T.test(L.diamTopIndex(A)))
       continue;
-    // Constraint on the a-child: ∆a with the parent fixed to T.
-    Bdd C = TS.y(L.diamTopIndex(converse(A)));
+    // Constraints on the a-child: ∆a with the parent fixed to T, kept as a
+    // list. Their conjunction is the monolithic ∆a that §7.3's
+    // partitioning avoids building, so each snapshot meets them one at a
+    // time instead, stopping at zero. The result is the same function, so
+    // satOne picks the same child.
     Program ABar = converse(A);
+    std::vector<Bdd> Constraints;
     for (unsigned I = 0; I < NumBits; ++I) {
       Formula F = L.members()[I];
       if (!F->is(FormulaKind::Exist))
         continue;
       if (F->program() == A) {
         Bdd S = TS.statusBdd(F->lhs(), /*YCopy=*/true);
-        C &= T.test(I) ? S : !S;
+        Constraints.push_back(T.test(I) ? S : !S);
       } else if (F->program() == ABar) {
-        C &= L.status(TS.factory(), F->lhs(), T) ? TS.y(I) : !TS.y(I);
+        Constraints.push_back(L.status(TS.factory(), F->lhs(), T) ? TS.y(I)
+                                                                  : !TS.y(I));
       }
     }
     // Earliest snapshot containing a compatible child.
+    Bdd ConverseTop = TS.y(L.diamTopIndex(ABar));
     std::unique_ptr<ModelNode> Child;
     for (int J = 0; J < MaxSnapshot; ++J) {
       if (SnapshotsY.size() <= static_cast<size_t>(J))
         SnapshotsY.push_back(TS.shiftToY(Snapshots[J]));
-      Bdd D = C & SnapshotsY[J];
+      Bdd D = SnapshotsY[J] & ConverseTop;
+      for (size_t K = 0; K < Constraints.size() && !D.isZero(); ++K)
+        D &= Constraints[K];
       if (D.isZero())
         continue;
       std::vector<bool> Values;

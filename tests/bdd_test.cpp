@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <random>
+#include <thread>
 
 using namespace xsa;
 
@@ -167,6 +170,195 @@ TEST(Bdd, AndExistsOnDisjointSupports) {
   EXPECT_EQ(M.andExists(F, G, M.cube({2, 3})), F & G);
   // Quantifying G's support out of F∧G leaves F scaled by SAT(G).
   EXPECT_EQ(M.andExists(F, G, M.cube({4, 5})), F);
+}
+
+//===----------------------------------------------------------------------===//
+// The borrowed op cache. Each thread keeps one op-cache buffer and lends
+// it to every manager built there; a new manager or a GC empties it by
+// advancing the buffer's generation. These tests run on threads of their
+// own, so the first manager of each starts on a freshly allocated buffer.
+//===----------------------------------------------------------------------===//
+
+/// Truth tables over four variables: bit A is the value at assignment A.
+constexpr uint16_t V0 = 0xaaaa, V1 = 0xcccc, V2 = 0xf0f0, V3 = 0xff00;
+
+uint16_t table(const BddManager &M, const Bdd &F) {
+  uint16_t T = 0;
+  for (unsigned Asg = 0; Asg < 16; ++Asg)
+    if (eval(M, F, Asg))
+      T |= uint16_t(1) << Asg;
+  return T;
+}
+
+void onNewThread(const std::function<void()> &Body) {
+  std::thread T(Body);
+  T.join();
+}
+
+/// The counters that must not depend on which buffer a manager got.
+std::array<size_t, 5> counters(const BddManager &M) {
+  return {M.uniqueLookups(), M.uniqueHits(), M.opCacheLookups(),
+          M.opCacheHits(), M.peakNodes()};
+}
+
+/// Node ids of one cached conjunction: its operands and its result.
+struct AndIds {
+  uint32_t F, G, R;
+};
+
+/// In a fresh four-variable manager, caches (v0 & v1) & (v2 | v3).
+AndIds writeAnd(BddManager &M) {
+  Bdd F = M.var(0) & M.var(1), G = M.var(2) | M.var(3);
+  Bdd R = F & G;
+  EXPECT_EQ(table(M, R), V0 & V1 & (V2 | V3));
+  return {F.node(), G.node(), R.node()};
+}
+
+/// In a fresh four-variable manager, other functions on writeAnd's ids:
+/// F and G on its operands', J on its result's.
+struct Reread {
+  Bdd F, G, J;
+};
+Reread buildReread(BddManager &M) {
+  return {M.var(0) | M.var(1), M.var(2) & M.var(3), M.var(1) ^ M.var(3)};
+}
+
+/// Conjoins Reread's operands: a stale entry of writeAnd answers J.
+void checkRereadAnd(BddManager &M, const Reread &In) {
+  EXPECT_EQ(table(M, In.F & In.G), (V0 | V1) & V2 & V3);
+}
+
+TEST(BddOpCache, EntriesOfAnEarlierManagerAreNeverRead) {
+  onNewThread([] {
+    AndIds Written;
+    {
+      BddManager M1(4);
+      Written = writeAnd(M1);
+    }
+    BddManager M2(4); // takes M1's buffer, entries and all
+    Reread In = buildReread(M2);
+    EXPECT_EQ(In.F.node(), Written.F);
+    EXPECT_EQ(In.G.node(), Written.G);
+    EXPECT_EQ(In.J.node(), Written.R);
+    checkRereadAnd(M2, In);
+  });
+}
+
+/// A fixed mix of every cached operation over eight variables, with a GC
+/// halfway.
+void runOpSequence(BddManager &M) {
+  std::mt19937 Rng(7);
+  std::vector<Bdd> Pool;
+  for (unsigned V = 0; V < 8; ++V)
+    Pool.push_back(M.var(V));
+  auto Pick = [&]() -> const Bdd & { return Pool[Rng() % Pool.size()]; };
+  auto AnyVar = [&] { return static_cast<unsigned>(Rng() % 8); };
+  for (int Step = 0; Step < 400; ++Step) {
+    if (Step == 200) {
+      Pool.resize(12);
+      M.gc();
+    }
+    const Bdd &A = Pick(), &B = Pick(), &C = Pick();
+    switch (Rng() % 7) {
+    case 0:
+      Pool.push_back(A & B);
+      break;
+    case 1:
+      Pool.push_back(A | B);
+      break;
+    case 2:
+      Pool.push_back(A ^ B);
+      break;
+    case 3:
+      Pool.push_back(!A);
+      break;
+    case 4:
+      Pool.push_back(M.ite(A, B, C));
+      break;
+    case 5:
+      Pool.push_back(M.exists(A, M.cube({AnyVar(), AnyVar()})));
+      break;
+    default:
+      Pool.push_back(M.andExists(A, B, M.cube({AnyVar(), AnyVar()})));
+      break;
+    }
+  }
+}
+
+TEST(BddOpCache, ReusedBufferKeepsEveryCount) {
+  onNewThread([] {
+    std::array<size_t, 5> First, Reused;
+    {
+      BddManager M(8);
+      runOpSequence(M);
+      First = counters(M);
+    }
+    BddManager M(8);
+    runOpSequence(M);
+    Reused = counters(M);
+    EXPECT_EQ(First, Reused);
+    EXPECT_GT(First[3], 0u) << "the sequence should hit its own entries";
+  });
+}
+
+TEST(BddOpCache, TwoLiveManagersOnOneThread) {
+  onNewThread([] {
+    BddManager M1(4);
+    AndIds Written = writeAnd(M1);
+    BddManager M2(4); // M1 holds the thread's buffer: M2 gets its own
+    Reread In = buildReread(M2);
+    EXPECT_EQ(In.J.node(), Written.R);
+    checkRereadAnd(M2, In);
+    // M1 still reads its own entries.
+    size_t Hits = M1.opCacheHits();
+    Bdd R = (M1.var(0) & M1.var(1)) & (M1.var(2) | M1.var(3));
+    EXPECT_EQ(R.node(), Written.R);
+    EXPECT_GT(M1.opCacheHits(), Hits);
+  });
+}
+
+TEST(BddOpCache, NoStaleHitAfterGcReusesNodeIds) {
+  BddManager M(4);
+  AndIds Written = writeAnd(M);
+  M.gc(); // frees all four nodes; the free list hands out the highest first
+  // The first two new nodes take R's two ids, the next two G's and F's.
+  Bdd OnR = M.var(1) & M.var(3), OnRsChild = M.var(0) | M.var(2);
+  Bdd G = M.var(0) | M.var(1), F = M.var(2) & M.var(3);
+  ASSERT_EQ(OnR.node(), Written.R);
+  ASSERT_EQ(G.node(), Written.G);
+  ASSERT_EQ(F.node(), Written.F);
+  // (And, F, G) was cached before the GC with the result id OnR now has.
+  EXPECT_EQ(table(M, G & F), (V0 | V1) & V2 & V3);
+}
+
+TEST(BddOpCache, GenerationWrapForgetsEveryStamp) {
+  auto RereadAnd = [](BddManager &M, bool GcFirst) {
+    Reread In = buildReread(M);
+    if (GcFirst)
+      M.gc();
+    checkRereadAnd(M, In);
+  };
+  std::array<size_t, 5> Fresh[2];
+  for (bool GcFirst : {false, true})
+    onNewThread([&] {
+      BddManager M(4);
+      RereadAnd(M, GcFirst);
+      Fresh[GcFirst] = counters(M);
+    });
+  // Generation 1 holds writeAnd's entries when the wrap reissues it: as
+  // the next manager is built, or at that manager's GC.
+  for (bool WrapAtGc : {false, true})
+    onNewThread([&] {
+      {
+        BddManager M1(4);
+        writeAnd(M1);
+      }
+      BddManager::setSpareCacheGenerationForTest(
+          BddManager::MaxCacheGeneration - (WrapAtGc ? 1 : 0));
+      BddManager M(4);
+      RereadAnd(M, WrapAtGc);
+      EXPECT_EQ(counters(M), Fresh[WrapAtGc]);
+    });
 }
 
 //===----------------------------------------------------------------------===//
