@@ -165,75 +165,111 @@ bool Lean::status(FormulaFactory &FF, Formula F, const DynBitset &T) const {
   return false;
 }
 
-std::string Lean::signature(FormulaFactory &FF) const {
-  // Label abstraction: every atomic proposition is replaced by %<n>,
-  // where n is its first-occurrence index over the member list. Leans
-  // that agree up to an order-preserving relabeling — bench workloads
-  // full of same-shaped queries over per-request alphabets are exactly
-  // this — then print identical signatures, which is sound because the
-  // solver's stage-2 construction (χTypes, the ∆a clauses, the witness
-  // conditions) only ever addresses propositions through their lean
-  // *index*, never their name: isomorphic leans have literally equal
-  // iterate sequences over the shared bit numbering.
-  std::unordered_map<Symbol, Symbol> LabelMap;
-  std::unordered_map<Formula, Formula> Memo;
-  auto MapSym = [&](Symbol S) {
-    auto It = LabelMap.find(S);
-    if (It != LabelMap.end())
-      return It->second;
-    Symbol A = internSymbol("%" + std::to_string(LabelMap.size()));
-    LabelMap.emplace(S, A);
-    return A;
+std::string Lean::signature() const {
+  // Label abstraction (see the header): same-shaped queries over
+  // per-request alphabets, which bench workloads are full of, print
+  // identical signatures.
+  std::unordered_map<Symbol, unsigned> Labels;
+  // The binders in scope, innermost last: a variable resolves to the
+  // last entry naming it, as canonicalize's environment overwrites.
+  struct Binder {
+    Symbol Var;
+    unsigned Depth, Index;
   };
-  // Memoization is sound even though abstraction is stateful: the label
-  // map only grows, and every symbol inside a memoized node was mapped
-  // when that node was first walked.
-  auto Abstract = [&](auto &&Self, Formula F) -> Formula {
-    auto It = Memo.find(F);
-    if (It != Memo.end())
-      return It->second;
-    Formula R = F;
+  std::vector<Binder> Scope;
+  std::string Sig;
+  auto Label = [&](Symbol S) {
+    Sig += '%';
+    Sig += std::to_string(Labels.try_emplace(S, Labels.size()).first->second);
+  };
+  auto Binding = [&](unsigned Depth, unsigned Index) {
+    Sig += "$%c";
+    Sig += std::to_string(Depth);
+    Sig += '_';
+    Sig += std::to_string(Index);
+  };
+  // FormulaFactory::toString's grammar and precedence levels (Or = 1,
+  // And = 2, unary/atomic = 3); Depth counts the enclosing µs.
+  auto Print = [&](auto &&Self, Formula F, int Parent,
+                   unsigned Depth) -> void {
     switch (F->kind()) {
     case FormulaKind::True:
+      Sig += 'T';
+      return;
     case FormulaKind::False:
-    case FormulaKind::Start:
-    case FormulaKind::NegStart:
-    case FormulaKind::NegExistTop:
-    case FormulaKind::Var:
-      break;
+      Sig += 'F';
+      return;
     case FormulaKind::Prop:
-      R = FF.prop(MapSym(F->sym()));
-      break;
+      Label(F->sym());
+      return;
     case FormulaKind::NegProp:
-      R = FF.negProp(MapSym(F->sym()));
-      break;
+      Sig += '~';
+      Label(F->sym());
+      return;
+    case FormulaKind::Start:
+      Sig += "#s";
+      return;
+    case FormulaKind::NegStart:
+      Sig += "~#s";
+      return;
+    case FormulaKind::Var:
+      for (auto It = Scope.rbegin(); It != Scope.rend(); ++It)
+        if (It->Var == F->sym())
+          return Binding(It->Depth, It->Index);
+      Sig += '$';
+      Sig += symbolName(F->sym());
+      return;
     case FormulaKind::And:
-      R = FF.conj(Self(Self, F->lhs()), Self(Self, F->rhs()));
-      break;
-    case FormulaKind::Or:
-      R = FF.disj(Self(Self, F->lhs()), Self(Self, F->rhs()));
-      break;
+    case FormulaKind::Or: {
+      int Level = F->is(FormulaKind::And) ? 2 : 1;
+      if (Parent > Level)
+        Sig += '(';
+      Self(Self, F->lhs(), Level, Depth);
+      Sig += Level == 2 ? " & " : " | ";
+      Self(Self, F->rhs(), Level, Depth);
+      if (Parent > Level)
+        Sig += ')';
+      return;
+    }
     case FormulaKind::Exist:
-      R = FF.diamond(F->program(), Self(Self, F->lhs()));
-      break;
+      Sig += '<';
+      Sig += programName(F->program());
+      Sig += '>';
+      Self(Self, F->lhs(), 3, Depth);
+      return;
+    case FormulaKind::NegExistTop:
+      Sig += "~<";
+      Sig += programName(F->program());
+      Sig += ">T";
+      return;
     case FormulaKind::Mu: {
-      std::vector<MuBinding> Bindings;
-      Bindings.reserve(F->bindings().size());
-      for (const MuBinding &B : F->bindings())
-        Bindings.push_back({B.Var, Self(Self, B.Def)});
-      R = FF.mu(std::move(Bindings), Self(Self, F->body()));
-      break;
+      const std::vector<MuBinding> &Bs = F->bindings();
+      if (Parent > 0)
+        Sig += '(';
+      Sig += "let ";
+      size_t Outer = Scope.size();
+      for (unsigned I = 0; I < Bs.size(); ++I)
+        Scope.push_back({Bs[I].Var, Depth, I});
+      for (unsigned I = 0; I < Bs.size(); ++I) {
+        if (I)
+          Sig += "; ";
+        Binding(Depth, I);
+        Sig += " = ";
+        Self(Self, Bs[I].Def, 0, Depth + 1);
+      }
+      Sig += " in ";
+      Self(Self, F->body(), 0, Depth + 1);
+      Scope.resize(Outer);
+      if (Parent > 0)
+        Sig += ')';
+      return;
     }
     }
-    Memo.emplace(F, R);
-    return R;
   };
-  std::string Sig;
   for (Formula F : Members) {
-    std::string Text = FF.toString(FF.canonicalize(Abstract(Abstract, F)));
-    Sig += std::to_string(Text.size());
-    Sig += ':';
-    Sig += Text;
+    size_t Start = Sig.size();
+    Print(Print, F, 0, 0);
+    Sig.insert(Start, std::to_string(Sig.size() - Start) + ':');
   }
   return Sig;
 }

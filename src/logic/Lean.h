@@ -89,20 +89,22 @@ public:
   /// lean members (any formula in cl*(ψ)).
   bool status(FormulaFactory &FF, Formula F, const DynBitset &T) const;
 
-  /// Canonical lean signature: the ordered canonical texts of all lean
-  /// members — binders renamed to their binding positions
-  /// (canonicalize) and atomic propositions renamed to their
-  /// first-occurrence index over the member list — length-prefix framed
-  /// so the concatenation is injective. Members are closed (compute()
-  /// steps through fixpoints by unfolding), so the signature is
-  /// factory-independent: two leans have equal signatures iff their
-  /// member lists agree up to binder names and an order-preserving
-  /// relabeling of the alphabet — exactly the condition under which the
-  /// solver's §7.1 iterate sequence, which addresses propositions only
-  /// through lean indices, is bit-for-bit the same for both. This is
-  /// the sharing key of the cross-request fixpoint store
+  /// Canonical lean signature: the ordered texts of all lean members,
+  /// each length-prefix framed (`<length>:<text>`) so the concatenation
+  /// is injective. Each member is printed in toString's grammar straight
+  /// into the key, nothing built or interned: a bound variable prints as
+  /// `$%c<depth>_<index>`, the name canonicalize gives it (depth counts
+  /// the µs enclosing its binder, index is its place in the binding
+  /// list), and an atomic proposition as `%<n>`, n its first-occurrence
+  /// index over the member list in print order. Members are closed
+  /// (compute() steps through fixpoints by unfolding), so the signature
+  /// is factory-independent: equal signatures mean member lists equal up
+  /// to binder names and an order-preserving relabeling of the alphabet
+  /// — under which the solver's §7.1 iterate sequence, which addresses
+  /// propositions only through lean indices, is bit-for-bit the same.
+  /// This is the sharing key of the cross-request fixpoint store
   /// (SharedFixpointStore, solver/BddSolver.h).
-  std::string signature(FormulaFactory &FF) const;
+  std::string signature() const;
 
 private:
   std::vector<Formula> Members;

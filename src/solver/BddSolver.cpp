@@ -32,8 +32,9 @@ Formula xsa::plungeFormula(FormulaFactory &FF, Formula Psi) {
 Formula xsa::singleMarkFormula(FormulaFactory &FF) {
   // Z: no mark in the binary subtree of the focus.
   // O: exactly one mark in the binary subtree of the focus.
-  Symbol Z = FF.freshVar("NoMark");
-  Symbol O = FF.freshVar("OneMark");
+  // Fixed names (see the header), so every call is the same node.
+  static const Symbol Z = internSymbol("%NoMark");
+  static const Symbol O = internSymbol("%OneMark");
   auto NoneBelow = [&](Program A) {
     return FF.disj(FF.negDiamondTop(A), FF.diamond(A, FF.var(Z)));
   };

@@ -255,7 +255,12 @@ Formula plungeFormula(FormulaFactory &FF, Formula Psi);
 
 /// "Exactly one start mark in the binary subtree of the focus": the
 /// Lµ-definable uniqueness constraint used in place of Fig. 16's marked
-/// triples. Cycle free (downward modalities only).
+/// triples. Cycle free (downward modalities only). Its binders have
+/// fixed `%`-prefixed names, which no parsed formula can spell, so every
+/// call returns the same hash-consed node (and its unfolds hit the
+/// factory's memo). That is safe: the formula is closed and is only
+/// conjoined at the top of a solver input, so no substitution reaches
+/// into it and no binder can capture its variables.
 Formula singleMarkFormula(FormulaFactory &FF);
 
 } // namespace xsa

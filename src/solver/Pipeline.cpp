@@ -14,7 +14,7 @@ using namespace xsa;
 //===----------------------------------------------------------------------===//
 
 LeanPlan::LeanPlan(FormulaFactory &FF, Formula Phi, LeanOrder Order)
-    : FF(FF), L(Lean::compute(FF, Phi, Order)),
+    : L(Lean::compute(FF, Phi, Order)),
       NumBits(static_cast<unsigned>(L.size())) {
   XToY.resize(2 * NumBits);
   for (unsigned I = 0; I < NumBits; ++I)
@@ -22,8 +22,10 @@ LeanPlan::LeanPlan(FormulaFactory &FF, Formula Phi, LeanOrder Order)
 }
 
 const std::string &LeanPlan::signature() const {
-  if (Sig.empty())
-    Sig = L.signature(FF);
+  if (Sig.empty()) {
+    Span S("solver.signature");
+    Sig = L.signature();
+  }
   return Sig;
 }
 

@@ -10,9 +10,10 @@
 ///
 ///  * LeanPlan (stage 1): the Lean, the interleaved unprimed/primed
 ///    variable order, and the *canonical lean signature* — the ordered
-///    canonical texts of the lean members. No BDD work. The signature is
-///    the cross-request sharing key: every quantity the later stages
-///    compute up to the final condition is a function of the lean alone.
+///    canonical texts of the lean members, printed straight from the
+///    members, with no formula built. No BDD work. The signature is the
+///    cross-request sharing key: every quantity the later stages compute
+///    up to the final condition is a function of the lean alone.
 ///
 ///  * TransitionSystem (stage 2): the status translation χ, the type
 ///    constraint χTypes, and the ∆a compatibility clauses (§7.3) over a
@@ -61,11 +62,11 @@ public:
   const std::vector<unsigned> &xToY() const { return XToY; }
 
   /// The canonical lean signature (Lean::signature), computed on first
-  /// use — only runs that talk to a fixpoint store pay for it.
+  /// use, in a `solver.signature` span — only runs that talk to a
+  /// fixpoint store pay for it.
   const std::string &signature() const;
 
 private:
-  FormulaFactory &FF;
   Lean L;
   unsigned NumBits;
   std::vector<unsigned> XToY;

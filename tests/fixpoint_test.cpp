@@ -69,6 +69,25 @@ TEST(LeanSignature, DifferentShapesDoNotShare) {
       << "the plunge members embed the formula, so ∧ vs ∨ differ";
   EXPECT_NE(planSignature(FF, compileQuery(FF, "/a/b")),
             planSignature(FF, compileQuery(FF, "//a/b")));
+  // Binder depth: the inner µ's definition names the outer $X, not its
+  // own binder.
+  EXPECT_NE(planSignature(FF, parse(FF, "let $X = a | <1>(let $Y = b | "
+                                        "<2>$X in $Y) in $X")),
+            planSignature(FF, parse(FF, "let $X = a | <1>(let $Y = b | "
+                                        "<2>$Y in $Y) in $X")));
+  // Binding index: one binding list, projected on $X or on $Y.
+  EXPECT_NE(
+      planSignature(FF, parse(FF, "let $X = a | <1>$Y; $Y = b | <2>$X in $X")),
+      planSignature(FF, parse(FF, "let $X = a | <1>$Y; $Y = b | <2>$X in $Y")));
+  // The pairs above also differ in members that unfolding builds. A
+  // binding that is never unfolded ($Z, then $X) keeps the variable as
+  // the only difference, so the name must carry both depth and index.
+  EXPECT_NE(planSignature(FF, parse(FF, "let $X = a | (let $Y = <1>b; "
+                                        "$Z = <2>$X in $Y) in $X")),
+            planSignature(FF, parse(FF, "let $X = a | (let $Y = <1>b; "
+                                        "$Z = <2>$Y in $Y) in $X")));
+  EXPECT_NE(planSignature(FF, parse(FF, "let $X = <1>$X; $Y = <2>a in $Y")),
+            planSignature(FF, parse(FF, "let $X = <1>$Y; $Y = <2>a in $Y")));
 }
 
 TEST(LeanSignature, RepeatedLabelsMustCorrespond) {
@@ -97,6 +116,22 @@ TEST(LeanSignature, AlphaRenamedBindersShare) {
   FormulaFactory FF;
   EXPECT_EQ(planSignature(FF, parse(FF, "let $X = a | <1>$X in $X")),
             planSignature(FF, parse(FF, "let $Y = b | <1>$Y in $Y")));
+  // Shadowing: a variable names its innermost binder.
+  EXPECT_EQ(planSignature(FF, parse(FF, "let $X = a | <1>(let $X = b | "
+                                        "<2>$X in $X) in $X")),
+            planSignature(FF, parse(FF, "let $Y = a | <1>(let $Z = b | "
+                                        "<2>$Z in $Z) in $Y")));
+}
+
+TEST(LeanSignature, BuildsNoFormula) {
+  FormulaFactory FF;
+  Formula Phi = FF.conj(singleMarkFormula(FF),
+                        plungeFormula(FF, compileQuery(FF, "//a/b[c]")));
+  LeanPlan Plan(FF, Phi, LeanOrder::BreadthFirst);
+  size_t Before = FF.numNodes();
+  EXPECT_FALSE(Plan.signature().empty());
+  EXPECT_EQ(FF.numNodes(), Before)
+      << "the key is printed from the members, never interned";
 }
 
 //===----------------------------------------------------------------------===//

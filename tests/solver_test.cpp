@@ -166,6 +166,8 @@ TEST(BddSolver, SingleRootOption) {
 TEST(BddSolver, HelperFormulasAreCycleFree) {
   FormulaFactory FF;
   EXPECT_TRUE(isCycleFree(singleMarkFormula(FF)));
+  EXPECT_EQ(singleMarkFormula(FF), singleMarkFormula(FF))
+      << "fixed binder names: every call is the same hash-consed node";
   EXPECT_TRUE(isCycleFree(plungeFormula(FF, FF.prop("a"))));
 }
 
