@@ -16,20 +16,21 @@
 //   closed_disjoint_cold_jobsN
 //                       4 clients x 100 requests of their own, fresh
 //                       server: 400 distinct solves, so jobs=4 should
-//                       take well under half the jobs=1 wall time. Run
-//                       three times per N, each on a fresh server,
-//                       alternating N = 1 and 4; the row is the median
-//                       run, with each run's wall as wall_ms_run1..3
+//                       take well under half the jobs=1 wall time
 //   open_burst          one client floods 200 requests into paused
 //                       workers with a small admission bound, then the
 //                       workers resume — exercises the overloaded
 //                       backpressure path under load
 //
-// Each closed-loop row records wall_ms, cache_hit_rate, client-measured
+// Each closed-loop row is run three times per N, each time on a fresh
+// server (cold then warm on the same one), alternating N = 1 and 4; the
+// row is the median run, with each run's wall as wall_ms_run1..3. Each
+// closed-loop row records wall_ms, cache_hit_rate, client-measured
 // p50_ms/p99_ms and throughput_rps; open_burst records the admitted /
-// rejected split. CI gates on the p50/p99 fields being present, on warm
-// beating cold, and (on hosts with at least 4 cores) on the disjoint
-// jobs=4 row taking at most half the jobs=1 wall time.
+// rejected split. CI gates on the p50/p99 fields being present, on the
+// median warm run beating the median cold run, and (on hosts with at
+// least 4 cores) on the disjoint jobs=4 row taking at most half the
+// jobs=1 wall time.
 //
 // Standalone on purpose (no google-benchmark): CI runs it in every
 // Release build the way bench_rewrite and bench_fixpoint already run.
@@ -146,20 +147,22 @@ struct ClosedLoopPass {
   double Rps = 0;
 };
 
-/// One closed-loop pass: one client thread per entry of \p ClientLines,
-/// each running its own lines against the server, latencies merged
-/// across clients.
-ClosedLoopPass
-runClosedLoopPass(XsolvedServer &Server,
-                  const std::vector<std::vector<std::string>> &ClientLines) {
-  const size_t Clients = ClientLines.size();
+/// The lines each client of a closed-loop pass sends, one list each.
+using ClientLines = std::vector<std::vector<std::string>>;
+
+/// One closed-loop pass: one client thread per entry of \p Lines, each
+/// running its own lines against the server, latencies merged across
+/// clients.
+ClosedLoopPass runClosedLoopPass(XsolvedServer &Server,
+                                 const ClientLines &Lines) {
+  const size_t Clients = Lines.size();
   SessionStats Before = Server.session().stats();
   std::vector<ClientResult> Results(Clients);
   auto T0 = std::chrono::steady_clock::now();
   std::vector<std::thread> Threads;
   for (size_t I = 0; I < Clients; ++I)
     Threads.emplace_back([&, I] {
-      Results[I] = runClosedLoop(Server.tcpPort(), ClientLines[I]);
+      Results[I] = runClosedLoop(Server.tcpPort(), Lines[I]);
     });
   for (std::thread &T : Threads)
     T.join();
@@ -208,14 +211,6 @@ void recordPass(BenchJsonWriter &Out, const std::string &Name,
       {"throughput_rps", P.Rps}};
   Fields.insert(Fields.end(), Extra.begin(), Extra.end());
   Out.record(Name, P.WallMs, P.HitRate, std::move(Fields));
-}
-
-void closedLoopRow(BenchJsonWriter &Out, const std::string &Name,
-                   XsolvedServer &Server,
-                   const std::vector<std::vector<std::string>> &ClientLines) {
-  ClosedLoopPass P = runClosedLoopPass(Server, ClientLines);
-  recordPass(Out, Name, P);
-  printPass(Name, P);
 }
 
 /// Runs \p Rows against a fresh server with \p Jobs workers, then drains
@@ -388,42 +383,53 @@ void obsOverheadRow(BenchJsonWriter &Out) {
               "obs_overhead_warm", OnMs, OffMs, Pct);
 }
 
-/// The disjoint pass at jobs 1 and 4, run DisjointRuns times each on a
-/// fresh server, alternating the two so that a change in host load
-/// reaches both. Each closed_disjoint_cold_jobsN row is its median run
-/// (by wall time), with every run's wall time in run order as
-/// wall_ms_run1..N. False when a server does not start.
-bool disjointRows(BenchJsonWriter &Out,
-                  const std::vector<std::vector<std::string>> &Disjoint) {
-  constexpr size_t DisjointRuns = 3;
+/// One closed-loop pass in a fresh server's life: its rows' name prefix
+/// and the lines each client sends.
+struct PassSpec {
+  std::string Name;
+  const ClientLines &Lines;
+};
+
+/// Runs \p Passes in order on a fresh server, RowRuns times at each of
+/// jobs 1 and 4, alternating the two so that a change in host load
+/// reaches both. Each <Name>_jobsN row is the pass's median run (by wall
+/// time), with every run's wall time in run order as wall_ms_run1..N, so
+/// one stalled run cannot decide a gate alone. False when a server does
+/// not start.
+bool medianRows(BenchJsonWriter &Out, const std::vector<PassSpec> &Passes) {
+  constexpr size_t RowRuns = 3;
   const size_t JobCounts[] = {1, 4};
-  std::vector<ClosedLoopPass> Runs[2];
-  for (size_t Run = 0; Run < DisjointRuns; ++Run)
-    for (size_t J = 0; J < 2; ++J) {
-      std::string Name = "closed_disjoint_cold_jobs" +
-                         std::to_string(JobCounts[J]) + " run " +
-                         std::to_string(Run + 1);
+  auto RowName = [&](size_t P, size_t J) {
+    return Passes[P].Name + "_jobs" + std::to_string(JobCounts[J]);
+  };
+  // Runs[J][P]: pass P's runs at JobCounts[J], in run order.
+  std::vector<std::vector<ClosedLoopPass>> Runs[2];
+  for (auto &R : Runs)
+    R.resize(Passes.size());
+  for (size_t Run = 0; Run < RowRuns; ++Run)
+    for (size_t J = 0; J < 2; ++J)
       if (!withServer(JobCounts[J], [&](XsolvedServer &Server) {
-            Runs[J].push_back(runClosedLoopPass(Server, Disjoint));
-            printPass(Name, Runs[J].back());
+            for (size_t P = 0; P < Passes.size(); ++P) {
+              Runs[J][P].push_back(runClosedLoopPass(Server, Passes[P].Lines));
+              printPass(RowName(P, J) + " run " + std::to_string(Run + 1),
+                        Runs[J][P].back());
+            }
           }))
         return false;
+  for (size_t J = 0; J < 2; ++J)
+    for (size_t P = 0; P < Passes.size(); ++P) {
+      std::vector<std::pair<std::string, double>> Walls;
+      for (size_t Run = 0; Run < RowRuns; ++Run)
+        Walls.push_back(
+            {"wall_ms_run" + std::to_string(Run + 1), Runs[J][P][Run].WallMs});
+      std::vector<ClosedLoopPass> ByWall = Runs[J][P];
+      std::sort(ByWall.begin(), ByWall.end(),
+                [](const ClosedLoopPass &A, const ClosedLoopPass &B) {
+                  return A.WallMs < B.WallMs;
+                });
+      recordPass(Out, RowName(P, J), ByWall[RowRuns / 2], std::move(Walls));
+      printPass(RowName(P, J) + " median", ByWall[RowRuns / 2]);
     }
-  for (size_t J = 0; J < 2; ++J) {
-    std::vector<std::pair<std::string, double>> Walls;
-    for (size_t Run = 0; Run < DisjointRuns; ++Run)
-      Walls.push_back(
-          {"wall_ms_run" + std::to_string(Run + 1), Runs[J][Run].WallMs});
-    std::vector<ClosedLoopPass> ByWall = Runs[J];
-    std::sort(ByWall.begin(), ByWall.end(),
-              [](const ClosedLoopPass &A, const ClosedLoopPass &B) {
-                return A.WallMs < B.WallMs;
-              });
-    std::string Name =
-        "closed_disjoint_cold_jobs" + std::to_string(JobCounts[J]);
-    recordPass(Out, Name, ByWall[DisjointRuns / 2], std::move(Walls));
-    printPass(Name + " median", ByWall[DisjointRuns / 2]);
-  }
   return true;
 }
 
@@ -434,24 +440,15 @@ int main() {
   const size_t Clients = 4, PerClient = 100;
   // Shared: every client sends the same lines. Disjoint: client I sends
   // lines [I * PerClient, (I + 1) * PerClient) of one longer workload.
-  std::vector<std::vector<std::string>> Shared(Clients,
-                                               workloadLines(PerClient));
+  ClientLines Shared(Clients, workloadLines(PerClient));
   std::vector<std::string> All = workloadLines(Clients * PerClient);
-  std::vector<std::vector<std::string>> Disjoint;
+  ClientLines Disjoint;
   for (size_t I = 0; I < Clients; ++I)
     Disjoint.emplace_back(All.begin() + I * PerClient,
                           All.begin() + (I + 1) * PerClient);
 
-  for (size_t Jobs : {size_t(1), size_t(4)}) {
-    std::string Suffix = "_jobs" + std::to_string(Jobs);
-    bool Started = withServer(Jobs, [&](XsolvedServer &Server) {
-      closedLoopRow(Out, "closed_cold" + Suffix, Server, Shared);
-      closedLoopRow(Out, "closed_warm" + Suffix, Server, Shared);
-    });
-    if (!Started)
-      return 1;
-  }
-  if (!disjointRows(Out, Disjoint))
+  if (!medianRows(Out, {{"closed_cold", Shared}, {"closed_warm", Shared}}) ||
+      !medianRows(Out, {{"closed_disjoint_cold", Disjoint}}))
     return 1;
 
   openBurstRow(Out);

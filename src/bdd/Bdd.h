@@ -47,6 +47,7 @@
 namespace xsa {
 
 class BddManager;
+class SnapshotImporter;
 
 /// A reference-counted handle to a BDD node. Copying a handle bumps the
 /// external reference count used as GC roots; destroying it drops the count.
@@ -201,6 +202,9 @@ public:
 
 private:
   friend class Bdd;
+  /// Snapshot import builds table entries with mk straight into a buffer
+  /// of raw node ids (bdd/Snapshot.h).
+  friend class SnapshotImporter;
 
   enum class Op : uint8_t { And, Or, Xor };
 

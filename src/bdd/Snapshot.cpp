@@ -7,53 +7,74 @@
 
 using namespace xsa;
 
-BddSnapshot xsa::exportSnapshot(BddManager &M, const Bdd &F) {
-  assert(F.manager() == &M && "snapshot of a foreign handle");
+BddSnapshot xsa::exportSnapshot(BddManager &M, const std::vector<Bdd> &Roots) {
   BddSnapshot S;
-  if (F.node() <= 1) {
-    S.Root = F.node();
-    return S;
-  }
+  S.Roots.reserve(Roots.size());
+  S.Ends.reserve(Roots.size());
   // Iterative post-order: a node is emitted only after both children, so
   // the table comes out topologically ordered. The emitted order depends
-  // only on node *structure* (low child first), never on manager node
-  // ids — which is what keeps snapshots byte-identical across managers.
+  // only on node *structure* (roots in order, low child first), never on
+  // manager node ids — which is what keeps snapshots byte-identical
+  // across managers.
   std::unordered_map<uint32_t, uint32_t> Ref; // manager node -> table ref
-  Ref.emplace(0, 0);
-  Ref.emplace(1, 1);
-  std::vector<std::pair<uint32_t, bool>> Stack{{F.node(), false}};
-  while (!Stack.empty()) {
-    auto [N, ChildrenDone] = Stack.back();
-    Stack.pop_back();
-    if (Ref.count(N))
-      continue;
-    const BddManager::RawNode Nd = M.rawNode(N);
-    if (!ChildrenDone) {
-      Stack.push_back({N, true});
-      Stack.push_back({Nd.High, false});
-      Stack.push_back({Nd.Low, false});
-      continue;
+  Ref.emplace(BddManager::ZeroNode, 0);
+  Ref.emplace(BddManager::OneNode, 1);
+  std::vector<std::pair<uint32_t, bool>> Stack;
+  for (const Bdd &F : Roots) {
+    assert(F.manager() == &M && "snapshot of a foreign handle");
+    Stack.push_back({F.node(), false});
+    while (!Stack.empty()) {
+      auto [N, ChildrenDone] = Stack.back();
+      Stack.pop_back();
+      if (Ref.count(N))
+        continue;
+      const BddManager::RawNode Nd = M.rawNode(N);
+      if (!ChildrenDone) {
+        Stack.push_back({N, true});
+        Stack.push_back({Nd.High, false});
+        Stack.push_back({Nd.Low, false});
+        continue;
+      }
+      S.Nodes.push_back({Nd.Var, Ref.at(Nd.Low), Ref.at(Nd.High)});
+      Ref.emplace(N, static_cast<uint32_t>(S.Nodes.size() - 1) + 2);
     }
-    S.Nodes.push_back({Nd.Var, Ref.at(Nd.Low), Ref.at(Nd.High)});
-    Ref.emplace(N, static_cast<uint32_t>(S.Nodes.size() - 1) + 2);
+    S.Roots.push_back(Ref.at(F.node()));
+    S.Ends.push_back(static_cast<uint32_t>(S.Nodes.size()));
   }
-  S.Root = Ref.at(F.node());
   return S;
 }
 
-Bdd xsa::importSnapshot(BddManager &M, const BddSnapshot &S,
-                        unsigned (*MapVar)(unsigned)) {
-  std::vector<Bdd> Built;
-  Built.reserve(S.Nodes.size() + 2);
-  Built.push_back(M.zero());
-  Built.push_back(M.one());
-  for (const BddSnapshot::Node &N : S.Nodes) {
-    assert(N.Low < Built.size() && N.High < Built.size() &&
+uint32_t SnapshotImporter::node(uint32_t Ref) const {
+  if (Ref <= BddManager::OneNode)
+    return Ref;
+  assert(Ref - 2 < Built.size() && "snapshot reference past the built prefix");
+  uint32_t N = Built[Ref - 2];
+#ifndef NDEBUG
+  // A GC frees a node by making it terminal, and a reused slot holds
+  // another triple, so a live buffered node still shows its entry.
+  auto Raw = [&](uint32_t R) { return R <= 1 ? R : Built[R - 2]; };
+  const BddSnapshot::Node &E = S.Nodes[Ref - 2];
+  const BddManager::Node &Nd = M.Nodes[N];
+  assert(Nd.Var == (MapVar ? MapVar(E.Var) : E.Var) &&
+         Nd.Low == Raw(E.Low) && Nd.High == Raw(E.High) &&
+         "buffered snapshot node was collected: a returned root was "
+         "dropped while importing");
+#endif
+  return N;
+}
+
+Bdd SnapshotImporter::root(size_t I) {
+  assert(I < S.numRoots() && "snapshot root out of range");
+  for (size_t E = Built.size(); E < S.Ends[I]; ++E) {
+    const BddSnapshot::Node &N = S.Nodes[E];
+    assert(N.Low < E + 2 && N.High < E + 2 &&
            "snapshot table not topologically ordered");
-    // ite(var, high, low) re-derives the canonical node in this manager.
     unsigned Var = MapVar ? MapVar(N.Var) : N.Var;
-    Built.push_back(M.ite(M.var(Var), Built[N.High], Built[N.Low]));
+    M.ensureVars(Var + 1);
+    // The unique-table constructor returns the canonical node of
+    // (Var, Low, High) (DESIGN.md, "BDD canonicity"), and it never
+    // collects garbage, so no buffered id dies while entries are built.
+    Built.push_back(M.mk(Var, node(N.Low), node(N.High)));
   }
-  assert(S.Root < Built.size() && "snapshot root out of range");
-  return Built[S.Root];
+  return M.wrap(node(S.Roots[I]));
 }

@@ -69,28 +69,31 @@ uint32_t xsa::fixpointOptionsKey(const SolverOptions &Opts) {
   return Opts.EarlyQuantification;
 }
 
-/// Bytes an entry holds besides its key's text and its snapshots: the
-/// entry in its list node, the index node, and the make_shared block that
-/// owns the sequence, allocator headers included (about 200), rounded up.
+/// Bytes an entry holds besides its key's text and its table: the entry
+/// in its list node, the index node, and the rest of the make_shared
+/// block that owns the sequence, allocator headers included (about 200),
+/// rounded up.
 static constexpr size_t EntryOverheadBytes = 256;
 
 size_t SharedFixpointStore::cost(std::string_view LeanSig,
                                  const FixpointSeedData &Data) {
-  size_t Bytes = EntryOverheadBytes + LeanSig.size();
-  for (const BddSnapshot &S : Data.Snapshots)
-    Bytes += sizeof(BddSnapshot) + S.nodeCount() * sizeof(BddSnapshot::Node);
+  const BddSnapshot &T = Data.Iterates;
+  size_t Bytes = EntryOverheadBytes + LeanSig.size() + sizeof(BddSnapshot) +
+                 T.nodeCount() * sizeof(BddSnapshot::Node) +
+                 T.numRoots() * (sizeof(T.Roots[0]) + sizeof(T.Ends[0]));
   return (Bytes + sizeof(BddSnapshot::Node) - 1) / sizeof(BddSnapshot::Node);
 }
 
 bool SharedFixpointStore::improves(const FixpointSeedData *Held,
                                    const FixpointSeedData &Offer) {
-  if (Offer.Snapshots.empty())
+  size_t Len = Offer.Iterates.numRoots();
+  if (Len == 0)
     return false;
   if (!Held)
     return true;
   return (Offer.Converged && !Held->Converged) ||
          (Offer.Converged == Held->Converged &&
-          Offer.Snapshots.size() > Held->Snapshots.size());
+          Len > Held->Iterates.numRoots());
 }
 
 namespace {
@@ -101,12 +104,8 @@ exportSequence(BddManager &M, const std::vector<Bdd> &Snapshots,
                bool Converged) {
   auto Data = std::make_shared<FixpointSeedData>();
   Data->Converged = Converged;
-  Data->Snapshots.reserve(Snapshots.size());
-  for (const Bdd &T : Snapshots) {
-    BddSnapshot S = exportSnapshot(M, T);
-    S.mapVars([](unsigned V) { return V / 2; });
-    Data->Snapshots.push_back(std::move(S));
-  }
+  Data->Iterates = exportSnapshot(M, Snapshots);
+  Data->Iterates.mapVars([](unsigned V) { return V / 2; });
   return Data;
 }
 
@@ -191,7 +190,7 @@ SolverResult BddSolver::solve(Formula Psi) {
 
   // Seed lookup: a stored prefix of this lean's iterate sequence. The
   // shared_ptr pins the entry for the whole run; the loop imports its
-  // snapshots lazily as it replays them.
+  // table lazily as it replays the iterates.
   uint32_t FpKey = fixpointOptionsKey(Opts);
   std::shared_ptr<const FixpointSeedData> Seed;
   if (Opts.Fixpoints)

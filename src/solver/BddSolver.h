@@ -59,8 +59,8 @@ struct SolverStats;
 class ShardedResultCache;
 class SharedFixpointStore;
 
-/// One lean's canonical iterate sequence T^1, T^2, ..., exported as
-/// portable snapshots over lean-member indices. The §7.1 update operator
+/// One lean's canonical iterate sequence T^1, T^2, ..., exported as one
+/// portable snapshot over lean-member indices. The §7.1 update operator
 /// Upd is a function of the lean alone (χTypes, the ∆a clauses and the
 /// witness conditions never mention the input formula, which enters only
 /// through the final condition), so the sequence of iterates from ∅ is
@@ -70,9 +70,13 @@ class SharedFixpointStore;
 /// same iteration count as a cold run) and only skips the expensive
 /// image computations. See DESIGN.md for the soundness argument.
 struct FixpointSeedData {
-  /// T^1 .. T^k in iteration order. A converged sequence carries the
-  /// duplicated final iterate, exactly as the solver's loop records it.
-  std::vector<BddSnapshot> Snapshots;
+  /// T^1 .. T^k as the roots of one node table in iteration order:
+  /// consecutive iterates share most of their nodes, and the table holds
+  /// each once, with the prefix each iterate needs, so replaying T^i
+  /// builds only the nodes T^1 .. T^(i-1) did not. A converged sequence
+  /// carries the duplicated final iterate, exactly as the solver's loop
+  /// records it (a second root on the same entry).
+  BddSnapshot Iterates;
   /// True when the sequence ran to Upd's fixpoint (the lfp was reached);
   /// false for the prefix of an early-terminated satisfiable run.
   bool Converged = false;
@@ -218,9 +222,10 @@ public:
   static constexpr const char *ProbeSpan = "fixstore.probe";
   static constexpr const char *PublishSpan = "fixstore.publish";
   /// What an entry costs, in snapshot-node units (12 bytes): everything
-  /// it holds — its snapshots' node tables and headers, its key's text
-  /// and a fixed per-entry overhead — divided by a node's size, rounded
-  /// up. So neither sequences of constant sets nor long keys come free.
+  /// it holds — its shared node table and the table's header once, a
+  /// root and a prefix end per iterate, its key's text and a fixed
+  /// per-entry overhead — divided by a node's size, rounded up. So
+  /// neither sequences of constant sets nor long keys come free.
   static size_t cost(std::string_view LeanSig, const FixpointSeedData &Data);
   /// A non-empty sequence improves on nothing; on a held one when it is
   /// converged and the held one is not, or longer at equal convergence.
@@ -229,7 +234,10 @@ public:
   static bool improves(const FixpointSeedData *Held,
                        const FixpointSeedData &Offer);
   static void traceHit(Span &Probe, const FixpointSeedData &Hit) {
-    Probe.arg("snapshots", static_cast<double>(Hit.Snapshots.size()));
+    if (Probe.active()) {
+      Probe.arg("snapshots", static_cast<double>(Hit.Iterates.numRoots()));
+      Probe.arg("nodes", static_cast<double>(Hit.Iterates.nodeCount()));
+    }
   }
 };
 

@@ -2,10 +2,12 @@
 
 #include "solver/Pipeline.h"
 
+#include "bdd/Snapshot.h"
 #include "obs/Trace.h"
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace xsa;
 
@@ -256,7 +258,17 @@ FixpointLoop::Outcome FixpointLoop::run(const Bdd &FinalCond,
   Outcome Out;
   Out.Final = M.zero();
   Bdd T = M.zero();
-  size_t SeedLen = Seed ? Seed->Snapshots.size() : 0;
+  size_t SeedLen = Seed ? Seed->Iterates.numRoots() : 0;
+  // Stored variables are lean-member indices; the manager's unprimed
+  // copy of bit I is variable 2I, remapped on the fly so the shared
+  // table is never cloned. The importer's buffer of raw node ids lives
+  // for the whole run, and its ids stay valid across a GC between
+  // rounds: replaying T^k built entries that some T^j, j <= k, reaches,
+  // and Snapshots holds every replayed T^j until the run ends
+  // (bdd/Snapshot.h, DESIGN.md fact 3).
+  std::optional<SnapshotImporter> Import;
+  if (SeedLen)
+    Import.emplace(M, Seed->Iterates, [](unsigned V) { return 2 * V; });
   // §7.1 verbatim: one full Upd image per round.
   for (;;) {
     // While the seed lasts, the stored iterate stands in for the computed
@@ -264,10 +276,7 @@ FixpointLoop::Outcome FixpointLoop::run(const Bdd &FinalCond,
     // have produced, so everything downstream — the early-termination
     // check, the convergence test, the snapshot record — behaves exactly
     // as in a cold run. Imported lazily: an early exit on replayed
-    // iterate i never materializes the tables past i. Stored variables
-    // are lean-member indices; the manager's unprimed copy of bit I is
-    // variable 2I, remapped on the fly so the shared table is never
-    // cloned.
+    // iterate i never builds the table past i's prefix.
     bool Replay = Out.Iterations < SeedLen;
     Span RoundSpan("fixpoint.round");
     if (RoundSpan.active()) {
@@ -276,8 +285,11 @@ FixpointLoop::Outcome FixpointLoop::run(const Bdd &FinalCond,
     }
     Bdd TNext;
     if (Replay) {
-      TNext = importSnapshot(M, Seed->Snapshots[Out.Iterations],
-                             [](unsigned V) { return 2 * V; });
+      size_t Built = Import->built();
+      TNext = Import->root(Out.Iterations);
+      if (RoundSpan.active())
+        RoundSpan.arg("imported",
+                      static_cast<double>(Import->built() - Built));
       ++Out.Replayed;
     } else {
       Bdd TY = TS.shiftToY(T);

@@ -143,12 +143,15 @@ public:
   };
 
   /// Runs the iteration. \p Seed (may be null) is a stored iterate
-  /// sequence of the same lean; its elements are imported into TS's
-  /// manager lazily — only when actually replayed, since an
-  /// early-terminating run may consume one iterate of a long sequence —
-  /// and stand in for computed iterates under the exact cold control
-  /// flow. Early termination follows TS.options().EarlyTermination and
-  /// is checked after every round.
+  /// sequence of the same lean, one node table shared by its iterates;
+  /// replaying iterate i builds the table's nodes in TS's manager up to
+  /// i's prefix end and wraps only i's root — lazily, since an
+  /// early-terminating run may consume one iterate of a long sequence.
+  /// Replayed iterates stand in for computed ones under the exact cold
+  /// control flow, and are held in snapshots() for the whole run, which
+  /// keeps the table's built nodes alive across a GC between rounds.
+  /// Early termination follows TS.options().EarlyTermination and is
+  /// checked after every round.
   Outcome run(const Bdd &FinalCond, const FixpointSeedData *Seed);
 
   /// T^1, T^2, ... as retained for model reconstruction; identical to a

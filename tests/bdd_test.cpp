@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <random>
+#include <set>
 #include <thread>
 
 using namespace xsa;
@@ -442,34 +443,133 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomTest, ::testing::Range(1, 9));
 // Portable snapshots
 //===----------------------------------------------------------------------===//
 
+/// Internal nodes reachable from any of \p Roots, each counted once.
+size_t unionSize(const BddManager &M, const std::vector<Bdd> &Roots) {
+  std::set<uint32_t> Seen;
+  std::vector<uint32_t> Stack;
+  for (const Bdd &R : Roots)
+    Stack.push_back(R.node());
+  while (!Stack.empty()) {
+    uint32_t N = Stack.back();
+    Stack.pop_back();
+    if (N <= BddManager::OneNode || !Seen.insert(N).second)
+      continue;
+    BddManager::RawNode Nd = M.rawNode(N);
+    Stack.push_back(Nd.Low);
+    Stack.push_back(Nd.High);
+  }
+  return Seen.size();
+}
+
 TEST(Snapshot, RoundTripsWithinAndAcrossManagers) {
   BddManager M(6);
   Bdd F = (M.var(0) & M.var(2)) | ((!M.var(1)) & M.var(4)) |
           (M.var(3) ^ M.var(5));
-  BddSnapshot S = exportSnapshot(M, F);
+  Bdd G = F & M.var(1);
+  const std::vector<Bdd> Roots = {F, M.zero(), G, M.one(), F};
+  BddSnapshot S = exportSnapshot(M, Roots);
   EXPECT_GT(S.nodeCount(), 0u);
-  EXPECT_EQ(importSnapshot(M, S), F);
+  ASSERT_EQ(S.numRoots(), Roots.size());
+  ASSERT_EQ(S.Ends.size(), Roots.size());
+  EXPECT_EQ(S.Ends.back(), S.nodeCount());
+  SnapshotImporter Same(M, S);
+  for (size_t I = 0; I < Roots.size(); ++I)
+    EXPECT_EQ(Same.root(I), Roots[I]) << "root " << I;
 
-  // A fresh manager rebuilds the same function over the same variables.
+  // A fresh manager rebuilds the same functions over the same variables.
   BddManager M2;
-  Bdd G = importSnapshot(M2, S);
-  for (unsigned Asg = 0; Asg < 64; ++Asg)
-    EXPECT_EQ(eval(M2, G, Asg), eval(M, F, Asg)) << "assignment " << Asg;
+  SnapshotImporter Fresh(M2, S);
+  std::vector<Bdd> Got;
+  for (size_t I = 0; I < Roots.size(); ++I)
+    Got.push_back(Fresh.root(I));
+  for (size_t I = 0; I < Roots.size(); ++I)
+    for (unsigned Asg = 0; Asg < 64; ++Asg)
+      EXPECT_EQ(eval(M2, Got[I], Asg), eval(M, Roots[I], Asg))
+          << "root " << I << " assignment " << Asg;
+  EXPECT_EQ(Got[4], Got[0]) << "a repeated root is one node";
+  EXPECT_TRUE(Got[1].isZero());
+  EXPECT_TRUE(Got[3].isOne());
 }
 
 TEST(Snapshot, ConstantsAndVarRemap) {
-  BddManager M(4);
-  EXPECT_TRUE(importSnapshot(M, exportSnapshot(M, M.zero())).isZero());
-  EXPECT_TRUE(importSnapshot(M, exportSnapshot(M, M.one())).isOne());
+  BddManager M(6);
+  BddSnapshot C = exportSnapshot(M, {M.zero(), M.one(), M.zero()});
+  EXPECT_EQ(C.nodeCount(), 0u);
+  EXPECT_EQ(C.Roots, (std::vector<uint32_t>{0, 1, 0}));
+  EXPECT_EQ(C.Ends, (std::vector<uint32_t>{0, 0, 0}));
+  SnapshotImporter Constants(M, C);
+  EXPECT_TRUE(Constants.root(0).isZero());
+  EXPECT_TRUE(Constants.root(1).isOne());
+  EXPECT_TRUE(Constants.root(2).isZero());
+  EXPECT_EQ(Constants.built(), 0u);
 
-  // Export over even variables, compact to half indices and widen back:
-  // the solver's lean-member translation.
+  // Export over even variables, compact to half indices and widen back,
+  // on a copy of the table or on the fly: the solver's lean-member
+  // translation.
   Bdd F = M.var(0) & !M.var(2);
-  BddSnapshot S = exportSnapshot(M, F);
+  Bdd G = F | (M.var(2) & M.var(4));
+  BddSnapshot S = exportSnapshot(M, {F, M.one(), G});
   S.mapVars([](unsigned V) { return V / 2; });
   BddSnapshot Widened = S;
   Widened.mapVars([](unsigned V) { return 2 * V; });
-  EXPECT_EQ(importSnapshot(M, Widened), F);
+  SnapshotImporter Copy(M, Widened);
+  EXPECT_EQ(Copy.root(0), F);
+  EXPECT_TRUE(Copy.root(1).isOne());
+  EXPECT_EQ(Copy.root(2), G);
+  SnapshotImporter OnTheFly(M, S, [](unsigned V) { return 2 * V; });
+  EXPECT_EQ(OnTheFly.root(2), G) << "a later root builds the prefix first";
+  EXPECT_EQ(OnTheFly.built(), S.nodeCount());
+  EXPECT_EQ(OnTheFly.root(0), F);
+}
+
+TEST(Snapshot, SharedNodesAreStoredOnce) {
+  BddManager M(6);
+  Bdd Shared = (M.var(2) & M.var(4)) | (M.var(3) ^ M.var(5));
+  Bdd A = M.var(0) & Shared;
+  Bdd B = M.var(1) | Shared;
+  BddSnapshot S = exportSnapshot(M, {A, B});
+  EXPECT_EQ(S.nodeCount(), unionSize(M, {A, B}));
+  EXPECT_LT(S.nodeCount(), unionSize(M, {A}) + unionSize(M, {B}))
+      << "the roots share Shared's nodes";
+  EXPECT_EQ(S.Ends[0], unionSize(M, {A})) << "root 0's prefix is its nodes";
+  EXPECT_EQ(S.Ends[1], S.nodeCount());
+
+  SnapshotImporter Same(M, S);
+  EXPECT_EQ(Same.root(0), A);
+  EXPECT_EQ(Same.root(1), B);
+
+  BddManager M2;
+  SnapshotImporter Fresh(M2, S);
+  Bdd A2 = Fresh.root(0), B2 = Fresh.root(1);
+  for (unsigned Asg = 0; Asg < 64; ++Asg) {
+    EXPECT_EQ(eval(M2, A2, Asg), eval(M, A, Asg)) << "assignment " << Asg;
+    EXPECT_EQ(eval(M2, B2, Asg), eval(M, B, Asg)) << "assignment " << Asg;
+  }
+}
+
+TEST(Snapshot, PrefixImportSurvivesGc) {
+  BddManager M(6);
+  BddSnapshot S;
+  {
+    Bdd Shared = (M.var(2) & M.var(4)) | (M.var(3) ^ M.var(5));
+    S = exportSnapshot(M, {M.var(0) & Shared, M.var(1) | Shared});
+  }
+  M.gc(); // nothing holds the exported functions any more
+
+  SnapshotImporter Import(M, S);
+  Bdd R0 = Import.root(0);
+  EXPECT_EQ(Import.built(), S.Ends[0]) << "only root 0's prefix is built";
+  EXPECT_LT(Import.built(), S.nodeCount());
+  {
+    // Garbage for the collector to free, so later nodes reuse its slots.
+    Bdd Garbage = (M.var(0) ^ M.var(3)) & (M.var(1) ^ M.var(4));
+  }
+  M.gc();
+  Bdd R1 = Import.root(1);
+  EXPECT_EQ(Import.built(), S.nodeCount());
+  Bdd Shared = (M.var(2) & M.var(4)) | (M.var(3) ^ M.var(5));
+  EXPECT_EQ(R0, M.var(0) & Shared);
+  EXPECT_EQ(R1, M.var(1) | Shared) << "root 1 reuses root 0's nodes";
 }
 
 } // namespace

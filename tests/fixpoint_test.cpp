@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bdd/Snapshot.h"
 #include "logic/Lean.h"
 #include "logic/Parser.h"
 #include "solver/BddSolver.h"
@@ -138,22 +139,28 @@ TEST(LeanSignature, BuildsNoFormula) {
 // SharedFixpointStore
 //===----------------------------------------------------------------------===//
 
-/// A sequence of \p Snapshots iterates, each a chain of \p Nodes BDD
-/// nodes (Nodes = 0 gives constant sets).
-std::shared_ptr<FixpointSeedData> makeSeed(size_t Snapshots, bool Converged,
+/// A sequence of \p Iterates iterates in one table, each the conjunction
+/// of \p Nodes variables of its own, so each adds \p Nodes table nodes
+/// (Nodes = 0 gives constant sets).
+std::shared_ptr<FixpointSeedData> makeSeed(size_t Iterates, bool Converged,
                                            uint32_t Nodes = 0) {
   auto Data = std::make_shared<FixpointSeedData>();
   Data->Converged = Converged;
-  BddSnapshot S;
-  for (uint32_t I = 0; I < Nodes; ++I)
-    S.Nodes.push_back({I, 0, I == 0 ? 1u : I + 1});
-  S.Root = Nodes ? Nodes + 1 : 1;
-  Data->Snapshots.assign(Snapshots, S);
+  BddSnapshot &T = Data->Iterates;
+  for (size_t It = 0; It < Iterates; ++It) {
+    uint32_t Ref = 1;
+    for (uint32_t I = Nodes; I-- > 0;) {
+      T.Nodes.push_back({static_cast<uint32_t>(It * Nodes + I), 0, Ref});
+      Ref = static_cast<uint32_t>(T.Nodes.size()) + 1;
+    }
+    T.Roots.push_back(Ref);
+    T.Ends.push_back(static_cast<uint32_t>(T.Nodes.size()));
+  }
   return Data;
 }
 
-size_t costOf(const std::string &Sig, size_t Snapshots, uint32_t Nodes = 0) {
-  return SharedFixpointStore::cost(Sig, *makeSeed(Snapshots, true, Nodes));
+size_t costOf(const std::string &Sig, size_t Iterates, uint32_t Nodes = 0) {
+  return SharedFixpointStore::cost(Sig, *makeSeed(Iterates, true, Nodes));
 }
 
 TEST(SharedFixpointStore, PublishKeepsOnlyImprovements) {
@@ -171,7 +178,7 @@ TEST(SharedFixpointStore, PublishKeepsOnlyImprovements) {
   auto Got = Store.lookup("sig", 0);
   ASSERT_NE(Got, nullptr);
   EXPECT_TRUE(Got->Converged);
-  EXPECT_EQ(Got->Snapshots.size(), 1u);
+  EXPECT_EQ(Got->Iterates.numRoots(), 1u);
 
   // Distinct options fingerprints do not meet.
   EXPECT_EQ(Store.lookup("sig", 1), nullptr);
@@ -193,8 +200,8 @@ TEST(SharedFixpointStore, CapacityEvictsLeastRecentlyUsed) {
   EXPECT_EQ(Store.stats().Evictions, 1u);
   EXPECT_EQ(Store.size(), 2u);
 
-  // An offer evicts as many entries as it needs room for: two snapshots
-  // cost more than one, so both residents go.
+  // An offer evicts as many entries as it needs room for: two iterates
+  // of their own nodes cost more than one, so both residents go.
   ASSERT_GT(costOf("d", 2, 3), C);
   EXPECT_TRUE(Store.publish("d", 0, makeSeed(2, true, 3)));
   EXPECT_EQ(Store.lookup("a", 0), nullptr);
@@ -202,9 +209,10 @@ TEST(SharedFixpointStore, CapacityEvictsLeastRecentlyUsed) {
   EXPECT_EQ(Store.stats().Evictions, 3u);
   EXPECT_EQ(Store.size(), 1u);
 
-  // Constant sets have no nodes but still cost: a long sequence of them
-  // does not fit the shard.
-  EXPECT_GT(costOf("e", 2), costOf("e", 1));
+  // Constant sets have no nodes but still cost: each iterate's root and
+  // prefix end (8 bytes) are charged, so a long sequence of them does not
+  // fit the shard.
+  EXPECT_GE(costOf("e", 100) - costOf("e", 1), 99 * 8 / 12u);
   EXPECT_FALSE(Store.publish("e", 0, makeSeed(100, true)));
   EXPECT_NE(Store.lookup("d", 0), nullptr);
 
@@ -218,7 +226,7 @@ TEST(SharedFixpointStore, CapacityEvictsLeastRecentlyUsed) {
 }
 
 TEST(SharedFixpointStore, NodeBudgetDropsOversizedEntries) {
-  // One shard that a 15-node snapshot fills exactly: a 16-node one is
+  // One shard that a 15-node iterate fills exactly: a 16-node one is
   // dropped without evicting anything.
   const size_t Budget = costOf("exact", 1, 15);
   ASSERT_GT(costOf("big", 1, 16), Budget);
@@ -249,22 +257,49 @@ TEST(SharedFixpointStore, NodeBudgetDropsOversizedEntries) {
   EXPECT_EQ(Sharded.size(), 1u);
 }
 
+TEST(SharedFixpointStore, EqualIteratesAreChargedTheirNodesOnce) {
+  // A converged sequence ends in a duplicate of its last iterate. The
+  // table holds the duplicate's nodes once; its second root adds a root
+  // and a prefix end (8 bytes), under one node unit.
+  BddManager M(40);
+  Bdd F = M.one();
+  for (unsigned V = 0; V < 40; V += 2)
+    F &= M.var(V) | M.var(V + 1);
+  FixpointSeedData Once, Twice;
+  Once.Iterates = exportSnapshot(M, {F});
+  Twice.Iterates = exportSnapshot(M, {F, F});
+  ASSERT_GT(Once.Iterates.nodeCount(), 20u);
+  EXPECT_EQ(Twice.Iterates.nodeCount(), Once.Iterates.nodeCount());
+  EXPECT_LE(SharedFixpointStore::cost("sig", Twice),
+            SharedFixpointStore::cost("sig", Once) + 1);
+}
+
 //===----------------------------------------------------------------------===//
 // Seeded runs are output-invisible
 //===----------------------------------------------------------------------===//
 
 /// Solves \p Text in a fresh factory with \p Store installed (or not).
 SolverResult solveWith(const std::string &Text, SharedFixpointStore *Store,
-                       bool EarlyQuantification = true) {
+                       SolverOptions Opts = {}) {
   FormulaFactory FF;
   std::string Err;
   Formula F = parseFormula(FF, Text, Err);
   EXPECT_NE(F, nullptr) << Err;
-  SolverOptions Opts;
   Opts.Fixpoints = Store;
-  Opts.EarlyQuantification = EarlyQuantification;
   BddSolver Solver(FF, Opts);
   return Solver.solve(F);
+}
+
+SolverOptions withoutEarlyQuantification() {
+  SolverOptions Opts;
+  Opts.EarlyQuantification = false;
+  return Opts;
+}
+
+/// The store key of \p Text's lean under default options.
+std::string signatureOf(const std::string &Text) {
+  FormulaFactory FF;
+  return planSignature(FF, parse(FF, Text));
 }
 
 std::string modelXml(const SolverResult &R) {
@@ -306,16 +341,8 @@ TEST(FixpointSharing, UnsatisfiableRunsShareConvergedSequences) {
   SolverResult R1 = solveWith("x & <-1>T & <-2>T", &Store);
   EXPECT_FALSE(R1.Satisfiable);
   EXPECT_EQ(R1.Stats.IterationsReplayed, 0u);
-  auto Entry = Store.lookup(
-      [&] {
-        FormulaFactory FF;
-        std::string Err;
-        Formula F = parseFormula(FF, "y & <-1>T & <-2>T", Err);
-        Formula Phi = FF.conj(singleMarkFormula(FF), plungeFormula(FF, F));
-        LeanPlan Plan(FF, Phi, LeanOrder::BreadthFirst);
-        return Plan.signature();
-      }(),
-      fixpointOptionsKey(SolverOptions{}));
+  auto Entry = Store.lookup(signatureOf("y & <-1>T & <-2>T"),
+                            fixpointOptionsKey(SolverOptions{}));
   ASSERT_NE(Entry, nullptr) << "the second alphabet's key must hit";
   EXPECT_TRUE(Entry->Converged);
 
@@ -326,6 +353,53 @@ TEST(FixpointSharing, UnsatisfiableRunsShareConvergedSequences) {
       << "a converged seed serves the whole run";
 }
 
+TEST(FixpointSharing, SeedThatRunsOutResumesComputing) {
+  // A hedge satisfies a & <2>b at round 2; a single-rooted model needs
+  // one more round. The first run publishes its 2-iterate prefix, which
+  // the second (same lean: RequireSingleRoot only filters roots) replays
+  // before computing round 3 itself.
+  const std::string Text = "a & <2>b";
+  SolverOptions SingleRoot;
+  SingleRoot.RequireSingleRoot = true;
+  SolverResult Cold = solveWith(Text, nullptr, SingleRoot);
+  ASSERT_TRUE(Cold.Satisfiable);
+  ASSERT_EQ(Cold.Stats.Iterations, 3u);
+
+  SharedFixpointStore Store;
+  SolverResult Hedge = solveWith(Text, &Store);
+  ASSERT_TRUE(Hedge.Satisfiable);
+  ASSERT_EQ(Hedge.Stats.Iterations, 2u);
+  const std::string Sig = signatureOf(Text);
+  const uint32_t Key = fixpointOptionsKey(SolverOptions{});
+  std::shared_ptr<const FixpointSeedData> Prefix = Store.lookup(Sig, Key);
+  ASSERT_NE(Prefix, nullptr);
+  EXPECT_FALSE(Prefix->Converged);
+  ASSERT_EQ(Prefix->Iterates.numRoots(), 2u);
+
+  SolverResult Seeded = solveWith(Text, &Store, SingleRoot);
+  EXPECT_TRUE(Seeded.Satisfiable);
+  EXPECT_EQ(Seeded.Stats.IterationsReplayed, 2u);
+  EXPECT_EQ(Seeded.Stats.Iterations, 3u) << "replays 2 rounds, computes 1";
+  EXPECT_EQ(modelXml(Seeded), modelXml(Cold));
+
+  std::shared_ptr<const FixpointSeedData> Grown = Store.lookup(Sig, Key);
+  ASSERT_NE(Grown, nullptr);
+  EXPECT_EQ(Store.stats().Insertions, 2u);
+  ASSERT_EQ(Grown->Iterates.numRoots(), 3u);
+  // The imported iterates export to the stored table again, node for
+  // node: the table depends on the iterates' functions only.
+  const BddSnapshot &Old = Prefix->Iterates, &New = Grown->Iterates;
+  EXPECT_EQ(New.Roots[0], Old.Roots[0]);
+  EXPECT_EQ(New.Roots[1], Old.Roots[1]);
+  EXPECT_EQ(New.Ends[1], Old.Ends[1]);
+  ASSERT_GE(New.nodeCount(), Old.nodeCount());
+  for (size_t I = 0; I < Old.nodeCount(); ++I) {
+    EXPECT_EQ(New.Nodes[I].Var, Old.Nodes[I].Var) << "entry " << I;
+    EXPECT_EQ(New.Nodes[I].Low, Old.Nodes[I].Low) << "entry " << I;
+    EXPECT_EQ(New.Nodes[I].High, Old.Nodes[I].High) << "entry " << I;
+  }
+}
+
 TEST(FixpointSharing, ReplayRefusesAMismatchedOptionsKey) {
   // A sequence published with early quantification off must never seed
   // a run with it on: the store keys on fixpointOptionsKey, which
@@ -333,8 +407,8 @@ TEST(FixpointSharing, ReplayRefusesAMismatchedOptionsKey) {
   // and publishes its own entry. The shape is UNSAT so each run
   // publishes exactly one converged sequence.
   SharedFixpointStore Store;
-  SolverResult First = solveWith("x & <-1>T & <-2>T", &Store,
-                                 /*EarlyQuantification=*/false);
+  SolverResult First =
+      solveWith("x & <-1>T & <-2>T", &Store, withoutEarlyQuantification());
   EXPECT_FALSE(First.Satisfiable);
   EXPECT_EQ(First.Stats.IterationsReplayed, 0u);
   EXPECT_EQ(Store.stats().Insertions, 1u);
@@ -347,8 +421,8 @@ TEST(FixpointSharing, ReplayRefusesAMismatchedOptionsKey) {
       << "the second run publishes under its own key";
 
   // Same shape, same key: now it replays end to end.
-  SolverResult Third = solveWith("z & <-1>T & <-2>T", &Store,
-                                 /*EarlyQuantification=*/false);
+  SolverResult Third =
+      solveWith("z & <-1>T & <-2>T", &Store, withoutEarlyQuantification());
   EXPECT_FALSE(Third.Satisfiable);
   EXPECT_EQ(Third.Stats.IterationsReplayed, Third.Stats.Iterations);
   EXPECT_EQ(Third.Stats.Iterations, First.Stats.Iterations);

@@ -1108,10 +1108,11 @@ TEST(SharedFixpointStore, BudgetHoldsUnderConcurrentPublishes) {
   auto Seed = [](bool Converged) {
     auto Data = std::make_shared<FixpointSeedData>();
     Data->Converged = Converged;
-    BddSnapshot S;
-    S.Nodes = {{0, 0, 1}, {1, 0, 2}, {2, 3, 1}};
-    S.Root = 4;
-    Data->Snapshots.assign(2, S);
+    // Two iterates over one table: entries 0-1, then entries 0-2.
+    BddSnapshot &T = Data->Iterates;
+    T.Nodes = {{2, 0, 1}, {1, 0, 2}, {0, 3, 1}};
+    T.Roots = {3, 4};
+    T.Ends = {2, 3};
     return Data;
   };
   auto Sig = [](size_t K) { return "sig" + std::to_string(100 + K % 100); };
@@ -1123,7 +1124,8 @@ TEST(SharedFixpointStore, BudgetHoldsUnderConcurrentPublishes) {
   onThreads(4, 4000, [&](size_t I, size_t) {
     Store.publish(Sig(I), 0, Seed(I / 100 % 2 == 1));
     if (auto Got = Store.lookup(Sig(I * 7), 0))
-      if (Got->Snapshots.size() != 2 || Got->Snapshots[1].nodeCount() != 3)
+      if (Got->Iterates.numRoots() != 2 || Got->Iterates.nodeCount() != 3 ||
+          Got->Iterates.Ends[0] != 2)
         Bad.fetch_add(1);
   });
   EXPECT_EQ(Bad.load(), 0u);
@@ -1131,7 +1133,7 @@ TEST(SharedFixpointStore, BudgetHoldsUnderConcurrentPublishes) {
   EXPECT_LE(Store.size() * Cost, Budget);
   for (size_t K = 0; K < 100; ++K)
     if (auto Got = Store.lookup(Sig(K), 0)) {
-      EXPECT_EQ(Got->Snapshots.size(), 2u);
+      EXPECT_EQ(Got->Iterates.numRoots(), 2u);
     }
 }
 
