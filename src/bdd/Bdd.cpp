@@ -107,12 +107,6 @@ Bdd BddManager::one() { return wrap(OneNode); }
 Bdd BddManager::zero() { return wrap(ZeroNode); }
 Bdd BddManager::var(unsigned Var) { return wrap(var2Node(Var)); }
 
-Bdd BddManager::ite(const Bdd &F, const Bdd &G, const Bdd &H) {
-  assert(F.manager() == this && G.manager() == this && H.manager() == this);
-  maybeGc();
-  return wrap(iteRec(F.node(), G.node(), H.node()));
-}
-
 Bdd BddManager::exists(const Bdd &F, const Bdd &Cube) {
   assert(F.manager() == this && Cube.manager() == this);
   maybeGc();
@@ -408,7 +402,6 @@ namespace {
 // cacheSlot hashes the tag, so these values fix which entries collide:
 // renumbering them would change exact mk counts.
 constexpr uint8_t TagNot = 200;
-constexpr uint8_t TagIte = 201;
 constexpr uint8_t TagExists = 202;
 constexpr uint8_t TagAndExists = 204;
 } // namespace
@@ -491,39 +484,6 @@ uint32_t BddManager::applyRec(Op O, uint32_t A, uint32_t B) {
   uint32_t R1 = applyRec(O, A1, B1);
   uint32_t R = mk(V, R0, R1);
   cacheSlot(Tag, A, B, 0) = {A, B, 0, stamp(Tag), R};
-  return R;
-}
-
-uint32_t BddManager::iteRec(uint32_t F, uint32_t G, uint32_t H) {
-  if (F == 1)
-    return G;
-  if (F == 0)
-    return H;
-  if (G == H)
-    return G;
-  if (G == 1 && H == 0)
-    return F;
-  if (G == 0 && H == 1)
-    return notRec(F);
-  {
-    ++OpCacheLookups;
-    CacheEntry &E = cacheSlot(TagIte, F, G, H);
-    if (E.Stamp == stamp(TagIte) && E.A == F && E.B == G && E.C == H) {
-      ++OpCacheHits;
-      return E.Result;
-    }
-  }
-  const Node NF = Nodes[F], NG = Nodes[G], NH = Nodes[H];
-  uint32_t V = NF.Var;
-  if (NG.Var != TerminalVar)
-    V = std::min(V, NG.Var);
-  if (NH.Var != TerminalVar)
-    V = std::min(V, NH.Var);
-  uint32_t F0 = NF.Var == V ? NF.Low : F, F1 = NF.Var == V ? NF.High : F;
-  uint32_t G0 = NG.Var == V ? NG.Low : G, G1 = NG.Var == V ? NG.High : G;
-  uint32_t H0 = NH.Var == V ? NH.Low : H, H1 = NH.Var == V ? NH.High : H;
-  uint32_t R = mk(V, iteRec(F0, G0, H0), iteRec(F1, G1, H1));
-  cacheSlot(TagIte, F, G, H) = {F, G, H, stamp(TagIte), R};
   return R;
 }
 

@@ -13,7 +13,7 @@
 /// scratch:
 ///
 ///   * hash-consed node store with a unique table (canonicity);
-///   * apply/ITE with operation caches;
+///   * apply with operation caches;
 ///   * existential quantification and the combined relational product
 ///     (andExists) needed for the early-quantification scheme of §7.3;
 ///   * variable renaming, support and satisfying-assignment extraction
@@ -128,9 +128,6 @@ public:
   void ensureVars(unsigned NumVars);
   unsigned numVars() const { return NumVars; }
 
-  /// If-then-else: F ? G : H.
-  Bdd ite(const Bdd &F, const Bdd &G, const Bdd &H);
-
   /// Existentially quantifies the variables of \p Cube (a positive
   /// conjunction of variables) out of \p F.
   Bdd exists(const Bdd &F, const Bdd &Cube);
@@ -237,7 +234,6 @@ private:
 
   // Core recursive algorithms (on raw node ids).
   uint32_t applyRec(Op O, uint32_t A, uint32_t B);
-  uint32_t iteRec(uint32_t F, uint32_t G, uint32_t H);
   uint32_t notRec(uint32_t F);
   uint32_t existsRec(uint32_t F, uint32_t Cube);
   uint32_t andExistsRec(uint32_t F, uint32_t G, uint32_t Cube);

@@ -132,8 +132,3 @@ DynBitset xsa::evalFormula(const Document &Doc, FormulaFactory &FF, Formula F,
   Evaluator E(Doc, FF, Sem);
   return E.eval(F);
 }
-
-bool xsa::evalFormulaAt(const Document &Doc, FormulaFactory &FF, Formula F,
-                        NodeId N, FixpointSemantics Sem) {
-  return evalFormula(Doc, FF, F, Sem).test(N);
-}

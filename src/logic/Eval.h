@@ -37,10 +37,6 @@ enum class FixpointSemantics {
 DynBitset evalFormula(const Document &Doc, FormulaFactory &FF, Formula F,
                       FixpointSemantics Sem = FixpointSemantics::Least);
 
-/// Convenience: does \p F hold at node \p N of \p Doc?
-bool evalFormulaAt(const Document &Doc, FormulaFactory &FF, Formula F,
-                   NodeId N, FixpointSemantics Sem = FixpointSemantics::Least);
-
 } // namespace xsa
 
 #endif // XSA_LOGIC_EVAL_H

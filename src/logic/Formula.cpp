@@ -3,7 +3,6 @@
 #include "logic/Formula.h"
 
 #include <cassert>
-#include <sstream>
 
 using namespace xsa;
 
@@ -141,20 +140,6 @@ Formula FormulaFactory::disj(Formula A, Formula B) {
   N.Lhs = A;
   N.Rhs = B;
   return intern(std::move(N));
-}
-
-Formula FormulaFactory::conj(const std::vector<Formula> &Fs) {
-  Formula R = TrueF;
-  for (Formula F : Fs)
-    R = conj(R, F);
-  return R;
-}
-
-Formula FormulaFactory::disj(const std::vector<Formula> &Fs) {
-  Formula R = FalseF;
-  for (Formula F : Fs)
-    R = disj(R, F);
-  return R;
 }
 
 Formula FormulaFactory::diamond(Program A, Formula F) {
@@ -420,183 +405,149 @@ std::unordered_set<Symbol> FormulaFactory::freeVars(Formula F) {
 }
 
 //===----------------------------------------------------------------------===//
-// Canonicalization (α-renaming of bound variables)
-//===----------------------------------------------------------------------===//
-
-Formula FormulaFactory::canonicalize(Formula F) {
-  // The top-level entry always runs under the empty environment, so a
-  // factory-wide memo is sound here (free variables map to themselves).
-  auto It = CanonMemo.find(F);
-  if (It != CanonMemo.end())
-    return It->second;
-  std::unordered_map<Symbol, Symbol> Env;
-  std::unordered_map<Formula, Formula> Memo;
-  Formula R = canonRec(F, 0, Env, Memo);
-  CanonMemo.emplace(F, R);
-  return R;
-}
-
-Formula FormulaFactory::canonRec(
-    Formula F, unsigned Depth, const std::unordered_map<Symbol, Symbol> &Env,
-    std::unordered_map<Formula, Formula> &Memo) {
-  // Like substituteRec, the memo is only valid while the environment is
-  // unchanged; entering a µ switches to a fresh memo for its subtree.
-  auto It = Memo.find(F);
-  if (It != Memo.end())
-    return It->second;
-  Formula R = F;
-  switch (F->kind()) {
-  case FormulaKind::True:
-  case FormulaKind::False:
-  case FormulaKind::Prop:
-  case FormulaKind::NegProp:
-  case FormulaKind::Start:
-  case FormulaKind::NegStart:
-  case FormulaKind::NegExistTop:
-    break;
-  case FormulaKind::Var: {
-    auto MI = Env.find(F->sym());
-    if (MI != Env.end())
-      R = var(MI->second);
-    break;
-  }
-  case FormulaKind::And:
-    R = conj(canonRec(F->lhs(), Depth, Env, Memo),
-             canonRec(F->rhs(), Depth, Env, Memo));
-    break;
-  case FormulaKind::Or:
-    R = disj(canonRec(F->lhs(), Depth, Env, Memo),
-             canonRec(F->rhs(), Depth, Env, Memo));
-    break;
-  case FormulaKind::Exist:
-    R = diamond(F->program(), canonRec(F->lhs(), Depth, Env, Memo));
-    break;
-  case FormulaKind::Mu: {
-    // A binder's canonical name is a function of its position only: the
-    // nesting depth of enclosing µs and the index within this µ's
-    // binding vector. Nested binders differ in depth, sibling µs in
-    // disjoint scopes may share names harmlessly.
-    std::unordered_map<Symbol, Symbol> NewEnv(Env);
-    std::vector<Symbol> Canon;
-    Canon.reserve(F->bindings().size());
-    for (size_t I = 0; I < F->bindings().size(); ++I) {
-      // '%' cannot occur in a parsed identifier, so canonical names can
-      // never capture a free variable of the input.
-      Symbol C = internSymbol("%c" + std::to_string(Depth) + "_" +
-                              std::to_string(I));
-      Canon.push_back(C);
-      NewEnv[F->bindings()[I].Var] = C;
-    }
-    std::unordered_map<Formula, Formula> SubMemo;
-    std::vector<MuBinding> NewBindings;
-    NewBindings.reserve(F->bindings().size());
-    for (size_t I = 0; I < F->bindings().size(); ++I)
-      NewBindings.push_back(
-          {Canon[I], canonRec(F->bindings()[I].Def, Depth + 1, NewEnv, SubMemo)});
-    Formula NewBody = canonRec(F->body(), Depth + 1, NewEnv, SubMemo);
-    R = mu(std::move(NewBindings), NewBody);
-    break;
-  }
-  }
-  Memo.emplace(F, R);
-  return R;
-}
-
-//===----------------------------------------------------------------------===//
 // Printing
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-// Precedence levels: Or = 1, And = 2, unary/atomic = 3.
-void print(Formula F, int Parent, std::ostringstream &OS) {
-  switch (F->kind()) {
-  case FormulaKind::True:
-    OS << "T";
-    return;
-  case FormulaKind::False:
-    OS << "F";
-    return;
-  case FormulaKind::Prop:
-    OS << symbolName(F->sym());
-    return;
-  case FormulaKind::NegProp:
-    OS << "~" << symbolName(F->sym());
-    return;
-  case FormulaKind::Start:
-    OS << "#s";
-    return;
-  case FormulaKind::NegStart:
-    OS << "~#s";
-    return;
-  case FormulaKind::Var:
-    OS << "$" << symbolName(F->sym());
-    return;
-  case FormulaKind::And: {
-    if (Parent > 2)
-      OS << "(";
-    print(F->lhs(), 2, OS);
-    OS << " & ";
-    print(F->rhs(), 2, OS);
-    if (Parent > 2)
-      OS << ")";
-    return;
-  }
-  case FormulaKind::Or: {
-    if (Parent > 1)
-      OS << "(";
-    print(F->lhs(), 1, OS);
-    OS << " | ";
-    print(F->rhs(), 1, OS);
-    if (Parent > 1)
-      OS << ")";
-    return;
-  }
-  case FormulaKind::Exist:
-    OS << "<" << programName(F->program()) << ">";
-    print(F->lhs(), 3, OS);
-    return;
-  case FormulaKind::NegExistTop:
-    OS << "~<" << programName(F->program()) << ">T";
-    return;
-  case FormulaKind::Mu: {
-    if (Parent > 0)
-      OS << "(";
-    OS << "let ";
-    bool First = true;
-    for (const MuBinding &B : F->bindings()) {
-      if (!First)
-        OS << "; ";
-      First = false;
-      OS << "$" << symbolName(B.Var) << " = ";
-      print(B.Def, 0, OS);
+struct Printer {
+  std::string &Out;
+  bool PositionalBinders;
+  std::unordered_map<Symbol, unsigned> *Labels;
+  /// The binders in scope, innermost last: a variable resolves to the
+  /// last entry naming it.
+  struct Binder {
+    Symbol Var;
+    unsigned Depth, Index;
+  };
+  std::vector<Binder> Scope;
+
+  // Precedence levels: Or = 1, And = 2, unary/atomic = 3. Depth counts
+  // the enclosing µs.
+  void print(Formula F, int Parent, unsigned Depth) {
+    switch (F->kind()) {
+    case FormulaKind::True:
+      Out += 'T';
+      return;
+    case FormulaKind::False:
+      Out += 'F';
+      return;
+    case FormulaKind::Prop:
+      label(F->sym());
+      return;
+    case FormulaKind::NegProp:
+      Out += '~';
+      label(F->sym());
+      return;
+    case FormulaKind::Start:
+      Out += "#s";
+      return;
+    case FormulaKind::NegStart:
+      Out += "~#s";
+      return;
+    case FormulaKind::Var:
+      if (PositionalBinders)
+        for (auto It = Scope.rbegin(); It != Scope.rend(); ++It)
+          if (It->Var == F->sym())
+            return binder(It->Var, It->Depth, It->Index);
+      Out += '$';
+      Out += symbolName(F->sym());
+      return;
+    case FormulaKind::And:
+    case FormulaKind::Or: {
+      int Level = F->is(FormulaKind::And) ? 2 : 1;
+      if (Parent > Level)
+        Out += '(';
+      print(F->lhs(), Level, Depth);
+      Out += Level == 2 ? " & " : " | ";
+      print(F->rhs(), Level, Depth);
+      if (Parent > Level)
+        Out += ')';
+      return;
     }
-    OS << " in ";
-    print(F->body(), 0, OS);
-    if (Parent > 0)
-      OS << ")";
-    return;
+    case FormulaKind::Exist:
+      Out += '<';
+      Out += programName(F->program());
+      Out += '>';
+      print(F->lhs(), 3, Depth);
+      return;
+    case FormulaKind::NegExistTop:
+      Out += "~<";
+      Out += programName(F->program());
+      Out += ">T";
+      return;
+    case FormulaKind::Mu: {
+      const std::vector<MuBinding> &Bs = F->bindings();
+      if (Parent > 0)
+        Out += '(';
+      Out += "let ";
+      size_t Outer = Scope.size();
+      for (unsigned I = 0; I < Bs.size(); ++I)
+        Scope.push_back({Bs[I].Var, Depth, I});
+      for (unsigned I = 0; I < Bs.size(); ++I) {
+        if (I)
+          Out += "; ";
+        binder(Bs[I].Var, Depth, I);
+        Out += " = ";
+        print(Bs[I].Def, 0, Depth + 1);
+      }
+      Out += " in ";
+      print(F->body(), 0, Depth + 1);
+      Scope.resize(Outer);
+      if (Parent > 0)
+        Out += ')';
+      return;
+    }
+    }
   }
+
+  void label(Symbol S) {
+    if (!Labels) {
+      Out += symbolName(S);
+      return;
+    }
+    Out += '%';
+    Out += std::to_string(Labels->try_emplace(S, Labels->size()).first->second);
   }
-}
+
+  // '%' cannot occur in a parsed identifier, so a positional name never
+  // captures a free variable.
+  void binder(Symbol Var, unsigned Depth, unsigned Index) {
+    Out += '$';
+    if (!PositionalBinders) {
+      Out += symbolName(Var);
+      return;
+    }
+    Out += "%c";
+    Out += std::to_string(Depth);
+    Out += '_';
+    Out += std::to_string(Index);
+  }
+};
 
 } // namespace
 
+void xsa::appendFormula(std::string &Out, Formula F, bool PositionalBinders,
+                        std::unordered_map<Symbol, unsigned> *Labels) {
+  Printer{Out, PositionalBinders, Labels, {}}.print(F, 0, 0);
+}
+
 std::string FormulaFactory::toString(Formula F) {
-  std::ostringstream OS;
-  print(F, 0, OS);
-  return OS.str();
+  std::string Out;
+  appendFormula(Out, F);
+  return Out;
 }
 
 std::shared_ptr<const std::string> FormulaFactory::canonicalText(Formula F) {
-  // Formulas are never freed, so a canonical pointer stays a valid key.
-  Formula Canonical = canonicalize(F);
-  auto It = CanonTextMemo.find(Canonical);
+  // Formulas are never freed, so a formula pointer stays a valid key.
+  auto It = CanonTextMemo.find(F);
   if (It != CanonTextMemo.end())
     return It->second;
   if (CanonTextMemo.size() >= MaxCanonTextMemo)
     CanonTextMemo.clear();
-  auto Text = std::make_shared<const std::string>(toString(Canonical));
-  CanonTextMemo.emplace(Canonical, Text);
-  return Text;
+  std::string Text;
+  appendFormula(Text, F, /*PositionalBinders=*/true);
+  auto Shared = std::make_shared<const std::string>(std::move(Text));
+  CanonTextMemo.emplace(F, Shared);
+  return Shared;
 }

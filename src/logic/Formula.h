@@ -39,8 +39,7 @@
 
 namespace xsa {
 
-/// The four navigation programs, numbered to match Document::follow and
-/// FocusedTree::follow.
+/// The four navigation programs, numbered to match Document::follow.
 enum class Program : uint8_t {
   Child = 0,       ///< ⟨1⟩ first child
   Sibling = 1,     ///< ⟨2⟩ next sibling
@@ -151,9 +150,6 @@ public:
   Formula conj(Formula A, Formula B);
   /// φ∨ψ with unit/absorbing/idempotence simplification.
   Formula disj(Formula A, Formula B);
-  /// n-ary helpers (⊤ for empty conjunction, ⊥ for empty disjunction).
-  Formula conj(const std::vector<Formula> &Fs);
-  Formula disj(const std::vector<Formula> &Fs);
 
   /// ⟨a⟩φ (⊥ child collapses to ⊥).
   Formula diamond(Program A, Formula F);
@@ -186,26 +182,15 @@ public:
   std::unordered_set<Symbol> freeVars(Formula F);
   bool isClosed(Formula F) { return freeVars(F).empty(); }
 
-  /// α-renames every bound recursion variable to a canonical name derived
-  /// from its binding position (depth of the enclosing µ and index within
-  /// its binding vector), so two formulas that differ only in the names
-  /// chosen by freshVar intern to the same node:
-  ///
-  ///   canonicalize(φ) == canonicalize(ψ)  ⇔  φ ≡α ψ
-  ///
-  /// (up to the semantics-preserving simplifications of the smart
-  /// constructors, which can only merge equivalent formulas). This is the
-  /// key for semantic result caching: repeated compilations of the same
-  /// XPath/type query produce α-variants (fresh µ-variables each time),
-  /// and all of them canonicalize to one representative.
-  Formula canonicalize(Formula F);
-
   /// Pretty-prints in the textual syntax understood by parseFormula.
   std::string toString(Formula F);
 
-  /// toString(canonicalize(F)), memoized on the canonical formula: the
-  /// result cache's key text, equal for α-equivalent formulas. Shared,
-  /// so a text the caller holds outlives a flush of the memo.
+  /// \p F printed with positional binder names (appendFormula), memoized
+  /// on F: the result cache's key text. Two formulas print the same text
+  /// iff they differ only in the names of bound variables (freshVar draws
+  /// new ones for every compilation), up to the grouping of a chain of
+  /// one operator, which the grammar leaves unparenthesized. Shared, so a
+  /// text the caller holds outlives a flush of the memo.
   std::shared_ptr<const std::string> canonicalText(Formula F);
 
   /// Number of distinct nodes created so far.
@@ -219,9 +204,6 @@ private:
   Formula substituteRec(Formula F,
                         const std::unordered_map<Symbol, Formula> &Map,
                         std::unordered_map<Formula, Formula> &Memo);
-  Formula canonRec(Formula F, unsigned Depth,
-                   const std::unordered_map<Symbol, Symbol> &Env,
-                   std::unordered_map<Formula, Formula> &Memo);
 
   struct NodeHash {
     size_t operator()(const FormulaNode *N) const { return N->hash(); }
@@ -233,7 +215,6 @@ private:
   std::vector<std::unique_ptr<FormulaNode>> Arena;
   std::unordered_set<const FormulaNode *, NodeHash, NodeEq> Unique;
   std::unordered_map<Formula, Formula> UnfoldMemo;
-  std::unordered_map<Formula, Formula> CanonMemo;
   /// Canonical texts run to KBs for DTD-constrained formulas, so this
   /// memo is bounded: past MaxCanonTextMemo entries it is dropped whole
   /// (the next request re-prints once) rather than LRU-tracked.
@@ -247,6 +228,16 @@ private:
   Formula StartF = nullptr;
   Formula NegStartF = nullptr;
 };
+
+/// Appends \p F to \p Out in toString's grammar, the one Lµ printer.
+/// With \p PositionalBinders a bound variable prints as
+/// `$%c<depth>_<index>` after its binder's place (depth counts the µs
+/// enclosing the binder, index is its place in the binding list) instead
+/// of by name; a free variable keeps its name. With \p Labels an atomic
+/// proposition prints as `%<n>`, n its first-occurrence index in the map,
+/// which the caller may carry across calls; without, by name.
+void appendFormula(std::string &Out, Formula F, bool PositionalBinders = false,
+                   std::unordered_map<Symbol, unsigned> *Labels = nullptr);
 
 } // namespace xsa
 

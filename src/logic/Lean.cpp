@@ -170,105 +170,10 @@ std::string Lean::signature() const {
   // per-request alphabets, which bench workloads are full of, print
   // identical signatures.
   std::unordered_map<Symbol, unsigned> Labels;
-  // The binders in scope, innermost last: a variable resolves to the
-  // last entry naming it, as canonicalize's environment overwrites.
-  struct Binder {
-    Symbol Var;
-    unsigned Depth, Index;
-  };
-  std::vector<Binder> Scope;
   std::string Sig;
-  auto Label = [&](Symbol S) {
-    Sig += '%';
-    Sig += std::to_string(Labels.try_emplace(S, Labels.size()).first->second);
-  };
-  auto Binding = [&](unsigned Depth, unsigned Index) {
-    Sig += "$%c";
-    Sig += std::to_string(Depth);
-    Sig += '_';
-    Sig += std::to_string(Index);
-  };
-  // FormulaFactory::toString's grammar and precedence levels (Or = 1,
-  // And = 2, unary/atomic = 3); Depth counts the enclosing µs.
-  auto Print = [&](auto &&Self, Formula F, int Parent,
-                   unsigned Depth) -> void {
-    switch (F->kind()) {
-    case FormulaKind::True:
-      Sig += 'T';
-      return;
-    case FormulaKind::False:
-      Sig += 'F';
-      return;
-    case FormulaKind::Prop:
-      Label(F->sym());
-      return;
-    case FormulaKind::NegProp:
-      Sig += '~';
-      Label(F->sym());
-      return;
-    case FormulaKind::Start:
-      Sig += "#s";
-      return;
-    case FormulaKind::NegStart:
-      Sig += "~#s";
-      return;
-    case FormulaKind::Var:
-      for (auto It = Scope.rbegin(); It != Scope.rend(); ++It)
-        if (It->Var == F->sym())
-          return Binding(It->Depth, It->Index);
-      Sig += '$';
-      Sig += symbolName(F->sym());
-      return;
-    case FormulaKind::And:
-    case FormulaKind::Or: {
-      int Level = F->is(FormulaKind::And) ? 2 : 1;
-      if (Parent > Level)
-        Sig += '(';
-      Self(Self, F->lhs(), Level, Depth);
-      Sig += Level == 2 ? " & " : " | ";
-      Self(Self, F->rhs(), Level, Depth);
-      if (Parent > Level)
-        Sig += ')';
-      return;
-    }
-    case FormulaKind::Exist:
-      Sig += '<';
-      Sig += programName(F->program());
-      Sig += '>';
-      Self(Self, F->lhs(), 3, Depth);
-      return;
-    case FormulaKind::NegExistTop:
-      Sig += "~<";
-      Sig += programName(F->program());
-      Sig += ">T";
-      return;
-    case FormulaKind::Mu: {
-      const std::vector<MuBinding> &Bs = F->bindings();
-      if (Parent > 0)
-        Sig += '(';
-      Sig += "let ";
-      size_t Outer = Scope.size();
-      for (unsigned I = 0; I < Bs.size(); ++I)
-        Scope.push_back({Bs[I].Var, Depth, I});
-      for (unsigned I = 0; I < Bs.size(); ++I) {
-        if (I)
-          Sig += "; ";
-        Binding(Depth, I);
-        Sig += " = ";
-        Self(Self, Bs[I].Def, 0, Depth + 1);
-      }
-      Sig += " in ";
-      Self(Self, F->body(), 0, Depth + 1);
-      Scope.resize(Outer);
-      if (Parent > 0)
-        Sig += ')';
-      return;
-    }
-    }
-  };
   for (Formula F : Members) {
     size_t Start = Sig.size();
-    Print(Print, F, 0, 0);
+    appendFormula(Sig, F, /*PositionalBinders=*/true, &Labels);
     Sig.insert(Start, std::to_string(Sig.size() - Start) + ':');
   }
   return Sig;

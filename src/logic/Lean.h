@@ -91,11 +91,9 @@ public:
 
   /// Canonical lean signature: the ordered texts of all lean members,
   /// each length-prefix framed (`<length>:<text>`) so the concatenation
-  /// is injective. Each member is printed in toString's grammar straight
-  /// into the key, nothing built or interned: a bound variable prints as
-  /// `$%c<depth>_<index>`, the name canonicalize gives it (depth counts
-  /// the µs enclosing its binder, index is its place in the binding
-  /// list), and an atomic proposition as `%<n>`, n its first-occurrence
+  /// is injective. Each member is printed straight into the key by
+  /// appendFormula, nothing built or interned, with positional binder
+  /// names and each atomic proposition as `%<n>`, n its first-occurrence
   /// index over the member list in print order. Members are closed
   /// (compute() steps through fixpoints by unfolding), so the signature
   /// is factory-independent: equal signatures mean member lists equal up

@@ -106,10 +106,11 @@ struct SolverOptions {
   /// "the root". The Analyzer turns this on.
   bool RequireSingleRoot = false;
   /// Optional semantic result cache, not owned. When set, solve() looks
-  /// up its input's canonical text (FormulaFactory::canonicalText),
-  /// returns a copy of a stored result on a hit (with FromCache set) and
-  /// publishes the result of every actual run. The store is
-  /// thread-safe, so solvers on different threads may share one.
+  /// up its input's canonical text (FormulaFactory::canonicalText), which
+  /// only α-variants share, so a hit holds the result this run would
+  /// produce. It returns a copy of a stored result on a hit (with
+  /// FromCache set) and publishes the result of every actual run. The
+  /// store is thread-safe, so solvers on different threads may share one.
   ShardedResultCache *Cache = nullptr;
   /// Optional observer invoked with the stats of every *actual* solver
   /// run (cache hits do not fire it). Lets a long-lived session
@@ -175,8 +176,10 @@ struct SolverResult {
 /// cross threads; entries are keyed on the canonical formula text
 /// instead (FormulaFactory::canonicalText), which is factory-independent:
 /// α-equivalent formulas print identically no matter which worker built
-/// them. The options fingerprint (solverOptionsKey) completes the key,
-/// because different options can change both the result and the model.
+/// them, and no other two formulas do, save chains of one operator
+/// grouped differently. The options fingerprint (solverOptionsKey)
+/// completes the key, because different options can change both the
+/// result and the model.
 class ShardedResultCache
     : public ShardedLru<ShardedResultCache, SolverResult> {
 public:

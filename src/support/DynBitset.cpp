@@ -20,14 +20,6 @@ bool DynBitset::none() const {
   return true;
 }
 
-bool DynBitset::contains(const DynBitset &Other) const {
-  assert(NumBits == Other.NumBits && "width mismatch");
-  for (size_t I = 0; I < Words.size(); ++I)
-    if ((Other.Words[I] & ~Words[I]) != 0)
-      return false;
-  return true;
-}
-
 DynBitset &DynBitset::operator|=(const DynBitset &O) {
   assert(NumBits == O.NumBits && "width mismatch");
   for (size_t I = 0; I < Words.size(); ++I)
@@ -40,30 +32,4 @@ DynBitset &DynBitset::operator&=(const DynBitset &O) {
   for (size_t I = 0; I < Words.size(); ++I)
     Words[I] &= O.Words[I];
   return *this;
-}
-
-DynBitset &DynBitset::operator^=(const DynBitset &O) {
-  assert(NumBits == O.NumBits && "width mismatch");
-  for (size_t I = 0; I < Words.size(); ++I)
-    Words[I] ^= O.Words[I];
-  return *this;
-}
-
-bool DynBitset::operator<(const DynBitset &O) const {
-  if (NumBits != O.NumBits)
-    return NumBits < O.NumBits;
-  for (size_t I = Words.size(); I-- > 0;)
-    if (Words[I] != O.Words[I])
-      return Words[I] < O.Words[I];
-  return false;
-}
-
-size_t DynBitset::hash() const {
-  size_t H = 1469598103934665603ull;
-  for (uint64_t W : Words) {
-    H ^= static_cast<size_t>(W);
-    H *= 1099511628211ull;
-  }
-  H ^= NumBits;
-  return H;
 }

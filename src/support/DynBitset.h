@@ -22,7 +22,7 @@
 
 namespace xsa {
 
-/// Fixed-width bit vector with value semantics, hashing and ordering.
+/// Fixed-width bit vector with value semantics.
 class DynBitset {
 public:
   DynBitset() = default;
@@ -58,33 +58,20 @@ public:
   /// True if any bit is set.
   bool any() const { return !none(); }
 
-  /// True if every bit of \p Other that is set is also set here.
-  bool contains(const DynBitset &Other) const;
-
   DynBitset &operator|=(const DynBitset &O);
   DynBitset &operator&=(const DynBitset &O);
-  DynBitset &operator^=(const DynBitset &O);
 
   friend DynBitset operator|(DynBitset A, const DynBitset &B) { return A |= B; }
   friend DynBitset operator&(DynBitset A, const DynBitset &B) { return A &= B; }
-  friend DynBitset operator^(DynBitset A, const DynBitset &B) { return A ^= B; }
 
   bool operator==(const DynBitset &O) const {
     return NumBits == O.NumBits && Words == O.Words;
   }
   bool operator!=(const DynBitset &O) const { return !(*this == O); }
-  bool operator<(const DynBitset &O) const; // lexicographic, for std::set
-
-  /// FNV-style hash over the words.
-  size_t hash() const;
 
 private:
   size_t NumBits = 0;
   std::vector<uint64_t> Words;
-};
-
-struct DynBitsetHash {
-  size_t operator()(const DynBitset &B) const { return B.hash(); }
 };
 
 } // namespace xsa

@@ -32,17 +32,6 @@ const std::string &StringInterner::name(Symbol Sym) const {
   return Names[Sym];
 }
 
-Symbol StringInterner::lookup(std::string_view S) const {
-  std::shared_lock<std::shared_mutex> Lock(M);
-  auto It = Table.find(S);
-  return It == Table.end() ? ~0u : It->second;
-}
-
-size_t StringInterner::size() const {
-  std::shared_lock<std::shared_mutex> Lock(M);
-  return Names.size();
-}
-
 StringInterner &StringInterner::global() {
   static StringInterner G;
   return G;

@@ -13,11 +13,11 @@
 ///
 /// The interner is thread-safe: parallel batch dispatch (see
 /// service/Session.h) runs one parser/compiler per worker thread, and all
-/// of them intern labels concurrently. Reads (name, lookup) take a shared
-/// lock; intern takes a shared lock on its fast path and upgrades to an
-/// exclusive lock only for first-time insertions. Symbol values are dense,
-/// assigned in insertion order, and never change once published, so a
-/// Symbol obtained by any thread is valid everywhere afterwards. Names are
+/// of them intern labels concurrently. name() takes a shared lock; intern
+/// takes a shared lock on its fast path and upgrades to an exclusive lock
+/// only for first-time insertions. Symbol values are dense, assigned in
+/// insertion order, and never change once published, so a Symbol
+/// obtained by any thread is valid everywhere afterwards. Names are
 /// stored in a deque, whose elements never move, so the references handed
 /// out by name() stay valid for the life of the process even while other
 /// threads keep interning.
@@ -49,12 +49,6 @@ public:
   /// Returns the string for a previously interned symbol. The reference
   /// is stable: it survives later interning from any thread.
   const std::string &name(Symbol Sym) const;
-
-  /// Returns the symbol for \p S if already interned, or ~0u otherwise.
-  Symbol lookup(std::string_view S) const;
-
-  /// Number of interned symbols.
-  size_t size() const;
 
   /// The process-wide interner shared by all xsa components.
   static StringInterner &global();

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// A flat, indexed representation of a *hedge* (an ordered sequence of
-/// labeled trees). Focused trees (§3) are the paper's formal model; this
-/// class is the workhorse used by the XPath evaluator (Figs 5-6), the
-/// direct Lµ formula evaluator, the DTD validator, and counterexample
-/// output. Navigation maps directly onto the paper's binary modalities:
+/// labeled trees): the program's model of the paper's focused trees (§3),
+/// which a node id brings into focus. It is used by the XPath evaluator
+/// (Figs 5-6), the direct Lµ formula evaluator, the DTD validator, and
+/// counterexample output. Navigation maps directly onto the paper's
+/// binary modalities:
 ///
 ///   ⟨1⟩ = firstChild, ⟨2⟩ = nextSibling,
 ///   ⟨1̄⟩ = parent (only when the node is a leftmost sibling or a non-first
@@ -25,7 +26,6 @@
 #define XSA_TREE_DOCUMENT_H
 
 #include "support/StringInterner.h"
-#include "tree/FocusedTree.h"
 
 #include <cstdint>
 #include <string>
@@ -94,22 +94,6 @@ public:
   NodeId markedNode() const { return Mark; }
   void setMark(NodeId N) { Mark = N; }
   bool isMarked(NodeId N) const { return Mark == N; }
-
-  /// Converts the subtree rooted at \p N into the shared Tree structure.
-  TreeRef toTree(NodeId N) const;
-
-  /// Builds the focused tree (t, c) whose focus is node \p N; contexts are
-  /// reconstructed up to the Top.
-  FocusedTree focusAt(NodeId N) const;
-
-  /// Imports a shared Tree as a new top-level root; returns the id of the
-  /// imported root. Marked nodes set the document mark.
-  NodeId addTree(const TreeRef &T, NodeId Parent = InvalidNodeId);
-
-  /// Depth of node \p N (roots have depth 0).
-  int depth(NodeId N) const;
-
-  bool operator==(const Document &O) const;
 
 private:
   std::vector<DocNode> Nodes;

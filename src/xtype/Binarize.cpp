@@ -282,11 +282,6 @@ BinaryTypeGrammar xsa::binarize(const Dtd &D, bool Minimize) {
   G.Start = static_cast<int>(G.Vars.size());
   G.Vars.push_back(std::move(StartVar));
 
-  optimizeBinaryGrammar(G, Minimize);
-  return G;
-}
-
-void xsa::optimizeBinaryGrammar(BinaryTypeGrammar &G, bool Minimize) {
   elideEpsilonVars(G);
   if (Minimize) {
     minimizeGrammar(G);
@@ -296,4 +291,5 @@ void xsa::optimizeBinaryGrammar(BinaryTypeGrammar &G, bool Minimize) {
       elideEpsilonVars(G);
     }
   }
+  return G;
 }

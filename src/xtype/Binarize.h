@@ -63,15 +63,11 @@ struct BinaryTypeGrammar {
   std::string toString() const;
 };
 
-/// Binarizes \p D rooted at Dtd::root(). When \p Minimize is set (the
-/// default), equivalent variables are merged by partition refinement.
+/// Binarizes \p D rooted at Dtd::root(). Empty nullable variables become
+/// $Epsilon; when \p Minimize is set (the default), equivalent variables
+/// are merged by partition refinement and the +-loop ε-alternatives are
+/// folded into the Fig. 13 shape.
 BinaryTypeGrammar binarize(const Dtd &D, bool Minimize = true);
-
-/// Post-processing shared by the DTD and tree-grammar binarizers:
-/// replaces empty nullable variables by $Epsilon and, when \p Minimize
-/// is set, merges equivalent variables (partition refinement) and folds
-/// the +-loop ε-alternatives into the Fig. 13 shape.
-void optimizeBinaryGrammar(BinaryTypeGrammar &G, bool Minimize);
 
 } // namespace xsa
 

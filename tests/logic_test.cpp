@@ -105,6 +105,31 @@ TEST(Formula, ParserPrinterRoundTrip) {
   }
 }
 
+TEST(Formula, OnePrinterPinsItsThreeTexts) {
+  // toString, the result-cache key and the lean signature are one
+  // printer with two switches (binder names, label names). Pin their
+  // bytes on a formula with nested and shadowed binders, a binding never
+  // used ($U), a free variable ($Z) and a label (a) shared by two lean
+  // members; the signature is of the closed part, as a lean needs.
+  FormulaFactory FF;
+  const std::string Closed =
+      "let $X = <1>(a & (let $X = b | <2>$X; $U = a in $X)) | <2>$X in $X";
+  Formula F = parse(FF, "(" + Closed + ") & <2>$Z");
+  EXPECT_EQ(FF.toString(F), "(" + Closed + ") & <2>$Z");
+  EXPECT_EQ(*FF.canonicalText(F),
+            "(let $%c0_0 = <1>(a & (let $%c1_0 = b | <2>$%c1_0; "
+            "$%c1_1 = a in $%c1_0)) | <2>$%c0_0 in $%c0_0) & <2>$Z");
+  EXPECT_EQ(Lean::compute(FF, parse(FF, Closed)).signature(),
+            "4:<1>T4:<2>T5:<-1>T5:<-2>T2:#s"
+            "62:<1>(%0 & (let $%c0_0 = %1 | <2>$%c0_0; $%c0_1 = %0 in "
+            "$%c0_0))"
+            "102:<2>(let $%c0_0 = <1>(%0 & (let $%c1_0 = %1 | <2>$%c1_0; "
+            "$%c1_1 = %0 in $%c1_0)) | <2>$%c0_0 in $%c0_0)"
+            "2:%02:%1"
+            "55:<2>(let $%c0_0 = %1 | <2>$%c0_0; $%c0_1 = %0 in $%c0_0)"
+            "2:%2");
+}
+
 TEST(Formula, ParserErrors) {
   FormulaFactory FF;
   std::string Err;
@@ -360,12 +385,12 @@ TEST(Lean, StatusMatchesSemantics) {
     // A label outside Σ(ψ) is represented by σx (§6.1).
     DynBitset T(L.size());
     for (unsigned I = 0; I < L.size(); ++I)
-      if (evalFormulaAt(D, FF, L.members()[I], N))
+      if (evalFormula(D, FF, L.members()[I]).test(N))
         T.set(I);
     if (!L.hasProp(D.label(N)))
       T.set(L.propIndex(L.otherProp()));
     EXPECT_TRUE(L.isValidType(T)) << "node " << N;
-    EXPECT_EQ(L.status(FF, Psi, T), evalFormulaAt(D, FF, Psi, N))
+    EXPECT_EQ(L.status(FF, Psi, T), evalFormula(D, FF, Psi).test(N))
         << "node " << N;
   }
 }

@@ -67,45 +67,58 @@ ExprRef xp(const std::string &S) {
 // Canonicalization
 //===----------------------------------------------------------------------===//
 
-TEST(Canonicalize, AlphaEquivalentFormulasShareOneNode) {
+std::string canonical(FormulaFactory &FF, Formula F) {
+  return *FF.canonicalText(F);
+}
+
+TEST(Canonicalize, AlphaEquivalentFormulasShareOneText) {
   FormulaFactory FF;
   Formula A = parse(FF, "let $X = a | <1>$X in $X");
   Formula B = parse(FF, "let $Y = a | <1>$Y in $Y");
   EXPECT_NE(A, B) << "distinct binder names intern differently";
-  EXPECT_EQ(FF.canonicalize(A), FF.canonicalize(B));
+  EXPECT_EQ(canonical(FF, A), canonical(FF, B));
 }
 
 TEST(Canonicalize, DistinctFormulasStayDistinct) {
   FormulaFactory FF;
   Formula A = parse(FF, "let $X = a | <1>$X in $X");
   Formula C = parse(FF, "let $X = b | <1>$X in $X");
-  EXPECT_NE(FF.canonicalize(A), FF.canonicalize(C));
+  EXPECT_NE(canonical(FF, A), canonical(FF, C));
 }
 
 TEST(Canonicalize, NestedBindersAndFreeVariables) {
   FormulaFactory FF;
   Formula A = parse(FF, "let $X = <1>(let $Y = a | <2>$Y in $Y) in $X");
   Formula B = parse(FF, "let $U = <1>(let $V = a | <2>$V in $V) in $U");
-  EXPECT_EQ(FF.canonicalize(A), FF.canonicalize(B));
-  // A free variable is left untouched.
-  Formula Free = FF.var("Z");
-  EXPECT_EQ(FF.canonicalize(Free), Free);
+  EXPECT_EQ(canonical(FF, A), canonical(FF, B));
+  // A free variable keeps its name.
+  EXPECT_EQ(canonical(FF, FF.var("Z")), "$Z");
+}
+
+TEST(Canonicalize, AlphaVariantOperandsStayTwo) {
+  // Renamed, the two operands of the disjunction print the same; the key
+  // must keep both, as the formula does, and not merge them into the key
+  // of the single copy, whose lean is smaller.
+  FormulaFactory FF;
+  Formula Twice = parse(FF, "(let $X = a | <1>$X in $X) | "
+                            "(let $Y = a | <1>$Y in $Y)");
+  Formula Once = parse(FF, "let $X = a | <1>$X in $X");
+  EXPECT_NE(canonical(FF, Twice), canonical(FF, Once));
+  EXPECT_EQ(canonical(FF, Twice), "(" + canonical(FF, Once) + ") | (" +
+                                     canonical(FF, Once) + ")");
 }
 
 TEST(Canonicalize, CanonicalTextIsMemoizedAndSurvivesAFlush) {
   FormulaFactory FF;
   Formula A = parse(FF, "let $X = a | <1>$X in $X");
-  Formula B = parse(FF, "let $Y = a | <1>$Y in $Y");
   std::shared_ptr<const std::string> Text = FF.canonicalText(A);
-  EXPECT_EQ(*Text, FF.toString(FF.canonicalize(A)));
-  EXPECT_EQ(*FF.canonicalText(B), *Text) << "α-variants share one text";
-  EXPECT_EQ(FF.canonicalText(B), Text) << "served from the memo";
+  EXPECT_EQ(*Text, "let $%c0_0 = a | <1>$%c0_0 in $%c0_0");
+  EXPECT_EQ(FF.canonicalText(A), Text) << "served from the memo";
   // Past 4,096 texts the memo is dropped whole; a held text outlives the
   // drop, and the text printed anew is the same.
   for (int I = 0; I < 5000; ++I)
     FF.canonicalText(FF.prop("p" + std::to_string(I)));
-  EXPECT_EQ(*Text, FF.toString(FF.canonicalize(A)));
-  std::shared_ptr<const std::string> Again = FF.canonicalText(B);
+  std::shared_ptr<const std::string> Again = FF.canonicalText(A);
   EXPECT_NE(Again, Text) << "printed again after the flush";
   EXPECT_EQ(*Again, *Text);
 }
@@ -117,9 +130,10 @@ TEST(Canonicalize, RepeatedXPathCompilationsCanonicalizeEqual) {
   FormulaFactory FF;
   Formula F1 = compileXPath(FF, xp("/a//b[c]"), FF.trueF());
   Formula F2 = compileXPath(FF, xp("/a//b[c]"), FF.trueF());
-  EXPECT_EQ(FF.canonicalize(F1), FF.canonicalize(F2));
+  EXPECT_NE(F1, F2);
+  EXPECT_EQ(canonical(FF, F1), canonical(FF, F2));
   Formula Other = compileXPath(FF, xp("/a//b[d]"), FF.trueF());
-  EXPECT_NE(FF.canonicalize(F1), FF.canonicalize(Other));
+  EXPECT_NE(canonical(FF, F1), canonical(FF, Other));
 }
 
 //===----------------------------------------------------------------------===//
@@ -452,6 +466,36 @@ TEST(BatchJsonLines, RepeatedBatchHitsCacheWithIdenticalResults) {
   for (size_t I = 0; I < 3; ++I)
     EXPECT_EQ(Fresh2[I]->get("holds")->asBool(),
               Cold[I]->get("holds")->asBool());
+}
+
+TEST(BatchJsonLines, AlphaVariantOperandsKeepTheirOwnCacheEntry) {
+  // XPath compilation draws fresh µ-variables per step, so the operands
+  // of `//a[b] | //a[b]` are α-variants. Its key must differ from the key
+  // of `//a[b]`: the two leans differ (32 and 23 bits), and a shared
+  // entry would answer both with the lean of whichever solved first.
+  const std::string Once =
+      R"({"id":"once","op":"empty","e1":"//a[b]"})" "\n";
+  const std::string Twice =
+      R"({"id":"twice","op":"empty","e1":"//a[b] | //a[b]"})" "\n";
+  auto Lines = [](const std::string &Out) {
+    std::vector<std::string> Ls;
+    std::istringstream In(Out);
+    for (std::string L; std::getline(In, L);)
+      Ls.push_back(L);
+    return Ls;
+  };
+  AnalysisSession Forward, Reverse;
+  std::vector<std::string> F =
+      Lines(runLinesRaw(Forward, Once + Twice, /*Stable=*/true));
+  std::vector<std::string> R =
+      Lines(runLinesRaw(Reverse, Twice + Once, /*Stable=*/true));
+  ASSERT_EQ(F.size(), 2u);
+  ASSERT_EQ(R.size(), 2u);
+  EXPECT_EQ(F[0], R[1]);
+  EXPECT_EQ(F[1], R[0]);
+  EXPECT_NE(F[0].find(R"("id":"once")"), std::string::npos) << F[0];
+  EXPECT_NE(F[0].find(R"("lean":23,)"), std::string::npos) << F[0];
+  EXPECT_NE(F[1].find(R"("lean":32,)"), std::string::npos) << F[1];
 }
 
 TEST(BatchJsonLines, MalformedLinesDoNotAbortTheBatch) {

@@ -120,7 +120,7 @@ TEST(BddSolver, ModelExtraction) {
   const Document &D = *R.Model;
   bool Found = false;
   for (NodeId N = 0; N < static_cast<NodeId>(D.size()); ++N)
-    if (evalFormulaAt(D, FF, F, N))
+    if (evalFormula(D, FF, F).test(N))
       Found = true;
   EXPECT_TRUE(Found);
   EXPECT_GE(D.size(), 4u);

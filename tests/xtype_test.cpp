@@ -28,17 +28,6 @@ Document doc(const std::string &Xml) {
   return D;
 }
 
-TEST(ContentModel, Nullable) {
-  auto A = ContentModel::sym("a");
-  EXPECT_FALSE(nullable(A));
-  EXPECT_TRUE(nullable(ContentModel::eps()));
-  EXPECT_TRUE(nullable(ContentModel::star(A)));
-  EXPECT_TRUE(nullable(ContentModel::opt(A)));
-  EXPECT_FALSE(nullable(ContentModel::plus(A)));
-  EXPECT_FALSE(nullable(ContentModel::seq(ContentModel::star(A), A)));
-  EXPECT_TRUE(nullable(ContentModel::choice(A, ContentModel::eps())));
-}
-
 std::vector<Symbol> word(std::initializer_list<const char *> Names) {
   std::vector<Symbol> W;
   for (const char *N : Names)
@@ -234,7 +223,7 @@ void expectTypeFormulaMatchesValidator(const Dtd &D, const Document &Doc) {
   // (The document must have a single root for the comparison.)
   if (Doc.roots().size() != 1)
     return;
-  bool Holds = evalFormulaAt(Doc, FF, T, Doc.roots()[0]);
+  bool Holds = evalFormula(Doc, FF, T).test(Doc.roots()[0]);
   EXPECT_EQ(Holds, Valid);
 }
 
