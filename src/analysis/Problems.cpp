@@ -50,6 +50,11 @@ Formula Analyzer::compiled(const ExprRef &E, Formula Chi) {
   return F;
 }
 
+void Analyzer::clear() {
+  RootF = nullptr;
+  CompileMemo.clear();
+}
+
 SolverResult Analyzer::satisfiable(Formula Psi) {
   BddSolver Solver(FF, Opts);
   return Solver.solve(Psi);

@@ -94,6 +94,10 @@ public:
   /// Raw satisfiability of an arbitrary formula (with model).
   SolverResult satisfiable(Formula Psi);
 
+  /// Drops the root formula and the compile memo, which hold formulas of
+  /// the factory: call it whenever the factory is cleared.
+  void clear();
+
 private:
   FormulaFactory &FF;
   SolverOptions Opts;

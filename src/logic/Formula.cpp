@@ -2,6 +2,7 @@
 
 #include "logic/Formula.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace xsa;
@@ -28,7 +29,7 @@ static size_t hashCombine(size_t H, size_t V) {
   return H ^ (V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2));
 }
 
-static size_t computeHash(const FormulaNode &N) {
+static uint32_t computeHash(const FormulaNode &N) {
   size_t H = static_cast<size_t>(N.kind());
   H = hashCombine(H, static_cast<size_t>(N.program()));
   H = hashCombine(H, N.sym());
@@ -39,17 +40,18 @@ static size_t computeHash(const FormulaNode &N) {
     H = hashCombine(H, reinterpret_cast<size_t>(B.Def));
   }
   H = hashCombine(H, reinterpret_cast<size_t>(N.body()));
-  return H;
+  // The table indexes by the low bits; the high half of a Fibonacci
+  // product depends on every bit of H.
+  return static_cast<uint32_t>((H * 0x9e3779b97f4a7c15ull) >> 32);
 }
 
-bool FormulaFactory::NodeEq::operator()(const FormulaNode *A,
-                                        const FormulaNode *B) const {
-  return A->kind() == B->kind() && A->program() == B->program() &&
-         A->sym() == B->sym() && A->lhs() == B->lhs() && A->rhs() == B->rhs() &&
-         A->bindings() == B->bindings() && A->body() == B->body();
+static bool sameNode(const FormulaNode &A, const FormulaNode &B) {
+  return A.kind() == B.kind() && A.program() == B.program() &&
+         A.sym() == B.sym() && A.lhs() == B.lhs() && A.rhs() == B.rhs() &&
+         A.bindings() == B.bindings() && A.body() == B.body();
 }
 
-FormulaFactory::FormulaFactory() {
+FormulaFactory::FormulaFactory() : Unique(size_t(1) << 10) {
   FormulaNode T;
   T.Kind = FormulaKind::True;
   TrueF = intern(std::move(T));
@@ -77,14 +79,40 @@ Formula FormulaFactory::intern(FormulaNode &&N) {
     Size += N.Body->size();
   N.Size = Size;
   N.HashValue = computeHash(N);
-  auto It = Unique.find(&N);
-  if (It != Unique.end())
-    return *It;
-  N.Id = static_cast<unsigned>(Arena.size());
-  Arena.push_back(std::make_unique<FormulaNode>(std::move(N)));
-  Formula Result = Arena.back().get();
-  Unique.insert(Result);
+  size_t Mask = Unique.size() - 1;
+  size_t Slot = N.HashValue & Mask;
+  for (; Unique[Slot]; Slot = (Slot + 1) & Mask)
+    if (Unique[Slot]->HashValue == N.HashValue && sameNode(*Unique[Slot], N))
+      return Unique[Slot];
+  Formula Result = &Arena.emplace_back(std::move(N));
+  if (2 * Arena.size() <= Unique.size()) {
+    Unique[Slot] = Result;
+    return Result;
+  }
+  // Past half load: double the table and place every node again.
+  Unique.assign(2 * Unique.size(), nullptr);
+  for (const FormulaNode &Node : Arena)
+    place(&Node);
   return Result;
+}
+
+void FormulaFactory::place(Formula N) {
+  size_t Mask = Unique.size() - 1;
+  size_t Slot = N->HashValue & Mask;
+  while (Unique[Slot])
+    Slot = (Slot + 1) & Mask;
+  Unique[Slot] = N;
+}
+
+void FormulaFactory::clear() {
+  // The constants are entries 0-3, so they keep their blocks.
+  Arena.resize(4);
+  std::fill(Unique.begin(), Unique.end(), nullptr);
+  for (const FormulaNode &Node : Arena)
+    place(&Node);
+  UnfoldMemo.clear();
+  CanonTextMemo.clear();
+  FreshCounter = 0;
 }
 
 Formula FormulaFactory::prop(Symbol S) {
@@ -539,12 +567,11 @@ std::string FormulaFactory::toString(Formula F) {
 }
 
 std::shared_ptr<const std::string> FormulaFactory::canonicalText(Formula F) {
-  // Formulas are never freed, so a formula pointer stays a valid key.
+  // A formula pointer stays a valid key until clear(), which empties the
+  // memo.
   auto It = CanonTextMemo.find(F);
   if (It != CanonTextMemo.end())
     return It->second;
-  if (CanonTextMemo.size() >= MaxCanonTextMemo)
-    CanonTextMemo.clear();
   std::string Text;
   appendFormula(Text, F, /*PositionalBinders=*/true);
   auto Shared = std::make_shared<const std::string>(std::move(Text));

@@ -19,9 +19,9 @@
 /// every formula is kept in negation normal form. An explicit ⊥ is provided
 /// for convenience (the paper encodes it as σ∧¬σ).
 ///
-/// Formulas are immutable hash-consed DAG nodes owned by a FormulaFactory;
-/// pointer equality is semantic-syntactic equality modulo the factory's
-/// smart constructors.
+/// Formulas are immutable hash-consed DAG nodes owned by a FormulaFactory
+/// until its next clear(); pointer equality is semantic-syntactic
+/// equality modulo the factory's smart constructors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +31,7 @@
 #include "support/StringInterner.h"
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -104,13 +105,8 @@ public:
   const std::vector<MuBinding> &bindings() const { return Bindings; }
   Formula body() const { return Body; }
 
-  /// Dense id within the owning factory (stable for maps/sorting).
-  unsigned id() const { return Id; }
-
   /// Syntactic size (number of AST nodes; Mu counts bindings + body).
   unsigned size() const { return Size; }
-
-  size_t hash() const { return HashValue; }
 
 private:
   friend class FormulaFactory;
@@ -118,17 +114,18 @@ private:
   FormulaKind Kind = FormulaKind::True;
   Program Prog = Program::Child;
   Symbol Sym = 0;
+  unsigned Size = 1;
+  /// The hash-cons hash, compared before the node itself on a probe.
+  uint32_t HashValue = 0;
   Formula Lhs = nullptr;
   Formula Rhs = nullptr;
-  std::vector<MuBinding> Bindings;
   Formula Body = nullptr;
-  unsigned Id = 0;
-  unsigned Size = 1;
-  size_t HashValue = 0;
+  std::vector<MuBinding> Bindings;
 };
 
-/// Creates, interns and transforms formulas. All formulas returned by a
-/// factory live as long as the factory.
+/// Creates, interns and transforms formulas. A formula returned by a
+/// factory lives until the factory's next clear(); the four constants
+/// (⊤, ⊥, s, ¬s) live as long as the factory.
 class FormulaFactory {
 public:
   FormulaFactory();
@@ -190,14 +187,23 @@ public:
   /// iff they differ only in the names of bound variables (freshVar draws
   /// new ones for every compilation), up to the grouping of a chain of
   /// one operator, which the grammar leaves unparenthesized. Shared, so a
-  /// text the caller holds outlives a flush of the memo.
+  /// text the caller holds outlives clear().
   std::shared_ptr<const std::string> canonicalText(Formula F);
 
-  /// Number of distinct nodes created so far.
+  /// Nodes held now; 4 after clear().
   size_t numNodes() const { return Arena.size(); }
+
+  /// Starts a new epoch: drops every node but the four constants, which
+  /// keep their addresses, empties the hash-cons table (keeping its
+  /// capacity) and the unfold and canonical-text memos, and restarts
+  /// freshVar's counter, so fresh names recur in every epoch. Every
+  /// other formula the factory returned is invalid afterwards.
+  void clear();
 
 private:
   Formula intern(FormulaNode &&N);
+  /// Places \p N in an empty slot of Unique; the table has room.
+  void place(Formula N);
   Formula negateRec(Formula F,
                     std::unordered_set<Symbol> &FlippedVars,
                     std::unordered_map<Formula, Formula> &Memo);
@@ -205,20 +211,14 @@ private:
                         const std::unordered_map<Symbol, Formula> &Map,
                         std::unordered_map<Formula, Formula> &Memo);
 
-  struct NodeHash {
-    size_t operator()(const FormulaNode *N) const { return N->hash(); }
-  };
-  struct NodeEq {
-    bool operator()(const FormulaNode *A, const FormulaNode *B) const;
-  };
-
-  std::vector<std::unique_ptr<FormulaNode>> Arena;
-  std::unordered_set<const FormulaNode *, NodeHash, NodeEq> Unique;
+  /// The nodes, in blocks: addresses are stable and clear() frees whole
+  /// blocks.
+  std::deque<FormulaNode> Arena;
+  /// The hash-cons table: open addressing with linear probing over a
+  /// power-of-two number of slots, null when empty, doubled at half
+  /// load and never shrunk.
+  std::vector<Formula> Unique;
   std::unordered_map<Formula, Formula> UnfoldMemo;
-  /// Canonical texts run to KBs for DTD-constrained formulas, so this
-  /// memo is bounded: past MaxCanonTextMemo entries it is dropped whole
-  /// (the next request re-prints once) rather than LRU-tracked.
-  static constexpr size_t MaxCanonTextMemo = 4096;
   std::unordered_map<Formula, std::shared_ptr<const std::string>>
       CanonTextMemo;
   unsigned FreshCounter = 0;

@@ -147,6 +147,8 @@ std::string requestSignature(const AnalysisRequest &Req) {
 /// with the request span, stage aggregation, and latency metrics.
 AnalysisResponse runRequestImpl(AnalysisContext &Ctx,
                                 const AnalysisRequest &Req) {
+  // Between requests, so no formula of a request in flight is dropped.
+  Ctx.collect();
   AnalysisResponse R;
   R.Kind = Req.Kind;
   R.Id = Req.Id;
@@ -684,6 +686,8 @@ JsonRef xsa::statsToJson(const SessionStats &S) {
   F->set("iterations_replayed", JsonValue::number(static_cast<double>(
                                     S.FixpointIterationsReplayed)));
   O->set("fixpoints", F);
+  O->set("formula_collections",
+         JsonValue::number(static_cast<double>(S.FormulaCollections)));
   return O;
 }
 

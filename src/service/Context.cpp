@@ -47,6 +47,23 @@ AnalysisContext::AnalysisContext(ShardedResultCache *SharedCache,
       RawSolver(FF, wiredOptions(SharedCache, SharedStats, SharedFixpoints)) {
 }
 
+void AnalysisContext::collect() {
+  size_t Nodes = FF.numNodes();
+  size_t Entries = QueryMemo.size() + DtdMemo.size() + OptimizeMemo.size();
+  if (Nodes + Entries <= Budget)
+    return;
+  Span CollectSpan("context.collect");
+  CollectSpan.arg("nodes", static_cast<double>(Nodes));
+  CollectSpan.arg("entries", static_cast<double>(Entries));
+  FF.clear();
+  An.clear();
+  QueryMemo.clear();
+  DtdMemo.clear();
+  OptimizeMemo.clear();
+  if (Stats)
+    Stats->FormulaCollections.fetch_add(1, std::memory_order_relaxed);
+}
+
 SolverResult AnalysisContext::satisfiable(Formula Psi) {
   return RawSolver.solve(Psi);
 }
@@ -110,13 +127,6 @@ AnalysisContext::optimized(const std::string &XPath, const std::string &Dtd) {
       Stats->OptimizeCacheHits.fetch_add(1, std::memory_order_relaxed);
     return It->second;
   }
-  // Epoch flush: entries are heavyweight (a full proof trace each), so
-  // unlike the parser/DTD memos this one is bounded. Dropping the whole
-  // map is safe — entries are shared_ptr-owned, so a held one outlives
-  // the flush — and re-deriving a flushed rewrite answers its proof
-  // obligations from the session's result cache.
-  if (OptimizeMemo.size() >= MaxOptimizeMemo)
-    OptimizeMemo.clear();
   auto Entry = std::make_shared<OptimizeEntry>();
   ExprRef E = query(XPath, Entry->Error);
   if (E) {

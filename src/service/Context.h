@@ -14,6 +14,12 @@
 /// Nothing inside a context is shared, so a context may only ever be used
 /// by one thread at a time.
 ///
+/// A context lives in epochs: a request's formulas are garbage once it
+/// is answered, since the shared fronts below key on printed text, so
+/// between requests a context past Budget formula nodes and memo entries
+/// drops every formula and memo (collect()). DESIGN.md ("Formula
+/// epochs") argues why no answer can change.
+///
 /// What *is* shared sits behind three thread-safe fronts wired in at
 /// construction:
 ///
@@ -70,7 +76,7 @@ struct AtomicSessionStats {
   std::atomic<size_t> SolverTimeUs{0};
   /// Memoized front-end work. Parser and DTD memos are per-context, so
   /// under parallel dispatch these count the sum over all workers (a DTD
-  /// may legitimately compile once per worker that needs it).
+  /// compiles once per worker per epoch that needs it).
   std::atomic<size_t> QueriesParsed{0};
   std::atomic<size_t> QueryCacheHits{0};
   std::atomic<size_t> DtdCompilations{0};
@@ -86,6 +92,8 @@ struct AtomicSessionStats {
   /// iterate, and the total iterates replayed (Upd images skipped).
   std::atomic<size_t> FixpointSeededRuns{0};
   std::atomic<size_t> FixpointIterationsReplayed{0};
+  /// Epochs ended by AnalysisContext::collect, summed over all contexts.
+  std::atomic<size_t> FormulaCollections{0};
 };
 
 /// A single-threaded solver context: factory, parser/DTD memos, Analyzer
@@ -103,6 +111,21 @@ public:
                            SharedFixpointStore *SharedFixpoints = nullptr);
   AnalysisContext(const AnalysisContext &) = delete;
   AnalysisContext &operator=(const AnalysisContext &) = delete;
+
+  /// Formula nodes plus query, DTD and optimize memo entries past which
+  /// collect() starts a new epoch. Above server-warm's working set (about
+  /// 60k nodes for a full result cache), so traffic that fits the result
+  /// cache never collects.
+  static constexpr size_t Budget = size_t(1) << 17;
+
+  /// Starts a new epoch when the context holds more than Budget formula
+  /// nodes and memo entries: clears the factory, the Analyzer and the
+  /// query, DTD and optimize memos, in a `context.collect` span.
+  /// runRequest calls it before each request, so a formula a caller got
+  /// from factory(), typeContext() or analyzer() stays valid until the
+  /// next runRequest on this context collects; the factory's four
+  /// constants always stay valid.
+  void collect();
 
   FormulaFactory &factory() { return FF; }
 
@@ -133,9 +156,8 @@ public:
   /// query does not parse or the DTD does not load; failures are
   /// memoized like everything else here. Every proof obligation runs
   /// through this context's Analyzer, so it hits the shared session
-  /// cache. Returned as a shared_ptr (not a reference into the memo)
-  /// because the memo is flushed wholesale when full — a caller may
-  /// safely hold the entry across later optimized() calls.
+  /// cache. Returned as a shared_ptr (not a reference into the memo), so
+  /// a held entry outlives a collection.
   struct OptimizeEntry {
     RewriteResult Result;
     std::string Error;
@@ -161,11 +183,6 @@ private:
     std::string Error;
   };
   std::unordered_map<std::string, DtdEntry> DtdMemo;
-  /// Bounded, unlike the memos above: a RewriteResult carries the full
-  /// proof trace, so a long-running stream of mostly distinct optimize
-  /// requests must not accumulate entries forever. Flushed wholesale
-  /// when full (see optimized()).
-  static constexpr size_t MaxOptimizeMemo = 4096;
   std::unordered_map<std::string, std::shared_ptr<const OptimizeEntry>>
       OptimizeMemo;
 

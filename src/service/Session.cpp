@@ -364,5 +364,7 @@ SessionStats AnalysisSession::stats() const {
       Counters.FixpointSeededRuns.load(std::memory_order_relaxed);
   S.FixpointIterationsReplayed =
       Counters.FixpointIterationsReplayed.load(std::memory_order_relaxed);
+  S.FormulaCollections =
+      Counters.FormulaCollections.load(std::memory_order_relaxed);
   return S;
 }

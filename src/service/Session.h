@@ -41,7 +41,10 @@
 /// work queued or running. Concurrency comes from submitting work —
 /// runBatch and runBatchJsonLines (service/Batch.h) and xsolved's
 /// admissions do. One-off callers can keep constructing Analyzer
-/// directly (they simply run uncached).
+/// directly (they simply run uncached). A formula the serial API hands
+/// out stays valid until a request run on worker 0's context (runRequest,
+/// or a submitted request that worker 0 takes) starts a new epoch
+/// (AnalysisContext::collect); ⊤, ⊥, s and ¬s always stay valid.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,6 +94,9 @@ struct SessionStats {
   CacheStats Fixpoints;
   size_t FixpointSeededRuns = 0;
   size_t FixpointIterationsReplayed = 0;
+  /// Formula epochs ended, summed over all contexts (see
+  /// AnalysisContext::collect).
+  size_t FormulaCollections = 0;
 };
 
 /// Knobs of an AnalysisSession. Every context solves under default

@@ -42,6 +42,47 @@ TEST(Formula, HashConsing) {
   EXPECT_NE(A, FF.conj(FF.prop("a"), FF.prop("b")));
 }
 
+TEST(Formula, ClearKeepsOnlyTheConstants) {
+  FormulaFactory FF;
+  Formula T = FF.trueF(), F = FF.falseF(), S = FF.start(), NS = FF.negStart();
+  const std::string Text = "let $X = a & ~#s | <1>$X | <2>(b & ~<1>T) in $X";
+  std::string Printed = FF.toString(parse(FF, Text));
+  Symbol Z1 = FF.freshVar("Z");
+  EXPECT_EQ(symbolName(Z1), "Z1");
+  auto Build = [&](int I) {
+    return FF.diamond(Program::Child, FF.prop("p" + std::to_string(I)));
+  };
+  // Enough distinct nodes to double the hash-cons table several times;
+  // each is found again after the doublings.
+  std::vector<Formula> Built;
+  for (int I = 0; I < 5000; ++I)
+    Built.push_back(Build(I));
+  for (int I = 0; I < 5000; ++I)
+    EXPECT_EQ(Build(I), Built[I]);
+  EXPECT_GT(FF.numNodes(), 10000u);
+
+  FF.clear();
+  EXPECT_EQ(FF.numNodes(), 4u);
+  EXPECT_EQ(FF.trueF(), T);
+  EXPECT_EQ(FF.falseF(), F);
+  EXPECT_EQ(FF.start(), S);
+  EXPECT_EQ(FF.negStart(), NS);
+  EXPECT_EQ(FF.toString(parse(FF, Text)), Printed);
+  EXPECT_EQ(FF.freshVar("Z"), Z1) << "fresh names restart in a new epoch";
+
+  // The emptied table, which keeps its capacity, still hash-conses.
+  Formula A = parse(FF, Text);
+  EXPECT_EQ(parse(FF, Text), A);
+  Built.clear();
+  for (int I = 0; I < 5000; ++I)
+    Built.push_back(Build(I));
+  size_t Nodes = FF.numNodes();
+  for (int I = 0; I < 5000; ++I)
+    EXPECT_EQ(Build(I), Built[I]);
+  EXPECT_EQ(parse(FF, Text), A);
+  EXPECT_EQ(FF.numNodes(), Nodes) << "building a formula twice gives one node";
+}
+
 TEST(Formula, Simplifications) {
   FormulaFactory FF;
   Formula A = FF.prop("a");

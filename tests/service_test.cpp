@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <streambuf>
@@ -108,18 +109,19 @@ TEST(Canonicalize, AlphaVariantOperandsStayTwo) {
                                      canonical(FF, Once) + ")");
 }
 
-TEST(Canonicalize, CanonicalTextIsMemoizedAndSurvivesAFlush) {
+TEST(Canonicalize, CanonicalTextIsMemoizedAndSurvivesAClear) {
   FormulaFactory FF;
-  Formula A = parse(FF, "let $X = a | <1>$X in $X");
+  const std::string Src = "let $X = a | <1>$X in $X";
+  Formula A = parse(FF, Src);
   std::shared_ptr<const std::string> Text = FF.canonicalText(A);
   EXPECT_EQ(*Text, "let $%c0_0 = a | <1>$%c0_0 in $%c0_0");
   EXPECT_EQ(FF.canonicalText(A), Text) << "served from the memo";
-  // Past 4,096 texts the memo is dropped whole; a held text outlives the
-  // drop, and the text printed anew is the same.
-  for (int I = 0; I < 5000; ++I)
-    FF.canonicalText(FF.prop("p" + std::to_string(I)));
-  std::shared_ptr<const std::string> Again = FF.canonicalText(A);
-  EXPECT_NE(Again, Text) << "printed again after the flush";
+  // clear() drops the memo with the formulas; a held text outlives it,
+  // and the formula built again in the new epoch prints the same text.
+  FF.clear();
+  EXPECT_EQ(*Text, "let $%c0_0 = a | <1>$%c0_0 in $%c0_0");
+  std::shared_ptr<const std::string> Again = FF.canonicalText(parse(FF, Src));
+  EXPECT_NE(Again, Text) << "printed again after the clear";
   EXPECT_EQ(*Again, *Text);
 }
 
@@ -215,6 +217,55 @@ AnalysisRequest containsReq(const std::string &Id, const std::string &E1,
   return R;
 }
 
+/// \p N distinct requests of the shapes perfbench's server-cold stream
+/// sends (ProblemStream in perfbench/runner.cpp): in every 32, seven
+/// each of two containments, an overlap and an untyped emptiness, and
+/// four emptiness checks under wikipedia. Every request has labels of
+/// its own, so none is a cache hit.
+std::vector<AnalysisRequest> coldShapedRequests(size_t N) {
+  std::vector<AnalysisRequest> Reqs;
+  for (size_t I = 0; I < N; ++I) {
+    std::string Tag = std::to_string(I);
+    std::string A = "a" + Tag, B = "b" + Tag, C = "c" + Tag;
+    AnalysisRequest R;
+    R.Id = "k" + Tag;
+    size_t Pos = I % 32;
+    switch (Pos < 28 ? Pos % 4 : 4) {
+    case 0:
+      R = containsReq(R.Id, "/" + A + "/" + B, "//" + B);
+      break;
+    case 1:
+      R = containsReq(R.Id, "//" + B, "/" + A + "/" + B);
+      break;
+    case 2:
+      R.Kind = RequestKind::Overlap;
+      R.Query1 = "//" + A + "/" + B;
+      R.Query2 = "//" + B + "[" + C + "]";
+      break;
+    case 3:
+      R.Kind = RequestKind::Emptiness;
+      R.Query1 = A + "/" + B + "[parent::" + C + "]";
+      break;
+    default:
+      R.Kind = RequestKind::Emptiness;
+      R.Query1 = "//history/edit[z" + Tag + "]";
+      R.Dtd1 = "wikipedia";
+      break;
+    }
+    Reqs.push_back(std::move(R));
+  }
+  return Reqs;
+}
+
+/// Each response of a run, stable-encoded, by id.
+std::map<std::string, std::string>
+stableLinesById(const std::vector<AnalysisResponse> &Resps) {
+  std::map<std::string, std::string> Lines;
+  for (const AnalysisResponse &R : Resps)
+    Lines[R.Id] = responseToJson(R, /*IncludeVolatile=*/false)->dump();
+  return Lines;
+}
+
 TEST(Batch, DedupsRepeatedContainmentOperands) {
   AnalysisSession Session;
   // Four requests over two distinct problems; the duplicates must be
@@ -257,6 +308,60 @@ TEST(Batch, WarmRequestsDoNotGrowTheFormulaArena) {
   for (int I = 0; I < 5; ++I)
     runBatch(Session, Reqs);
   EXPECT_EQ(Session.factory().numNodes(), Nodes);
+
+  // The same holds for a working set of 512 server-cold-shaped problems,
+  // which fits the result cache and stays below the context's budget:
+  // no pass collects, and only the first one builds formulas.
+  AnalysisSession Warm;
+  std::vector<AnalysisRequest> WorkingSet = coldShapedRequests(512);
+  runBatch(Warm, WorkingSet);
+  size_t AfterFirst = Warm.factory().numNodes();
+  EXPECT_LT(AfterFirst, AnalysisContext::Budget);
+  for (int Pass = 2; Pass <= 3; ++Pass) {
+    for (const AnalysisResponse &R : runBatch(Warm, WorkingSet))
+      EXPECT_TRUE(R.FromCache) << R.Id;
+    EXPECT_EQ(Warm.factory().numNodes(), AfterFirst) << "pass " << Pass;
+  }
+  EXPECT_EQ(Warm.stats().FormulaCollections, 0u);
+}
+
+TEST(Batch, CollectionsAreInvisible) {
+  // Enough distinct server-cold-shaped requests to cross the budget on
+  // one context: the serial runs start new epochs mid-stream, at
+  // different requests forward and reversed, and four workers at others
+  // again (or not at all). No answer may change.
+  std::vector<AnalysisRequest> Reqs = coldShapedRequests(1600);
+  AnalysisSession Forward;
+  std::map<std::string, std::string> Expected =
+      stableLinesById(runBatch(Forward, Reqs));
+  EXPECT_GE(Forward.stats().FormulaCollections, 1u);
+
+  std::vector<AnalysisRequest> Reversed(Reqs.rbegin(), Reqs.rend());
+  AnalysisSession Backward;
+  EXPECT_EQ(stableLinesById(runBatch(Backward, Reversed)), Expected);
+  EXPECT_GE(Backward.stats().FormulaCollections, 1u);
+
+  SessionOptions Four;
+  Four.Jobs = 4;
+  AnalysisSession Parallel(Four);
+  EXPECT_EQ(stableLinesById(runBatch(Parallel, Reqs)), Expected);
+
+  for (const auto &[Id, Line] : Expected)
+    EXPECT_NE(Line.find("\"ok\":true"), std::string::npos) << Line;
+}
+
+TEST(Context, ErrorEntriesAreBounded) {
+  // Distinct unparseable queries build no formula, but each one is a
+  // query memo entry: the budget counts those too, so the memo cannot
+  // grow without bound.
+  AnalysisSession Session;
+  AnalysisRequest R;
+  R.Kind = RequestKind::Emptiness;
+  for (size_t I = 0; I <= AnalysisContext::Budget; ++I) {
+    R.Query1 = "/a[" + std::to_string(I);
+    ASSERT_FALSE(runRequest(Session, R).Ok) << R.Query1;
+  }
+  EXPECT_GE(Session.stats().FormulaCollections, 1u);
 }
 
 TEST(Batch, SharedDtdCompiledOnce) {
