@@ -58,16 +58,8 @@ uint64_t Tracer::nowNs() {
 }
 
 void Tracer::recordSpanFrom(const char *Name, uint64_t StartNsAbs) {
-  if (!enabled()) {
-    // Stage-capture mode still feeds the current request's totals (the
-    // queue-wait entry of a slowlog breakdown comes through here).
-    if (stageCaptureEnabled())
-      if (StageTotals *St = CurrentStages) {
-        uint64_t Now = nowNs();
-        St->add(Name, Now > StartNsAbs ? Now - StartNsAbs : 0);
-      }
+  if (!enabled())
     return;
-  }
   uint64_t Now = nowNs();
   ThreadState &S = threadState();
   Event Ev;
@@ -80,8 +72,6 @@ void Tracer::recordSpanFrom(const char *Name, uint64_t StartNsAbs) {
   Ev.StartNs = StartNsAbs > EpochNs ? StartNsAbs - EpochNs : 0;
   uint64_t RelNow = Now > EpochNs ? Now - EpochNs : 0;
   Ev.DurNs = RelNow > Ev.StartNs ? RelNow - Ev.StartNs : 0;
-  if (StageTotals *St = CurrentStages)
-    St->add(Ev.Name, Ev.DurNs);
   S.Buf.push_back(std::move(Ev));
 }
 

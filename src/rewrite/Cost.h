@@ -37,10 +37,10 @@ namespace xsa {
 bool isReverseAxis(Axis A);
 
 struct CostModel {
-  double StepCost = 1.0;
-  double ReverseAxisPenalty = 3.0;
-  double IteratePenalty = 2.0;
-  double QualifierDiscount = 0.5;
+  static constexpr double StepCost = 1.0;
+  static constexpr double ReverseAxisPenalty = 3.0;
+  static constexpr double IteratePenalty = 2.0;
+  static constexpr double QualifierDiscount = 0.5;
 
   double cost(const ExprRef &E) const;
   /// \p Scale is the accumulated qualifier discount (1.0 on the

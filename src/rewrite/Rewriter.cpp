@@ -2,7 +2,7 @@
 
 #include "rewrite/Rewriter.h"
 
-#include "support/KeyEncoding.h"
+#include "rewrite/Cost.h"
 #include "xpath/Parser.h"
 
 #include <algorithm>
@@ -22,26 +22,15 @@ struct RankedCandidate {
 } // namespace
 
 RewriteResult Rewriter::optimize(const ExprRef &E, Formula Chi) {
+  const CostModel CM;
   RewriteResult R;
   R.Original = E;
   R.Optimized = E;
-  R.OriginalCost = Opts.Cost.cost(E);
+  R.OriginalCost = CM.cost(E);
   R.OptimizedCost = R.OriginalCost;
 
   const auto &Rules = rewriteRules();
-  // (from, to) pairs already discharged, so a refuted obligation is
-  // never retried in a later pass (the session cache would answer it,
-  // but it would still spam the trace). Only reachable when equal-cost
-  // candidates are admitted: under RequireCostImprovement every accepted
-  // rewrite strictly lowers the cost, so no From text ever recurs — the
-  // bookkeeping is skipped entirely there.
-  const bool TrackTried = !Opts.RequireCostImprovement;
-  std::unordered_set<std::string> Tried;
-  auto triedKey = [](const std::string &From, const std::string &To) {
-    return lengthPrefixedKey(From, To);
-  };
-
-  for (size_t Pass = 0; Pass < Opts.MaxPasses; ++Pass) {
+  for (size_t Pass = 0; Pass < MaxPasses; ++Pass) {
     const std::string CurText = toString(R.Optimized);
     std::vector<RankedCandidate> Ranked;
     for (size_t RI = 0; RI < Rules.size(); ++RI) {
@@ -50,14 +39,14 @@ RewriteResult Rewriter::optimize(const ExprRef &E, Formula Chi) {
       for (RewriteCandidate &C : Cands) {
         if (!C.Replacement)
           continue;
-        double Cost = Opts.Cost.cost(C.Replacement);
-        // Never consider costlier candidates (they could oscillate);
-        // equal cost is admitted only when improvement is not required.
-        if (Opts.RequireCostImprovement ? Cost >= R.OptimizedCost - 1e-9
-                                        : Cost > R.OptimizedCost + 1e-9)
+        double Cost = CM.cost(C.Replacement);
+        // Only strictly cheaper candidates: equal or costlier ones could
+        // oscillate. So no From text recurs in a later pass, and no
+        // refuted obligation is retried.
+        if (Cost >= R.OptimizedCost - 1e-9)
           continue;
         std::string Text = toString(C.Replacement);
-        if (Text == CurText || (TrackTried && Tried.count(triedKey(CurText, Text))))
+        if (Text == CurText)
           continue;
         Ranked.push_back({Cost, RI, std::move(Text), std::move(C)});
       }
@@ -74,7 +63,7 @@ RewriteResult Rewriter::optimize(const ExprRef &E, Formula Chi) {
     bool AcceptedOne = false;
     std::unordered_set<std::string> SeenText;
     for (RankedCandidate &K : Ranked) {
-      if (R.CheckedCandidates >= Opts.MaxChecks)
+      if (R.CheckedCandidates >= MaxChecks)
         break;
       if (!SeenText.insert(K.Text).second)
         continue; // two rules proposed the same text; one proof suffices
@@ -87,8 +76,6 @@ RewriteResult Rewriter::optimize(const ExprRef &E, Formula Chi) {
       ExprRef Back = parseXPath(K.Text, Err);
       if (!Back || !astEquals(Back, K.C.Replacement))
         continue;
-      if (TrackTried)
-        Tried.insert(triedKey(CurText, K.Text));
       ++R.CheckedCandidates;
 
       AnalysisResult AR =
@@ -115,7 +102,7 @@ RewriteResult Rewriter::optimize(const ExprRef &E, Formula Chi) {
         break; // regenerate candidates against the new query
       }
     }
-    if (!AcceptedOne || R.CheckedCandidates >= Opts.MaxChecks)
+    if (!AcceptedOne || R.CheckedCandidates >= MaxChecks)
       break;
   }
   return R;

@@ -20,7 +20,9 @@
 ///      force — an unsound candidate costs a refuted proof obligation,
 ///      never a wrong result;
 ///   4. repeat to fixpoint (no candidate survives), bounded by
-///      MaxPasses/MaxChecks.
+///      Rewriter::MaxPasses passes and Rewriter::MaxChecks solver
+///      checks. Every accepted rewrite strictly lowers the cost, so no
+///      query recurs and no obligation is discharged twice.
 ///
 /// Every proof obligation — accepted or refuted — is recorded in the
 /// result's trace (rule, candidate, check kind, verdict, cache hit,
@@ -32,7 +34,7 @@
 /// Determinism: candidate generation is deterministic, ties in the cost
 /// ranking break on the candidate's printed text, and the solver itself
 /// is deterministic — so optimize() is a pure function of (query text,
-/// type, options).
+/// type).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +42,6 @@
 #define XSA_REWRITE_REWRITER_H
 
 #include "analysis/Problems.h"
-#include "rewrite/Cost.h"
 #include "rewrite/Rule.h"
 
 #include <string>
@@ -76,22 +77,14 @@ struct RewriteResult {
   std::string text() const { return toString(Optimized); }
 };
 
-struct RewriterOptions {
-  CostModel Cost;
-  /// Fixpoint bound: passes each accepting at most one rewrite.
-  size_t MaxPasses = 16;
-  /// Global bound on solver-checked candidates per optimize() call.
-  size_t MaxChecks = 64;
-  /// Only try candidates strictly cheaper than the current query. With
-  /// false, equal-cost candidates are tried too (used by tests to force
-  /// specific obligations).
-  bool RequireCostImprovement = true;
-};
-
 class Rewriter {
 public:
-  explicit Rewriter(Analyzer &An, RewriterOptions Opts = {})
-      : An(An), Opts(Opts) {}
+  /// Fixpoint bound: passes each accepting at most one rewrite.
+  static constexpr size_t MaxPasses = 16;
+  /// Global bound on solver-checked candidates per optimize() call.
+  static constexpr size_t MaxChecks = 64;
+
+  explicit Rewriter(Analyzer &An) : An(An) {}
 
   /// Optimizes \p E under the type context \p Chi (FF.trueF() for
   /// none). Pure: \p E is never mutated; the result holds fresh ASTs.
@@ -99,7 +92,6 @@ public:
 
 private:
   Analyzer &An;
-  RewriterOptions Opts;
 };
 
 } // namespace xsa

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <limits>
 
@@ -102,9 +103,13 @@ struct FdLineReader {
 namespace {
 
 /// All queue timestamps (deadlines, waits) share the tracer's timebase,
-/// so the same stamp feeds the deadline check, the wait histogram and
-/// the cross-thread "server.queue_wait" span.
+/// so the same stamp feeds the deadline check and the wait histogram.
 uint64_t nowSteadyNs() { return Tracer::nowNs(); }
+
+/// Grace period on shutdown for writer threads to flush answers to
+/// clients that are slow to read; connections still unflushed after it
+/// are force-closed, so a drain always completes.
+constexpr std::chrono::milliseconds DrainFlushTimeout{5000};
 
 /// Sends all of \p Data on \p Fd, aborting when \p Alive goes false
 /// (forced teardown must be able to interrupt a send to a client that
@@ -183,60 +188,100 @@ NamespaceState::NamespaceState(std::string N) : Name(std::move(N)) {
 // Internal types
 //===----------------------------------------------------------------------===//
 
-/// One client connection. The reader thread owns Fd reads and seq
-/// assignment; the reorder buffer is guarded by WriteMu and filled by
-/// producers (reader thread for control responses, worker threads for
-/// analysis responses) — producers only enqueue and notify, they never
-/// touch the socket. The writer thread alone sends, so a client
-/// that stops reading blocks its own writer and nobody else.
+/// One client connection. The reader thread owns Fd reads and reserves
+/// each answered line's position in Out, the connection's OrderedRun
+/// (service/Batch.h); whichever thread answers the line at the head of
+/// Out, the reader or a worker, emits it and every later answer already
+/// there into Outbound, under WriteMu. Emitting never touches the
+/// socket: the writer thread alone sends, so a client that stops
+/// reading blocks its own writer and nobody else.
 struct XsolvedServer::Connection {
+  explicit Connection(size_t MaxOutboundBytes)
+      : MaxOutboundBytes(MaxOutboundBytes),
+        Out([this](std::vector<std::string> &Ready) { park(Ready); }) {}
+
+  /// Enters the answer to the line at \p Pos into Out; the reader and
+  /// the workers answer only through here. The outbound buffer is
+  /// bounded from this point, not from release: an answer waiting in Out
+  /// behind an earlier one counts as much as one waiting for the writer,
+  /// and a connection holding more than MaxOutboundBytes unsent is
+  /// dropped, not buffered without limit. A dropped connection's answers
+  /// still fill their positions, empty, so Out drains.
+  void answer(size_t Pos, std::string Line) {
+    bool Dropped = false;
+    {
+      std::lock_guard<std::mutex> L(WriteMu);
+      if (Open.load()) {
+        OutboundBytes += Line.size() + 1; // with its newline
+        if (OutboundBytes > MaxOutboundBytes) {
+          Open.store(false);
+          Outbound.clear();
+          OutboundBytes = 0;
+          if (Fd >= 0)
+            ::shutdown(Fd, SHUT_RDWR);
+          Dropped = true;
+        }
+      }
+      if (!Open.load())
+        Line.clear();
+    }
+    if (Dropped)
+      WriteCv.notify_all();
+    Out.answer(Pos, std::move(Line));
+  }
+
+  /// Emit side of Out: parks the released lines, already counted by
+  /// answer(), for the writer and wakes it.
+  void park(std::vector<std::string> &Ready) {
+    {
+      std::lock_guard<std::mutex> L(WriteMu);
+      if (!Open.load())
+        return; // connection dropped — discard, the writer is done
+      for (std::string &Line : Ready)
+        Outbound.push_back(std::move(Line += '\n'));
+    }
+    WriteCv.notify_all();
+  }
+
+  const size_t MaxOutboundBytes;
   int Fd = -1;
   uint64_t Id = 0;
   std::thread Reader;
   std::thread Writer;
   std::atomic<bool> Open{true};
 
-  /// Reader-thread-only: next sequence number to assign to a line that
-  /// gets a response.
-  uint64_t NextSeq = 0;
+  OrderedRun<std::string> Out;
 
   std::mutex WriteMu;
   std::condition_variable WriteCv;
-  uint64_t NextDeliver = 0;                ///< guarded by WriteMu
-  std::map<uint64_t, std::string> Pending; ///< guarded by WriteMu
-  size_t PendingBytes = 0;                 ///< guarded by WriteMu
-  /// Set by the reader at exit (with FinalSeq = its last NextSeq): no
-  /// further sequence numbers will be assigned, so once NextDeliver
-  /// reaches FinalSeq the writer has flushed everything and may exit.
-  bool InputDone = false;   ///< guarded by WriteMu
-  uint64_t FinalSeq = 0;    ///< guarded by WriteMu
+  std::deque<std::string> Outbound; ///< guarded by WriteMu
+  /// Bytes answered and not yet sent, in Out or in Outbound.
+  size_t OutboundBytes = 0; ///< guarded by WriteMu
+  /// Set by the reader at exit, once Out has emitted every answer: when
+  /// Outbound is empty too, the writer has sent everything and may exit.
+  bool InputDone = false;    ///< guarded by WriteMu
   bool WriterExited = false; ///< guarded by WriteMu (teardown handshake)
 
   /// Per-connection protocol state: current namespace and response
-  /// encoding. Written by the reader thread on a config line; the
-  /// values a job uses are snapshotted into the job at admission, so
-  /// workers never read these directly.
+  /// encoding. Written by the reader thread on a config line, which
+  /// waits for every earlier line's answer first (see finish()).
   std::shared_ptr<NamespaceState> Ns;
   bool Stable = false;
 };
 
-/// An admitted analysis request, carrying everything a worker needs —
-/// including the encoding snapshot taken at admission, so a later config
-/// change never races a queued job.
+/// An admitted analysis request, carrying everything a worker needs.
 struct XsolvedServer::Job {
   std::shared_ptr<Connection> Conn;
-  std::shared_ptr<NamespaceState> Ns;
-  uint64_t Seq = 0;
+  size_t Pos = 0; ///< the line's position in Conn->Out
   AnalysisRequest Req;
   int Priority = 0;
   uint64_t DeadlineNs = 0; ///< absolute steady-clock ns; 0 = none
   uint64_t EnqueueNs = 0;
   /// Request id: the client's "id" when it sent one, else a server-
-  /// generated "c<conn>-<seq>". Mirrored into Req.TraceId so it rides
+  /// generated "c<conn>-<pos>". Mirrored into Req.TraceId so it rides
   /// the request span, the volatile "rid" response field, log lines and
   /// any slowlog capture. Generated ids never reach stable output.
   std::string Rid;
-  bool Stable = false;
   /// The admitted request line dumped back to JSON, carried so a slowlog
   /// capture can reproduce the request verbatim (`xsolve replay`).
   std::string RequestJson;
@@ -407,8 +452,7 @@ void XsolvedServer::wait() {
   // Phase 2 — give each writer a bounded grace to flush to clients
   // that are slow to read, then force-close whatever remains (a client
   // that never reads must not hang the drain) and join.
-  auto Deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(Opts.DrainFlushTimeoutMs);
+  auto Deadline = std::chrono::steady_clock::now() + DrainFlushTimeout;
   for (auto &C : Snapshot) {
     std::unique_lock<std::mutex> WL(C->WriteMu);
     C->WriteCv.wait_until(WL, Deadline, [&] { return C->WriterExited; });
@@ -521,7 +565,7 @@ bool XsolvedServer::acceptOne(int ListenFd) {
   int ClientFd = ::accept(ListenFd, nullptr, nullptr);
   if (ClientFd < 0)
     return false;
-  auto Conn = std::make_shared<Connection>();
+  auto Conn = std::make_shared<Connection>(Opts.MaxOutboundBytes);
   Conn->Fd = ClientFd;
   Conn->Ns = namespaceState("default");
   Conn->Stable = Opts.DefaultStable;
@@ -601,19 +645,20 @@ void XsolvedServer::readerLoop(std::shared_ptr<Connection> Conn) {
   LogEvent(LogLevel::Debug, "conn.close")
       .num("conn", static_cast<double>(Conn->Id))
       .num("lines", static_cast<double>(LineNo));
-  // Input is over, but responses for requests still queued or on a
-  // worker may be outstanding: hand the writer the final sequence number
-  // so it can flush everything and only then close the connection. Forcing
-  // Open=false or SHUT_WR here would drop responses a pipelined client
-  // that half-closed early is still owed.
+  // Input is over, but answers for requests still queued or on a
+  // worker may be outstanding: wait until every one is emitted, so the
+  // writer sends them all and only then closes the connection. Forcing
+  // Open=false or SHUT_WR here would drop answers a pipelined client
+  // that half-closed early is still owed. In wait() this cannot block:
+  // the session is quiesced before the readers are joined.
+  Conn->Out.drain();
   {
     std::lock_guard<std::mutex> L(Conn->WriteMu);
     Conn->InputDone = true;
-    Conn->FinalSeq = Conn->NextSeq;
   }
   Conn->WriteCv.notify_all();
   // The fd itself is closed at server teardown (wait()), after the
-  // writer can no longer deliver to it.
+  // writer can no longer send on it.
 }
 
 /// HTTP/1.1 keep-alive loop on the reader thread. Each iteration parses
@@ -760,49 +805,67 @@ void XsolvedServer::handleLine(const std::shared_ptr<Connection> &ConnPtr,
                                 {"config", "metrics", "stats", "status",
                                  "slowlog", "log", "ping", "drain"});
   if (L.K == InputLine::Kind::Skip)
-    return; // blank/comment lines get no response and no seq
-  uint64_t Seq = Conn.NextSeq++;
+    return; // blank/comment lines get no answer and no position
+  // A control line is answered once every earlier line is, and applies
+  // to every later line, as in `xsolve batch`. Drain before reserving,
+  // or the line waits on its own position.
+  if (L.K == InputLine::Kind::Control)
+    Conn.Out.drain();
+  size_t Pos = Conn.Out.reserve();
   if (L.K == InputLine::Kind::Answer) {
     if (L.Obj) // an object that is no request
       Conn.Ns->Errors.fetch_add(1, std::memory_order_relaxed);
-    deliver(Conn, Seq, std::move(L.Answer));
+    Conn.answer(Pos, std::move(L.Answer));
     return;
   }
   if (L.K == InputLine::Kind::Request) {
-    admit(ConnPtr, Seq, *L.Obj, std::move(L.Req));
+    admit(ConnPtr, Pos, *L.Obj, std::move(L.Req));
     return;
   }
   const JsonValue &Obj = *L.Obj;
   std::string Op = Obj.str("op");
-  if (Op == "config") {
-    handleConfig(Conn, Seq, Obj);
-  } else if (Op == "metrics") {
-    handleMetrics(Conn, Seq, Obj);
-  } else if (Op == "stats") {
-    handleStats(Conn, Seq, Obj);
-  } else if (Op == "status") {
-    handleStatus(Conn, Seq, Obj);
-  } else if (Op == "slowlog") {
-    handleSlowlog(Conn, Seq, Obj);
-  } else if (Op == "log") {
-    handleLog(Conn, Seq, Obj);
-  } else if (Op == "ping") {
-    JsonRef O = controlResponseJson(Obj);
-    O->set("op", JsonValue::string("ping"));
-    deliver(Conn, Seq, O->dump());
-  } else {
-    // drain, the last op of the control set
-    JsonRef O = controlResponseJson(Obj);
-    O->set("draining", JsonValue::boolean(true));
-    deliver(Conn, Seq, O->dump());
+  Conn.answer(Pos, controlAnswer(Conn, Op, Obj)->dump());
+  if (Op == "drain")
     requestDrain();
-  }
 }
 
-void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
-                                 const JsonValue &Obj) {
-  // Every value is checked before any applies, so a rejected op changes
-  // nothing — not even the namespace registry.
+/// The answer to control op \p Op of \p Conn. status, slowlog and log
+/// are operational introspection ops: their payloads are inherently
+/// execution-dependent (uptime, queue depth, captured latencies), so
+/// they are not part of the `--stable` byte-identity contract — which
+/// covers analysis responses — and serialize the same on any connection.
+JsonRef XsolvedServer::controlAnswer(Connection &Conn, const std::string &Op,
+                                     const JsonValue &Obj) {
+  if (Op == "config")
+    return applyConfig(Conn, Obj);
+  if (Op == "metrics") {
+    JsonRef O = metricsResponseJson(Obj, Conn.Stable);
+    O->set("namespaces", namespacesJson());
+    return O;
+  }
+  JsonRef O = controlResponseJson(Obj);
+  if (Op == "stats") {
+    O->set("stats", statsToJson(Sess->stats()));
+    O->set("namespaces", namespacesJson());
+  } else if (Op == "status") {
+    O->set("status", statusJson());
+  } else if (Op == "slowlog") {
+    O->set("slowlog",
+           slowlogJson(clampedInteger<size_t>(Obj.get("n")->asNumber())));
+  } else if (Op == "log") {
+    O->set("log", logJson(clampedInteger<size_t>(Obj.get("n")->asNumber())));
+  } else if (Op == "ping") {
+    O->set("op", JsonValue::string("ping"));
+  } else {
+    // drain, the last op of the control set
+    O->set("draining", JsonValue::boolean(true));
+  }
+  return O;
+}
+
+/// {"op":"config"}: every value is checked before any applies, so a
+/// rejected op changes nothing — not even the namespace registry.
+JsonRef XsolvedServer::applyConfig(Connection &Conn, const JsonValue &Obj) {
   ConfigLine Cfg;
   JsonRef Err =
       Obj.has("jobs")
@@ -819,8 +882,7 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
                           "ns", Obj.get("ns")->dump());
   if (Err) {
     Conn.Ns->Errors.fetch_add(1, std::memory_order_relaxed);
-    deliver(Conn, Seq, Err->dump());
-    return;
+    return Err;
   }
   Conn.Ns = std::move(Ns);
   if (Cfg.Stable)
@@ -830,55 +892,7 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
   O->set("ns", JsonValue::string(Conn.Ns->Name));
   O->set("stable", JsonValue::boolean(Conn.Stable));
   O->set("jobs", JsonValue::number(static_cast<double>(Sess->jobs())));
-  deliver(Conn, Seq, O->dump());
-}
-
-void XsolvedServer::handleMetrics(Connection &Conn, uint64_t Seq,
-                                  const JsonValue &Obj) {
-  JsonRef O = controlResponseJson(Obj);
-  JsonRef M = MetricRegistry::global().toJson(
-      /*IncludeVolatile=*/!Conn.Stable);
-  for (const auto &[K, V] : M->members())
-    O->set(K, V);
-  O->set("namespaces", namespacesJson());
-  deliver(Conn, Seq, O->dump());
-}
-
-void XsolvedServer::handleStats(Connection &Conn, uint64_t Seq,
-                                const JsonValue &Obj) {
-  JsonRef O = controlResponseJson(Obj);
-  O->set("stats", statsToJson(Sess->stats()));
-  O->set("namespaces", namespacesJson());
-  deliver(Conn, Seq, O->dump());
-}
-
-/// {"op":"status"}, {"op":"slowlog"} and {"op":"log"} are operational
-/// introspection ops: their payloads are inherently execution-dependent
-/// (uptime, queue depth, captured latencies), so they are not part of
-/// the `--stable` byte-identity contract — which covers analysis
-/// responses — and serialize the same on any connection.
-
-void XsolvedServer::handleStatus(Connection &Conn, uint64_t Seq,
-                                 const JsonValue &Obj) {
-  JsonRef O = controlResponseJson(Obj);
-  O->set("status", statusJson());
-  deliver(Conn, Seq, O->dump());
-}
-
-void XsolvedServer::handleSlowlog(Connection &Conn, uint64_t Seq,
-                                  const JsonValue &Obj) {
-  JsonRef O = controlResponseJson(Obj);
-  size_t Max = clampedInteger<size_t>(Obj.get("n")->asNumber());
-  O->set("slowlog", slowlogJson(Max));
-  deliver(Conn, Seq, O->dump());
-}
-
-void XsolvedServer::handleLog(Connection &Conn, uint64_t Seq,
-                              const JsonValue &Obj) {
-  JsonRef O = controlResponseJson(Obj);
-  size_t Max = clampedInteger<size_t>(Obj.get("n")->asNumber());
-  O->set("log", logJson(Max));
-  deliver(Conn, Seq, O->dump());
+  return O;
 }
 
 JsonRef XsolvedServer::statusJson() {
@@ -970,19 +984,17 @@ JsonRef XsolvedServer::logJson(size_t MaxRecords) {
 }
 
 void XsolvedServer::admit(const std::shared_ptr<Connection> &ConnPtr,
-                          uint64_t Seq, const JsonValue &Obj,
+                          size_t Pos, const JsonValue &Obj,
                           AnalysisRequest Req) {
   Connection &Conn = *ConnPtr;
   auto JP = std::make_shared<Job>();
   Job &J = *JP;
   J.Conn = ConnPtr;
-  J.Seq = Seq;
+  J.Pos = Pos;
   J.Req = std::move(Req);
-  J.Stable = Conn.Stable;
-  J.Ns = Conn.Ns;
   J.Rid = !J.Req.Id.empty()
               ? J.Req.Id
-              : "c" + std::to_string(Conn.Id) + "-" + std::to_string(Seq);
+              : "c" + std::to_string(Conn.Id) + "-" + std::to_string(Pos);
   J.Req.TraceId = J.Rid;
   J.RequestJson = Obj.dump();
   J.Priority = clampedInteger<int>(Obj.get("priority")->asNumber());
@@ -998,7 +1010,7 @@ void XsolvedServer::admit(const std::shared_ptr<Connection> &ConnPtr,
       J.DeadlineNs = J.EnqueueNs + Ns;
   }
 
-  NamespaceState &Ns = *J.Ns;
+  NamespaceState &Ns = *Conn.Ns;
   AnalysisSession::Admission A = Sess->submit(
       [this, JP](AnalysisContext &Ctx) { runJob(*JP, Ctx); }, J.Priority,
       Opts.QueueLimit, requestKey(J.Req));
@@ -1023,10 +1035,10 @@ void XsolvedServer::admit(const std::shared_ptr<Connection> &ConnPtr,
       Drain ? "server is draining and no longer accepts analysis requests"
             : "request queue is full (limit " +
                   std::to_string(Opts.QueueLimit) + "); retry later";
-  deliver(Conn, Seq,
-          responseToJson(refusal(J.Req, J.Rid, Code, std::move(Message)),
-                         /*IncludeVolatile=*/!Conn.Stable)
-              ->dump());
+  Conn.answer(Pos,
+              responseToJson(refusal(J.Req, J.Rid, Code, std::move(Message)),
+                             /*IncludeVolatile=*/!Conn.Stable)
+                  ->dump());
 }
 
 //===----------------------------------------------------------------------===//
@@ -1047,27 +1059,31 @@ void XsolvedServer::runJob(const Job &J, AnalysisContext &Ctx) {
                 "deadline expired before the request reached a worker");
   } else {
     queueWaitHistogram().observe(WaitMs);
-    Tracer::global().recordSpanFrom("server.queue_wait", J.EnqueueNs);
     InFlight.fetch_add(1, std::memory_order_relaxed);
-    J.Ns->InFlight.fetch_add(1, std::memory_order_relaxed);
+    J.Conn->Ns->InFlight.fetch_add(1, std::memory_order_relaxed);
     R = runRequest(Ctx, J.Req);
-    J.Ns->InFlight.fetch_sub(1, std::memory_order_relaxed);
+    J.Conn->Ns->InFlight.fetch_sub(1, std::memory_order_relaxed);
     InFlight.fetch_sub(1, std::memory_order_relaxed);
   }
   finish(J, R, WaitMs);
 }
 
 /// The tail of every admitted request, run or expired: namespace
-/// tallies, tail sampling, logs and delivery. Total latency is queue
+/// tallies, tail sampling, logs and the answer. Total latency is queue
 /// wait + execution (the "request" stage row when stage capture ran,
 /// Stats.TimeMs as the fallback); an expired request never ran, so its
 /// breakdown is queue wait alone. The slowlog decision comes after the
-/// response exists, so fast successes leave nothing behind. Encodes
-/// with the job's admission-time J.Stable: a worker must not read
-/// Conn.Stable, which the reader may be rewriting.
+/// response exists, so fast successes leave nothing behind.
+///
+/// The worker reads the connection's Ns and Stable directly, and no
+/// config line races it: the reader applies a config line only after
+/// Out.drain() has seen every earlier answer emitted, this worker reads
+/// both before it calls answer(), and answer() takes the run's mutex,
+/// which drain() takes too. A later line is admitted after the config
+/// line applies, through the session queue's mutex.
 void XsolvedServer::finish(const Job &J, const AnalysisResponse &R,
                            double WaitMs) {
-  NamespaceState &Ns = *J.Ns;
+  NamespaceState &Ns = *J.Conn->Ns;
   bool Expired = R.ErrorCode == "deadline_exceeded";
   if (Expired) {
     deadlineMissCounter().add();
@@ -1082,10 +1098,11 @@ void XsolvedServer::finish(const Job &J, const AnalysisResponse &R,
   } else if (R.FromCache) {
     Ns.CacheHits.fetch_add(1, std::memory_order_relaxed);
   } else {
+    // A hit's stats describe the run that filled the entry.
     Ns.CacheMisses.fetch_add(1, std::memory_order_relaxed);
+    Ns.SolverTimeUs.fetch_add(static_cast<uint64_t>(R.Stats.TimeMs * 1000.0),
+                              std::memory_order_relaxed);
   }
-  Ns.SolverTimeUs.fetch_add(static_cast<uint64_t>(R.Stats.TimeMs * 1000.0),
-                            std::memory_order_relaxed);
   double ExecMs = R.Stats.TimeMs;
   for (const auto &[Name, Ms] : R.StageMs)
     if (Name == "request") {
@@ -1133,42 +1150,16 @@ void XsolvedServer::finish(const Job &J, const AnalysisResponse &R,
         .flag("cache", R.FromCache)
         .num("total_ms", TotalMs)
         .num("conn", static_cast<double>(J.Conn->Id));
-  deliver(*J.Conn, J.Seq,
-          responseToJson(R, /*IncludeVolatile=*/!J.Stable)->dump());
+  J.Conn->answer(
+      J.Pos, responseToJson(R, /*IncludeVolatile=*/!J.Conn->Stable)->dump());
 }
 
 //===----------------------------------------------------------------------===//
-// Delivery
+// Writer
 //===----------------------------------------------------------------------===//
 
-/// Producer side of the per-connection sequencer: parks the response
-/// line in the reorder buffer and wakes the writer. Called from the
-/// reader (control responses, admission rejections) and the workers
-/// (analysis responses) — NEVER performs socket I/O, so none of them
-/// can be stalled by a client that stopped reading. The buffer is
-/// bounded: a connection whose client left more than MaxOutboundBytes
-/// unread is dropped, not buffered without limit.
-void XsolvedServer::deliver(Connection &Conn, uint64_t Seq, std::string Line) {
-  Line += '\n';
-  {
-    std::lock_guard<std::mutex> L(Conn.WriteMu);
-    if (!Conn.Open.load())
-      return; // connection dropped — discard, the writer is done
-    Conn.PendingBytes += Line.size();
-    Conn.Pending.emplace(Seq, std::move(Line));
-    if (Conn.PendingBytes > Opts.MaxOutboundBytes) {
-      Conn.Open.store(false);
-      Conn.Pending.clear();
-      Conn.PendingBytes = 0;
-      if (Conn.Fd >= 0)
-        ::shutdown(Conn.Fd, SHUT_RDWR);
-    }
-  }
-  Conn.WriteCv.notify_all();
-}
-
-/// Per-connection writer: drains the reorder buffer to the socket in
-/// sequence order. The only thread that sends on an analysis
+/// Per-connection writer: sends the connection's outbound lines, which
+/// arrive in input order. The only thread that sends on an analysis
 /// connection, and the only one allowed to block on a slow client —
 /// bounded by the Alive checks inside sendAll, so forced teardown can
 /// always interrupt it.
@@ -1176,33 +1167,25 @@ void XsolvedServer::writerLoop(std::shared_ptr<Connection> Conn) {
   std::unique_lock<std::mutex> L(Conn->WriteMu);
   while (true) {
     Conn->WriteCv.wait(L, [&] {
-      return !Conn->Open.load() ||
-             (!Conn->Pending.empty() &&
-              Conn->Pending.begin()->first == Conn->NextDeliver) ||
-             (Conn->InputDone && Conn->NextDeliver == Conn->FinalSeq);
+      return !Conn->Open.load() || !Conn->Outbound.empty() ||
+             Conn->InputDone;
     });
-    if (!Conn->Open.load())
+    // Dropped, or input done with everything sent: the reader has
+    // drained Out, so nothing parks another line.
+    if (!Conn->Open.load() || Conn->Outbound.empty())
       break;
-    if (!Conn->Pending.empty() &&
-        Conn->Pending.begin()->first == Conn->NextDeliver) {
-      std::string Out = std::move(Conn->Pending.begin()->second);
-      Conn->Pending.erase(Conn->Pending.begin());
-      Conn->PendingBytes -= Out.size();
-      ++Conn->NextDeliver;
-      L.unlock();
-      bool Ok = sendAll(Conn->Fd, Out.data(), Out.size(), Conn->Open);
-      L.lock();
-      if (!Ok) {
-        Conn->Open.store(false);
-        Conn->Pending.clear();
-        Conn->PendingBytes = 0;
-        break;
-      }
-      continue;
+    std::string Line = std::move(Conn->Outbound.front());
+    Conn->Outbound.pop_front();
+    Conn->OutboundBytes -= Line.size();
+    L.unlock();
+    bool Ok = sendAll(Conn->Fd, Line.data(), Line.size(), Conn->Open);
+    L.lock();
+    if (!Ok) {
+      Conn->Open.store(false);
+      Conn->Outbound.clear();
+      Conn->OutboundBytes = 0;
+      break;
     }
-    // InputDone with everything flushed: the reader is gone and no
-    // producer will enqueue another sequenced line.
-    break;
   }
   // Signal the peer we are done (EOF after the last response) and the
   // teardown in wait() that this connection is fully flushed.

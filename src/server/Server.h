@@ -15,11 +15,13 @@
 /// design (see service/Session.h), so the server never runs a request on
 /// a socket thread. Instead:
 ///
-///  * one reader thread per connection parses lines, answers control
-///    ops inline, and ADMITS analysis requests into the session's
-///    priority queue, bounded by QueueLimit (admission control: a full
-///    queue answers "overloaded" immediately, it never blocks the client
-///    or buffers unboundedly);
+///  * one reader thread per connection parses lines and ADMITS analysis
+///    requests into the session's priority queue, bounded by QueueLimit
+///    (admission control: a full queue answers "overloaded"
+///    immediately, it never blocks the client or buffers unboundedly).
+///    It answers a control op once every earlier line of the
+///    connection is answered, and the op applies to every later line,
+///    as in `xsolve batch`;
 ///  * the session's jobs() worker threads, each with its own
 ///    AnalysisContext, pull from that queue (priority desc, FIFO within
 ///    a priority) — the same pool `xsolve batch` runs on. A worker
@@ -29,16 +31,19 @@
 ///    a fast request never waits for a slow one to finish. Admissions
 ///    carry their requestKey, so identical requests from any number of
 ///    clients reach the fixpoint once (see AnalysisSession::submit);
-///  * responses return to their connection through a per-connection
-///    sequencer that restores request order, so every client observes
-///    the same stream a serial `xsolve batch` would produce — with the
-///    per-connection `stable` encoding, byte-identical to it;
-///  * one writer thread per connection drains that sequencer to the
-///    socket. Workers only enqueue response lines and never perform
-///    socket I/O, so a client that stops reading stalls its own writer
-///    thread — not a worker, not other tenants. The outbound buffer is
-///    bounded (MaxOutboundBytes); a connection that overflows it is
-///    dropped.
+///  * responses return to their connection through `xsolve batch`'s
+///    OrderedRun (service/Batch.h), one per connection, which restores
+///    request order, so every client observes the same stream a serial
+///    `xsolve batch` would produce — with the per-connection `stable`
+///    encoding, byte-identical to it;
+///  * one writer thread per connection sends what that run releases.
+///    Workers only enqueue response lines and never perform socket I/O,
+///    so a client that stops reading stalls its own writer thread — not
+///    a worker, not other tenants. The outbound buffer, with the
+///    answers waiting in the run, is bounded (MaxOutboundBytes); a
+///    connection that overflows it is dropped. A connection with
+///    MaxUnanswered answers waiting behind an unanswered line is not
+///    read until that line is answered.
 ///
 /// Tenancy. A connection starts in the "default" namespace and may
 /// switch with {"op":"config","ns":"team-a"}. A namespace carries its
@@ -94,16 +99,13 @@ struct ServerOptions {
   size_t QueueLimit = 256;
   /// Longest accepted input line (see BatchStreamOptions::MaxLineBytes).
   size_t MaxLineBytes = size_t(1) << 20;
-  /// Most response bytes buffered for one connection whose client is
-  /// not reading (the kernel socket buffer is full). Workers never
-  /// block on a socket; they park response lines here for the
-  /// connection's writer thread, and a connection that overflows this
+  /// Most response bytes one connection holds unsent: answers waiting
+  /// behind an earlier line's, and answers its client is not reading
+  /// (the kernel socket buffer is full). Workers never block on a
+  /// socket; they park response lines here for the connection's writer
+  /// thread, and a connection whose next answer would overflow this
   /// bound is dropped rather than buffered unboundedly.
   size_t MaxOutboundBytes = size_t(32) << 20;
-  /// Grace period on shutdown for writer threads to flush responses to
-  /// clients that are slow to read; connections still unflushed after
-  /// this many milliseconds are force-closed so drain always completes.
-  size_t DrainFlushTimeoutMs = 5000;
   /// Tail-sampled slow-query recorder (obs/SlowQuery.h): admitted
   /// requests whose total latency (queue wait + execution) reaches this
   /// many milliseconds — or that error, or miss their deadline — are
@@ -214,16 +216,12 @@ private:
   void writerLoop(std::shared_ptr<Connection> Conn);
   void handleLine(const std::shared_ptr<Connection> &ConnPtr,
                   const std::string &Line, size_t LineNo, bool Truncated);
-  void handleConfig(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
-  void handleMetrics(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
-  void handleStats(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
-  void handleStatus(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
-  void handleSlowlog(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
-  void handleLog(Connection &Conn, uint64_t Seq, const JsonValue &Obj);
-  void admit(const std::shared_ptr<Connection> &ConnPtr, uint64_t Seq,
+  JsonRef controlAnswer(Connection &Conn, const std::string &Op,
+                        const JsonValue &Obj);
+  JsonRef applyConfig(Connection &Conn, const JsonValue &Obj);
+  void admit(const std::shared_ptr<Connection> &ConnPtr, size_t Pos,
              const JsonValue &Obj, AnalysisRequest Req);
   void finish(const Job &J, const AnalysisResponse &R, double WaitMs);
-  void deliver(Connection &Conn, uint64_t Seq, std::string Line);
   /// HTTP/1.1 side of the listener, entered when a connection's first
   /// line is a GET: serves /metrics, /healthz, /statusz, /slowlog and
   /// /logz with keep-alive (idle timeout, connection cap) on the reader

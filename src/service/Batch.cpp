@@ -13,12 +13,8 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <istream>
-#include <mutex>
-#include <optional>
 #include <ostream>
 
 using namespace xsa;
@@ -324,106 +320,29 @@ uint64_t xsa::requestKey(const AnalysisRequest &Req) {
 
 namespace {
 
-/// Most answers a batch holds back at once, waiting for an earlier line's
-/// answer: the reader blocks for room beyond this.
-constexpr size_t MaxUnanswered = 4096;
-
-/// One batch on the session's workers. The reader reserves an output
-/// position for each line that gets an answer, in input order, then
-/// either answers it at once or hands its request to solve(). Answers
-/// are released in input order: whichever thread completes the one at
-/// the head emits it and every later one already complete, so output
-/// streams at any job count.
-template <typename Answer> class OrderedRun {
-public:
-  using EncodeFn = std::function<Answer(AnalysisResponse)>;
-  /// Receives answers in input order, one call at a time.
-  using EmitFn = std::function<void(std::vector<Answer> &)>;
-
-  OrderedRun(AnalysisSession &Session, EncodeFn Encode, EmitFn Emit)
-      : Session(Session), Encode(std::move(Encode)), Emit(std::move(Emit)) {}
-  /// Workers hold its address.
-  OrderedRun(const OrderedRun &) = delete;
-  OrderedRun &operator=(const OrderedRun &) = delete;
-
-  /// The next output position; waits while MaxUnanswered are pending.
-  size_t reserve() {
-    std::unique_lock<std::mutex> L(M);
-    Cv.wait(L, [&] { return Slots.size() < MaxUnanswered; });
-    Slots.emplace_back();
-    return Released + Slots.size() - 1;
+/// Answers position \p Pos of \p Run with \p Req's response, computed
+/// on a worker of \p Session. The session runs a request identical to
+/// one still running right after it, as a cache hit, as serially.
+template <typename Answer, typename EncodeFn>
+void solveAt(AnalysisSession &Session, OrderedRun<Answer> &Run,
+             const EncodeFn &Encode, size_t Pos, AnalysisRequest Req) {
+  uint64_t Key = requestKey(Req);
+  // Kept for the answer to a refused job, once Req has moved into it.
+  RequestKind Kind = Req.Kind;
+  std::string Id = Req.Id;
+  // Nothing of the run is touched after the answer.
+  auto Job = [&Run, Encode, Pos, Req = std::move(Req)](AnalysisContext &Ctx) {
+    Run.answer(Pos, Encode(runRequest(Ctx, Req)));
+  };
+  if (Session.submit(std::move(Job), 0, AnalysisSession::NoLimit, Key) !=
+      AnalysisSession::Admission::Queued) {
+    AnalysisResponse R;
+    R.Kind = Kind;
+    R.Id = std::move(Id);
+    R.Error = "the session is closed";
+    Run.answer(Pos, Encode(std::move(R)));
   }
-
-  void answer(size_t Pos, Answer A) {
-    std::unique_lock<std::mutex> L(M);
-    Slots[Pos - Released] = std::move(A);
-    if (Emitting)
-      return; // the emitting thread picks it up
-    Emitting = true;
-    std::vector<Answer> Ready;
-    while (!Slots.empty() && Slots.front()) {
-      while (!Slots.empty() && Slots.front()) {
-        Ready.push_back(std::move(*Slots.front()));
-        Slots.pop_front();
-        ++Released;
-      }
-      L.unlock();
-      Emit(Ready);
-      Ready.clear();
-      L.lock();
-    }
-    Emitting = false;
-    // Under the lock: once drain() sees the run idle it may destroy it.
-    Cv.notify_all();
-  }
-
-  /// Answers position \p Pos with \p Req's response, computed on a
-  /// worker. The session runs a request identical to one still running
-  /// right after it, as a cache hit, as serially.
-  void solve(size_t Pos, AnalysisRequest Req) {
-    uint64_t Key = requestKey(Req);
-    // Kept for the answer to a refused job, once Req has moved into it.
-    RequestKind Kind = Req.Kind;
-    std::string Id = Req.Id;
-    // Nothing of this run is touched after the answer.
-    auto Job = [this, Pos, Req = std::move(Req)](AnalysisContext &Ctx) {
-      answer(Pos, Encode(runRequest(Ctx, Req)));
-    };
-    if (Session.submit(std::move(Job), 0, AnalysisSession::NoLimit, Key) !=
-        AnalysisSession::Admission::Queued) {
-      AnalysisResponse R;
-      R.Kind = Kind;
-      R.Id = std::move(Id);
-      R.Error = "the session is closed";
-      answer(Pos, Encode(std::move(R)));
-    }
-  }
-
-  /// Returns once every reserved position has been emitted.
-  void drain() {
-    std::unique_lock<std::mutex> L(M);
-    Cv.wait(L, [&] { return Slots.empty() && !Emitting; });
-  }
-
-  /// drain(), then waits for the workers to go idle: what they recorded
-  /// (stats, spans) happens-before the return.
-  void finish() {
-    drain();
-    Session.quiesce();
-  }
-
-private:
-  AnalysisSession &Session;
-  EncodeFn Encode;
-  EmitFn Emit;
-
-  std::mutex M;
-  std::condition_variable Cv;
-  /// Positions [Released, Released + Slots.size()), answered or not.
-  std::deque<std::optional<Answer>> Slots;
-  size_t Released = 0;
-  bool Emitting = false;
-};
+}
 
 } // namespace
 
@@ -433,14 +352,16 @@ xsa::runBatch(AnalysisSession &Session,
   std::vector<AnalysisResponse> Out;
   Out.reserve(Reqs.size());
   OrderedRun<AnalysisResponse> Run(
-      Session, [](AnalysisResponse R) { return R; },
       [&Out](std::vector<AnalysisResponse> &Ready) {
         for (AnalysisResponse &R : Ready)
           Out.push_back(std::move(R));
       });
+  auto Encode = [](AnalysisResponse R) { return R; };
   for (const AnalysisRequest &Req : Reqs)
-    Run.solve(Run.reserve(), Req);
-  Run.finish();
+    solveAt(Session, Run, Encode, Run.reserve(), Req);
+  // What the workers recorded (stats, spans) happens-before the return.
+  Run.drain();
+  Session.quiesce();
   return Out;
 }
 
@@ -589,6 +510,14 @@ JsonRef xsa::controlResponseJson(const JsonValue &Req, bool Ok) {
   if (!Id.empty())
     O->set("id", JsonValue::string(Id));
   O->set("ok", JsonValue::boolean(Ok));
+  return O;
+}
+
+JsonRef xsa::metricsResponseJson(const JsonValue &Req, bool Stable) {
+  JsonRef O = controlResponseJson(Req);
+  JsonRef M = MetricRegistry::global().toJson(/*IncludeVolatile=*/!Stable);
+  for (const auto &[K, V] : M->members())
+    O->set(K, V);
   return O;
 }
 
@@ -774,7 +703,7 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
     return Encoded{responseToJson(R, /*IncludeVolatile=*/!Stable)->dump(),
                    R.Ok};
   };
-  OrderedRun<Encoded> Run(Session, Encode, [&](std::vector<Encoded> &Ready) {
+  OrderedRun<Encoded> Run([&](std::vector<Encoded> &Ready) {
     for (const Encoded &E : Ready) {
       ++(E.Ok ? Answered : Errors);
       Out << E.Text << "\n";
@@ -802,7 +731,7 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
       continue;
     }
     if (L.K == InputLine::Kind::Request) {
-      Run.solve(Run.reserve(), std::move(L.Req));
+      solveAt(Session, Run, Encode, Run.reserve(), std::move(L.Req));
       continue;
     }
     // Control line: answered after every line before it, applied to
@@ -828,19 +757,12 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
       O->set("jobs", JsonValue::number(static_cast<double>(Session.jobs())));
       AnswerNow({O->dump(), true});
     } else {
-      // {"op":"metrics"}: the process-wide metric registry as JSON, once
-      // every request before it is counted. The registry's members
-      // (schema version first) are spliced into the response object, so
-      // clients key on response["schema"].
-      JsonRef O = controlResponseJson(Obj);
-      JsonRef M = MetricRegistry::global().toJson(
-          /*IncludeVolatile=*/!Opts.Stable);
-      for (const auto &[K, V] : M->members())
-        O->set(K, V);
-      AnswerNow({O->dump(), true});
+      // {"op":"metrics"}, once every request before it is counted.
+      AnswerNow({metricsResponseJson(Obj, Opts.Stable)->dump(), true});
     }
   }
-  Run.finish();
+  Run.drain();
+  Session.quiesce();
   In.tie(Tied);
   if (Failed)
     *Failed = Errors;

@@ -52,8 +52,12 @@
 #include "service/Session.h"
 
 #include <atomic>
+#include <condition_variable>
+#include <deque>
+#include <functional>
 #include <initializer_list>
 #include <iosfwd>
+#include <mutex>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -73,6 +77,75 @@ AnalysisResponse runRequest(AnalysisSession &Session,
 /// nonzero 64-bit hash of the length-prefixed text of every field that
 /// can change the answer, so all but the id and the trace id.
 uint64_t requestKey(const AnalysisRequest &Req);
+
+/// Most answers one stream holds back at once, waiting for an earlier
+/// line's answer: OrderedRun::reserve() blocks for room beyond this.
+constexpr size_t MaxUnanswered = 4096;
+
+/// The answer order of one stream: a batch, or one xsolved connection.
+/// The reader reserves an output position for each line that gets an
+/// answer, in input order; the line is answered at once or later, on a
+/// worker. Answers are released in input order: whichever thread
+/// completes the one at the head emits it and every later one already
+/// complete, so output streams at any job count.
+template <typename Answer> class OrderedRun {
+public:
+  /// Receives answers in input order, one call at a time.
+  using EmitFn = std::function<void(std::vector<Answer> &)>;
+
+  explicit OrderedRun(EmitFn Emit) : Emit(std::move(Emit)) {}
+  /// Workers hold its address.
+  OrderedRun(const OrderedRun &) = delete;
+  OrderedRun &operator=(const OrderedRun &) = delete;
+
+  /// The next output position; waits while MaxUnanswered are pending.
+  size_t reserve() {
+    std::unique_lock<std::mutex> L(M);
+    Cv.wait(L, [&] { return Slots.size() < MaxUnanswered; });
+    Slots.emplace_back();
+    return Released + Slots.size() - 1;
+  }
+
+  void answer(size_t Pos, Answer A) {
+    std::unique_lock<std::mutex> L(M);
+    Slots[Pos - Released] = std::move(A);
+    if (Emitting)
+      return; // the emitting thread picks it up
+    Emitting = true;
+    std::vector<Answer> Ready;
+    while (!Slots.empty() && Slots.front()) {
+      while (!Slots.empty() && Slots.front()) {
+        Ready.push_back(std::move(*Slots.front()));
+        Slots.pop_front();
+        ++Released;
+      }
+      L.unlock();
+      Emit(Ready);
+      Ready.clear();
+      L.lock();
+    }
+    Emitting = false;
+    // Under the lock: once drain() sees the run idle it may destroy it.
+    Cv.notify_all();
+  }
+
+  /// Returns once every reserved position has been emitted. Whatever a
+  /// thread did before it answered happens-before the return.
+  void drain() {
+    std::unique_lock<std::mutex> L(M);
+    Cv.wait(L, [&] { return Slots.empty() && !Emitting; });
+  }
+
+private:
+  EmitFn Emit;
+
+  std::mutex M;
+  std::condition_variable Cv;
+  /// Positions [Released, Released + Slots.size()), answered or not.
+  std::deque<std::optional<Answer>> Slots;
+  size_t Released = 0;
+  bool Emitting = false;
+};
 
 /// Answers a whole batch on the session's workers, in input order (see
 /// the file comment for the determinism guarantee). The workers are idle
@@ -118,6 +191,12 @@ JsonRef errorObjectJson(const std::string &Code, const std::string &Message,
 /// The head of a control-op answer, {"id":...,"ok":Ok} (no "id" when
 /// \p Req has none); the op appends its own fields.
 JsonRef controlResponseJson(const JsonValue &Req, bool Ok = true);
+
+/// The answer to an {"op":"metrics"} line: the process-wide metric
+/// registry's members (schema version first) spliced into the control
+/// answer, so clients key on response["schema"]. \p Stable leaves the
+/// volatile series out.
+JsonRef metricsResponseJson(const JsonValue &Req, bool Stable);
 
 /// Longest accepted namespace name, in bytes: xsolved keeps every
 /// namespace, and its metrics series, for its whole life.
@@ -199,8 +278,8 @@ InputLine decodeInputLine(const std::string &Line, size_t LineNo,
 /// JSON-lines driver: reads one request object per non-empty line of
 /// \p In, writes one response object per line to \p Out (in input
 /// order), each as soon as every line before it is answered. Requests
-/// run on the session's workers; at most 4,096 answers wait for an
-/// earlier one, and reading pauses while that many do. Unparseable lines
+/// run on the session's workers; at most MaxUnanswered answers wait for
+/// an earlier one, and reading pauses while that many do. Unparseable lines
 /// produce an {"ok":false} response line, not a stop. A
 /// {"op":"config","jobs":N} line answers {"ok":true,"jobs":N} once every
 /// line before it is answered, and applies to all subsequent requests;

@@ -8,10 +8,9 @@
 /// Length-prefixed framing for compound map keys built from untrusted
 /// text. `len:bytes` frames are uniquely decodable, so a concatenation
 /// of framed fields is injective for arbitrary field bytes — no
-/// reserved separator that input could smuggle in. Used by the batch
-/// dedup signature, the optimize memo, and the rewriter's tried-set;
-/// every compound text key should go through here so the injectivity
-/// argument lives in one place.
+/// reserved separator that input could smuggle in. Used by the request
+/// signature and the optimize memo; every compound text key should go
+/// through here so the injectivity argument lives in one place.
 ///
 //===----------------------------------------------------------------------===//
 

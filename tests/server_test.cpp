@@ -207,6 +207,65 @@ TEST(Server, IdenticalRequestsInFlightSolveOnce) {
   EXPECT_EQ(S.Cache.Hits, 1u);
 }
 
+TEST(Server, ControlLinesSeeEveryEarlierLineAnswered) {
+  // A control line is answered once every earlier line of its
+  // connection is, as in `xsolve batch`: a stats line pipelined behind a
+  // request still queued counts that request's solve, and nothing of
+  // the namespace is in flight any more.
+  ServerFixture F(stableServerOptions(1));
+  F.Server.session().debugPause(true);
+  auto Ns = F.Server.namespaceState("default");
+  LineClient C = F.connect();
+  ASSERT_TRUE(C.sendLine("{\"id\":\"q\",\"op\":\"contains\","
+                         "\"e1\":\"/cl1/x\",\"e2\":\"//x\"}"));
+  for (int I = 0; I < 500 && Ns->Requests.load() < 1; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_EQ(Ns->Requests.load(), 1u);
+  ASSERT_TRUE(C.sendLine("{\"id\":\"s\",\"op\":\"stats\"}"));
+  // Give the reader time to read the stats line while the request waits.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  F.Server.session().debugPause(false);
+  std::string Resp, Error;
+  ASSERT_TRUE(C.recvLine(Resp));
+  EXPECT_NE(Resp.find("\"id\":\"q\",\"ok\":true"), std::string::npos) << Resp;
+  ASSERT_TRUE(C.recvLine(Resp));
+  JsonRef R = parseJson(Resp, Error);
+  ASSERT_NE(R, nullptr) << Error;
+  EXPECT_EQ(R->str("id"), "s");
+  EXPECT_NE(Resp.find("\"solves\":1,"), std::string::npos) << Resp;
+  EXPECT_EQ(R->get("stats")->get("solves")->asNumber(), 1) << Resp;
+  EXPECT_EQ(R->get("namespaces")->get("default")->get("in_flight")->asNumber(),
+            0)
+      << Resp;
+}
+
+TEST(Server, ConfigLineAppliesOnlyToLaterLines) {
+  // A config line applies to every later line and to no earlier one,
+  // even when the earlier one is still queued as the line is read.
+  ServerFixture F(stableServerOptions(1));
+  F.Server.session().debugPause(true);
+  auto Ns = F.Server.namespaceState("default");
+  LineClient C = F.connect();
+  const std::string Line =
+      "{\"id\":\"r\",\"op\":\"contains\",\"e1\":\"/cf1/x\",\"e2\":\"//x\"}";
+  ASSERT_TRUE(C.sendLine(Line));
+  for (int I = 0; I < 500 && Ns->Requests.load() < 1; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_EQ(Ns->Requests.load(), 1u);
+  ASSERT_TRUE(C.sendLine("{\"op\":\"config\",\"stable\":false}"));
+  ASSERT_TRUE(C.sendLine(Line));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  F.Server.session().debugPause(false);
+  std::string First, Config, Third;
+  ASSERT_TRUE(C.recvLine(First));
+  ASSERT_TRUE(C.recvLine(Config));
+  ASSERT_TRUE(C.recvLine(Third));
+  EXPECT_EQ(First + "\n", serialReference({Line}));
+  EXPECT_EQ(First.find("\"cache\""), std::string::npos) << First;
+  EXPECT_NE(Config.find("\"stable\":false"), std::string::npos) << Config;
+  EXPECT_NE(Third.find("\"cache\":\"hit\""), std::string::npos) << Third;
+}
+
 TEST(Server, PipelinedFloodNeverBlocksTheServer) {
   // Regression: responses used to be sent synchronously by whichever
   // server thread produced them (reader for control ops, dispatcher
@@ -233,10 +292,10 @@ TEST(Server, PipelinedFloodNeverBlocksTheServer) {
 }
 
 TEST(Server, OutboundOverflowDropsOnlyTheGuiltyConnection) {
-  // The outbound bound is enforced inside deliver(), under the same
-  // lock that inserts the response line — so one response larger than
-  // the bound trips the drop deterministically, with no dependence on
-  // kernel socket buffer sizes or client pacing.
+  // The outbound bound is enforced inside Connection::answer(), under
+  // the same lock that counts the response line — so one response larger
+  // than the bound trips the drop deterministically, with no dependence
+  // on kernel socket buffer sizes or client pacing.
   ServerOptions Opts = stableServerOptions(1);
   Opts.MaxOutboundBytes = size_t(1) << 12;
   ServerFixture F(Opts);
@@ -252,6 +311,39 @@ TEST(Server, OutboundOverflowDropsOnlyTheGuiltyConnection) {
   ASSERT_TRUE(Good.sendLine("{\"id\":\"g\",\"op\":\"ping\"}"));
   ASSERT_TRUE(Good.recvLine(Resp));
   EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos);
+}
+
+TEST(Server, AnswersHeldInOrderCountTowardTheOutboundBound) {
+  // The bound covers every answer a connection holds, not only those
+  // released to its writer: an answer waiting behind an earlier line's
+  // counts from the moment it exists. With the first line queued, eight
+  // inline answers echoing 1 KiB ids overflow the 4 KiB bound, and the
+  // connection is dropped before that line is answered (the 10 s
+  // watchdog is polled, so an unbounded server fails instead of hanging).
+  ServerOptions Opts = stableServerOptions(1);
+  Opts.MaxOutboundBytes = size_t(1) << 12;
+  ServerFixture F(Opts);
+  F.Server.session().debugPause(true);
+  auto Ns = F.Server.namespaceState("default");
+  LineClient C = F.connect();
+  ASSERT_TRUE(C.sendLine("{\"id\":\"q\",\"op\":\"contains\","
+                         "\"e1\":\"/ob1/x\",\"e2\":\"//x\"}"));
+  for (int I = 0; I < 500 && Ns->Requests.load() < 1; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_EQ(Ns->Requests.load(), 1u);
+  for (int I = 0; I < 8; ++I)
+    if (!C.sendLine("{\"id\":\"" + std::string(1024, 'z') + std::to_string(I) +
+                    "\",\"op\":\"nope\"}"))
+      break; // already dropped
+  std::string Resp;
+  bool Closed = false;
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!Closed && std::chrono::steady_clock::now() < Deadline) {
+    EXPECT_FALSE(C.pollLine(Resp, Closed)) << Resp;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  F.Server.session().debugPause(false);
+  EXPECT_TRUE(Closed) << "answers held behind a queued line were not bounded";
 }
 
 TEST(Server, DeadlineExpiredInQueueIsRejectedStructurally) {
@@ -356,7 +448,7 @@ TEST(Server, HigherPriorityJobsDispatchFirst) {
   // request. On resume the high-priority one must solve first — its
   // distinct query is the only cache miss whose solve precedes the
   // others in the session tally. Responses still arrive in request
-  // order (the sequencer reorders delivery, not execution).
+  // order (the connection's OrderedRun orders answers, not execution).
   ASSERT_TRUE(C.sendLine("{\"id\":\"lo\",\"op\":\"contains\","
                          "\"e1\":\"/lo1/x\",\"e2\":\"//x\"}"));
   ASSERT_TRUE(C.sendLine("{\"id\":\"hi\",\"op\":\"contains\","
@@ -617,6 +709,10 @@ TEST(Server, NamespacesIsolateAccountingNotResults) {
   EXPECT_EQ(TeamA->get("cache_misses")->asNumber(), 1);
   EXPECT_EQ(Default->get("requests")->asNumber(), 1);
   EXPECT_EQ(Default->get("cache_hits")->asNumber(), 1);
+  // A hit's stats describe the run that filled the entry: only team-a's
+  // solve counts toward a namespace's solver time.
+  EXPECT_GT(TeamA->get("solver_time_ms")->asNumber(), 0) << Resp;
+  EXPECT_EQ(Default->get("solver_time_ms")->asNumber(), 0) << Resp;
 }
 
 TEST(Server, UnknownConfigKeyIsRejectedStructurally) {
